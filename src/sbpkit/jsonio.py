@@ -2,8 +2,16 @@
 
 Every report and operator document goes through :func:`dumps` so that
 identical inputs always produce byte-identical output: keys keep their
-insertion order and floats are printed with 17 significant digits, which
-round-trips IEEE doubles exactly.
+insertion order and floats are printed with 17 significant digits
+(``%.17g``), which round-trips IEEE doubles exactly.  Non-finite floats are
+refused with ``ParameterError``.
+
+A flat list whose elements are all exactly ``float`` (the shape of every
+``ndarray.tolist()`` in a document) is formatted in one pass with
+``map``/``join``.  Finite ``%.17g`` output never contains the letter ``n``,
+so an ``n`` in the joined text means an inf or a nan is present; the list
+then takes the per-element path, which raises the error.  Every other list
+(ints, bools, numpy scalars, mixed or nested) takes the per-element path.
 """
 
 from __future__ import annotations
@@ -18,12 +26,15 @@ from .errors import ParameterError
 
 __all__ = ["dumps", "format_float"]
 
+#: The one number format of every document.
+_FORMAT_FLOAT = "%.17g".__mod__
+
 
 def format_float(value: float) -> str:
     """Render a finite double with 17 significant digits."""
     if not math.isfinite(value):
         raise ParameterError(f"cannot serialize non-finite number {value!r}")
-    return format(float(value), ".17g")
+    return _FORMAT_FLOAT(float(value))
 
 
 def _emit(obj: Any, indent: int, level: int, out: list[str]) -> None:
@@ -48,6 +59,11 @@ def _emit(obj: Any, indent: int, level: int, out: list[str]) -> None:
             out.append("[]")
             return
         # Flat numeric arrays stay on one line; nested structures get spread.
+        if set(map(type, obj)) == {float}:
+            text = ", ".join(map(_FORMAT_FLOAT, obj))
+            if "n" not in text:
+                out.append("[" + text + "]")
+                return
         if all(isinstance(v, (int, float, bool, np.generic)) for v in obj):
             out.append("[" + ", ".join(_scalar(v) for v in obj) + "]")
             return

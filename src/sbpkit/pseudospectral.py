@@ -40,7 +40,7 @@ from .errors import (
     InvariantError,
     ParameterError,
 )
-from .linalg import DEFAULT_TOLERANCE, max_abs, rank_threshold
+from .linalg import DEFAULT_TOLERANCE, max_abs, rank_threshold, svd_rank
 from .operators import Interval, SbpOperatorPair
 from .spectral import build_d_tilde
 
@@ -304,17 +304,23 @@ def build_interpolatory_h(
     return np.diag(weights), p0, pn
 
 
-def _mapped_legendre_vandermonde(nodes: np.ndarray, interval: Interval) -> np.ndarray:
-    """V[l, k] = P_k(t(x_l)) for the Legendre basis mapped to the interval."""
+def _mapped_legendre_vandermonde(
+    nodes: np.ndarray, interval: Interval, degree: int | None = None
+) -> np.ndarray:
+    """V[l, k] = P_k(t(x_l)) for the Legendre basis mapped to the interval.
+
+    Columns run over k = 0..degree; the default degree is (number of nodes) - 1,
+    which makes V square.
+    """
     c = 0.5 * (interval.a + interval.b)
     r = 0.5 * interval.length
     t = (np.asarray(nodes, dtype=float) - c) / r
-    m = t.size
-    v = np.empty((m, m))
+    cols = t.size if degree is None else degree + 1
+    v = np.empty((t.size, cols))
     v[:, 0] = 1.0
-    if m > 1:
+    if cols > 1:
         v[:, 1] = t
-    for k in range(2, m):
+    for k in range(2, cols):
         v[:, k] = ((2 * k - 1) * t * v[:, k - 1] - (k - 1) * v[:, k - 2]) / k
     return v
 
@@ -338,16 +344,18 @@ def build_modal_h(nodes, interval: Interval) -> np.ndarray:
 def _moments_exact_through(
     nodes: np.ndarray, interval: Interval, weights: np.ndarray, degree: int
 ) -> bool:
-    """Whether the diagonal rule integrates x^k exactly for k = 0..degree."""
-    a, b = interval.a, interval.b
-    xk = np.ones_like(nodes)
-    for k in range(degree + 1):
-        exact = (b ** (k + 1) - a ** (k + 1)) / (k + 1)
-        defect = abs(float(weights @ xk) - exact)
-        if defect > MOMENT_EXACTNESS_RTOL * max(1.0, abs(exact)):
-            return False
-        xk = xk * nodes
-    return True
+    """Whether the diagonal rule integrates all polynomials of the given degree.
+
+    The moments are taken of the Legendre polynomials P_k(t(x)) in the affine
+    coordinate t = (x - c) / r, k = 0..degree, whose exact integrals are the
+    interval length for k = 0 and zero otherwise.  Raw monomials would not
+    do: away from the origin their moments are huge and nearly equal, so the
+    defect of a rule that is not exact drowns in the scale of the moment.
+    """
+    v = _mapped_legendre_vandermonde(nodes, interval, degree)
+    defect = weights @ v
+    defect[0] -= interval.length
+    return max_abs(defect) <= MOMENT_EXACTNESS_RTOL * interval.length
 
 
 def build_pseudospectral_operator(family: NodeFamily) -> SbpOperatorPair:
@@ -471,8 +479,7 @@ def certify_families(
         op = build_pseudospectral_operator(family)
         m = family.n + 1
 
-        sv = np.linalg.svd(op.d_plus, compute_uv=False)
-        rank = int(np.count_nonzero(sv > rank_threshold(float(sv[0]), m)))
+        rank, sv = svd_rank(op.d_plus)
         kernel_residual = max_abs(op.d_plus @ np.ones(m))
         nullspace_ok = (
             rank == family.n and kernel_residual <= tau_eig * float(sv[0])

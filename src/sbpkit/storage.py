@@ -5,7 +5,12 @@ The on-disk format is a JSON object with keys ``n``, ``q``, ``interval``
 (row-major arrays of (n+1)^2 numbers each), ``p0``, ``pn`` (n+1 numbers)
 and an optional ``name``.  ``D_minus`` and ``S`` may be omitted on input;
 S then defaults to zero and D_minus is derived.  Floats are written with
-full round-trip precision, so save/load is bit-exact.
+full round-trip precision, so save/load is bit-exact, except that ``-0.0`` is
+written as ``-0`` and loads as ``+0.0``.
+
+Number arrays are validated and converted in one numpy pass when every entry
+is a plain ``int`` or ``float``; otherwise entry by entry, so that a bool or
+a non-number is reported with its path (for example ``D_plus[k]``).
 """
 
 from __future__ import annotations
@@ -64,6 +69,10 @@ def _as_float_array(value: Any, length: int, path: str) -> np.ndarray:
         raise SchemaError(f"expected an array, got {type(value).__name__}", path=path)
     if len(value) != length:
         raise SchemaError(f"expected {length} numbers, got {len(value)}", path=path)
+    # json.loads yields only int and float for numbers: convert in one pass.
+    # Anything else (bools included) takes the loop that names the entry.
+    if set(map(type, value)) <= {int, float}:
+        return np.array(value, dtype=float)
     out = np.empty(length, dtype=float)
     for i, entry in enumerate(value):
         if isinstance(entry, bool) or not isinstance(entry, (int, float)):

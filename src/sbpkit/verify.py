@@ -19,7 +19,7 @@ import numpy as np
 
 from . import spectral
 from .errors import DecompositionError, InternalInconsistencyError, ParameterError
-from .linalg import DEFAULT_TOLERANCE, max_abs, rank_threshold
+from .linalg import DEFAULT_TOLERANCE, max_abs, svd_rank
 from .operators import SbpOperatorPair
 
 __all__ = [
@@ -264,8 +264,7 @@ def check_nullspace_consistency(
     sigma_max, sigma_min = float(sv[0]), float(sv[-1])
     via_penalized = sigma_min > tolerance * sigma_max
 
-    sv_d = np.linalg.svd(op.d_plus, compute_uv=False)
-    rank = int(np.count_nonzero(sv_d > rank_threshold(float(sv_d[0]), op.n + 1)))
+    rank, sv_d = svd_rank(op.d_plus)
     kernel_residual = max_abs(op.d_plus @ np.ones(op.n + 1))
     via_kernel = rank == op.n and kernel_residual <= tolerance * float(sv_d[0])
 

@@ -296,6 +296,36 @@ def test_non_number_entry_names_field_path():
         operator_from_document(doc)
 
 
+@pytest.mark.parametrize("bad", [True, "0.5", [0.5]], ids=["bool", "string", "nested"])
+def test_bad_entry_deep_in_large_matrix_names_its_index(bad):
+    op = build_classical_fd(40, Interval(0.0, 1.0))
+    doc = operator_to_document(op)
+    k = len(doc["D_plus"]) - 7
+    doc["D_plus"][k] = bad
+    with pytest.raises(SchemaError, match=rf"D_plus\[{k}\]") as excinfo:
+        operator_from_document(doc)
+    assert excinfo.value.path == f"D_plus[{k}]"
+
+
+def test_numpy_scalar_entries_accepted():
+    op = build_classical_fd(8, Interval(0.0, 1.0))
+    doc = operator_to_document(op)
+    doc["D_plus"] = [np.float64(v) for v in doc["D_plus"]]
+    doc["x"] = [np.float64(v) for v in doc["x"]]
+    loaded = operator_from_document(doc)
+    np.testing.assert_array_equal(loaded.d_plus, op.d_plus)
+    np.testing.assert_array_equal(loaded.x, op.x)
+
+
+def test_integer_entries_load_as_floats():
+    op = build_two_point()
+    doc = operator_to_document(op)
+    doc["x"] = [int(v) for v in doc["x"]]
+    loaded = operator_from_document(doc)
+    assert loaded.x.dtype == np.float64
+    np.testing.assert_array_equal(loaded.x, op.x)
+
+
 def test_bad_interval_entry():
     doc = operator_to_document(build_two_point())
     doc["interval"] = [0.0]

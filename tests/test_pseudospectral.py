@@ -223,6 +223,32 @@ def test_cgl_bundle_uses_dense_norm_when_needed():
     assert verify_all(op, tolerance=1e-8).all_passed()
 
 
+@pytest.mark.parametrize(
+    "interval",
+    [REFERENCE, Interval(0.0, 10.0), Interval(100.0, 101.0)],
+    ids=["-1_1", "0_10", "100_101"],
+)
+@pytest.mark.parametrize(
+    "tag, degrees",
+    [(Family.CHEBYSHEV_GAUSS_LOBATTO, range(1, 33)), (Family.UNIFORM, range(1, 8))],
+    ids=["chebyshev", "uniform"],
+)
+def test_diagonal_norm_only_where_exact_on_shifted_intervals(interval, tag, degrees):
+    # Interpolatory weights on these nodes integrate degree 2n - 1 only for
+    # n <= 2; a diagonal norm kept beyond that breaks the SBP identity.
+    make = {
+        Family.CHEBYSHEV_GAUSS_LOBATTO: NodeFamily.chebyshev_gauss_lobatto,
+        Family.UNIFORM: NodeFamily.uniform,
+    }[tag]
+    for n in degrees:
+        op = build_pseudospectral_operator(make(n, interval))
+        diagonal = np.count_nonzero(op.h - np.diag(np.diagonal(op.h))) == 0
+        assert diagonal == (n <= 2), n
+        hd = op.h @ op.d_plus
+        defect = hd + hd.T + np.outer(op.p0, op.p0) - np.outer(op.pn, op.pn)
+        assert np.max(np.abs(defect)) <= 1e-12 * np.max(np.abs(hd)), n
+
+
 def test_oversized_degree_rejected():
     with pytest.raises(ParameterError):
         build_pseudospectral_operator(NodeFamily.legendre_gauss_lobatto(33, REFERENCE))
