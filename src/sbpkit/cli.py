@@ -16,13 +16,12 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import jsonio, pseudospectral, repair, sat, spectral, storage, verify
 from .errors import ParameterError, SbpError
-from .linalg import DEFAULT_TOLERANCE
+from .linalg import DEFAULT_TOLERANCE, check_positive
 from .operators import (
     BUILTIN_OPERATORS,
     Interval,
@@ -32,7 +31,7 @@ from .operators import (
 from .repair import NormChoice
 from .sat import FlowDirection, SatProblem
 
-__all__ = ["CliConfig", "run", "main", "console"]
+__all__ = ["main", "console"]
 
 DEFAULT_TARGET_EPS = 1e-6
 
@@ -51,36 +50,12 @@ _CONVERGENCE_PAIRS = {
     "exp": (np.exp, np.exp),
 }
 
-
-@dataclass
-class CliConfig:
-    """Validated options for one invocation."""
-
-    subcommand: str
-    input_path: str | None = None
-    output_path: str | None = None
-    tolerance: float = DEFAULT_TOLERANCE
-    target_eps: float = DEFAULT_TARGET_EPS
-    norm_choice: NormChoice = NormChoice.FROBENIUS
-    format: str = "json"
-    builtin: str | None = None
-    require_eigenvalue_property: bool = False
-    family: str | None = None
-    n: int = 4
-    interval: tuple[float, float] = (-1.0, 1.0)
-    nodes: str | None = None
-    certify: bool = False
-    function: str | None = None
-    f_samples_path: str | None = None
-    u0: float = 0.0
-    direction: str = "forward"
-    grids: tuple[int, ...] = field(default_factory=tuple)
-
-    def __post_init__(self) -> None:
-        if not self.tolerance > 0.0:
-            raise ParameterError(f"tolerance must be positive, got {self.tolerance}")
-        if not self.target_eps > 0.0:
-            raise ParameterError(f"target-eps must be positive, got {self.target_eps}")
+#: --family value -> node set builder; "explicit" takes --nodes instead
+_NODE_FAMILIES = {
+    "legendre_gauss_lobatto": pseudospectral.NodeFamily.legendre_gauss_lobatto,
+    "chebyshev_gauss_lobatto": pseudospectral.NodeFamily.chebyshev_gauss_lobatto,
+    "uniform": pseudospectral.NodeFamily.uniform,
+}
 
 
 def _fmt(value: float) -> str:
@@ -97,24 +72,24 @@ def _emit(text: str, output_path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _load_input(config: CliConfig) -> SbpOperatorPair:
-    if config.input_path and config.builtin:
+def _load_input(args: argparse.Namespace) -> SbpOperatorPair:
+    if args.input_path and args.builtin:
         raise ParameterError("give either --input or --builtin, not both")
-    if config.builtin:
-        if config.builtin in BUILTIN_OPERATORS:
-            return BUILTIN_OPERATORS[config.builtin]()
-        if config.builtin.startswith("classical_fd_"):
-            n = int(config.builtin.removeprefix("classical_fd_"))
+    if args.builtin:
+        if args.builtin in BUILTIN_OPERATORS:
+            return BUILTIN_OPERATORS[args.builtin]()
+        if args.builtin.startswith("classical_fd_"):
+            n = int(args.builtin.removeprefix("classical_fd_"))
             return build_classical_fd(n, Interval(0.0, 1.0))
         raise ParameterError(
-            f"unknown builtin operator {config.builtin!r}; available: "
+            f"unknown builtin operator {args.builtin!r}; available: "
             f"{sorted(BUILTIN_OPERATORS)} or classical_fd_<n>"
         )
-    if not config.input_path:
+    if not args.input_path:
         raise ParameterError("an operator is required (--input PATH or --builtin NAME)")
-    if not os.path.exists(config.input_path):
-        raise ParameterError(f"input file not found: {config.input_path}")
-    return storage.load_operator(config.input_path)
+    if not os.path.exists(args.input_path):
+        raise ParameterError(f"input file not found: {args.input_path}")
+    return storage.load_operator(args.input_path)
 
 
 def _complex_str(value: complex, digits: int = 10) -> str:
@@ -146,18 +121,18 @@ def _verify_text(op: SbpOperatorPair, report: verify.VerificationReport) -> str:
     return "\n".join(lines)
 
 
-def _cmd_verify(config: CliConfig) -> int:
-    op = _load_input(config)
-    report = verify.verify_all(op, config.tolerance)
-    if config.format == "json":
-        _emit(jsonio.dumps(report.to_document()), config.output_path)
+def _cmd_verify(args: argparse.Namespace) -> int:
+    op = _load_input(args)
+    report = verify.verify_all(op, args.tolerance)
+    if args.format == "json":
+        _emit(jsonio.dumps(report.to_document()), args.output_path)
     else:
-        _emit(_verify_text(op, report), config.output_path)
+        _emit(_verify_text(op, report), args.output_path)
     if not report.all_passed():
         return 1
-    if config.require_eigenvalue_property and not report.eigenvalue_property:
-        check = verify.check_eigenvalue_property(op, config.tolerance)
-        offenders = ", ".join(_complex_str(v) for v in check.offending)
+    if args.require_eigenvalue_property and not report.eigenvalue_property:
+        offending = report.eigenvalue_check.offending
+        offenders = ", ".join(_complex_str(v) for v in offending)
         print(
             f"eigenvalue property absent: offending eigenvalues {offenders}",
             file=sys.stderr,
@@ -180,13 +155,13 @@ def _spectrum_text(op: SbpOperatorPair, report: spectral.SpectralReport) -> str:
     return "\n".join(lines)
 
 
-def _cmd_spectrum(config: CliConfig) -> int:
-    op = _load_input(config)
-    report = spectral.spectral_report(op, tau_eig=config.tolerance)
-    if config.format == "json":
-        _emit(jsonio.dumps(report.to_document()), config.output_path)
+def _cmd_spectrum(args: argparse.Namespace) -> int:
+    op = _load_input(args)
+    report = spectral.spectral_report(op, tau_eig=args.tolerance)
+    if args.format == "json":
+        _emit(jsonio.dumps(report.to_document()), args.output_path)
     else:
-        _emit(_spectrum_text(op, report), config.output_path)
+        _emit(_spectrum_text(op, report), args.output_path)
     return 0
 
 
@@ -194,17 +169,17 @@ def _cmd_spectrum(config: CliConfig) -> int:
 # repair
 
 
-def _cmd_repair(config: CliConfig) -> int:
-    op = _load_input(config)
+def _cmd_repair(args: argparse.Namespace) -> int:
+    op = _load_input(args)
     repaired, plan = repair.repair_operator(
-        op, config.target_eps, config.norm_choice, config.tolerance
+        op, args.target_eps, NormChoice(args.norm_choice), args.tolerance
     )
-    if config.format == "json":
+    if args.format == "json":
         doc = {
             "operator": storage.operator_to_document(repaired),
             "plan": plan.to_document(),
         }
-        _emit(jsonio.dumps(doc), config.output_path)
+        _emit(jsonio.dumps(doc), args.output_path)
     else:
         lines = [
             f"operator: {op.name or '<unnamed>'} (n={op.n}, q={op.q})",
@@ -213,7 +188,7 @@ def _cmd_repair(config: CliConfig) -> int:
             f"achieved |D_plus' - D_plus| ({plan.norm_choice.value}): "
             f"{_fmt(plan.norm_bound)}",
         ]
-        _emit("\n".join(lines), config.output_path)
+        _emit("\n".join(lines), args.output_path)
     return 0
 
 
@@ -221,18 +196,13 @@ def _cmd_repair(config: CliConfig) -> int:
 # pseudospectral
 
 
-def _make_family(config: CliConfig, n: int) -> pseudospectral.NodeFamily:
-    interval = Interval(*config.interval)
-    tag = pseudospectral.Family(config.family)
-    if tag is pseudospectral.Family.LEGENDRE_GAUSS_LOBATTO:
-        return pseudospectral.NodeFamily.legendre_gauss_lobatto(n, interval)
-    if tag is pseudospectral.Family.CHEBYSHEV_GAUSS_LOBATTO:
-        return pseudospectral.NodeFamily.chebyshev_gauss_lobatto(n, interval)
-    if tag is pseudospectral.Family.UNIFORM:
-        return pseudospectral.NodeFamily.uniform(n, interval)
-    if not config.nodes:
+def _make_family(args: argparse.Namespace, n: int) -> pseudospectral.NodeFamily:
+    interval = Interval(*args.interval)
+    if args.family in _NODE_FAMILIES:
+        return _NODE_FAMILIES[args.family](n, interval)
+    if not args.nodes:
         raise ParameterError("--nodes is required for the explicit family")
-    nodes = np.array([float(v) for v in config.nodes.split(",")])
+    nodes = np.array([float(v) for v in args.nodes.split(",")])
     return pseudospectral.NodeFamily.explicit(nodes, interval)
 
 
@@ -248,21 +218,21 @@ def _certification_text(report: pseudospectral.CertificationReport) -> str:
     return "\n".join(lines)
 
 
-def _cmd_pseudospectral(config: CliConfig) -> int:
-    if config.certify:
-        if pseudospectral.Family(config.family) is pseudospectral.Family.EXPLICIT:
-            families = [_make_family(config, config.n)]
+def _cmd_pseudospectral(args: argparse.Namespace) -> int:
+    if args.certify:
+        if args.family in _NODE_FAMILIES:
+            families = [_make_family(args, n) for n in range(1, args.n + 1)]
         else:
-            families = [_make_family(config, n) for n in range(1, config.n + 1)]
-        report = pseudospectral.certify_families(families, tau_eig=config.tolerance)
-        if config.format == "json":
-            _emit(jsonio.dumps(report.to_document()), config.output_path)
+            families = [_make_family(args, args.n)]
+        report = pseudospectral.certify_families(families, tau_eig=args.tolerance)
+        if args.format == "json":
+            _emit(jsonio.dumps(report.to_document()), args.output_path)
         else:
-            _emit(_certification_text(report), config.output_path)
+            _emit(_certification_text(report), args.output_path)
         return 0 if report.certified else 1
-    family = _make_family(config, config.n)
+    family = _make_family(args, args.n)
     op = pseudospectral.build_pseudospectral_operator(family)
-    _emit(jsonio.dumps(storage.operator_to_document(op)), config.output_path)
+    _emit(jsonio.dumps(storage.operator_to_document(op)), args.output_path)
     return 0
 
 
@@ -270,39 +240,39 @@ def _cmd_pseudospectral(config: CliConfig) -> int:
 # solve
 
 
-def _cmd_solve(config: CliConfig) -> int:
-    op = _load_input(config)
-    if config.function and config.f_samples_path:
+def _cmd_solve(args: argparse.Namespace) -> int:
+    op = _load_input(args)
+    if args.function and args.f_samples_path:
         raise ParameterError("give either --f or --f-samples, not both")
-    if config.function:
-        if config.function not in _NAMED_FUNCTIONS:
+    if args.function:
+        if args.function not in _NAMED_FUNCTIONS:
             raise ParameterError(
-                f"unknown function {config.function!r}; available: "
+                f"unknown function {args.function!r}; available: "
                 f"{sorted(_NAMED_FUNCTIONS)}"
             )
-        f_samples = _NAMED_FUNCTIONS[config.function](op.x)
-    elif config.f_samples_path:
+        f_samples = _NAMED_FUNCTIONS[args.function](op.x)
+    elif args.f_samples_path:
         import json
 
-        with open(config.f_samples_path, "r", encoding="utf-8") as fh:
+        with open(args.f_samples_path, "r", encoding="utf-8") as fh:
             f_samples = np.asarray(json.load(fh), dtype=float)
     else:
         raise ParameterError("a right-hand side is required (--f or --f-samples)")
     problem = SatProblem(
-        f_samples=f_samples, u0=config.u0, direction=FlowDirection(config.direction)
+        f_samples=f_samples, u0=args.u0, direction=FlowDirection(args.direction)
     )
     u = sat.solve_problem(op, problem)
-    if config.format == "json":
+    if args.format == "json":
         doc = {
             "op_ref": op.name or f"operator(n={op.n}, q={op.q})",
-            "direction": config.direction,
-            "u0": config.u0,
+            "direction": args.direction,
+            "u0": args.u0,
             "u": u.tolist(),
         }
-        _emit(jsonio.dumps(doc), config.output_path)
+        _emit(jsonio.dumps(doc), args.output_path)
     else:
         lines = [f"{x:.6g} {v:.6g}" for x, v in zip(op.x, u)]
-        _emit("\n".join(lines), config.output_path)
+        _emit("\n".join(lines), args.output_path)
     return 0
 
 
@@ -310,29 +280,29 @@ def _cmd_solve(config: CliConfig) -> int:
 # converge
 
 
-def _cmd_converge(config: CliConfig) -> int:
-    if config.family != "classical_fd":
+def _cmd_converge(args: argparse.Namespace) -> int:
+    if args.family != "classical_fd":
         raise ParameterError(
-            f"unknown operator family {config.family!r} for convergence studies; "
+            f"unknown operator family {args.family!r} for convergence studies; "
             "available: classical_fd"
         )
-    if config.function not in _CONVERGENCE_PAIRS:
+    if args.function not in _CONVERGENCE_PAIRS:
         raise ParameterError(
-            f"unknown function {config.function!r}; available: "
+            f"unknown function {args.function!r}; available: "
             f"{sorted(_CONVERGENCE_PAIRS)}"
         )
-    if not config.grids:
+    if not args.grids:
         raise ParameterError("--grids is required (comma-separated resolutions)")
-    interval = Interval(*config.interval)
-    f, exact_u = _CONVERGENCE_PAIRS[config.function]
+    interval = Interval(*args.interval)
+    f, exact_u = _CONVERGENCE_PAIRS[args.function]
     study = sat.convergence_study(
         build=lambda n: build_classical_fd(n, interval),
         f=f,
         exact_u=exact_u,
-        ns=config.grids,
+        ns=args.grids,
     )
-    if config.format == "json":
-        _emit(jsonio.dumps(study.to_document()), config.output_path)
+    if args.format == "json":
+        _emit(jsonio.dumps(study.to_document()), args.output_path)
     else:
         rows = ["n,spacing,error_h,error_max,order"]
         for k, n in enumerate(study.ns):
@@ -342,7 +312,7 @@ def _cmd_converge(config: CliConfig) -> int:
                 f"{study.errors_max[k]:.6g},{order}"
             )
         rows.append(f"fit,,,,{study.fitted_order:.6g}")
-        _emit("\n".join(rows), config.output_path)
+        _emit("\n".join(rows), args.output_path)
     return 0
 
 
@@ -350,17 +320,17 @@ def _cmd_converge(config: CliConfig) -> int:
 # demo
 
 
-def _cmd_demo(config: CliConfig) -> int:
+def _cmd_demo(args: argparse.Namespace) -> int:
     op = BUILTIN_OPERATORS["counterexample"]()
-    before_verify = verify.verify_all(op, config.tolerance)
-    before_spectrum = spectral.spectral_report(op, tau_eig=config.tolerance)
+    before_verify = verify.verify_all(op, args.tolerance)
+    before_spectrum = spectral.spectral_report(op, tau_eig=args.tolerance)
     repaired, plan = repair.repair_operator(
-        op, config.target_eps, config.norm_choice, config.tolerance
+        op, args.target_eps, NormChoice(args.norm_choice), args.tolerance
     )
-    after_verify = verify.verify_all(repaired, config.tolerance)
-    after_spectrum = spectral.spectral_report(repaired, tau_eig=config.tolerance)
+    after_verify = verify.verify_all(repaired, args.tolerance)
+    after_spectrum = spectral.spectral_report(repaired, tau_eig=args.tolerance)
 
-    if config.format == "json":
+    if args.format == "json":
         doc = {
             "before": {
                 "verification": before_verify.to_document(),
@@ -372,7 +342,7 @@ def _cmd_demo(config: CliConfig) -> int:
                 "spectrum": after_spectrum.to_document(),
             },
         }
-        _emit(jsonio.dumps(doc), config.output_path)
+        _emit(jsonio.dumps(doc), args.output_path)
     else:
         lines = [
             f"operator: {op.name} (n={op.n}, q={op.q})",
@@ -385,7 +355,7 @@ def _cmd_demo(config: CliConfig) -> int:
         for p in before_spectrum.pairs:
             lines.append(f"  {_complex_str(p.lam):<34} {p.classification.value}")
         lines.append(
-            f"repair: target eps={_fmt(config.target_eps)} "
+            f"repair: target eps={_fmt(args.target_eps)} "
             f"({plan.norm_choice.value}), m={plan.m} conjugate pairs, "
             f"achieved |D_plus' - D_plus|={_fmt(plan.norm_bound)}"
         )
@@ -397,29 +367,13 @@ def _cmd_demo(config: CliConfig) -> int:
             f"{'PASS' if after_verify.all_passed() else 'FAIL'}, "
             f"eigenvalue_property={after_verify.eigenvalue_property}"
         )
-        _emit("\n".join(lines), config.output_path)
+        _emit("\n".join(lines), args.output_path)
     ok = (
         before_verify.all_passed()
         and after_verify.all_passed()
         and after_verify.eigenvalue_property
     )
     return 0 if ok else 1
-
-
-_COMMANDS = {
-    "verify": _cmd_verify,
-    "spectrum": _cmd_spectrum,
-    "repair": _cmd_repair,
-    "pseudospectral": _cmd_pseudospectral,
-    "solve": _cmd_solve,
-    "converge": _cmd_converge,
-    "demo": _cmd_demo,
-}
-
-
-def run(config: CliConfig) -> int:
-    """Dispatch a validated configuration; returns the exit status."""
-    return _COMMANDS[config.subcommand](config)
 
 
 def _default_tolerance() -> float:
@@ -430,9 +384,24 @@ def _default_tolerance() -> float:
         value = float(raw)
     except ValueError:
         raise ParameterError(f"SBP_TOLERANCE is not a number: {raw!r}") from None
-    if not value > 0.0:
-        raise ParameterError(f"SBP_TOLERANCE must be positive, got {value}")
-    return value
+    return check_positive(value, "SBP_TOLERANCE")
+
+
+def _grids(text: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(v) for v in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {text!r}"
+        ) from None
+
+
+class _SubcommandParser(argparse.ArgumentParser):
+    """Reports a bad option value as a ``ParameterError``, so that ``main``
+    returns 2 with an ``error:`` line, as for every other input error."""
+
+    def error(self, message: str):
+        raise ParameterError(message)
 
 
 def _build_parser(default_tol: float) -> argparse.ArgumentParser:
@@ -441,9 +410,13 @@ def _build_parser(default_tol: float) -> argparse.ArgumentParser:
         description="Construct, verify, diagnose and repair summation-by-parts "
         "operator pairs.",
     )
-    sub = parser.add_subparsers(dest="subcommand", required=True)
+    sub = parser.add_subparsers(
+        dest="subcommand", required=True, parser_class=_SubcommandParser
+    )
 
-    def common(p: argparse.ArgumentParser, with_input: bool = True) -> None:
+    def command(name, handler, help, with_input=True) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(handler=handler)
         if with_input:
             p.add_argument("--input", dest="input_path", help="operator document path")
             p.add_argument(
@@ -465,9 +438,30 @@ def _build_parser(default_tol: float) -> argparse.ArgumentParser:
             default="json",
             help="report format (default json)",
         )
+        return p
 
-    p = sub.add_parser("verify", help="check every algebraic property")
-    common(p)
+    def budget(p: argparse.ArgumentParser) -> None:
+        p.add_argument(
+            "--target-eps",
+            dest="target_eps",
+            type=float,
+            default=DEFAULT_TARGET_EPS,
+            help=f"perturbation size budget (default {DEFAULT_TARGET_EPS:g})",
+        )
+        p.add_argument(
+            "--norm",
+            dest="norm_choice",
+            choices=tuple(c.value for c in NormChoice),
+            default=NormChoice.FROBENIUS.value,
+            help="norm for the budget (default frobenius)",
+        )
+
+    def interval(p: argparse.ArgumentParser, default: tuple[float, float]) -> None:
+        p.add_argument(
+            "--interval", type=float, nargs=2, default=default, metavar=("A", "B")
+        )
+
+    p = command("verify", _cmd_verify, "check every algebraic property")
     p.add_argument(
         "--require-eigenvalue-property",
         action="store_true",
@@ -475,41 +469,24 @@ def _build_parser(default_tol: float) -> argparse.ArgumentParser:
         "imaginary axis",
     )
 
-    p = sub.add_parser("spectrum", help="classified spectrum of the penalized matrix")
-    common(p)
+    command("spectrum", _cmd_spectrum, "classified spectrum of the penalized matrix")
 
-    p = sub.add_parser("repair", help="add minimal dissipation to fix the spectrum")
-    common(p)
-    p.add_argument(
-        "--target-eps",
-        dest="target_eps",
-        type=float,
-        default=DEFAULT_TARGET_EPS,
-        help=f"perturbation size budget (default {DEFAULT_TARGET_EPS:g})",
-    )
-    p.add_argument(
-        "--norm",
-        dest="norm_choice",
-        choices=tuple(c.value for c in NormChoice),
-        default=NormChoice.FROBENIUS.value,
-        help="norm for the budget (default frobenius)",
-    )
+    p = command("repair", _cmd_repair, "add minimal dissipation to fix the spectrum")
+    budget(p)
 
-    p = sub.add_parser("pseudospectral", help="generate or certify nodal operators")
-    common(p, with_input=False)
+    p = command(
+        "pseudospectral",
+        _cmd_pseudospectral,
+        "generate or certify nodal operators",
+        with_input=False,
+    )
     p.add_argument(
         "--family",
         choices=tuple(f.value for f in pseudospectral.Family),
         default=pseudospectral.Family.LEGENDRE_GAUSS_LOBATTO.value,
     )
     p.add_argument("--n", type=int, default=4, help="polynomial degree (default 4)")
-    p.add_argument(
-        "--interval",
-        type=float,
-        nargs=2,
-        default=(-1.0, 1.0),
-        metavar=("A", "B"),
-    )
+    interval(p, (-1.0, 1.0))
     p.add_argument("--nodes", help="comma-separated nodes for the explicit family")
     p.add_argument(
         "--certify",
@@ -517,8 +494,7 @@ def _build_parser(default_tol: float) -> argparse.ArgumentParser:
         help="certify the family for degrees 1..n instead of emitting an operator",
     )
 
-    p = sub.add_parser("solve", help="boundary-penalized solve of u' = f")
-    common(p)
+    p = command("solve", _cmd_solve, "boundary-penalized solve of u' = f")
     p.add_argument("--f", dest="function", help="named right-hand side (sin, cos, exp, zero, one)")
     p.add_argument(
         "--f-samples",
@@ -532,85 +508,39 @@ def _build_parser(default_tol: float) -> argparse.ArgumentParser:
         default=FlowDirection.FORWARD.value,
     )
 
-    p = sub.add_parser("converge", help="grid-refinement convergence study")
-    common(p, with_input=False)
+    p = command(
+        "converge", _cmd_converge, "grid-refinement convergence study", with_input=False
+    )
     p.add_argument("--family", default="classical_fd")
-    p.add_argument("--grids", help="comma-separated resolutions, e.g. 32,64,128,256")
+    p.add_argument(
+        "--grids", type=_grids, help="comma-separated resolutions, e.g. 32,64,128,256"
+    )
     p.add_argument(
         "--function",
         default="sin",
         help="exact solution name (sin, cos, exp); f is its derivative",
     )
-    p.add_argument(
-        "--interval",
-        type=float,
-        nargs=2,
-        default=(0.0, 1.0),
-        metavar=("A", "B"),
-    )
+    interval(p, (0.0, 1.0))
 
-    p = sub.add_parser(
+    p = command(
         "demo",
-        help="diagnose and repair the builtin 6-node operator, printing the "
+        _cmd_demo,
+        "diagnose and repair the builtin 6-node operator, printing the "
         "spectra before and after",
+        with_input=False,
     )
-    common(p, with_input=False)
-    p.add_argument(
-        "--target-eps",
-        dest="target_eps",
-        type=float,
-        default=DEFAULT_TARGET_EPS,
-    )
-    p.add_argument(
-        "--norm",
-        dest="norm_choice",
-        choices=tuple(c.value for c in NormChoice),
-        default=NormChoice.FROBENIUS.value,
-    )
+    budget(p)
     p.set_defaults(format="text")
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> CliConfig:
-    fields = {
-        "subcommand": args.subcommand,
-        "output_path": args.output_path,
-        "tolerance": args.tolerance,
-        "format": args.format,
-    }
-    for name in (
-        "input_path",
-        "builtin",
-        "require_eigenvalue_property",
-        "family",
-        "n",
-        "nodes",
-        "certify",
-        "function",
-        "f_samples_path",
-        "u0",
-        "direction",
-    ):
-        if hasattr(args, name):
-            fields[name] = getattr(args, name)
-    if hasattr(args, "target_eps"):
-        fields["target_eps"] = args.target_eps
-    if hasattr(args, "norm_choice"):
-        fields["norm_choice"] = NormChoice(args.norm_choice)
-    if hasattr(args, "interval"):
-        fields["interval"] = tuple(args.interval)
-    if getattr(args, "grids", None):
-        fields["grids"] = tuple(int(v) for v in args.grids.split(","))
-    return CliConfig(**fields)
-
-
 def main(argv: list[str] | None = None) -> int:
     try:
-        default_tol = _default_tolerance()
-        parser = _build_parser(default_tol)
-        args = parser.parse_args(argv)
-        config = _config_from_args(args)
-        return run(config)
+        args = _build_parser(_default_tolerance()).parse_args(argv)
+        check_positive(args.tolerance)
+        if "target_eps" in args:
+            check_positive(args.target_eps, "target-eps")
+        return args.handler(args)
     except SbpError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

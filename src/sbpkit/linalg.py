@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["DEFAULT_TOLERANCE", "rank_threshold", "svd_rank", "max_abs"]
+from .errors import ParameterError
+
+__all__ = ["DEFAULT_TOLERANCE", "check_positive", "rank_threshold", "svd_rank",
+           "max_abs"]
 
 #: Shared default for verification tolerances and spectral classification
 #: bands; absolute for residuals, scaled by the Frobenius norm for spectra.
@@ -13,6 +16,13 @@ DEFAULT_TOLERANCE = 1e-10
 #: Multiplier on (matrix size) * (unit roundoff) * sigma_max used for every
 #: rank decision in the package.
 RANK_SAFETY = 64.0
+
+
+def check_positive(value: float, name: str = "tolerance") -> float:
+    """``value`` as a float; ``ParameterError`` unless it is positive (nan is not)."""
+    if not value > 0.0:
+        raise ParameterError(f"{name} must be positive, got {value}")
+    return float(value)
 
 
 def rank_threshold(sigma_max: float, size: int) -> float:

@@ -13,8 +13,8 @@ of accuracy ``q`` and the interval the grid lives on.  The defining algebra:
 * ``H D_plus + D_minus^T H = -p0 p0^T + pn pn^T``,
 
 which forces ``D_minus = D_plus - H^{-1} S``.  This module only enforces
-structural invariants (shapes, distinct nodes); the algebraic conditions
-are checked by :mod:`sbpkit.verify`.
+structural invariants (shapes, distinct nodes, 1 <= q <= n); the algebraic
+conditions are checked by :mod:`sbpkit.verify`.
 """
 
 from __future__ import annotations
@@ -109,6 +109,11 @@ class SbpOperatorPair:
             raise InvariantError("an operator needs at least two grid nodes")
         if int(self.q) < 1:
             raise InvariantError(f"order of accuracy must be >= 1, got {self.q}")
+        # An operator on n + 1 distinct nodes cannot be exact for x^(n+1).
+        if int(self.q) > m - 1:
+            raise InvariantError(
+                f"order of accuracy q={self.q} exceeds n={m - 1} for {m} nodes"
+            )
         object.__setattr__(self, "q", int(self.q))
         object.__setattr__(self, "x", x)
         for attr in ("d_plus", "d_minus", "h", "s"):

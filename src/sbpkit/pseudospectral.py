@@ -40,9 +40,9 @@ from .errors import (
     InvariantError,
     ParameterError,
 )
-from .linalg import DEFAULT_TOLERANCE, max_abs, rank_threshold, svd_rank
+from .linalg import DEFAULT_TOLERANCE, check_positive, max_abs, rank_threshold
 from .operators import Interval, SbpOperatorPair
-from .spectral import build_d_tilde
+from .verify import check_eigenvalue_property, check_nullspace_consistency
 
 __all__ = [
     "Family",
@@ -467,56 +467,49 @@ def certify_families(
 ) -> CertificationReport:
     """Check nullspace consistency and strict right-half-plane spectra.
 
-    For each constructible family: the constants must be annihilated by the
-    differentiation matrix, its rank must be n, and every eigenvalue of the
-    penalized matrix must clear the tau band.  For small n the uniqueness
-    mechanism is probed directly: sigma_min(V^T H) must be positive, i.e. no
-    nonzero vector is H-orthogonal to all grid polynomials.
+    For each constructible family, the checks of :mod:`sbpkit.verify` decide
+    both verdicts at tolerance ``tau_eig``: the constants must be annihilated
+    by the differentiation matrix, its rank must be n, and every eigenvalue
+    of the penalized matrix must clear the tau band.  For small n the
+    uniqueness mechanism is probed directly: sigma_min(V^T H) must be
+    positive, i.e. no nonzero vector is H-orthogonal to all grid polynomials.
+    V tabulates the Legendre basis mapped to the interval; raw monomials
+    would lose every digit of sigma_min on an interval such as [100, 101].
     """
+    tau_eig = check_positive(tau_eig, "tau_eig")
     entries: list[CertificationEntry] = []
     failures: list[str] = []
     for family in families:
         op = build_pseudospectral_operator(family)
-        m = family.n + 1
-
-        rank, sv = svd_rank(op.d_plus)
-        kernel_residual = max_abs(op.d_plus @ np.ones(m))
-        nullspace_ok = (
-            rank == family.n and kernel_residual <= tau_eig * float(sv[0])
-        )
-
-        d_tilde = build_d_tilde(op)
-        lam = np.linalg.eigvals(d_tilde)
-        scale = float(np.linalg.norm(d_tilde, "fro"))
-        min_re = float(np.min(lam.real))
-        eigenvalue_ok = min_re > tau_eig * scale
+        nullspace = check_nullspace_consistency(op, tau_eig)
+        eig = check_eigenvalue_property(op, tau_eig)
 
         moment_sigma_min: float | None = None
         moment_ok: bool | None = None
         if family.n <= MOMENT_CHECK_MAX_N:
-            v = np.vander(op.x, m, increasing=True)
+            v = _mapped_legendre_vandermonde(op.x, op.interval)
             msv = np.linalg.svd(v.T @ op.h, compute_uv=False)
             moment_sigma_min = float(msv[-1])
-            moment_ok = moment_sigma_min > rank_threshold(float(msv[0]), m)
+            moment_ok = moment_sigma_min > rank_threshold(float(msv[0]), v.shape[0])
 
         entry = CertificationEntry(
             label=family.label(),
             n=family.n,
-            kernel_residual=kernel_residual,
-            rank=rank,
-            nullspace_ok=nullspace_ok,
-            min_real_part=min_re,
-            eigenvalue_ok=eigenvalue_ok,
+            kernel_residual=nullspace.kernel_residual,
+            rank=nullspace.rank,
+            nullspace_ok=nullspace.consistent,
+            min_real_part=eig.min_real_part,
+            eigenvalue_ok=eig.has_property,
             moment_sigma_min=moment_sigma_min,
             moment_ok=moment_ok,
         )
         entries.append(entry)
         if not entry.passed:
-            offender = complex(lam[int(np.argmin(lam.real))])
+            offenders = ", ".join(str(v) for v in eig.offending) or "none"
             failures.append(
-                f"{family.label()}: nullspace_ok={nullspace_ok}, "
-                f"min Re(lambda)={min_re:.6e} (offending eigenvalue {offender}), "
-                f"moment_ok={moment_ok}"
+                f"{family.label()}: nullspace_ok={nullspace.consistent}, "
+                f"min Re(lambda)={eig.min_real_part:.6e} "
+                f"(offending eigenvalues {offenders}), moment_ok={moment_ok}"
             )
     return CertificationReport(
         entries=tuple(entries), failures=tuple(failures), tau_eig=tau_eig

@@ -27,7 +27,7 @@ from .errors import (
     ParameterError,
     RepairImpossibleError,
 )
-from .linalg import DEFAULT_TOLERANCE, max_abs
+from .linalg import DEFAULT_TOLERANCE, check_positive, max_abs
 from .operators import SbpOperatorPair, derive_d_minus, solve_against_norm
 from .spectral import (
     EigenvalueClass,
@@ -192,8 +192,7 @@ def repair_operator(
     built at 1 on unit-H-norm eigenvectors, then scaled linearly so that
     ``||D_plus' - D_plus|| == target_eps`` in the chosen norm.
     """
-    if not target_eps > 0.0:
-        raise ParameterError(f"target_eps must be positive, got {target_eps}")
+    check_positive(target_eps, "target_eps")
     diagnostics = check_nullspace_consistency(op, tolerance)
     if not diagnostics.consistent:
         raise RepairImpossibleError(

@@ -29,7 +29,7 @@ from .errors import (
     PairingError,
     ShapeError,
 )
-from .linalg import DEFAULT_TOLERANCE, max_abs, rank_threshold
+from .linalg import DEFAULT_TOLERANCE, check_positive, max_abs, rank_threshold
 from .operators import SbpOperatorPair, solve_against_norm
 
 __all__ = [
@@ -348,6 +348,7 @@ def spectral_report(
     op: SbpOperatorPair, tau_eig: float = DEFAULT_TOLERANCE
 ) -> SpectralReport:
     """Decompose, classify and probe the penalized matrix of an operator."""
+    tau_eig = check_positive(tau_eig, "tau_eig")
     d_tilde = build_d_tilde(op)
     raw = eigen_decompose(d_tilde, h=op.h, tau_eig=tau_eig)
     scale = float(np.linalg.norm(d_tilde, "fro"))

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import spectral
 from .errors import DecompositionError, InternalInconsistencyError, ParameterError
-from .linalg import DEFAULT_TOLERANCE, max_abs, svd_rank
+from .linalg import DEFAULT_TOLERANCE, check_positive, max_abs, svd_rank
 from .operators import SbpOperatorPair
 
 __all__ = [
@@ -109,13 +109,25 @@ class EigenvalueCheck:
 
 @dataclass(frozen=True)
 class VerificationReport:
-    """Aggregated verdicts for one operator at one tolerance."""
+    """Aggregated verdicts for one operator at one tolerance.
+
+    ``nullspace`` and ``eigenvalue_check`` are the diagnostics the two
+    spectral verdicts were decided from.
+    """
 
     residuals: tuple[PropertyResidual, ...]
     observed_order: int
-    nullspace_consistent: bool
-    eigenvalue_property: bool
+    nullspace: NullspaceDiagnostics
+    eigenvalue_check: EigenvalueCheck
     tolerance: float
+
+    @property
+    def nullspace_consistent(self) -> bool:
+        return self.nullspace.consistent
+
+    @property
+    def eigenvalue_property(self) -> bool:
+        return self.eigenvalue_check.has_property
 
     def all_passed(self) -> bool:
         return all(r.passed for r in self.residuals)
@@ -143,17 +155,11 @@ class VerificationReport:
         }
 
 
-def _check_tolerance(tolerance: float) -> float:
-    if not tolerance > 0.0:
-        raise ParameterError(f"tolerance must be positive, got {tolerance}")
-    return float(tolerance)
-
-
 def check_accuracy(
     op: SbpOperatorPair, j_max: int, tolerance: float = DEFAULT_TOLERANCE
 ) -> AccuracyReport:
     """Residuals of the polynomial accuracy conditions for j = 0..j_max."""
-    tolerance = _check_tolerance(tolerance)
+    tolerance = check_positive(tolerance)
     if j_max < 0:
         raise ParameterError(f"j_max must be >= 0, got {j_max}")
     a, b = op.interval.a, op.interval.b
@@ -200,7 +206,7 @@ def check_spd(h: np.ndarray, tolerance: float = DEFAULT_TOLERANCE) -> PropertyRe
     smallest eigenvalue of the symmetrized matrix; definiteness additionally
     requires that eigenvalue to clear tolerance * ||H||_F.
     """
-    tolerance = _check_tolerance(tolerance)
+    tolerance = check_positive(tolerance)
     h = np.asarray(h, dtype=float)
     sym_defect = max_abs(h - h.T)
     lam_min = float(np.linalg.eigvalsh(0.5 * (h + h.T))[0])
@@ -214,7 +220,7 @@ def check_sbp_identities(
     op: SbpOperatorPair, tolerance: float = DEFAULT_TOLERANCE
 ) -> tuple[PropertyResidual, PropertyResidual]:
     """Residuals of the two summation-by-parts identities."""
-    tolerance = _check_tolerance(tolerance)
+    tolerance = check_positive(tolerance)
     boundary = -np.outer(op.p0, op.p0) + np.outer(op.pn, op.pn)
     res_c = max_abs(op.h @ op.d_plus + op.d_plus.T @ op.h - boundary - op.s)
     res_d = max_abs(op.h @ op.d_plus + op.d_minus.T @ op.h - boundary)
@@ -228,7 +234,7 @@ def check_s_conditions(
     op: SbpOperatorPair, tolerance: float = DEFAULT_TOLERANCE
 ) -> tuple[PropertyResidual, PropertyResidual, PropertyResidual]:
     """Check S = S^T >= 0 and S x^j = 0 for j = 0..q."""
-    tolerance = _check_tolerance(tolerance)
+    tolerance = check_positive(tolerance)
     s = op.s
     sym_defect = max_abs(s - s.T)
     lam_min = float(np.linalg.eigvalsh(0.5 * (s + s.T))[0])
@@ -258,7 +264,7 @@ def check_nullspace_consistency(
     annihilated, rank equal to n).  Disagreement raises
     ``InternalInconsistencyError``, signalling a borderline operator.
     """
-    tolerance = _check_tolerance(tolerance)
+    tolerance = check_positive(tolerance)
     d_tilde = spectral.build_d_tilde(op)
     sv = np.linalg.svd(d_tilde, compute_uv=False)
     sigma_max, sigma_min = float(sv[0]), float(sv[-1])
@@ -290,7 +296,7 @@ def check_eigenvalue_property(
 ) -> EigenvalueCheck:
     """True iff every eigenvalue of the penalized matrix has real part
     above tolerance * ||D_tilde||_F."""
-    tolerance = _check_tolerance(tolerance)
+    tolerance = check_positive(tolerance)
     d_tilde = spectral.build_d_tilde(op)
     scale = float(np.linalg.norm(d_tilde, "fro"))
     try:
@@ -317,17 +323,15 @@ def verify_all(
     Accuracy is swept one degree past q so the report can distinguish an
     operator that is exactly of its claimed order from a better one.
     """
-    tolerance = _check_tolerance(tolerance)
+    tolerance = check_positive(tolerance)
     acc = check_accuracy(op, j_max=op.q + 1, tolerance=tolerance)
     spd = check_spd(op.h, tolerance)
     res_c, res_d = check_sbp_identities(op, tolerance)
     s_sym, s_psd, s_ann = check_s_conditions(op, tolerance)
-    nullspace = check_nullspace_consistency(op, tolerance)
-    eig = check_eigenvalue_property(op, tolerance)
     return VerificationReport(
         residuals=(*acc.residuals, spd, res_c, res_d, s_sym, s_psd, s_ann),
         observed_order=acc.observed_order,
-        nullspace_consistent=nullspace.consistent,
-        eigenvalue_property=eig.has_property,
+        nullspace=check_nullspace_consistency(op, tolerance),
+        eigenvalue_check=check_eigenvalue_property(op, tolerance),
         tolerance=tolerance,
     )

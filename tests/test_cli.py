@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from sbpkit import (
+    Interval,
+    build_classical_fd,
     build_counterexample,
     load_operator,
     operator_from_document,
@@ -86,6 +88,8 @@ def test_verify_require_eigenvalue_property_fails(capsys, tmp_path):
     )
     assert code == 1
     assert "0.447213" in err
+    assert "+ 0.4472135955i" in err
+    assert "- 0.4472135955i" in err
 
 
 def test_verify_corrupted_norm_fails(capsys, tmp_path):
@@ -131,12 +135,27 @@ def test_verify_classical_fd_builtin(capsys):
         ["solve", "--builtin", "two_point", "--f", "nope"],
         ["converge", "--function", "sin"],
         ["converge", "--family", "spectral_magic", "--grids", "8,16,32"],
+        ["repair", "--builtin", "counterexample", "--target-eps", "0"],
+        ["demo", "--target-eps", "-1"],
+        ["spectrum", "--builtin", "counterexample", "--tolerance", "nan"],
+        ["solve", "--builtin", "two_point", "--f", "one", "--tolerance", "0"],
+        ["converge", "--grids", "8,x,32"],
     ],
 )
 def test_errors_exit_2(capsys, argv):
     code, _, err = _run(capsys, argv)
     assert code == 2
     assert "error:" in err
+
+
+def test_verify_rejects_an_order_above_n_at_once(capsys, tmp_path):
+    doc = operator_to_document(build_classical_fd(20, Interval(0.0, 1.0)))
+    doc["q"] = 10**6
+    path = tmp_path / "huge_q.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = _run(capsys, ["verify", "--input", str(path)])
+    assert code == 2
+    assert "InvariantError" in err
 
 
 def test_malformed_document_exit_2(capsys, tmp_path):
@@ -163,11 +182,16 @@ def test_usage_error_exits_2(capsys):
 
 
 def test_help_is_available(capsys):
-    for argv in (["--help"], ["verify", "--help"], ["pseudospectral", "--help"]):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["--help"])
+    assert excinfo.value.code == 0
+    capsys.readouterr()
+    for command in ("verify", "spectrum", "repair", "pseudospectral", "solve",
+                    "converge", "demo"):
         with pytest.raises(SystemExit) as excinfo:
-            main(argv)
+            main([command, "--help"])
         assert excinfo.value.code == 0
-    assert "--tolerance" in capsys.readouterr().out
+        assert "--tolerance" in capsys.readouterr().out, command
 
 
 def test_tolerance_environment_override(capsys, monkeypatch):
@@ -267,6 +291,21 @@ def test_pseudospectral_certify_sweep(capsys):
     doc = json.loads(out)
     assert doc["certified"] is True
     assert len(doc["entries"]) == 6
+
+
+@pytest.mark.parametrize(
+    "family", ["legendre_gauss_lobatto", "chebyshev_gauss_lobatto"]
+)
+def test_pseudospectral_certify_far_from_the_origin(capsys, family):
+    code, out, _ = _run(
+        capsys,
+        ["pseudospectral", "--family", family, "--certify", "--n", "16",
+         "--interval", "100", "101"],
+    )
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["certified"] is True
+    assert all(e["moment_ok"] is True for e in doc["entries"] if e["n"] <= 6)
 
 
 def test_pseudospectral_certify_explicit_nodes(capsys):

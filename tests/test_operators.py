@@ -1,4 +1,5 @@
 import io
+import json
 
 import numpy as np
 import pytest
@@ -141,6 +142,13 @@ def test_order_must_be_positive():
     fields = _bundle_fields(build_two_point())
     fields["q"] = 0
     with pytest.raises(InvariantError):
+        SbpOperatorPair(**fields)
+
+
+def test_order_cannot_exceed_n():
+    fields = _bundle_fields(build_two_point())
+    fields["q"] = 2
+    with pytest.raises(InvariantError, match="exceeds n=1"):
         SbpOperatorPair(**fields)
 
 
@@ -324,6 +332,14 @@ def test_integer_entries_load_as_floats():
     loaded = operator_from_document(doc)
     assert loaded.x.dtype == np.float64
     np.testing.assert_array_equal(loaded.x, op.x)
+
+
+@pytest.mark.parametrize("q", [21, 10**30])
+def test_document_with_order_above_n_is_rejected(q):
+    doc = operator_to_document(build_classical_fd(20, Interval(0.0, 1.0)))
+    doc["q"] = q
+    with pytest.raises(InvariantError, match="exceeds n=20"):
+        load_operator(io.StringIO(json.dumps(doc)))
 
 
 def test_bad_interval_entry():

@@ -307,6 +307,12 @@ def test_certify_random_positive_weight_node_sets():
     assert report.certified
 
 
+@pytest.mark.parametrize("tau", [0.0, -1.0, float("nan")])
+def test_certify_rejects_a_nonpositive_band(tau):
+    with pytest.raises(ParameterError):
+        certify_families([NodeFamily.legendre_gauss_lobatto(3, REFERENCE)], tau_eig=tau)
+
+
 def test_certification_document():
     report = certify_families([NodeFamily.legendre_gauss_lobatto(3, REFERENCE)])
     doc = report.to_document()

@@ -22,6 +22,7 @@ from sbpkit.errors import (
     ContractError,
     DegenerateEigenspaceError,
     PairingError,
+    ParameterError,
     ShapeError,
 )
 from sbpkit.spectral import classify_and_pair, geometric_multiplicity
@@ -148,6 +149,13 @@ def test_classify_and_pair_counterexample():
 
 def test_classify_and_pair_two_point():
     assert spectral_report(build_two_point()).m == 0
+
+
+@pytest.mark.parametrize("tau", [0.0, -1.0, float("nan")])
+def test_report_rejects_a_nonpositive_band(tau):
+    # With tau = -1 the band is empty and the +-i/sqrt(5) pair would go uncounted.
+    with pytest.raises(ParameterError):
+        spectral_report(build_counterexample(), tau_eig=tau)
 
 
 def test_classification_band():

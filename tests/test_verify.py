@@ -221,6 +221,15 @@ def test_verify_all_flags_corrupted_norm(tmp_path):
     assert not report.all_passed()
 
 
+def test_report_keeps_the_diagnostics_behind_its_verdicts():
+    op = build_counterexample()
+    report = verify_all(op)
+    assert report.nullspace == check_nullspace_consistency(op)
+    assert report.eigenvalue_check == check_eigenvalue_property(op)
+    assert report.nullspace_consistent is report.nullspace.consistent
+    assert report.eigenvalue_property is report.eigenvalue_check.has_property
+
+
 def test_report_document_shape():
     doc = verify_all(build_two_point()).to_document()
     assert set(doc) == {
