@@ -41,7 +41,6 @@ from .pseudospectral import (
     build_pseudospectral_operator,
     certify_families,
     legendre_gauss_lobatto,
-    vandermonde_d,
 )
 from .repair import NormChoice, PerturbationPlan, build_s_prime, predicted_shift, repair_operator
 from .sat import (

@@ -4,8 +4,7 @@ On n + 1 distinct nodes there is exactly one differentiation matrix that is
 exact for all polynomials of degree <= n (each row solves a transposed
 Vandermonde system).  It is built here with barycentric-Lagrange weights,
 which is algebraically identical to the row-wise Vandermonde solve but
-numerically stable; the literal Vandermonde construction is kept as a
-small-n oracle.
+numerically stable.
 
 The norm matrix must integrate products of degree-n polynomials exactly,
 otherwise the summation-by-parts identity cannot close with S = 0 (both
@@ -50,7 +49,6 @@ __all__ = [
     "legendre_gauss_lobatto",
     "chebyshev_gauss_lobatto_nodes",
     "build_pseudospectral_d",
-    "vandermonde_d",
     "lagrange_cardinal_values",
     "build_interpolatory_h",
     "build_modal_h",
@@ -239,21 +237,6 @@ def build_pseudospectral_d(nodes) -> np.ndarray:
                 d[i, j] = (beta[j] / beta[i]) / (nodes[i] - nodes[j])
         d[i, i] = -np.sum(d[i])
     return d
-
-
-def vandermonde_d(nodes) -> np.ndarray:
-    """Differentiation matrix by the literal row-wise Vandermonde solve.
-
-    Exponentially ill-conditioned as n grows; kept as the small-n oracle for
-    :func:`build_pseudospectral_d`.
-    """
-    nodes = _check_nodes(nodes)
-    m = nodes.size
-    vt = np.vander(nodes, m, increasing=True).T
-    rhs = np.zeros((m, m))
-    for k in range(1, m):
-        rhs[k] = k * nodes ** (k - 1)
-    return np.linalg.solve(vt, rhs).T
 
 
 def lagrange_cardinal_values(nodes, point: float) -> np.ndarray:

@@ -3,11 +3,15 @@
 Given a nullspace consistent operator whose penalized matrix has imaginary
 eigenvalues, an arbitrarily small symmetric positive semi-definite matrix
 
-    S' = sum_k eps_k [ (H w_k)(H w_k)* + (H conj(w_k))(H conj(w_k))* ]
+    S' = H Q E Q^T H
 
-is assembled from the H-orthonormalized imaginary eigenvectors.  Because
-those eigenvectors are H-orthogonal to x^j for j = 0..q, S' annihilates the
-grid polynomials, so ``D_plus' = D_plus + 1/2 H^{-1} S'`` is again an
+is assembled in real arithmetic.  The columns of Q are a real H-orthonormal
+basis of the invariant subspace of the imaginary eigenvalues, two per
+conjugate pair (see :func:`orthogonalize_imaginary`), and E repeats each
+eps_k twice; for unit-H-norm eigenvectors w_k this equals
+``sum_k eps_k [ (H w_k)(H w_k)* + (H conj(w_k))(H conj(w_k))* ]``.  Because
+the subspace is H-orthogonal to x^j for j = 0..q, S' annihilates the grid
+polynomials, so ``D_plus' = D_plus + 1/2 H^{-1} S'`` is again an
 operator of the same order with S replaced by S + S'.  Each imaginary
 eigenvalue moves right by ``eps_k / 2`` (per unit-H-norm eigenvector) while
 every other eigenpair is untouched, and the perturbation size
@@ -26,13 +30,13 @@ from .errors import (
     InternalInconsistencyError,
     ParameterError,
     RepairImpossibleError,
+    ShapeError,
 )
 from .linalg import DEFAULT_TOLERANCE, check_positive, max_abs
 from .operators import SbpOperatorPair, derive_d_minus, solve_against_norm
 from .spectral import (
     EigenvalueClass,
     HEigenPair,
-    h_inner,
     orthogonalize_imaginary,
     spectral_report,
 )
@@ -50,9 +54,6 @@ __all__ = [
 #: Gram-matrix defect above which the input vectors are rejected.
 ORTHONORMALITY_TOLERANCE = 1e-8
 
-#: Assembled S' must be real to this relative level.
-IMAGINARY_PART_FLOOR = 1e-13
-
 
 class NormChoice(enum.Enum):
     FROBENIUS = "frobenius"
@@ -69,8 +70,9 @@ def matrix_norm(a: np.ndarray, choice: NormChoice) -> float:
 class PerturbationPlan:
     """Everything needed to reproduce one repair.
 
-    ``imaginary_pairs`` holds the 2m H-orthonormal eigenvectors in
-    conjugate-adjacent order; ``epsilons`` the m positive coefficients;
+    ``imaginary_pairs`` holds the 2m real H-orthonormal basis vectors of the
+    imaginary invariant subspace, two per conjugate pair (the columns of Q
+    in ``S' = H Q E Q^T H``); ``epsilons`` the m positive coefficients;
     ``norm_bound`` the achieved ``||1/2 H^{-1} S'||`` in ``norm_choice``.
     """
 
@@ -102,12 +104,11 @@ def build_s_prime(
     ortho_vectors: list[np.ndarray] | tuple[np.ndarray, ...],
     epsilons: list[float] | tuple[float, ...],
 ) -> np.ndarray:
-    """Assemble the dissipation perturbation from H-orthonormal conjugate
-    eigenvector pairs.
+    """Assemble the dissipation perturbation ``S' = H Q E Q^T H``.
 
-    ``ortho_vectors`` must be conjugate-adjacent of length 2m, with one
-    eps per conjugate pair.  The complex rank-one sum is assembled literally
-    and its imaginary part (zero in exact arithmetic) is asserted away.
+    ``ortho_vectors`` are the 2m real H-orthonormal columns of Q, two per
+    eps (one conjugate pair's plane, as :func:`orthogonalize_imaginary`
+    returns them); E repeats each eps twice.
     """
     h = np.asarray(h, dtype=float)
     m2 = len(ortho_vectors)
@@ -116,47 +117,28 @@ def build_s_prime(
             raise ContractError("epsilons given but no vectors")
         return np.zeros_like(h)
     if m2 % 2 != 0:
-        raise ContractError(
-            f"expected conjugate-adjacent vectors (even count), got {m2}"
-        )
+        raise ContractError(f"expected two vectors per epsilon (even count), got {m2}")
     m = m2 // 2
     if len(epsilons) != m:
         raise ContractError(f"expected {m} epsilons for {m2} vectors, got {len(epsilons)}")
-    eps = [float(e) for e in epsilons]
-    if any(e <= 0.0 for e in eps):
-        raise ParameterError(f"all epsilons must be positive, got {eps}")
+    eps = np.array([float(e) for e in epsilons])
+    if not np.all(eps > 0.0):
+        raise ParameterError(f"all epsilons must be positive, got {eps.tolist()}")
+    vectors = [np.ravel(np.asarray(v)) for v in ortho_vectors]
+    if any(np.iscomplexobj(v) for v in vectors):
+        raise ContractError("expected real vectors, got complex ones")
+    n = h.shape[0] if h.ndim == 2 else -1
+    if h.shape != (n, n) or any(v.size != n for v in vectors):
+        raise ShapeError(f"vectors do not match the norm matrix of shape {h.shape}")
 
-    vectors = [np.ravel(np.asarray(v, dtype=complex)) for v in ortho_vectors]
-    gram = np.array(
-        [[h_inner(u, v, h) for v in vectors] for u in vectors], dtype=complex
-    )
-    defect = max_abs(gram - np.eye(m2))
+    q = np.column_stack(vectors).astype(float)
+    u = h @ q
+    defect = max_abs(q.T @ u - np.eye(m2))
     if defect > ORTHONORMALITY_TOLERANCE:
         raise ContractError(
             f"input vectors are not H-orthonormal (Gram defect {defect:.3e})"
         )
-    for k in range(m):
-        a, b = vectors[2 * k], vectors[2 * k + 1]
-        align = abs(h_inner(np.conj(a), b, h))
-        if abs(align - 1.0) > ORTHONORMALITY_TOLERANCE:
-            raise ContractError(
-                f"vectors {2 * k} and {2 * k + 1} are not a conjugate pair "
-                f"(alignment {align:.6f})"
-            )
-
-    assembled = np.zeros_like(h, dtype=complex)
-    for k in range(m):
-        for v in (vectors[2 * k], vectors[2 * k + 1]):
-            u = h @ v
-            assembled += eps[k] * np.outer(u, np.conj(u))
-    scale = float(np.linalg.norm(assembled, "fro"))
-    imag_part = max_abs(assembled.imag)
-    if imag_part > IMAGINARY_PART_FLOOR * scale:
-        raise InternalInconsistencyError(
-            f"assembled perturbation is not real (imaginary part {imag_part:.3e} "
-            f"vs scale {scale:.3e})"
-        )
-    return np.real(assembled)
+    return (u * np.repeat(eps, 2)) @ u.T
 
 
 def predicted_shift(pair: HEigenPair, eps_k: float) -> float:
@@ -217,13 +199,14 @@ def repair_operator(
     vectors = orthogonalize_imaginary(report, op.h)
     m = len(vectors) // 2
     unit = build_s_prime(op.h, vectors, [1.0] * m)
-    delta = matrix_norm(0.5 * solve_against_norm(op.h, unit), norm_choice)
+    half_unit = 0.5 * solve_against_norm(op.h, unit)
+    delta = matrix_norm(half_unit, norm_choice)
     if delta <= 0.0:
         raise InternalInconsistencyError("perturbation with unit weights is zero")
     eps_k = float(target_eps) / delta
     s_prime = eps_k * unit
 
-    half_update = 0.5 * solve_against_norm(op.h, s_prime)
+    half_update = eps_k * half_unit
     d_plus = op.d_plus + half_update
     s_total = op.s + s_prime
     repaired = op.with_fields(

@@ -46,18 +46,20 @@ __all__ = [
     "boundary_projection_residuals",
     "polynomial_moment_residuals",
     "eigenspace_basis",
-    "geometric_multiplicity",
 ]
 
 #: Eigenvalues closer than this (times the Frobenius norm of the matrix) are
 #: treated as one eigenvalue for multiplicity and eigenspace purposes.
 CLUSTER_FACTOR = 1e-8
 
-#: H-norm of the Gram-Schmidt residual below which an eigenspace is rank
-#: deficient (inputs are unit vectors at that point).
-DEGENERACY_FLOOR = 1e-12
+#: Cholesky pivot, relative to the H-norm of its column (the sine of its
+#: H-angle to the columns before it), below which the stacked imaginary
+#: eigenvectors are rank deficient.  A pivot p leaves an H-orthonormality
+#: defect near eps / p^2, and pivots below sqrt(eps) are not resolved at all.
+DEGENERACY_FLOOR = 1e-3
 
-#: Cross-eigenvalue H-orthogonality is asserted, not enforced, to this level.
+#: H-skewness of the penalized matrix on its imaginary subspace is asserted,
+#: not enforced, to this relative level.
 ORTHOGONALITY_ASSERT = 1e-8
 
 
@@ -177,10 +179,6 @@ def eigenspace_basis(a: np.ndarray, lam: complex) -> list[np.ndarray]:
     return [np.conj(vh[k]) for k in range(m - g, m)]
 
 
-def geometric_multiplicity(a: np.ndarray, lam: complex) -> int:
-    return len(eigenspace_basis(a, lam))
-
-
 def eigen_decompose(
     a: np.ndarray,
     h: np.ndarray | None = None,
@@ -193,6 +191,7 @@ def eigen_decompose(
     the shifted matrix, so repeated eigenvalues yield linearly independent
     vectors.  ``h`` (identity when omitted) only feeds the stored H-norms.
     """
+    tau_eig = check_positive(tau_eig, "tau_eig")
     a = np.asarray(a)
     if np.iscomplexobj(a):
         raise ContractError("expected a real matrix")
@@ -374,13 +373,18 @@ def orthogonalize_imaginary(
     source: SpectralReport | tuple[HEigenPair, ...] | list[HEigenPair],
     h: np.ndarray,
 ) -> list[np.ndarray]:
-    """H-orthonormal eigenvectors for the imaginary spectrum.
+    """Real H-orthonormal basis of the imaginary invariant subspace.
 
-    Within an eigenspace (eigenvalues equal up to the clustering tolerance)
-    vectors are orthogonalized by modified Gram-Schmidt in the H inner
-    product; across distinct eigenvalues orthogonality holds automatically
-    and is only asserted.  Returns unit-H-norm vectors in conjugate-adjacent
-    order ``[w_1, conj(w_1), ..., w_m, conj(w_m)]``.
+    The eigenvectors w_k of the imaginary eigenvalues with positive imaginary
+    part, sorted by (Re, Im), are stacked as
+    ``X = [Re w_1, Im w_1, ..., Re w_m, Im w_m]``; with the Cholesky factor
+    ``L L^T = X^T H X`` the 2m columns of ``Q = X L^-T`` are H-orthonormal
+    and span the same real subspace as the w_k and their conjugates.  On it
+    the penalized matrix acts as ``M = L^T A L^-T``, where A is block
+    diagonal with ``[[a, b], [-b, a]]`` for each ``lambda_k = a + ib``; a
+    conforming operator is H-skew there, which is asserted as ``M + M^T = 0``
+    (it fails whenever eigenvectors of distinct eigenvalues are not
+    H-orthogonal).  Returns the columns of Q.
     """
     pairs = source.pairs if isinstance(source, SpectralReport) else tuple(source)
     plus = sorted(
@@ -393,43 +397,39 @@ def orthogonalize_imaginary(
     )
     if not plus:
         raise ContractError("no imaginary eigenpairs to orthogonalize")
+    h = np.asarray(h, dtype=float)
+    n = h.shape[0] if h.ndim == 2 else -1
+    if h.shape != (n, n) or any(np.shape(p.w) != (n,) for p in plus):
+        raise ShapeError(f"eigenvectors do not match the norm matrix of shape {h.shape}")
 
-    scale = max(1.0, max(abs(p.lam) for p in plus))
-    ctol = CLUSTER_FACTOR * scale
-    groups: list[list[HEigenPair]] = [[plus[0]]]
-    for p in plus[1:]:
-        if abs(p.lam - groups[-1][-1].lam) <= ctol:
-            groups[-1].append(p)
-        else:
-            groups.append([p])
-
-    ortho: list[np.ndarray] = []
-    for group in groups:
-        basis: list[np.ndarray] = []
-        for p in group:
-            v = p.w.astype(complex) / h_norm(p.w, h)
-            for b in basis:
-                v = v - h_inner(b, v, h) * b
-            r = h_norm(v, h)
-            if r < DEGENERACY_FLOOR:
-                raise DegenerateEigenspaceError(
-                    f"eigenspace of {p.lam} lost rank during orthogonalization "
-                    f"(residual H-norm {r:.3e})"
-                )
-            basis.append(v / r)
-        ortho.extend(basis)
-
-    result: list[np.ndarray] = []
-    for v in ortho:
-        result.append(v)
-        result.append(np.conj(v))
-    gram = np.array(
-        [[h_inner(u, v, h) for v in result] for u in result], dtype=complex
-    )
-    defect = max_abs(gram - np.eye(len(result)))
-    if defect > ORTHOGONALITY_ASSERT:
-        raise InternalInconsistencyError(
-            "imaginary eigenvectors are not H-orthonormal across eigenvalues "
-            f"(Gram defect {defect:.3e}); the operator is not conforming"
+    x = np.column_stack([part(p.w) for p in plus for part in (np.real, np.imag)])
+    gram = x.T @ (h @ x)
+    try:
+        lower = np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError as exc:
+        raise DegenerateEigenspaceError(
+            f"imaginary eigenvectors are linearly dependent in the H geometry: {exc}"
+        ) from exc
+    pivots = np.diagonal(lower) / np.sqrt(np.diagonal(gram))
+    k = int(np.argmin(pivots))
+    if not pivots[k] >= DEGENERACY_FLOOR:
+        raise DegenerateEigenspaceError(
+            f"eigenspace of {plus[k // 2].lam} lost rank during orthogonalization "
+            f"(relative Cholesky pivot {pivots[k]:.3e})"
         )
-    return result
+
+    lam = np.array([p.lam for p in plus])
+    a = np.kron(np.diag(lam.real), np.eye(2)) + np.kron(
+        np.diag(lam.imag), [[0.0, 1.0], [-1.0, 0.0]]
+    )
+    # One solve gives Q^T = L^-1 X^T and M^T = L^-1 A^T L together.
+    solved = np.linalg.solve(lower, np.hstack([x.T, a.T @ lower]))
+    q_t, m_t = solved[:, :n], solved[:, n:]
+    defect = max_abs(m_t + m_t.T)
+    if defect > ORTHOGONALITY_ASSERT * max(1.0, max_abs(m_t)):
+        raise InternalInconsistencyError(
+            "the penalized matrix is not H-skew on its imaginary eigenvectors "
+            f"(defect {defect:.3e}); eigenvectors of distinct eigenvalues are "
+            "not H-orthogonal and the operator is not conforming"
+        )
+    return list(q_t)

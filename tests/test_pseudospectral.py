@@ -10,11 +10,12 @@ from sbpkit import (
     build_pseudospectral_operator,
     certify_families,
     legendre_gauss_lobatto,
-    vandermonde_d,
     verify_all,
 )
 from sbpkit.errors import IndefiniteNormError, InvariantError, ParameterError
 from sbpkit.pseudospectral import build_modal_h, chebyshev_gauss_lobatto_nodes
+
+from oracles import vandermonde_d
 
 REFERENCE = Interval(-1.0, 1.0)
 

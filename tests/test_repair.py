@@ -17,8 +17,20 @@ from sbpkit import (
     spectral_report,
     verify_all,
 )
-from sbpkit.errors import ContractError, ParameterError, RepairImpossibleError
+from sbpkit.errors import (
+    ContractError,
+    ParameterError,
+    RepairImpossibleError,
+    ShapeError,
+)
 from sbpkit.linalg import svd_rank
+
+
+def _paper_style_eigenvector():
+    # closed-form eigenvector of the counterexample for i/sqrt(5); ||w||_H^2 = 40
+    return np.array([0, 1, -3, 3, -1, 0], dtype=float) + 1j * np.sqrt(5.0) * np.array(
+        [0, 1, -1, -1, 1, 0], dtype=float
+    )
 
 
 def _ortho_vectors(op):
@@ -65,23 +77,59 @@ def test_s_prime_rejects_unnormalized_vectors():
         build_s_prime(op.h, vectors, [1.0])
 
 
-def test_s_prime_rejects_non_conjugate_pairs():
+def test_s_prime_rejects_complex_vectors():
     op = build_counterexample()
-    w = _ortho_vectors(op)[0]
-    report = spectral_report(op)
-    other = next(
-        p for p in report.pairs
-        if p.classification is EigenvalueClass.POSITIVE_REAL_PART
-    )
-    v = other.w / h_norm(other.w, op.h)
-    with pytest.raises(ContractError, match="conjugate"):
-        build_s_prime(op.h, [w, v], [1.0])
+    w = _paper_style_eigenvector() / np.sqrt(40.0)
+    with pytest.raises(ContractError, match="real"):
+        build_s_prime(op.h, [w, np.conj(w)], [1.0])
+    with pytest.raises(ContractError, match="real"):
+        build_s_prime(op.h, [v.astype(complex) for v in _ortho_vectors(op)], [1.0])
+
+
+def test_s_prime_rejects_mismatched_lengths():
+    op = build_counterexample()
+    vectors = [np.append(v, 0.0) for v in _ortho_vectors(op)]
+    with pytest.raises(ShapeError):
+        build_s_prime(op.h, vectors, [1.0])
+
+
+def test_s_prime_closed_form_on_counterexample():
+    # unit-H-norm w gives (Hw)(Hw)* + (Hw~)(Hw~)* = 2 H (Re w Re w^T + Im w Im w^T) H
+    op = build_counterexample()
+    w = _paper_style_eigenvector()
+    expected = 2.0 * op.h @ (np.outer(w.real, w.real) + np.outer(w.imag, w.imag)) @ op.h / 40.0
+    _, plan = repair_operator(op, 1e-3)
+    unit = plan.s_prime / plan.epsilons[0]
+    assert np.max(np.abs(unit - expected)) <= 1e-14
+
+
+def test_s_prime_on_a_two_dimensional_eigenspace():
+    # two non-orthogonal eigenvectors of one imaginary eigenvalue; the diagonal
+    # H keeps Re w and Im w H-orthogonal with equal norms, as an H-skew
+    # operator's eigenvectors are
+    h = np.diag([2.0, 2.0, 3.0, 3.0, 1.0, 1.0])
+    first = np.array([1, 1j, 0, 0, 0, 0])
+    second = first + np.array([0, 0, 1, 1j, 0, 0])
+    pairs = [HEigenPair(0.5j, w, EigenvalueClass.IMAGINARY, h_norm(w, h))
+             for w in (first, second)]
+    vectors = orthogonalize_imaginary(pairs, h)
+    q = np.column_stack(vectors)
+    assert q.shape == (6, 4)
+    assert np.max(np.abs(q.conj().T @ h @ q - np.eye(4))) <= 1e-14
+    # the H-orthogonal projector onto span{e_1..e_4} is diag(1/2, 1/2, 1/3, 1/3, 0, 0)
+    x = np.column_stack([first.real, first.imag, second.real, second.imag])
+    projector = x @ np.linalg.solve(x.T @ h @ x, x.T)
+    np.testing.assert_allclose(projector, np.diag([0.5, 0.5, 1 / 3, 1 / 3, 0, 0]),
+                               atol=1e-15)
+    s_prime = build_s_prime(h, vectors, [1.0, 1.0])
+    assert np.max(np.abs(s_prime - h @ projector @ h)) <= 1e-14
 
 
 def test_s_prime_rejects_nonpositive_eps():
     op = build_counterexample()
-    with pytest.raises(ParameterError):
-        build_s_prime(op.h, _ortho_vectors(op), [-1.0])
+    for eps in (-1.0, 0.0, float("nan")):
+        with pytest.raises(ParameterError):
+            build_s_prime(op.h, _ortho_vectors(op), [eps])
 
 
 def test_s_prime_rejects_odd_vector_count():
@@ -102,9 +150,7 @@ def test_predicted_shift_unit_vector():
 def test_predicted_shift_unnormalized_vector():
     # the closed-form eigenvector has squared H-norm 40
     op = build_counterexample()
-    w = np.array([0, 1, -3, 3, -1, 0], dtype=float) + 1j * np.sqrt(5.0) * np.array(
-        [0, 1, -1, -1, 1, 0], dtype=float
-    )
+    w = _paper_style_eigenvector()
     pair = HEigenPair(0.4472135955j, w, EigenvalueClass.IMAGINARY, h_norm(w, op.h))
     eps = 0.01
     assert predicted_shift(pair, eps) == pytest.approx(20.0 * eps, rel=1e-12)

@@ -21,11 +21,12 @@ from sbpkit import (
 from sbpkit.errors import (
     ContractError,
     DegenerateEigenspaceError,
+    InternalInconsistencyError,
     PairingError,
     ParameterError,
     ShapeError,
 )
-from sbpkit.spectral import classify_and_pair, geometric_multiplicity
+from sbpkit.spectral import classify_and_pair, eigenspace_basis
 
 INV_SQRT5 = 0.4472135954999579
 
@@ -97,6 +98,14 @@ def test_eigen_decompose_residual_bound():
 def test_eigen_decompose_rejects_complex_input():
     with pytest.raises(ContractError):
         eigen_decompose(np.eye(2, dtype=complex) * 1j)
+
+
+@pytest.mark.parametrize("tau", [0.0, -1.0, float("nan")])
+def test_eigen_decompose_rejects_a_nonpositive_band(tau):
+    # With tau = -1 the +-i/sqrt(5) pair would be labelled positive_real_part.
+    d_tilde = build_d_tilde(build_counterexample())
+    with pytest.raises(ParameterError):
+        eigen_decompose(d_tilde, tau_eig=tau)
 
 
 def test_eigen_decompose_classifies_negative_real_parts():
@@ -232,6 +241,54 @@ def test_orthogonalize_degenerate_input():
         orthogonalize_imaginary(duplicated, op.h)
 
 
+# H = diag(2, 2, 3, 3, 1, 1): for these vectors Re w and Im w are H-orthogonal
+# with equal H-norms, as for the eigenvectors of an H-skew operator.
+PLANE_H = np.diag([2.0, 2.0, 3.0, 3.0, 1.0, 1.0])
+PLANE_W = np.array([1, 1j, 0, 0, 0, 0])
+PLANE_V = np.array([0, 0, 1, 1j, 0, 0])
+
+
+def _imaginary_pairs(lams, vectors, h):
+    return [HEigenPair(lam, w, EigenvalueClass.IMAGINARY, h_norm(w, h))
+            for lam, w in zip(lams, vectors)]
+
+
+@pytest.mark.parametrize("delta", [0.0] + [10.0**-k for k in range(0, 16, 2)])
+def test_orthogonalize_near_dependent_eigenspace(delta):
+    # Either the rank loss is reported or the basis is H-orthonormal; a
+    # basis that is neither is never returned (delta = 0 must raise).
+    pairs = _imaginary_pairs([0.5j, 0.5j], [PLANE_W, PLANE_W + delta * PLANE_V],
+                             PLANE_H)
+    try:
+        vectors = orthogonalize_imaginary(pairs, PLANE_H)
+    except DegenerateEigenspaceError:
+        assert delta < 1e-2
+        return
+    q = np.column_stack(vectors)
+    assert np.max(np.abs(q.conj().T @ PLANE_H @ q - np.eye(4))) <= 1e-8
+
+
+@pytest.mark.parametrize("lams, second", [
+    # not H-orthogonal to w itself, at a distinct eigenvalue
+    ((0.5j, 1.5j), PLANE_W + PLANE_V),
+    # H-orthogonal to w but not to conj(w), at a distinct eigenvalue
+    ((0.5j, 1.5j), np.conj(PLANE_W) + PLANE_V),
+    # the same, inside one eigenspace (conj(w) belongs to -0.5i)
+    ((0.5j, 0.5j), np.conj(PLANE_W) + PLANE_V),
+])
+def test_orthogonalize_rejects_non_h_orthogonal_eigenvectors(lams, second):
+    h = np.eye(6)
+    pairs = _imaginary_pairs(lams, [PLANE_W, second], h)
+    with pytest.raises(InternalInconsistencyError):
+        orthogonalize_imaginary(pairs, h)
+
+
+def test_orthogonalize_rejects_a_norm_of_the_wrong_size():
+    op = build_counterexample()
+    with pytest.raises(ShapeError):
+        orthogonalize_imaginary(spectral_report(op), np.eye(5))
+
+
 def test_orthogonalize_requires_imaginary_pairs():
     op = build_two_point()
     with pytest.raises(ContractError):
@@ -299,7 +356,7 @@ def test_imaginary_eigenvalues_are_nondefective():
     op = build_counterexample()
     d_tilde = build_d_tilde(op)
     for lam in (1j * INV_SQRT5, -1j * INV_SQRT5):
-        assert geometric_multiplicity(d_tilde, lam) == 1
+        assert len(eigenspace_basis(d_tilde, lam)) == 1
 
 
 def test_report_document_round_trip_fields():
