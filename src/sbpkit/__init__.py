@@ -55,16 +55,15 @@ from .sat import (
     solve_problem,
 )
 from .spectral import (
+    Analysis,
     EigenvalueClass,
     HEigenPair,
     SpectralReport,
-    boundary_projection_residuals,
+    analyze,
     build_d_tilde,
     eigen_decompose,
     h_inner,
-    h_norm,
     orthogonalize_imaginary,
-    polynomial_moment_residuals,
     spectral_report,
 )
 from .storage import load_operator, operator_from_document, operator_to_document, save_operator

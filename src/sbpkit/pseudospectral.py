@@ -41,6 +41,7 @@ from .errors import (
 )
 from .linalg import DEFAULT_TOLERANCE, check_positive, max_abs, rank_threshold
 from .operators import Interval, SbpOperatorPair
+from .spectral import analyze
 from .verify import check_eigenvalue_property, check_nullspace_consistency
 
 __all__ = [
@@ -464,8 +465,9 @@ def certify_families(
     failures: list[str] = []
     for family in families:
         op = build_pseudospectral_operator(family)
-        nullspace = check_nullspace_consistency(op, tau_eig)
-        eig = check_eigenvalue_property(op, tau_eig)
+        analysis = analyze(op, tau_eig)
+        nullspace = check_nullspace_consistency(analysis)
+        eig = check_eigenvalue_property(analysis)
 
         moment_sigma_min: float | None = None
         moment_ok: bool | None = None

@@ -37,8 +37,9 @@ from .operators import SbpOperatorPair, derive_d_minus, solve_against_norm
 from .spectral import (
     EigenvalueClass,
     HEigenPair,
+    analyze,
+    classify_and_pair,
     orthogonalize_imaginary,
-    spectral_report,
 )
 from .verify import check_nullspace_consistency
 
@@ -175,16 +176,16 @@ def repair_operator(
     ``||D_plus' - D_plus|| == target_eps`` in the chosen norm.
     """
     check_positive(target_eps, "target_eps")
-    diagnostics = check_nullspace_consistency(op, tolerance)
+    analysis = analyze(op, tolerance)
+    diagnostics = check_nullspace_consistency(analysis)
     if not diagnostics.consistent:
         raise RepairImpossibleError(
             "operator is not nullspace consistent (rank "
             f"{diagnostics.rank} of expected {diagnostics.expected_rank}); "
             "a zero eigenvalue cannot be moved by the dissipation construction"
         )
-    report = spectral_report(op, tau_eig=tolerance)
     negative = [
-        p for p in report.pairs
+        p for p in analysis.pairs
         if p.classification is EigenvalueClass.NEGATIVE_REAL_PART
     ]
     if negative:
@@ -193,11 +194,11 @@ def repair_operator(
             f"({[p.lam for p in negative]}); the operator does not satisfy "
             "the dissipation structure and cannot be repaired"
         )
-    if report.m == 0:
+    pairs, m = classify_and_pair(analysis.pairs, analysis.scale)
+    if m == 0:
         return op, _empty_plan(op, norm_choice)
 
-    vectors = orthogonalize_imaginary(report, op.h)
-    m = len(vectors) // 2
+    vectors = orthogonalize_imaginary(pairs, op.h)
     unit = build_s_prime(op.h, vectors, [1.0] * m)
     half_unit = 0.5 * solve_against_norm(op.h, unit)
     delta = matrix_norm(half_unit, norm_choice)

@@ -12,12 +12,16 @@ real part come in conjugate pairs whose eigenvectors
 
 All inner products here are ``<f, g> = f* H g``; Euclidean orthogonality has
 no meaning for these operators and is never asserted.
+
+:func:`analyze` builds and decomposes the penalized matrix once; verify,
+:func:`spectral_report`, the repair and the certification all read its
+classified eigenpairs, so they decide from the same eigenvalues and band.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,18 +37,17 @@ from .linalg import DEFAULT_TOLERANCE, check_positive, max_abs, rank_threshold
 from .operators import SbpOperatorPair, solve_against_norm
 
 __all__ = [
+    "Analysis",
     "EigenvalueClass",
     "HEigenPair",
     "SpectralReport",
+    "analyze",
     "build_d_tilde",
     "eigen_decompose",
     "classify_and_pair",
     "spectral_report",
     "h_inner",
-    "h_norm",
     "orthogonalize_imaginary",
-    "boundary_projection_residuals",
-    "polynomial_moment_residuals",
     "eigenspace_basis",
 ]
 
@@ -92,7 +95,8 @@ class SpectralReport:
     partner).  ``m`` counts the conjugate pairs.  The residual tables are
     aligned with :meth:`imaginary`, i.e. one row per imaginary member:
     ``boundary_residuals`` holds (|p0.w|, |pn.w|, max|S w|) and
-    ``moment_residuals`` holds |<x^j, w>| for j = 0..q.
+    ``moment_residuals`` holds |<x^j, w>| for j = 0..q; all of them vanish
+    for a conforming operator.
     """
 
     d_tilde: np.ndarray
@@ -127,6 +131,23 @@ class SpectralReport:
         }
 
 
+@dataclass(frozen=True)
+class Analysis:
+    """One decomposition of the penalized matrix of one operator.
+
+    ``d_tilde`` is built once and ``pairs`` come from one
+    :func:`eigen_decompose` call: sorted by (Re, Im) and classified by the
+    band |Re| <= tolerance * scale, where ``scale`` is the Frobenius norm of
+    ``d_tilde``.  The pairs are not conjugate-paired.
+    """
+
+    op: SbpOperatorPair
+    tolerance: float
+    d_tilde: np.ndarray
+    scale: float
+    pairs: tuple[HEigenPair, ...]
+
+
 def build_d_tilde(op: SbpOperatorPair) -> np.ndarray:
     """Assemble ``D_plus + H^{-1} p0 p0^T`` (rank-1 term via a solve)."""
     return op.d_plus + np.outer(solve_against_norm(op.h, op.p0), op.p0)
@@ -144,12 +165,6 @@ def h_inner(f: np.ndarray, g: np.ndarray, h: np.ndarray) -> complex:
             f"length mismatch: f has {f.size}, g has {g.size}, H is {h.shape[0]}"
         )
     return complex(np.conj(f) @ (h @ g))
-
-
-def h_norm(f: np.ndarray, h: np.ndarray) -> float:
-    """The norm induced by ``h_inner`` (requires H positive definite)."""
-    value = h_inner(f, f, h)
-    return float(np.sqrt(max(value.real, 0.0)))
 
 
 def _classify(lam: complex, tau_eig: float, scale: float) -> EigenvalueClass:
@@ -200,6 +215,10 @@ def eigen_decompose(
         raise ShapeError(f"expected a square matrix, got shape {a.shape}")
     m = a.shape[0]
     h = np.eye(m) if h is None else np.asarray(h, dtype=float)
+    if h.shape != (m, m):
+        raise ShapeError(
+            f"norm matrix of shape {h.shape} does not match the {m}x{m} matrix"
+        )
     try:
         lam, vec = np.linalg.eig(a)
     except np.linalg.LinAlgError as exc:
@@ -227,38 +246,37 @@ def eigen_decompose(
         # Defective cluster: fewer independent directions than roots; keep
         # the raw eigensolver vectors rather than inventing a basis.
 
-    pairs = []
-    for k in range(m):
-        w = vectors[k]
-        pairs.append(
-            HEigenPair(
-                lam=complex(lam[k]),
-                w=w,
-                classification=_classify(complex(lam[k]), tau_eig, scale),
-                h_norm=h_norm(w, h),
-            )
+    # All H-norms from one real product, one eigenvector per row: each sum
+    # then runs along the contiguous axis, which numpy adds pairwise (a
+    # column sum drifts by a few ulp from the per-vector w* H w).
+    w = np.array(vectors)
+    re, im = w.real, w.imag
+    squares = np.sum(re * (re @ h.T) + im * (im @ h.T), axis=1)
+    h_norms = np.sqrt(np.maximum(squares, 0.0))
+    return tuple(
+        HEigenPair(
+            lam=complex(lam[k]),
+            w=vectors[k],
+            classification=_classify(complex(lam[k]), tau_eig, scale),
+            h_norm=float(h_norms[k]),
         )
-    return tuple(pairs)
+        for k in range(m)
+    )
 
 
 def classify_and_pair(
     pairs: tuple[HEigenPair, ...] | list[HEigenPair],
-    tau_eig: float,
     scale: float,
 ) -> tuple[tuple[HEigenPair, ...], int]:
-    """Classify by the tau band and enforce conjugate structure.
+    """Enforce conjugate structure on pairs classified by :func:`eigen_decompose`.
 
     Each imaginary eigenvalue with positive imaginary part is matched to the
     closest candidate near its conjugate; the partner is then synthesized as
-    the exact conjugate, which guarantees the even-count property.  Returns
+    the exact conjugate, which guarantees the even-count property.  ``scale``
+    (the Frobenius norm of the matrix) sets the matching tolerance.  Returns
     the reordered pairs and the number m of conjugate pairs.
     """
-    classified = [
-        replace(p, classification=_classify(p.lam, tau_eig, scale)) for p in pairs
-    ]
-    imaginary = [
-        p for p in classified if p.classification is EigenvalueClass.IMAGINARY
-    ]
+    imaginary = [p for p in pairs if p.classification is EigenvalueClass.IMAGINARY]
     if len(imaginary) % 2 == 1:
         raise PairingError(
             f"odd number ({len(imaginary)}) of imaginary eigenvalues; "
@@ -271,7 +289,7 @@ def classify_and_pair(
     pool = [p for p in imaginary if p.lam.imag <= 0]
     match_tol = max(CLUSTER_FACTOR * scale, np.finfo(float).tiny)
     kept: list[HEigenPair] = [
-        p for p in classified if p.classification is not EigenvalueClass.IMAGINARY
+        p for p in pairs if p.classification is not EigenvalueClass.IMAGINARY
     ]
     m = 0
     for p in plus:
@@ -306,39 +324,24 @@ def classify_and_pair(
     return tuple(kept), m
 
 
-def boundary_projection_residuals(
-    op: SbpOperatorPair, pair: HEigenPair
-) -> tuple[float, float, float]:
-    """(|p0.w|, |pn.w|, max|S w|) for an imaginary eigenpair.
-
-    All three vanish for a conforming operator: they are exactly the
-    quantities whose joint annihilation characterizes zero real part.
-    """
-    if pair.classification is not EigenvalueClass.IMAGINARY:
-        raise ContractError(
-            f"eigenvalue {pair.lam} is classified {pair.classification.value}; "
-            "boundary projections are only meaningful for imaginary eigenpairs"
-        )
-    return (
-        abs(complex(op.p0 @ pair.w)),
-        abs(complex(op.pn @ pair.w)),
-        max_abs(op.s @ pair.w),
+def analyze(op: SbpOperatorPair, tolerance: float = DEFAULT_TOLERANCE) -> Analysis:
+    """Build the penalized matrix of ``op`` once and decompose it once."""
+    tolerance = check_positive(tolerance)
+    d_tilde = build_d_tilde(op)
+    return Analysis(
+        op=op,
+        tolerance=tolerance,
+        d_tilde=d_tilde,
+        scale=float(np.linalg.norm(d_tilde, "fro")),
+        pairs=eigen_decompose(d_tilde, h=op.h, tau_eig=tolerance),
     )
 
 
-def polynomial_moment_residuals(
-    op: SbpOperatorPair, pair: HEigenPair
-) -> tuple[float, ...]:
-    """|<x^j, w>| for j = 0..q; all vanish for a conforming operator."""
-    if pair.classification is not EigenvalueClass.IMAGINARY:
-        raise ContractError(
-            f"eigenvalue {pair.lam} is classified {pair.classification.value}; "
-            "grid-moment residuals are only meaningful for imaginary eigenpairs"
-        )
+def _moment_residuals(op: SbpOperatorPair, w: np.ndarray) -> tuple[float, ...]:
     out = []
     xj = np.ones_like(op.x)
     for _ in range(op.q + 1):
-        out.append(abs(h_inner(xj, pair.w, op.h)))
+        out.append(abs(h_inner(xj, w, op.h)))
         xj = xj * op.x
     return tuple(out)
 
@@ -347,25 +350,21 @@ def spectral_report(
     op: SbpOperatorPair, tau_eig: float = DEFAULT_TOLERANCE
 ) -> SpectralReport:
     """Decompose, classify and probe the penalized matrix of an operator."""
-    tau_eig = check_positive(tau_eig, "tau_eig")
-    d_tilde = build_d_tilde(op)
-    raw = eigen_decompose(d_tilde, h=op.h, tau_eig=tau_eig)
-    scale = float(np.linalg.norm(d_tilde, "fro"))
-    pairs, m = classify_and_pair(raw, tau_eig, scale)
+    analysis = analyze(op, tau_eig)
+    pairs, m = classify_and_pair(analysis.pairs, analysis.scale)
     imaginary = [
         p for p in pairs if p.classification is EigenvalueClass.IMAGINARY
     ]
     return SpectralReport(
-        d_tilde=d_tilde,
+        d_tilde=analysis.d_tilde,
         pairs=pairs,
         m=m,
         boundary_residuals=tuple(
-            boundary_projection_residuals(op, p) for p in imaginary
+            (abs(complex(op.p0 @ p.w)), abs(complex(op.pn @ p.w)), max_abs(op.s @ p.w))
+            for p in imaginary
         ),
-        moment_residuals=tuple(
-            polynomial_moment_residuals(op, p) for p in imaginary
-        ),
-        tau_eig=tau_eig,
+        moment_residuals=tuple(_moment_residuals(op, p.w) for p in imaginary),
+        tau_eig=analysis.tolerance,
     )
 
 

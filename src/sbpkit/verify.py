@@ -8,6 +8,9 @@ the sign of the spectrum of the penalized matrix D_plus + H^{-1} p0 p0^T.
 
 Default tolerance is 1e-10: absolute for residuals of the exactly
 representable fixtures, scaled by the Frobenius norm for spectral decisions.
+
+The two spectral checks read one :class:`sbpkit.spectral.Analysis`, so the
+eigenvalue verdict uses the eigenvalues and the band of the spectral report.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import spectral
-from .errors import DecompositionError, InternalInconsistencyError, ParameterError
+from .errors import InternalInconsistencyError, ParameterError
 from .linalg import DEFAULT_TOLERANCE, check_positive, max_abs, svd_rank
 from .operators import SbpOperatorPair
 
@@ -254,9 +257,7 @@ def check_s_conditions(
     )
 
 
-def check_nullspace_consistency(
-    op: SbpOperatorPair, tolerance: float = DEFAULT_TOLERANCE
-) -> NullspaceDiagnostics:
+def check_nullspace_consistency(analysis: spectral.Analysis) -> NullspaceDiagnostics:
     """Decide whether the kernel of D_plus is exactly the constants.
 
     Two independent routes must agree: invertibility of the penalized matrix
@@ -264,9 +265,8 @@ def check_nullspace_consistency(
     annihilated, rank equal to n).  Disagreement raises
     ``InternalInconsistencyError``, signalling a borderline operator.
     """
-    tolerance = check_positive(tolerance)
-    d_tilde = spectral.build_d_tilde(op)
-    sv = np.linalg.svd(d_tilde, compute_uv=False)
+    op, tolerance = analysis.op, analysis.tolerance
+    sv = np.linalg.svd(analysis.d_tilde, compute_uv=False)
     sigma_max, sigma_min = float(sv[0]), float(sv[-1])
     via_penalized = sigma_min > tolerance * sigma_max
 
@@ -291,26 +291,19 @@ def check_nullspace_consistency(
     )
 
 
-def check_eigenvalue_property(
-    op: SbpOperatorPair, tolerance: float = DEFAULT_TOLERANCE
-) -> EigenvalueCheck:
+def check_eigenvalue_property(analysis: spectral.Analysis) -> EigenvalueCheck:
     """True iff every eigenvalue of the penalized matrix has real part
-    above tolerance * ||D_tilde||_F."""
-    tolerance = check_positive(tolerance)
-    d_tilde = spectral.build_d_tilde(op)
-    scale = float(np.linalg.norm(d_tilde, "fro"))
-    try:
-        lam = np.linalg.eigvals(d_tilde)
-    except np.linalg.LinAlgError as exc:
-        raise DecompositionError(f"eigenvalue iteration failed: {exc}") from exc
-    order = np.lexsort((lam.imag, lam.real))
-    lam = lam[order]
-    min_re = float(np.min(lam.real))
-    offending = tuple(complex(v) for v in lam[lam.real <= tolerance * scale])
+    above tolerance * ||D_tilde||_F, i.e. every pair of the analysis is
+    classified ``POSITIVE_REAL_PART``."""
+    offending = tuple(
+        p.lam
+        for p in analysis.pairs
+        if p.classification is not spectral.EigenvalueClass.POSITIVE_REAL_PART
+    )
     return EigenvalueCheck(
-        has_property=min_re > tolerance * scale,
-        min_real_part=min_re,
-        scale=scale,
+        has_property=not offending,
+        min_real_part=analysis.pairs[0].lam.real,
+        scale=analysis.scale,
         offending=offending,
     )
 
@@ -328,10 +321,11 @@ def verify_all(
     spd = check_spd(op.h, tolerance)
     res_c, res_d = check_sbp_identities(op, tolerance)
     s_sym, s_psd, s_ann = check_s_conditions(op, tolerance)
+    analysis = spectral.analyze(op, tolerance)
     return VerificationReport(
         residuals=(*acc.residuals, spd, res_c, res_d, s_sym, s_psd, s_ann),
         observed_order=acc.observed_order,
-        nullspace=check_nullspace_consistency(op, tolerance),
-        eigenvalue_check=check_eigenvalue_property(op, tolerance),
+        nullspace=check_nullspace_consistency(analysis),
+        eigenvalue_check=check_eigenvalue_property(analysis),
         tolerance=tolerance,
     )

@@ -16,3 +16,9 @@ def vandermonde_d(nodes) -> np.ndarray:
     for k in range(1, m):
         rhs[k] = k * nodes ** (k - 1)
     return np.linalg.solve(vt, rhs).T
+
+
+def h_norm(f, h) -> float:
+    """The norm ``sqrt(f* H f)`` of a real or complex grid vector."""
+    f = np.asarray(f)
+    return float(np.sqrt(np.real(np.conj(f) @ (np.asarray(h) @ f))))

@@ -14,6 +14,7 @@ import pytest
 from sbpkit import (
     Interval,
     NodeFamily,
+    analyze,
     build_classical_fd,
     build_counterexample,
     build_d_tilde,
@@ -143,7 +144,7 @@ def test_criterion_3_repair_at_three_budgets():
         # strict positivity is certified with the classification band placed
         # below the attained shift (the eps=1e-10 shift is ~7e-11, inside
         # the default 1e-10-scaled band)
-        eig = check_eigenvalue_property(repaired, tolerance=1e-12)
+        eig = check_eigenvalue_property(analyze(repaired, 1e-12))
         if not eig.has_property:
             failures.append(f"eps={eps}: eigenvalue property still absent")
         delta = float(np.linalg.norm(repaired.d_plus - op.d_plus, "fro"))

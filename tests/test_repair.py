@@ -5,12 +5,12 @@ from sbpkit import (
     EigenvalueClass,
     HEigenPair,
     NormChoice,
+    analyze,
     build_counterexample,
     build_d_tilde,
     build_s_prime,
     build_two_point,
     check_eigenvalue_property,
-    h_norm,
     orthogonalize_imaginary,
     predicted_shift,
     repair_operator,
@@ -24,6 +24,8 @@ from sbpkit.errors import (
     ShapeError,
 )
 from sbpkit.linalg import svd_rank
+
+from oracles import h_norm
 
 
 def _paper_style_eigenvector():
@@ -254,6 +256,15 @@ def test_repair_requires_nullspace_consistency():
         repair_operator(crippled, 1e-3)
 
 
+def test_repair_rejects_negative_real_parts():
+    # -D_plus of the two-point operator keeps the constants as its kernel,
+    # but its penalized matrix [[3, -1], [1, -1]] has determinant -2
+    op = build_two_point()
+    flipped = op.with_fields(d_plus=-op.d_plus, d_minus=-op.d_minus)
+    with pytest.raises(ContractError, match="negative real part"):
+        repair_operator(flipped, 1e-3)
+
+
 def test_repair_rejects_nonpositive_target():
     with pytest.raises(ParameterError):
         repair_operator(build_counterexample(), 0.0)
@@ -280,6 +291,6 @@ def test_plan_document_fields():
 
 def test_repaired_spectrum_is_clean():
     repaired, plan = repair_operator(build_counterexample(), 1e-6)
-    check = check_eigenvalue_property(repaired)
+    check = check_eigenvalue_property(analyze(repaired))
     assert check.has_property
     assert check.min_real_part == pytest.approx(0.5 * plan.epsilons[0], rel=1e-6)

@@ -1,3 +1,5 @@
+import collections
+
 import numpy as np
 import pytest
 
@@ -5,18 +7,20 @@ from sbpkit import (
     EigenvalueClass,
     HEigenPair,
     Interval,
-    boundary_projection_residuals,
+    NodeFamily,
     build_classical_fd,
     build_counterexample,
     build_d_tilde,
+    build_pseudospectral_operator,
     build_two_point,
+    certify_families,
     eigen_decompose,
     h_inner,
-    h_norm,
     orthogonalize_imaginary,
-    polynomial_moment_residuals,
     repair_operator,
+    spectral,
     spectral_report,
+    verify_all,
 )
 from sbpkit.errors import (
     ContractError,
@@ -27,6 +31,8 @@ from sbpkit.errors import (
     ShapeError,
 )
 from sbpkit.spectral import classify_and_pair, eigenspace_basis
+
+from oracles import h_norm
 
 INV_SQRT5 = 0.4472135954999579
 
@@ -114,6 +120,23 @@ def test_eigen_decompose_classifies_negative_real_parts():
     assert pairs[1].classification is EigenvalueClass.POSITIVE_REAL_PART
 
 
+def test_eigen_decompose_rejects_a_norm_of_the_wrong_size():
+    with pytest.raises(ShapeError):
+        eigen_decompose(np.eye(3), h=np.eye(2))
+
+
+@pytest.mark.parametrize("op", [
+    build_counterexample(),
+    build_classical_fd(64, Interval(0.0, 1.0)),
+    build_pseudospectral_operator(
+        NodeFamily.chebyshev_gauss_lobatto(16, Interval(0.0, 10.0))),  # dense H
+], ids=["counterexample", "classical_fd_64", "cgl_16"])
+def test_eigen_decompose_h_norms_match_the_per_vector_norm(op):
+    # the H-norms are summed in another order than sqrt(w* H w) per vector
+    for p in eigen_decompose(build_d_tilde(op), h=op.h):
+        assert p.h_norm == pytest.approx(h_norm(p.w, op.h), rel=8 * np.finfo(float).eps)
+
+
 # ---------------------------------------------------------------------------
 # H inner product
 
@@ -168,12 +191,10 @@ def test_report_rejects_a_nonpositive_band(tau):
 
 
 def test_classification_band():
-    w = np.array([1.0, 0.0])
-    pair_plus = HEigenPair(1e-15 + 0.3j, w.astype(complex),
-                           EigenvalueClass.POSITIVE_REAL_PART, 1.0)
-    pair_minus = HEigenPair(1e-15 - 0.3j, w.astype(complex),
-                            EigenvalueClass.POSITIVE_REAL_PART, 1.0)
-    pairs, m = classify_and_pair([pair_plus, pair_minus], tau_eig=1e-9, scale=1.0)
+    # eigenvalues 1e-15 +- 0.3i lie inside the band 1e-9 * ||A||_F
+    a = np.array([[1e-15, 0.3], [-0.3, 1e-15]])
+    scale = np.linalg.norm(a, "fro")
+    pairs, m = classify_and_pair(eigen_decompose(a, tau_eig=1e-9), scale)
     assert m == 1
     assert all(p.classification is EigenvalueClass.IMAGINARY for p in pairs)
 
@@ -182,7 +203,7 @@ def test_unpaired_imaginary_eigenvalue_is_an_error():
     w = np.array([1.0, 0.0], dtype=complex)
     lone = HEigenPair(0.3j, w, EigenvalueClass.IMAGINARY, 1.0)
     with pytest.raises(PairingError):
-        classify_and_pair([lone], tau_eig=1e-9, scale=1.0)
+        classify_and_pair([lone], scale=1.0)
 
 
 def test_zero_eigenvalue_cannot_be_paired():
@@ -192,7 +213,7 @@ def test_zero_eigenvalue_cannot_be_paired():
         HEigenPair(0.0 + 0.0j, w, EigenvalueClass.IMAGINARY, 1.0),
     ]
     with pytest.raises(PairingError):
-        classify_and_pair(zeros, tau_eig=1e-9, scale=1.0)
+        classify_and_pair(zeros, scale=1.0)
 
 
 def test_conjugate_closure_is_exact():
@@ -320,15 +341,6 @@ def test_moment_residuals_vanish_on_counterexample():
         assert all(r <= 1e-10 * pair.h_norm for r in moments)
 
 
-def test_probes_reject_non_imaginary_pairs():
-    op = build_two_point()
-    pair = spectral_report(op).pairs[0]
-    with pytest.raises(ContractError):
-        boundary_projection_residuals(op, pair)
-    with pytest.raises(ContractError):
-        polynomial_moment_residuals(op, pair)
-
-
 def test_repaired_operator_has_no_imaginary_pairs():
     repaired, _ = repair_operator(build_counterexample(), 1e-3)
     report = spectral_report(repaired)
@@ -365,3 +377,76 @@ def test_report_document_round_trip_fields():
     assert len(doc["eigenvalues"]) == 6
     assert len(doc["eigenvectors"][0]) == 12
     assert doc["classifications"].count("imaginary") == 2
+
+
+# ---------------------------------------------------------------------------
+# one analysis per call
+
+
+def _lobatto(family, n, a, b):
+    return lambda: build_pseudospectral_operator(family(n, Interval(a, b)))
+
+
+AGREEMENT_FIXTURES = {
+    "counterexample": build_counterexample,
+    "two_point": build_two_point,
+    "classical_fd_16": lambda: build_classical_fd(16, Interval(0.0, 1.0)),
+    "classical_fd_64": lambda: build_classical_fd(64, Interval(0.0, 1.0)),
+    # on matrices this large eigvals and eig can return eigenvalues that
+    # differ in the last bits (with OpenBLAS from about n = 200)
+    "classical_fd_256": lambda: build_classical_fd(256, Interval(0.0, 1.0)),
+    **{
+        f"{family.__name__}_{n}_{a:g}_{b:g}": _lobatto(family, n, a, b)
+        for family in (NodeFamily.legendre_gauss_lobatto,
+                       NodeFamily.chebyshev_gauss_lobatto)
+        for n in (4, 8, 16, 32)
+        for a, b in ((-1.0, 1.0), (0.0, 10.0))
+    },
+    "repaired_counterexample": lambda: repair_operator(build_counterexample(), 1e-6)[0],
+}
+
+
+@pytest.mark.parametrize("build", AGREEMENT_FIXTURES.values(),
+                         ids=AGREEMENT_FIXTURES.keys())
+def test_verify_and_report_decide_from_the_same_eigenvalues(build):
+    op = build()
+    check = verify_all(op).eigenvalue_check
+    report = spectral_report(op)
+    assert check.offending == tuple(
+        p.lam for p in report.pairs
+        if p.classification is not EigenvalueClass.POSITIVE_REAL_PART
+    )
+    assert check.min_real_part == report.pairs[0].lam.real
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    tally = collections.Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            tally[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("eig", "eigvals"):
+        monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
+    monkeypatch.setattr(spectral, "build_d_tilde",
+                        counted("build_d_tilde", spectral.build_d_tilde))
+    return tally
+
+
+LGL_1_TO_4 = [NodeFamily.legendre_gauss_lobatto(n, Interval(-1.0, 1.0))
+              for n in range(1, 5)]
+
+
+@pytest.mark.parametrize("call, builds", [
+    (lambda op: verify_all(op), 1),
+    (lambda op: spectral_report(op), 1),
+    (lambda op: repair_operator(op, 1e-6), 1),
+    (lambda op: certify_families(LGL_1_TO_4), 4),
+], ids=["verify_all", "spectral_report", "repair_operator", "certify_families"])
+def test_each_call_builds_and_decomposes_d_tilde_once(calls, call, builds):
+    call(build_counterexample())
+    counts = (calls["build_d_tilde"], calls["eig"], calls["eigvals"])
+    assert counts == (builds, builds, 0)
