@@ -39,7 +39,8 @@ from .errors import (
     InvariantError,
     ParameterError,
 )
-from .linalg import DEFAULT_TOLERANCE, check_positive, max_abs, rank_threshold
+from .linalg import (DEFAULT_TOLERANCE, check_positive, legendre_basis, max_abs,
+                     rank_threshold)
 from .operators import Interval, SbpOperatorPair
 from .spectral import analyze
 from .verify import check_eigenvalue_property, check_nullspace_consistency
@@ -68,10 +69,6 @@ MAX_N = 32
 
 #: Above this degree, non-Lobatto node sets get a conditioning warning.
 CONDITIONING_WARNING_N = 12
-
-#: sigma_min(V^T H) is only a meaningful double-precision statement for
-#: small n; the certification computes it up to this degree.
-MOMENT_CHECK_MAX_N = 6
 
 
 class Family(enum.Enum):
@@ -173,16 +170,12 @@ def legendre_gauss_lobatto(n: int) -> tuple[np.ndarray, np.ndarray]:
         return np.array([-1.0, 1.0]), np.array([1.0, 1.0])
     m = n + 1
     t = np.cos(np.pi * np.arange(m) / n)
-    p = np.zeros((m, m))
     t_old = 2.0 * np.ones(m)
     for _ in range(100):
         if max_abs(t - t_old) <= 1e-14:
             break
         t_old = t.copy()
-        p[:, 0] = 1.0
-        p[:, 1] = t
-        for k in range(2, m):
-            p[:, k] = ((2 * k - 1) * t * p[:, k - 1] - (k - 1) * p[:, k - 2]) / k
+        p, _ = legendre_basis(t, Interval(-1.0, 1.0), n)
         t = t_old - (t * p[:, n] - p[:, n - 1]) / (m * p[:, n])
     else:
         raise DecompositionError(
@@ -260,22 +253,17 @@ def build_interpolatory_h(
     """Diagonal norm from interpolatory quadrature, plus boundary vectors.
 
     The weights are the integrals of the cardinal functions over the
-    interval, obtained from the dual (transposed) Vandermonde system for the
-    monomial moments.  The solve runs in affine-standardized coordinates on
-    [-1, 1], which leaves the weights unchanged in exact arithmetic but keeps
-    the conditioning independent of where the interval sits.  Non-positive
-    weights make the norm indefinite and are refused.
+    interval: they solve ``V^T w = (length, 0, ..., 0)``, where V tabulates
+    the mapped Legendre basis on the nodes and the right-hand side holds the
+    basis's exact integrals.  Non-positive weights make the norm indefinite
+    and are refused.
     """
     nodes = _check_nodes(nodes)
     m = nodes.size
-    c = 0.5 * (interval.a + interval.b)
-    r = 0.5 * interval.length
-    t = (nodes - c) / r
-    vt = np.vander(t, m, increasing=True).T
-    moments = np.array(
-        [(1.0 - (-1.0) ** (j + 1)) / (j + 1) for j in range(m)]
-    )
-    weights = r * np.linalg.solve(vt, moments)
+    v, _ = legendre_basis(nodes, interval, m - 1)
+    moments = np.zeros(m)
+    moments[0] = interval.length
+    weights = np.linalg.solve(v.T, moments)
     bad = np.nonzero(weights <= 0.0)[0]
     if bad.size:
         listing = ", ".join(f"w[{i}]={weights[i]:.6g}" for i in bad)
@@ -288,27 +276,6 @@ def build_interpolatory_h(
     return np.diag(weights), p0, pn
 
 
-def _mapped_legendre_vandermonde(
-    nodes: np.ndarray, interval: Interval, degree: int | None = None
-) -> np.ndarray:
-    """V[l, k] = P_k(t(x_l)) for the Legendre basis mapped to the interval.
-
-    Columns run over k = 0..degree; the default degree is (number of nodes) - 1,
-    which makes V square.
-    """
-    c = 0.5 * (interval.a + interval.b)
-    r = 0.5 * interval.length
-    t = (np.asarray(nodes, dtype=float) - c) / r
-    cols = t.size if degree is None else degree + 1
-    v = np.empty((t.size, cols))
-    v[:, 0] = 1.0
-    if cols > 1:
-        v[:, 1] = t
-    for k in range(2, cols):
-        v[:, k] = ((2 * k - 1) * t * v[:, k - 1] - (k - 1) * v[:, k - 2]) / k
-    return v
-
-
 def build_modal_h(nodes, interval: Interval) -> np.ndarray:
     """Dense norm from the exact Gram matrix of a mapped Legendre basis.
 
@@ -318,7 +285,7 @@ def build_modal_h(nodes, interval: Interval) -> np.ndarray:
     """
     nodes = _check_nodes(nodes)
     m = nodes.size
-    v = _mapped_legendre_vandermonde(nodes, interval)
+    v, _ = legendre_basis(nodes, interval, m - 1)
     gram = np.diag(interval.length / (2.0 * np.arange(m) + 1.0))
     v_inv = np.linalg.inv(v)
     h = v_inv.T @ gram @ v_inv
@@ -330,13 +297,11 @@ def _moments_exact_through(
 ) -> bool:
     """Whether the diagonal rule integrates all polynomials of the given degree.
 
-    The moments are taken of the Legendre polynomials P_k(t(x)) in the affine
-    coordinate t = (x - c) / r, k = 0..degree, whose exact integrals are the
-    interval length for k = 0 and zero otherwise.  Raw monomials would not
-    do: away from the origin their moments are huge and nearly equal, so the
-    defect of a rule that is not exact drowns in the scale of the moment.
+    The moments are taken of the mapped Legendre polynomials P_k, k =
+    0..degree, whose exact integrals are the interval length for k = 0 and
+    zero otherwise.
     """
-    v = _mapped_legendre_vandermonde(nodes, interval, degree)
+    v, _ = legendre_basis(nodes, interval, degree)
     defect = weights @ v
     defect[0] -= interval.length
     return max_abs(defect) <= MOMENT_EXACTNESS_RTOL * interval.length
@@ -401,16 +366,12 @@ class CertificationEntry:
     nullspace_ok: bool
     min_real_part: float
     eigenvalue_ok: bool
-    moment_sigma_min: float | None
-    moment_ok: bool | None
+    moment_sigma_min: float
+    moment_ok: bool
 
     @property
     def passed(self) -> bool:
-        return (
-            self.nullspace_ok
-            and self.eigenvalue_ok
-            and (self.moment_ok is not False)
-        )
+        return self.nullspace_ok and self.eigenvalue_ok and self.moment_ok
 
 
 @dataclass(frozen=True)
@@ -454,11 +415,12 @@ def certify_families(
     For each constructible family, the checks of :mod:`sbpkit.verify` decide
     both verdicts at tolerance ``tau_eig``: the constants must be annihilated
     by the differentiation matrix, its rank must be n, and every eigenvalue
-    of the penalized matrix must clear the tau band.  For small n the
-    uniqueness mechanism is probed directly: sigma_min(V^T H) must be
-    positive, i.e. no nonzero vector is H-orthogonal to all grid polynomials.
-    V tabulates the Legendre basis mapped to the interval; raw monomials
-    would lose every digit of sigma_min on an interval such as [100, 101].
+    of the penalized matrix must clear the tau band.  The uniqueness
+    mechanism is also probed directly: sigma_min(V^T H) must clear the rank
+    threshold, i.e. no nonzero vector is H-orthogonal to all grid
+    polynomials; V tabulates the Legendre basis mapped to the interval.
+    ``tau_eig`` scales the band ``tau_eig * ||D_tilde||_F`` and the kernel
+    residual's bound ``tau_eig * sigma_max(D_plus)``.
     """
     tau_eig = check_positive(tau_eig, "tau_eig")
     entries: list[CertificationEntry] = []
@@ -469,13 +431,10 @@ def certify_families(
         nullspace = check_nullspace_consistency(analysis)
         eig = check_eigenvalue_property(analysis)
 
-        moment_sigma_min: float | None = None
-        moment_ok: bool | None = None
-        if family.n <= MOMENT_CHECK_MAX_N:
-            v = _mapped_legendre_vandermonde(op.x, op.interval)
-            msv = np.linalg.svd(v.T @ op.h, compute_uv=False)
-            moment_sigma_min = float(msv[-1])
-            moment_ok = moment_sigma_min > rank_threshold(float(msv[0]), v.shape[0])
+        v, _ = legendre_basis(op.x, op.interval, op.n)
+        msv = np.linalg.svd(v.T @ op.h, compute_uv=False)
+        moment_sigma_min = float(msv[-1])
+        moment_ok = moment_sigma_min > rank_threshold(float(msv[0]), v.shape[0])
 
         entry = CertificationEntry(
             label=family.label(),

@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ParameterError, ShapeError, SingularSystemError
-from .linalg import max_abs
+from .linalg import legendre_basis, max_abs
 from .operators import SbpOperatorPair, solve_against_norm
 from .spectral import build_d_tilde
 
@@ -138,7 +138,8 @@ def polynomial_exactness_check(
     """Max relative error when reproducing random polynomials by the solve.
 
     Random polynomials p of the given degree (default: the operator's order
-    q) are pushed through the forward solve with f = p' and u0 = p(a); for
+    q), with coefficients uniform in [-1, 1] in the mapped Legendre basis,
+    are pushed through the forward solve with f = p' and u0 = p(a); for
     degree <= q the result must match p at the nodes to roundoff.  Assumes
     the operator verifies; errors from a singular system propagate.
     """
@@ -146,15 +147,16 @@ def polynomial_exactness_check(
         degree = op.q
     if degree < 0:
         raise ParameterError(f"degree must be >= 0, got {degree}")
+    v, dv = legendre_basis(op.x, op.interval, degree)
+    start, _ = legendre_basis(np.array([op.interval.a]), op.interval, degree)
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(trials):
         coeffs = rng.uniform(-1.0, 1.0, degree + 1)
-        poly = np.polynomial.Polynomial(coeffs)
-        exact = poly(op.x)
+        exact = v @ coeffs
         problem = SatProblem(
-            f_samples=poly.deriv()(op.x),
-            u0=float(poly(op.interval.a)),
+            f_samples=dv @ coeffs,
+            u0=float(start[0] @ coeffs),
             direction=FlowDirection.FORWARD,
         )
         u = solve_problem(op, problem)

@@ -33,7 +33,8 @@ from .errors import (
     PairingError,
     ShapeError,
 )
-from .linalg import DEFAULT_TOLERANCE, check_positive, max_abs, rank_threshold
+from .linalg import (DEFAULT_TOLERANCE, check_positive, legendre_basis, max_abs,
+                     rank_threshold, relative_residual)
 from .operators import SbpOperatorPair, solve_against_norm
 
 __all__ = [
@@ -95,8 +96,10 @@ class SpectralReport:
     partner).  ``m`` counts the conjugate pairs.  The residual tables are
     aligned with :meth:`imaginary`, i.e. one row per imaginary member:
     ``boundary_residuals`` holds (|p0.w|, |pn.w|, max|S w|) and
-    ``moment_residuals`` holds |<x^j, w>| for j = 0..q; all of them vanish
-    for a conforming operator.
+    ``moment_residuals`` holds the relative moments
+    ``|<P_k, w>_H| / (||P_k||_H ||w||_H)`` for k = 0..q, with P_k the
+    Legendre polynomials mapped to the interval (which span the same space
+    as x^j); all of them vanish for a conforming operator.
     """
 
     d_tilde: np.ndarray
@@ -337,15 +340,6 @@ def analyze(op: SbpOperatorPair, tolerance: float = DEFAULT_TOLERANCE) -> Analys
     )
 
 
-def _moment_residuals(op: SbpOperatorPair, w: np.ndarray) -> tuple[float, ...]:
-    out = []
-    xj = np.ones_like(op.x)
-    for _ in range(op.q + 1):
-        out.append(abs(h_inner(xj, w, op.h)))
-        xj = xj * op.x
-    return tuple(out)
-
-
 def spectral_report(
     op: SbpOperatorPair, tau_eig: float = DEFAULT_TOLERANCE
 ) -> SpectralReport:
@@ -355,6 +349,14 @@ def spectral_report(
     imaginary = [
         p for p in pairs if p.classification is EigenvalueClass.IMAGINARY
     ]
+    # <P_k, w>_H for every degree and imaginary member from one product V^T H W.
+    v, _ = legendre_basis(op.x, op.interval, op.q)
+    vh = v.T @ op.h
+    p_norms = np.sqrt(np.maximum(np.sum(vh * v.T, axis=1), 0.0))
+    w = np.array([p.w for p in imaginary], dtype=complex).reshape(-1, op.n + 1)
+    moments = relative_residual(
+        w @ vh.T, np.outer([p.h_norm for p in imaginary], p_norms)
+    )
     return SpectralReport(
         d_tilde=analysis.d_tilde,
         pairs=pairs,
@@ -363,7 +365,7 @@ def spectral_report(
             (abs(complex(op.p0 @ p.w)), abs(complex(op.pn @ p.w)), max_abs(op.s @ p.w))
             for p in imaginary
         ),
-        moment_residuals=tuple(_moment_residuals(op, p.w) for p in imaginary),
+        moment_residuals=tuple(tuple(map(float, row)) for row in moments),
         tau_eig=analysis.tolerance,
     )
 

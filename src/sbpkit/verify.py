@@ -6,8 +6,11 @@ positive definiteness of H, the two summation-by-parts identities, the three
 conditions on the dissipation matrix S, nullspace consistency of D_plus and
 the sign of the spectrum of the penalized matrix D_plus + H^{-1} p0 p0^T.
 
-Default tolerance is 1e-10: absolute for residuals of the exactly
-representable fixtures, scaled by the Frobenius norm for spectral decisions.
+Default tolerance is 1e-10.  Polynomial conditions (accuracy, S x^j = 0)
+are tested on the Legendre polynomials P_j mapped to the interval, as
+relative residuals ``|A V - T| / (|A||V| + |T|)`` (0/0 = 0), so they do not
+depend on where the interval sits; identity and symmetry residuals are
+absolute; definiteness and spectral decisions scale with the Frobenius norm.
 
 The two spectral checks read one :class:`sbpkit.spectral.Analysis`, so the
 eigenvalue verdict uses the eigenvalues and the band of the spectral report.
@@ -22,7 +25,8 @@ import numpy as np
 
 from . import spectral
 from .errors import InternalInconsistencyError, ParameterError
-from .linalg import DEFAULT_TOLERANCE, check_positive, max_abs, svd_rank
+from .linalg import (DEFAULT_TOLERANCE, check_positive, legendre_basis, max_abs,
+                     relative_residual, svd_rank)
 from .operators import SbpOperatorPair
 
 __all__ = [
@@ -158,47 +162,46 @@ class VerificationReport:
         }
 
 
+def _exactness(a: np.ndarray, v: np.ndarray, target) -> np.ndarray:
+    """Entrywise relative residual of the condition ``A V = T``."""
+    return relative_residual(a @ v - target, np.abs(a) @ np.abs(v) + np.abs(target))
+
+
 def check_accuracy(
     op: SbpOperatorPair, j_max: int, tolerance: float = DEFAULT_TOLERANCE
 ) -> AccuracyReport:
-    """Residuals of the polynomial accuracy conditions for j = 0..j_max."""
+    """Relative residuals of ``D_pm P_j = P_j'``, ``p0.P_j = P_j(a)`` and
+    ``pn.P_j = P_j(b)`` for the mapped Legendre polynomials j = 0..j_max."""
     tolerance = check_positive(tolerance)
     if j_max < 0:
         raise ParameterError(f"j_max must be >= 0, got {j_max}")
-    a, b = op.interval.a, op.interval.b
-    dp, dm, p0, pn = [], [], [], []
-    xj = np.ones_like(op.x)
-    xjm1 = np.zeros_like(op.x)
-    for j in range(j_max + 1):
-        target = j * xjm1
-        dp.append(max_abs(op.d_plus @ xj - target))
-        dm.append(max_abs(op.d_minus @ xj - target))
-        p0.append(abs(float(op.p0 @ xj) - a**j))
-        pn.append(abs(float(op.pn @ xj) - b**j))
-        xjm1 = xj
-        xj = xj * op.x
-
-    observed = -1
-    for j in range(j_max + 1):
-        if max(dp[j], dm[j], p0[j], pn[j]) <= tolerance:
-            observed = j
-        else:
-            break
+    interval = op.interval
+    v, dv = legendre_basis(op.x, interval, j_max)
+    ends, _ = legendre_basis(np.array([interval.a, interval.b]), interval, j_max)
+    by_j = np.array([
+        np.max(_exactness(op.d_plus, v, dv), axis=0),
+        np.max(_exactness(op.d_minus, v, dv), axis=0),
+        _exactness(op.p0, v, ends[0]),
+        _exactness(op.pn, v, ends[1]),
+    ])
+    failing = np.flatnonzero(~(np.max(by_j, axis=0) <= tolerance))
+    observed = int(failing[0]) - 1 if failing.size else j_max
 
     j_claim = min(j_max, op.q)
-    agg = [max(col[: j_claim + 1]) for col in (dp, dm, p0, pn)]
+    agg = np.max(by_j[:, : j_claim + 1], axis=1)
     props = (Property.A_DPLUS, Property.A_DMINUS, Property.A_P0, Property.A_PN)
     residuals = tuple(
-        PropertyResidual(p, r, r <= tolerance) for p, r in zip(props, agg)
+        PropertyResidual(p, float(r), bool(r <= tolerance)) for p, r in zip(props, agg)
     )
+    dp, dm, p0, pn = (tuple(map(float, col)) for col in by_j)
     return AccuracyReport(
         residuals=residuals,
         observed_order=observed,
         j_values=tuple(range(j_max + 1)),
-        d_plus_by_j=tuple(dp),
-        d_minus_by_j=tuple(dm),
-        p0_by_j=tuple(p0),
-        pn_by_j=tuple(pn),
+        d_plus_by_j=dp,
+        d_minus_by_j=dm,
+        p0_by_j=p0,
+        pn_by_j=pn,
     )
 
 
@@ -236,7 +239,7 @@ def check_sbp_identities(
 def check_s_conditions(
     op: SbpOperatorPair, tolerance: float = DEFAULT_TOLERANCE
 ) -> tuple[PropertyResidual, PropertyResidual, PropertyResidual]:
-    """Check S = S^T >= 0 and S x^j = 0 for j = 0..q."""
+    """Check S = S^T >= 0 and S P_j = 0 for j = 0..q (relative to |S||P_j|)."""
     tolerance = check_positive(tolerance)
     s = op.s
     sym_defect = max_abs(s - s.T)
@@ -245,11 +248,8 @@ def check_s_conditions(
     # Roundoff floor scaled to the matrix itself (rank-one sums in repaired
     # operators are slightly indefinite at machine precision).
     psd_pass = psd_defect <= PSD_FLOOR * float(np.linalg.norm(s, "fro"))
-    ann = 0.0
-    xj = np.ones_like(op.x)
-    for _ in range(op.q + 1):
-        ann = max(ann, max_abs(s @ xj))
-        xj = xj * op.x
+    v, _ = legendre_basis(op.x, op.interval, op.q)
+    ann = max_abs(_exactness(s, v, 0.0))
     return (
         PropertyResidual(Property.S_SYMMETRY, sym_defect, sym_defect <= tolerance),
         PropertyResidual(Property.S_PSD, psd_defect, psd_pass),

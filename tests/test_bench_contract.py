@@ -5,7 +5,11 @@ of a run, so a few of its operations run here too."""
 
 import importlib
 import importlib.util
+import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -43,3 +47,44 @@ def test_benchmark_oracle_accepts_the_outputs(worker, tmp_path, workload):
     bench.prepare(setup_only=False)
     for item in bench.items[:2]:
         assert bench.check(item, bench.run(item)) == ("ok", [])
+
+
+def _oracle():
+    spec = importlib.util.spec_from_file_location("perfbench_oracle", PERFBENCH / "oracle.py")
+    oracle = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(oracle)
+    return oracle
+
+
+def test_lobatto_generate_and_verify_cells_are_ok(worker, tmp_path, capsys):
+    # The 24 generate -> verify cells of cli_small, run in this process.
+    from sbpkit.cli import main
+
+    oracle = _oracle()
+    bench = worker.CliSmall(seed=7, work_dir=str(tmp_path))
+    bench.prepare(setup_only=False)
+    cells = [task for task in bench.tasks if task[0][0] == "generate"]
+    assert len(cells) == 24
+    verdicts = []
+    for (_, generate, spec), (_, verify, _) in cells:
+        assert main(generate) == 0
+        capsys.readouterr()
+        with open(spec["path"]) as fh:
+            doc = json.load(fh)
+        args = (spec["n"], spec["a"], spec["b"])
+        problems, sbp = oracle.lobatto_operator(doc, spec["family"], *args)
+        assert problems == [] and sbp == [], (generate, problems, sbp)
+        status = main(verify)
+        report = json.loads(capsys.readouterr().out)
+        verdicts.append((spec["path"], oracle.verify_verdict(report, status, True, *args)))
+    assert [v for v in verdicts if v[1] != ("ok", [])] == []
+
+
+def test_cli_import_leaves_numpy_polynomial_unloaded():
+    # numpy.polynomial would add a few milliseconds to every CLI command.
+    code = "import sys, sbpkit.cli; print('numpy.polynomial' in sys.modules)"
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "False"

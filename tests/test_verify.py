@@ -3,10 +3,12 @@ import pytest
 
 from sbpkit import (
     Interval,
+    NodeFamily,
     Property,
     analyze,
     build_classical_fd,
     build_counterexample,
+    build_pseudospectral_operator,
     build_two_point,
     check_accuracy,
     check_eigenvalue_property,
@@ -44,10 +46,16 @@ def test_accuracy_counterexample_fails_degree_two():
     op = build_counterexample()
     report = check_accuracy(op, j_max=2)
     assert report.observed_order == 1
-    # independent evaluation of the degree-2 defect
-    expected = np.max(np.abs(op.d_plus @ op.x**2 - 2.0 * op.x))
-    assert report.d_plus_by_j[2] == pytest.approx(expected)
-    assert expected > 1e-3
+    # independent evaluation of the degree-2 defect on P_2(t) = (3t^2 - 1)/2,
+    # t = x / r: D P_2 - P_2' = 3/(2 r^2) (D x^2 - 2x), and D x^2 - 2x is exact
+    r = 2.5
+    t = op.x / r
+    p2, dp2 = 1.5 * t**2 - 0.5, 3.0 * t / r
+    defect = 3.0 / (2.0 * r**2) * np.array([1.0, 0.2, -0.6, 0.6, -0.2, -1.0])
+    size = np.abs(op.d_plus) @ np.abs(p2) + np.abs(dp2)
+    expected = np.max(np.abs(defect) / size)
+    assert report.d_plus_by_j[2] == pytest.approx(expected, rel=1e-12)
+    assert expected > 0.2
     # the aggregated verdicts only cover degrees the operator claims (q = 1)
     assert all(r.passed for r in report.residuals)
 
@@ -296,3 +304,83 @@ def test_eigenvalue_property_implies_nullspace_consistency():
         report = verify_all(op)
         if report.eigenvalue_property:
             assert report.nullspace_consistent
+
+
+AFFINE_MAPS = [(0.0, 1.0), (100.0, 1.0), (0.0, 1e-3), (0.0, 1e3), (1e3, 1e2), (-50.0, 1e-2)]
+
+AFFINE_FIXTURES = {
+    "counterexample": build_counterexample,
+    "repaired": lambda: repair_operator(build_counterexample(), 1e-3)[0],
+    "classical_fd_16": lambda: build_classical_fd(16, Interval(0.0, 1.0)),
+    "lgl_8": lambda: build_pseudospectral_operator(
+        NodeFamily.legendre_gauss_lobatto(8, Interval(-1.0, 1.0))
+    ),
+    "cgl_12": lambda: build_pseudospectral_operator(
+        NodeFamily.chebyshev_gauss_lobatto(12, Interval(-1.0, 1.0))
+    ),
+}
+
+
+def _affine_image(op, c, s):
+    """``op`` under x -> c + s x: D -> D / s and H -> s H; S, p0, pn stay."""
+    return op.with_fields(
+        d_plus=op.d_plus / s,
+        d_minus=op.d_minus / s,
+        h=s * op.h,
+        x=c + s * op.x,
+        interval=Interval(c + s * op.interval.a, c + s * op.interval.b),
+    )
+
+
+def _verdicts(op):
+    report = verify_all(op)
+    return (
+        {r.property: r.passed for r in report.residuals},
+        report.observed_order,
+        report.nullspace_consistent,
+        report.eigenvalue_property,
+    )
+
+
+@pytest.mark.parametrize("c, s", AFFINE_MAPS)
+@pytest.mark.parametrize("name", list(AFFINE_FIXTURES))
+def test_verdicts_do_not_depend_on_where_the_interval_sits(name, c, s):
+    op = AFFINE_FIXTURES[name]()
+    assert _verdicts(_affine_image(op, c, s)) == _verdicts(op)
+
+
+# ---------------------------------------------------------------------------
+# exact oracle
+
+
+def test_counterexample_facts_hold_over_the_rationals():
+    sp = pytest.importorskip("sympy")
+    op = build_counterexample()
+
+    def exact(a):
+        m = sp.Matrix(np.atleast_2d(a)).applyfunc(lambda v: sp.nsimplify(v, rational=True))
+        # the rationals are the fixture: they round back to its doubles
+        assert np.array_equal(np.array(m, dtype=float), np.atleast_2d(a))
+        return m
+
+    d, dm, h, s = (exact(a) for a in (op.d_plus, op.d_minus, op.h, op.s))
+    p0, pn, x = (exact(a).T for a in (op.p0, op.pn, op.x))
+    a, b = sp.Rational(-5, 2), sp.Rational(5, 2)
+    boundary = -p0 * p0.T + pn * pn.T
+    assert h * d + d.T * h - boundary - s == sp.zeros(6, 6)
+    assert h * d + dm.T * h - boundary == sp.zeros(6, 6)
+
+    powers = [x.applyfunc(lambda v, j=j: v**j) for j in range(3)]
+    for j in (0, 1):
+        target = j * powers[j - 1] if j else sp.zeros(6, 1)
+        assert d * powers[j] == target and dm * powers[j] == target
+        assert (p0.T * powers[j])[0] == a**j and (pn.T * powers[j])[0] == b**j
+    defect = d * powers[2] - 2 * powers[1]
+    assert list(defect) == [1, sp.Rational(1, 5), sp.Rational(-3, 5),
+                            sp.Rational(3, 5), sp.Rational(-1, 5), -1]
+
+    lam = sp.Symbol("lambda")
+    d_tilde = d + h.inv() * p0 * p0.T
+    expected = (5 * lam**2 + 1) * (25 * lam**4 - 50 * lam**3 + 55 * lam**2
+                                   - 34 * lam + 10) / 125
+    assert sp.expand(d_tilde.charpoly(lam).as_expr() - expected) == 0
