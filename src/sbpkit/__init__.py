@@ -6,11 +6,9 @@ and penalized solves of the scalar model problem."""
 from .errors import (
     ContractError,
     DecompositionError,
-    DegenerateEigenspaceError,
     IndefiniteNormError,
     InternalInconsistencyError,
     InvariantError,
-    PairingError,
     ParameterError,
     ParseError,
     RepairImpossibleError,
@@ -42,7 +40,7 @@ from .pseudospectral import (
     certify_families,
     legendre_gauss_lobatto,
 )
-from .repair import NormChoice, PerturbationPlan, build_s_prime, predicted_shift, repair_operator
+from .repair import NormChoice, PerturbationPlan, build_s_prime, repair_operator
 from .sat import (
     ConvergenceStudy,
     FlowDirection,

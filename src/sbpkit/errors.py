@@ -2,6 +2,13 @@
 
 from __future__ import annotations
 
+__all__ = [
+    "SbpError", "InvariantError", "ShapeError", "ParameterError", "ContractError",
+    "ParseError", "SchemaError", "SingularNormError", "IndefiniteNormError",
+    "DecompositionError", "RepairImpossibleError", "SingularSystemError",
+    "InternalInconsistencyError",
+]
+
 
 class SbpError(Exception):
     """Base class for every error raised by sbpkit."""
@@ -60,14 +67,6 @@ class IndefiniteNormError(SbpError):
 
 class DecompositionError(SbpError):
     """An eigenvalue or singular value iteration failed to converge."""
-
-
-class PairingError(SbpError):
-    """Imaginary eigenvalues cannot be matched into conjugate pairs."""
-
-
-class DegenerateEigenspaceError(SbpError):
-    """Orthogonalization lost rank inside an eigenspace."""
 
 
 class RepairImpossibleError(SbpError):

@@ -6,16 +6,18 @@ eigenvalues, an arbitrarily small symmetric positive semi-definite matrix
     S' = H Q E Q^T H
 
 is assembled in real arithmetic.  The columns of Q are a real H-orthonormal
-basis of the invariant subspace of the imaginary eigenvalues, two per
-conjugate pair (see :func:`orthogonalize_imaginary`), and E repeats each
-eps_k twice; for unit-H-norm eigenvectors w_k this equals
-``sum_k eps_k [ (H w_k)(H w_k)* + (H conj(w_k))(H conj(w_k))* ]``.  Because
-the subspace is H-orthogonal to x^j for j = 0..q, S' annihilates the grid
-polynomials, so ``D_plus' = D_plus + 1/2 H^{-1} S'`` is again an
-operator of the same order with S replaced by S + S'.  Each imaginary
-eigenvalue moves right by ``eps_k / 2`` (per unit-H-norm eigenvector) while
-every other eigenpair is untouched, and the perturbation size
-``||D_plus' - D_plus||`` is set exactly by linear scaling of the eps_k.
+basis of the invariant subspace N of the imaginary eigenvalues, two per
+conjugate pair, computed from N itself without eigenvectors (see
+:func:`orthogonalize_imaginary`), and E repeats each eps_k twice.  Because N
+is H-orthogonal to x^j for j = 0..q, S' annihilates the grid polynomials,
+so ``D_plus' = D_plus + 1/2 H^{-1} S'`` is again an operator of the same
+order with S replaced by S + S'.  The repair takes every eps_k equal to
+eps, and then ``1/2 H^{-1} S' = (eps/2) P_N`` with ``P_N = Q Q^T H`` the
+H-orthogonal projector onto N.  N and its H-orthogonal complement are both
+invariant under the penalized matrix, so each imaginary eigenvalue moves
+right by exactly eps/2 while every other eigenpair is untouched, and the
+perturbation size ``||D_plus' - D_plus||`` is set exactly by linear scaling
+of eps.
 """
 
 from __future__ import annotations
@@ -34,13 +36,7 @@ from .errors import (
 )
 from .linalg import DEFAULT_TOLERANCE, check_positive, max_abs
 from .operators import SbpOperatorPair, derive_d_minus, solve_against_norm
-from .spectral import (
-    EigenvalueClass,
-    HEigenPair,
-    analyze,
-    classify_and_pair,
-    orthogonalize_imaginary,
-)
+from .spectral import EigenvalueClass, analyze, orthogonalize_imaginary
 from .verify import check_nullspace_consistency
 
 __all__ = [
@@ -48,7 +44,6 @@ __all__ = [
     "PerturbationPlan",
     "build_s_prime",
     "repair_operator",
-    "predicted_shift",
     "matrix_norm",
 ]
 
@@ -72,8 +67,8 @@ class PerturbationPlan:
     """Everything needed to reproduce one repair.
 
     ``imaginary_pairs`` holds the 2m real H-orthonormal basis vectors of the
-    imaginary invariant subspace, two per conjugate pair (the columns of Q
-    in ``S' = H Q E Q^T H``); ``epsilons`` the m positive coefficients;
+    imaginary invariant subspace (the columns of Q in ``S' = H Q E Q^T H``);
+    ``epsilons`` the m positive coefficients;
     ``norm_bound`` the achieved ``||1/2 H^{-1} S'||`` in ``norm_choice``.
     """
 
@@ -108,8 +103,9 @@ def build_s_prime(
     """Assemble the dissipation perturbation ``S' = H Q E Q^T H``.
 
     ``ortho_vectors`` are the 2m real H-orthonormal columns of Q, two per
-    eps (one conjugate pair's plane, as :func:`orthogonalize_imaginary`
-    returns them); E repeats each eps twice.
+    eps; E repeats each eps twice.  :func:`orthogonalize_imaginary` returns
+    a basis of the whole imaginary subspace that is not grouped by pair, so
+    with it all eps must be equal, as in the repair.
     """
     h = np.asarray(h, dtype=float)
     m2 = len(ortho_vectors)
@@ -142,16 +138,6 @@ def build_s_prime(
     return (u * np.repeat(eps, 2)) @ u.T
 
 
-def predicted_shift(pair: HEigenPair, eps_k: float) -> float:
-    """Real part acquired by an imaginary eigenvalue: (eps_k / 2) ||w||_H^2."""
-    if pair.classification is not EigenvalueClass.IMAGINARY:
-        raise ContractError(
-            f"eigenvalue {pair.lam} is classified {pair.classification.value}; "
-            "the shift formula applies to imaginary eigenpairs"
-        )
-    return 0.5 * float(eps_k) * pair.h_norm**2
-
-
 def _empty_plan(op: SbpOperatorPair, norm_choice: NormChoice) -> PerturbationPlan:
     return PerturbationPlan(
         imaginary_pairs=(),
@@ -172,7 +158,9 @@ def repair_operator(
 
     An operator that already has the property is returned unchanged with an
     empty plan, which makes the repair idempotent.  All eps_k are equal:
-    built at 1 on unit-H-norm eigenvectors, then scaled linearly so that
+    built at 1 on the H-orthonormal basis of the imaginary subspace, whose
+    dimension must be twice the number of imaginary pairs in the band (else
+    ``InternalInconsistencyError``), then scaled linearly so that
     ``||D_plus' - D_plus|| == target_eps`` in the chosen norm.
     """
     check_positive(target_eps, "target_eps")
@@ -194,11 +182,16 @@ def repair_operator(
             f"({[p.lam for p in negative]}); the operator does not satisfy "
             "the dissipation structure and cannot be repaired"
         )
-    pairs, m = classify_and_pair(analysis.pairs, analysis.scale)
+    m = analysis.m
     if m == 0:
         return op, _empty_plan(op, norm_choice)
 
-    vectors = orthogonalize_imaginary(pairs, op.h)
+    vectors = orthogonalize_imaginary(analysis)
+    if len(vectors) != 2 * m:
+        raise InternalInconsistencyError(
+            f"the band holds {m} imaginary pairs but the unobservable subspace "
+            f"has dimension {len(vectors)}"
+        )
     unit = build_s_prime(op.h, vectors, [1.0] * m)
     half_unit = 0.5 * solve_against_norm(op.h, unit)
     delta = matrix_norm(half_unit, norm_choice)

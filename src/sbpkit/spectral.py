@@ -1,14 +1,17 @@
 """Spectrum of the penalized matrix and its structure in the H geometry.
 
 The penalized matrix ``D_tilde = D_plus + H^{-1} p0 p0^T`` governs
-solvability of the boundary-penalized derivative problem.  For a conforming
-operator its eigenvalues all have nonnegative real part; the ones with zero
-real part come in conjugate pairs whose eigenvectors
+solvability of the boundary-penalized derivative problem.  The SBP
+identities give the energy identity
 
-* are annihilated by the boundary projections and by S,
-* are H-orthogonal to ``x^j`` for j = 0..q and to every eigenvector of a
-  different eigenvalue, and
-* span complete eigenspaces (algebraic multiplicity = geometric).
+    2 Re(lambda) ||w||_H^2 = |p0.w|^2 + |pn.w|^2 + w* S w
+
+for every eigenpair, so for a conforming operator all eigenvalues have
+nonnegative real part, and the ones with zero real part are exactly those
+whose eigenvectors are annihilated by ``C = [p0^T; pn^T; S]``.  Their
+invariant subspace is the unobservable subspace N of ``(C, D_tilde)``, the
+largest D_tilde-invariant subspace inside ker C; it is H-orthogonal to
+``x^j`` for j = 0..q and to every other eigenvector.
 
 All inner products here are ``<f, g> = f* H g``; Euclidean orthogonality has
 no meaning for these operators and is never asserted.
@@ -16,6 +19,8 @@ no meaning for these operators and is never asserted.
 :func:`analyze` builds and decomposes the penalized matrix once; verify,
 :func:`spectral_report`, the repair and the certification all read its
 classified eigenpairs, so they decide from the same eigenvalues and band.
+The repair's basis of N (:func:`orthogonalize_imaginary`) uses no
+eigenvector.
 """
 
 from __future__ import annotations
@@ -25,14 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ContractError,
-    DecompositionError,
-    DegenerateEigenspaceError,
-    InternalInconsistencyError,
-    PairingError,
-    ShapeError,
-)
+from .errors import ContractError, DecompositionError, ShapeError
 from .linalg import (DEFAULT_TOLERANCE, check_positive, legendre_basis, max_abs,
                      rank_threshold, relative_residual)
 from .operators import SbpOperatorPair, solve_against_norm
@@ -45,26 +43,10 @@ __all__ = [
     "analyze",
     "build_d_tilde",
     "eigen_decompose",
-    "classify_and_pair",
     "spectral_report",
     "h_inner",
     "orthogonalize_imaginary",
-    "eigenspace_basis",
 ]
-
-#: Eigenvalues closer than this (times the Frobenius norm of the matrix) are
-#: treated as one eigenvalue for multiplicity and eigenspace purposes.
-CLUSTER_FACTOR = 1e-8
-
-#: Cholesky pivot, relative to the H-norm of its column (the sine of its
-#: H-angle to the columns before it), below which the stacked imaginary
-#: eigenvectors are rank deficient.  A pivot p leaves an H-orthonormality
-#: defect near eps / p^2, and pivots below sqrt(eps) are not resolved at all.
-DEGENERACY_FLOOR = 1e-3
-
-#: H-skewness of the penalized matrix on its imaginary subspace is asserted,
-#: not enforced, to this relative level.
-ORTHOGONALITY_ASSERT = 1e-8
 
 
 class EigenvalueClass(enum.Enum):
@@ -91,9 +73,12 @@ class HEigenPair:
 class SpectralReport:
     """Classified spectrum of the penalized matrix of one operator.
 
-    ``pairs`` is sorted by (Re, Im); imaginary eigenvalues appear as exact
-    conjugate pairs (the negative-imaginary member is synthesized from its
-    partner).  ``m`` counts the conjugate pairs.  The residual tables are
+    ``pairs`` holds the eigenpairs of the analysis as LAPACK returns them,
+    sorted by (Re, Im); for a real matrix its complex eigenvalues and
+    eigenvectors come in exact conjugate pairs, and nothing is synthesized.
+    ``m`` counts the imaginary eigenvalues with positive imaginary part, so
+    a zero eigenvalue (of an operator that is not nullspace consistent) is
+    classified imaginary but not counted.  The residual tables are
     aligned with :meth:`imaginary`, i.e. one row per imaginary member:
     ``boundary_residuals`` holds (|p0.w|, |pn.w|, max|S w|) and
     ``moment_residuals`` holds the relative moments
@@ -141,7 +126,7 @@ class Analysis:
     ``d_tilde`` is built once and ``pairs`` come from one
     :func:`eigen_decompose` call: sorted by (Re, Im) and classified by the
     band |Re| <= tolerance * scale, where ``scale`` is the Frobenius norm of
-    ``d_tilde``.  The pairs are not conjugate-paired.
+    ``d_tilde``.
     """
 
     op: SbpOperatorPair
@@ -149,6 +134,14 @@ class Analysis:
     d_tilde: np.ndarray
     scale: float
     pairs: tuple[HEigenPair, ...]
+
+    @property
+    def m(self) -> int:
+        """Number of imaginary eigenvalues with positive imaginary part."""
+        return sum(
+            p.classification is EigenvalueClass.IMAGINARY and p.lam.imag > 0
+            for p in self.pairs
+        )
 
 
 def build_d_tilde(op: SbpOperatorPair) -> np.ndarray:
@@ -179,35 +172,18 @@ def _classify(lam: complex, tau_eig: float, scale: float) -> EigenvalueClass:
     return EigenvalueClass.IMAGINARY
 
 
-def eigenspace_basis(a: np.ndarray, lam: complex) -> list[np.ndarray]:
-    """Orthonormal (Euclidean) basis of ker(A - lam I) from an SVD.
-
-    More reliable than raw eigensolver output for clustered eigenvalues;
-    the rank cut uses the package-wide singular value threshold.
-    """
-    a = np.asarray(a)
-    m = a.shape[0]
-    shifted = a.astype(complex) - complex(lam) * np.eye(m)
-    try:
-        _, sv, vh = np.linalg.svd(shifted)
-    except np.linalg.LinAlgError as exc:
-        raise DecompositionError(f"singular value iteration failed: {exc}") from exc
-    thresh = rank_threshold(float(sv[0]), m)
-    g = int(np.count_nonzero(sv <= thresh))
-    return [np.conj(vh[k]) for k in range(m - g, m)]
-
-
 def eigen_decompose(
     a: np.ndarray,
     h: np.ndarray | None = None,
     tau_eig: float = DEFAULT_TOLERANCE,
 ) -> tuple[HEigenPair, ...]:
-    """Full eigendecomposition, sorted by (Re, Im).
+    """Full eigendecomposition by one LAPACK ``eig``, sorted by (Re, Im).
 
-    Eigenvalues within ``CLUSTER_FACTOR * ||A||_F`` of each other are treated
-    as one: their eigenvectors are recomputed as an SVD nullspace basis of
-    the shifted matrix, so repeated eigenvalues yield linearly independent
-    vectors.  ``h`` (identity when omitted) only feeds the stored H-norms.
+    The eigenvectors are LAPACK's own, unit length in the Euclidean norm;
+    for a real matrix complex eigenpairs come in exact conjugate pairs.
+    A repeated eigenvalue keeps LAPACK's vectors, which need not be
+    independent; the repair reads no eigenvector.  ``h`` (identity when
+    omitted) only feeds the stored H-norms.
     """
     tau_eig = check_positive(tau_eig, "tau_eig")
     a = np.asarray(a)
@@ -229,25 +205,7 @@ def eigen_decompose(
     order = np.lexsort((lam.imag, lam.real))
     lam = lam[order]
     vectors = [vec[:, k] for k in order]
-
     scale = float(np.linalg.norm(a, "fro"))
-    ctol = CLUSTER_FACTOR * scale
-    clusters: list[list[int]] = [[0]]
-    for k in range(1, m):
-        if abs(lam[k] - lam[k - 1]) <= ctol:
-            clusters[-1].append(k)
-        else:
-            clusters.append([k])
-    for cluster in clusters:
-        if len(cluster) < 2:
-            continue
-        rep = complex(np.mean(lam[cluster]))
-        basis = eigenspace_basis(a, rep)
-        if len(basis) >= len(cluster):
-            for member, vector in zip(cluster, basis):
-                vectors[member] = vector
-        # Defective cluster: fewer independent directions than roots; keep
-        # the raw eigensolver vectors rather than inventing a basis.
 
     # All H-norms from one real product, one eigenvector per row: each sum
     # then runs along the contiguous axis, which numpy adds pairwise (a
@@ -265,66 +223,6 @@ def eigen_decompose(
         )
         for k in range(m)
     )
-
-
-def classify_and_pair(
-    pairs: tuple[HEigenPair, ...] | list[HEigenPair],
-    scale: float,
-) -> tuple[tuple[HEigenPair, ...], int]:
-    """Enforce conjugate structure on pairs classified by :func:`eigen_decompose`.
-
-    Each imaginary eigenvalue with positive imaginary part is matched to the
-    closest candidate near its conjugate; the partner is then synthesized as
-    the exact conjugate, which guarantees the even-count property.  ``scale``
-    (the Frobenius norm of the matrix) sets the matching tolerance.  Returns
-    the reordered pairs and the number m of conjugate pairs.
-    """
-    imaginary = [p for p in pairs if p.classification is EigenvalueClass.IMAGINARY]
-    if len(imaginary) % 2 == 1:
-        raise PairingError(
-            f"odd number ({len(imaginary)}) of imaginary eigenvalues; "
-            "conjugate pairing is impossible"
-        )
-    plus = sorted(
-        (p for p in imaginary if p.lam.imag > 0),
-        key=lambda p: (p.lam.real, p.lam.imag),
-    )
-    pool = [p for p in imaginary if p.lam.imag <= 0]
-    match_tol = max(CLUSTER_FACTOR * scale, np.finfo(float).tiny)
-    kept: list[HEigenPair] = [
-        p for p in pairs if p.classification is not EigenvalueClass.IMAGINARY
-    ]
-    m = 0
-    for p in plus:
-        if not pool:
-            raise PairingError(
-                f"imaginary eigenvalue {p.lam} has no conjugate partner"
-            )
-        dist = [abs(c.lam - np.conj(p.lam)) for c in pool]
-        k = int(np.argmin(dist))
-        if dist[k] > match_tol:
-            raise PairingError(
-                f"imaginary eigenvalue {p.lam} has no conjugate partner within "
-                f"{match_tol:.3e} (closest at distance {dist[k]:.3e})"
-            )
-        pool.pop(k)
-        kept.append(p)
-        kept.append(
-            HEigenPair(
-                lam=np.conj(p.lam).item(),
-                w=np.conj(p.w),
-                classification=EigenvalueClass.IMAGINARY,
-                h_norm=p.h_norm,
-            )
-        )
-        m += 1
-    if pool:
-        raise PairingError(
-            "unmatched imaginary eigenvalues remain (a zero eigenvalue cannot "
-            f"be conjugate-paired): {[c.lam for c in pool]}"
-        )
-    kept.sort(key=lambda p: (p.lam.real, p.lam.imag))
-    return tuple(kept), m
 
 
 def analyze(op: SbpOperatorPair, tolerance: float = DEFAULT_TOLERANCE) -> Analysis:
@@ -345,9 +243,8 @@ def spectral_report(
 ) -> SpectralReport:
     """Decompose, classify and probe the penalized matrix of an operator."""
     analysis = analyze(op, tau_eig)
-    pairs, m = classify_and_pair(analysis.pairs, analysis.scale)
     imaginary = [
-        p for p in pairs if p.classification is EigenvalueClass.IMAGINARY
+        p for p in analysis.pairs if p.classification is EigenvalueClass.IMAGINARY
     ]
     # <P_k, w>_H for every degree and imaginary member from one product V^T H W.
     v, _ = legendre_basis(op.x, op.interval, op.q)
@@ -359,8 +256,8 @@ def spectral_report(
     )
     return SpectralReport(
         d_tilde=analysis.d_tilde,
-        pairs=pairs,
-        m=m,
+        pairs=analysis.pairs,
+        m=analysis.m,
         boundary_residuals=tuple(
             (abs(complex(op.p0 @ p.w)), abs(complex(op.pn @ p.w)), max_abs(op.s @ p.w))
             for p in imaginary
@@ -370,67 +267,38 @@ def spectral_report(
     )
 
 
-def orthogonalize_imaginary(
-    source: SpectralReport | tuple[HEigenPair, ...] | list[HEigenPair],
-    h: np.ndarray,
-) -> list[np.ndarray]:
+def orthogonalize_imaginary(analysis: Analysis) -> list[np.ndarray]:
     """Real H-orthonormal basis of the imaginary invariant subspace.
 
-    The eigenvectors w_k of the imaginary eigenvalues with positive imaginary
-    part, sorted by (Re, Im), are stacked as
-    ``X = [Re w_1, Im w_1, ..., Re w_m, Im w_m]``; with the Cholesky factor
-    ``L L^T = X^T H X`` the 2m columns of ``Q = X L^-T`` are H-orthonormal
-    and span the same real subspace as the w_k and their conjugates.  On it
-    the penalized matrix acts as ``M = L^T A L^-T``, where A is block
-    diagonal with ``[[a, b], [-b, a]]`` for each ``lambda_k = a + ib``; a
-    conforming operator is H-skew there, which is asserted as ``M + M^T = 0``
-    (it fails whenever eigenvectors of distinct eigenvalues are not
-    H-orthogonal).  Returns the columns of Q.
+    That subspace is the unobservable subspace N of ``(C, D_tilde)`` with
+    ``C = [p0^T; pn^T; S]`` (see the module docstring), and its Euclidean
+    complement is the block Krylov space of ``D_tilde^T`` started from the
+    columns ``[p0, pn, S]`` (the staircase form, Paige 1981).  Each block is
+    reorthogonalized twice against the space so far and deflated by an SVD
+    at the package rank threshold, scaled by ``||C||_F`` for the first block
+    and by ``||D_tilde||_F`` after it.  N is the rest of one complete QR of
+    the Krylov basis, made H-orthonormal by one Cholesky factorization of
+    its H-Gram matrix; no eigenvector is used.  Returns the columns of that
+    basis, none when N = {0}.
     """
-    pairs = source.pairs if isinstance(source, SpectralReport) else tuple(source)
-    plus = sorted(
-        (
-            p
-            for p in pairs
-            if p.classification is EigenvalueClass.IMAGINARY and p.lam.imag > 0
-        ),
-        key=lambda p: (p.lam.real, p.lam.imag),
-    )
-    if not plus:
-        raise ContractError("no imaginary eigenpairs to orthogonalize")
-    h = np.asarray(h, dtype=float)
-    n = h.shape[0] if h.ndim == 2 else -1
-    if h.shape != (n, n) or any(np.shape(p.w) != (n,) for p in plus):
-        raise ShapeError(f"eigenvectors do not match the norm matrix of shape {h.shape}")
-
-    x = np.column_stack([part(p.w) for p in plus for part in (np.real, np.imag)])
-    gram = x.T @ (h @ x)
-    try:
-        lower = np.linalg.cholesky(gram)
-    except np.linalg.LinAlgError as exc:
-        raise DegenerateEigenspaceError(
-            f"imaginary eigenvectors are linearly dependent in the H geometry: {exc}"
-        ) from exc
-    pivots = np.diagonal(lower) / np.sqrt(np.diagonal(gram))
-    k = int(np.argmin(pivots))
-    if not pivots[k] >= DEGENERACY_FLOOR:
-        raise DegenerateEigenspaceError(
-            f"eigenspace of {plus[k // 2].lam} lost rank during orthogonalization "
-            f"(relative Cholesky pivot {pivots[k]:.3e})"
-        )
-
-    lam = np.array([p.lam for p in plus])
-    a = np.kron(np.diag(lam.real), np.eye(2)) + np.kron(
-        np.diag(lam.imag), [[0.0, 1.0], [-1.0, 0.0]]
-    )
-    # One solve gives Q^T = L^-1 X^T and M^T = L^-1 A^T L together.
-    solved = np.linalg.solve(lower, np.hstack([x.T, a.T @ lower]))
-    q_t, m_t = solved[:, :n], solved[:, n:]
-    defect = max_abs(m_t + m_t.T)
-    if defect > ORTHOGONALITY_ASSERT * max(1.0, max_abs(m_t)):
-        raise InternalInconsistencyError(
-            "the penalized matrix is not H-skew on its imaginary eigenvectors "
-            f"(defect {defect:.3e}); eigenvectors of distinct eigenvalues are "
-            "not H-orthogonal and the operator is not conforming"
-        )
-    return list(q_t)
+    op = analysis.op
+    size = op.n + 1
+    krylov = np.zeros((size, 0))
+    block = np.column_stack([op.p0, op.pn, op.s])
+    scale = float(np.linalg.norm(block))
+    while krylov.shape[1] < size:
+        for _ in range(2):
+            block = block - krylov @ (krylov.T @ block)
+        u, sv, _ = np.linalg.svd(block, full_matrices=False)
+        rank = int(np.count_nonzero(sv > rank_threshold(scale, size)))
+        if rank == 0:
+            break
+        krylov = np.hstack([krylov, u[:, :rank]])
+        block = analysis.d_tilde.T @ u[:, :rank]
+        scale = analysis.scale
+    if krylov.shape[1] == size:
+        return []
+    complete, _ = np.linalg.qr(krylov, mode="complete")
+    z = complete[:, krylov.shape[1]:]
+    lower = np.linalg.cholesky(z.T @ (op.h @ z))
+    return list(np.linalg.solve(lower, z.T))

@@ -22,3 +22,18 @@ def h_norm(f, h) -> float:
     """The norm ``sqrt(f* H f)`` of a real or complex grid vector."""
     f = np.asarray(f)
     return float(np.sqrt(np.real(np.conj(f) @ (np.asarray(h) @ f))))
+
+
+def eigenspace_basis(a, lam) -> list:
+    """Orthonormal (Euclidean) basis of ker(A - lam I) from an SVD.
+
+    The multiplicity oracle: the number of vectors is the geometric
+    multiplicity of ``lam``, decided at the package rank threshold.
+    """
+    from sbpkit.linalg import rank_threshold
+
+    a = np.asarray(a)
+    m = a.shape[0]
+    _, sv, vh = np.linalg.svd(a.astype(complex) - complex(lam) * np.eye(m))
+    g = int(np.count_nonzero(sv <= rank_threshold(float(sv[0]), m)))
+    return [np.conj(vh[k]) for k in range(m - g, m)]

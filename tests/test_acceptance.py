@@ -38,9 +38,8 @@ from sbpkit import (
 from sbpkit.cli import main
 from sbpkit.errors import IndefiniteNormError
 from sbpkit.pseudospectral import chebyshev_gauss_lobatto_nodes
-from sbpkit.spectral import eigenspace_basis
 
-from oracles import vandermonde_d
+from oracles import eigenspace_basis, vandermonde_d
 
 INV_SQRT5 = 0.4472135954999579
 

@@ -39,13 +39,16 @@ def worker(monkeypatch):
     return importlib.import_module("worker")
 
 
-# Slots 0 and 1 hold a plain and a dense H (diagnose_fd), and one and six
-# planted imaginary pairs (repair_planted).
-@pytest.mark.parametrize("workload", ["DiagnoseFd", "RepairPlanted"])
-def test_benchmark_oracle_accepts_the_outputs(worker, tmp_path, workload):
+# Slots 0 and 1 of diagnose_fd hold a plain and a dense H; all six slots of
+# repair_planted run, with one, three and six planted imaginary pairs, each
+# plain and under a congruence.
+@pytest.mark.parametrize("workload, slots", [("DiagnoseFd", 2), ("RepairPlanted", 6)],
+                         ids=["DiagnoseFd", "RepairPlanted"])
+def test_benchmark_oracle_accepts_the_outputs(worker, tmp_path, workload, slots):
     bench = getattr(worker, workload)(seed=7, work_dir=str(tmp_path))
     bench.prepare(setup_only=False)
-    for item in bench.items[:2]:
+    assert len(bench.items) >= slots
+    for item in bench.items[:slots]:
         assert bench.check(item, bench.run(item)) == ("ok", [])
 
 

@@ -5,12 +5,14 @@ from sbpkit import (
     Family,
     Interval,
     NodeFamily,
+    analyze,
     build_interpolatory_h,
     build_pseudospectral_d,
     build_pseudospectral_operator,
     certify_families,
     legendre_gauss_lobatto,
     load_operator,
+    orthogonalize_imaginary,
     save_operator,
     verify_all,
 )
@@ -249,7 +251,8 @@ def test_diagonal_norm_only_where_exact_on_shifted_intervals(
     # n; on [100, 101] their identity defect reaches 7.4e-12 at n = 31, from
     # nodes stored to eps * |x| next to spacings near 1e-3.  Every operator
     # built here must also verify after a save/load round trip, exactly of
-    # order n, wherever the interval sits.
+    # order n, wherever the interval sits, and its imaginary invariant
+    # subspace must be {0}.
     make = {
         Family.LEGENDRE_GAUSS_LOBATTO: NodeFamily.legendre_gauss_lobatto,
         Family.CHEBYSHEV_GAUSS_LOBATTO: NodeFamily.chebyshev_gauss_lobatto,
@@ -264,10 +267,12 @@ def test_diagonal_norm_only_where_exact_on_shifted_intervals(
         defect = hd + hd.T + np.outer(op.p0, op.p0) - np.outer(op.pn, op.pn)
         assert np.max(np.abs(defect)) <= identity_rtol * np.max(np.abs(hd)), n
         save_operator(op, path)
-        report = verify_all(load_operator(path))
+        loaded = load_operator(path)
+        report = verify_all(loaded)
         assert report.all_passed(), (n, report.to_document())
         assert report.observed_order == n
         assert report.nullspace_consistent and report.eigenvalue_property, n
+        assert orthogonalize_imaginary(analyze(loaded)) == [], n
 
 
 def test_oversized_degree_rejected():

@@ -2,30 +2,28 @@ import numpy as np
 import pytest
 
 from sbpkit import (
-    EigenvalueClass,
-    HEigenPair,
+    Interval,
     NormChoice,
     analyze,
+    build_classical_fd,
     build_counterexample,
     build_d_tilde,
     build_s_prime,
     build_two_point,
     check_eigenvalue_property,
     orthogonalize_imaginary,
-    predicted_shift,
     repair_operator,
     spectral_report,
     verify_all,
 )
 from sbpkit.errors import (
     ContractError,
+    InternalInconsistencyError,
     ParameterError,
     RepairImpossibleError,
     ShapeError,
 )
 from sbpkit.linalg import svd_rank
-
-from oracles import h_norm
 
 
 def _paper_style_eigenvector():
@@ -36,7 +34,7 @@ def _paper_style_eigenvector():
 
 
 def _ortho_vectors(op):
-    return orthogonalize_imaginary(spectral_report(op), op.h)
+    return orthogonalize_imaginary(analyze(op))
 
 
 def _sorted_eigs(matrix):
@@ -106,25 +104,13 @@ def test_s_prime_closed_form_on_counterexample():
 
 
 def test_s_prime_on_a_two_dimensional_eigenspace():
-    # two non-orthogonal eigenvectors of one imaginary eigenvalue; the diagonal
-    # H keeps Re w and Im w H-orthogonal with equal norms, as an H-skew
-    # operator's eigenvectors are
+    # an explicit H-orthonormal basis Q of span{e_1..e_4}: any such basis
+    # has Q Q^T = P = diag(1/2, 1/2, 1/3, 1/3, 0, 0), and S' = H P H
     h = np.diag([2.0, 2.0, 3.0, 3.0, 1.0, 1.0])
-    first = np.array([1, 1j, 0, 0, 0, 0])
-    second = first + np.array([0, 0, 1, 1j, 0, 0])
-    pairs = [HEigenPair(0.5j, w, EigenvalueClass.IMAGINARY, h_norm(w, h))
-             for w in (first, second)]
-    vectors = orthogonalize_imaginary(pairs, h)
-    q = np.column_stack(vectors)
-    assert q.shape == (6, 4)
-    assert np.max(np.abs(q.conj().T @ h @ q - np.eye(4))) <= 1e-14
-    # the H-orthogonal projector onto span{e_1..e_4} is diag(1/2, 1/2, 1/3, 1/3, 0, 0)
-    x = np.column_stack([first.real, first.imag, second.real, second.imag])
-    projector = x @ np.linalg.solve(x.T @ h @ x, x.T)
-    np.testing.assert_allclose(projector, np.diag([0.5, 0.5, 1 / 3, 1 / 3, 0, 0]),
-                               atol=1e-15)
+    vectors = [np.eye(6)[k] / np.sqrt(h[k, k]) for k in range(4)]
     s_prime = build_s_prime(h, vectors, [1.0, 1.0])
-    assert np.max(np.abs(s_prime - h @ projector @ h)) <= 1e-14
+    p = np.diag([0.5, 0.5, 1 / 3, 1 / 3, 0.0, 0.0])
+    assert np.max(np.abs(s_prime - h @ p @ h)) <= 1e-14
 
 
 def test_s_prime_rejects_nonpositive_eps():
@@ -141,28 +127,7 @@ def test_s_prime_rejects_odd_vector_count():
 
 
 # ---------------------------------------------------------------------------
-# predicted_shift
-
-
-def test_predicted_shift_unit_vector():
-    pair = HEigenPair(0.3j, np.array([1.0 + 0j]), EigenvalueClass.IMAGINARY, 1.0)
-    assert predicted_shift(pair, 0.01) == pytest.approx(0.005)
-
-
-def test_predicted_shift_unnormalized_vector():
-    # the closed-form eigenvector has squared H-norm 40
-    op = build_counterexample()
-    w = _paper_style_eigenvector()
-    pair = HEigenPair(0.4472135955j, w, EigenvalueClass.IMAGINARY, h_norm(w, op.h))
-    eps = 0.01
-    assert predicted_shift(pair, eps) == pytest.approx(20.0 * eps, rel=1e-12)
-
-
-def test_predicted_shift_requires_imaginary_pair():
-    pair = HEigenPair(1.0 + 1.0j, np.array([1.0 + 0j]),
-                      EigenvalueClass.POSITIVE_REAL_PART, 1.0)
-    with pytest.raises(ContractError):
-        predicted_shift(pair, 0.01)
+# shift of the imaginary eigenvalues
 
 
 def test_measured_shift_matches_prediction():
@@ -294,3 +259,77 @@ def test_repaired_spectrum_is_clean():
     check = check_eigenvalue_property(analyze(repaired))
     assert check.has_property
     assert check.min_real_part == pytest.approx(0.5 * plan.epsilons[0], rel=1e-6)
+
+
+# ---------------------------------------------------------------------------
+# planted imaginary subspace
+
+
+def _plant(op, omegas, rng, congruent):
+    """Plant +-i*omega_k into ``op`` (S = 0) as ``perfbench/gen.py:plant_pairs``
+    does: ``D' = (I - P) D (I - P) + sum_k omega_k (v_k u_k^T - u_k v_k^T) H``
+    with ``Z = [u_1, v_1, ...]`` H-orthonormal, annihilated by p0 and pn and
+    H-orthogonal to x^0..x^q, and ``P = Z Z^T H``.  With ``congruent`` the
+    result is mapped by ``T = I + U V^T`` (``V^T x^j = 0`` for j <= q + 1),
+    which gives a dense H.  Returns the operator and its planted Z."""
+    size = op.n + 1
+    h = op.h
+    c = np.vstack([op.p0, op.pn, (h @ np.vander(op.x, op.q + 1, increasing=True)).T])
+    rows, _ = np.linalg.qr(c.T)
+    z = rng.standard_normal((size, 2 * len(omegas)))
+    z -= rows @ (rows.T @ z)
+    z = np.linalg.solve(np.linalg.cholesky(z.T @ h @ z), z.T).T
+    rot = np.zeros((size, size))
+    for k, omega in enumerate(omegas):
+        u, v = z[:, 2 * k], z[:, 2 * k + 1]
+        rot += omega * (np.outer(v, u) - np.outer(u, v))
+    proj = np.eye(size) - z @ z.T @ h
+    d = proj @ op.d_plus @ proj + rot @ h
+    if not congruent:
+        return op.with_fields(d_plus=d, d_minus=d), z
+    poly, _ = np.linalg.qr(np.vander(op.x, op.q + 2, increasing=True))
+    v = rng.standard_normal((size, 3))
+    v -= poly @ (poly.T @ v)
+    v /= np.linalg.norm(v, axis=0)
+    u = rng.standard_normal((size, 3))
+    u *= 0.5 / np.linalg.norm(u @ v.T, 2)
+    t = np.eye(size) + u @ v.T
+    t_inv = np.linalg.inv(t)
+    h = t.T @ h @ t
+    d = t_inv @ d @ t
+    return op.with_fields(d_plus=d, d_minus=d, h=0.5 * (h + h.T), p0=t.T @ op.p0,
+                          pn=t.T @ op.pn), t_inv @ z
+
+
+@pytest.mark.parametrize("congruent", [False, True], ids=["plain", "congruent"])
+@pytest.mark.parametrize("omegas", [(3.0,), (9.0, 9.0, 17.0)], ids=["3", "9_9_17"])
+def test_repair_is_the_projector_onto_the_planted_subspace(omegas, congruent):
+    op, z = _plant(build_classical_fd(40, Interval(0.0, 1.0)), omegas,
+                   np.random.default_rng(40), congruent)
+    m = len(omegas)
+    assert len(orthogonalize_imaginary(analyze(op))) == 2 * m
+
+    repaired, plan = repair_operator(op, 1e-3)
+    eps = plan.epsilons[0]
+    expected = op.h @ z @ z.T @ op.h
+    assert np.max(np.abs(plan.s_prime / eps - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+    # the planted +-i*omega_k move to eps/2 +- i*omega_k, the rest stays
+    before = _sorted_eigs(build_d_tilde(op))
+    planted = np.concatenate([1j * np.array(omegas), -1j * np.array(omegas)])
+    near = np.min(np.abs(before[:, None] - planted[None, :]), axis=1) <= 1e-9
+    assert np.count_nonzero(near) == 2 * m
+    after = list(_sorted_eigs(build_d_tilde(repaired)))
+    for lam in np.where(near, before + 0.5 * eps, before):
+        k = int(np.argmin(np.abs(np.array(after) - lam)))
+        assert abs(after.pop(k) - lam) <= 1e-9
+
+
+def test_repair_rejects_a_band_pair_without_an_unobservable_subspace():
+    # After a repair by 1e-11 the moved pair still lies in the band
+    # 1e-10 * ||D_tilde||_F, but S' makes it observable: N = {0}.
+    once, _ = repair_operator(build_counterexample(), 1e-11)
+    assert spectral_report(once).m == 1
+    assert orthogonalize_imaginary(analyze(once)) == []
+    with pytest.raises(InternalInconsistencyError):
+        repair_operator(once, 1e-3)

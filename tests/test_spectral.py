@@ -1,13 +1,14 @@
 import collections
+import json
 
 import numpy as np
 import pytest
 
 from sbpkit import (
     EigenvalueClass,
-    HEigenPair,
     Interval,
     NodeFamily,
+    analyze,
     build_classical_fd,
     build_counterexample,
     build_d_tilde,
@@ -18,21 +19,20 @@ from sbpkit import (
     h_inner,
     orthogonalize_imaginary,
     repair_operator,
+    save_operator,
     spectral,
     spectral_report,
     verify_all,
 )
+from sbpkit.cli import main
 from sbpkit.errors import (
     ContractError,
-    DegenerateEigenspaceError,
-    InternalInconsistencyError,
-    PairingError,
     ParameterError,
+    RepairImpossibleError,
     ShapeError,
 )
-from sbpkit.spectral import classify_and_pair, eigenspace_basis
 
-from oracles import h_norm
+from oracles import eigenspace_basis, h_norm
 
 INV_SQRT5 = 0.4472135954999579
 
@@ -169,17 +169,17 @@ def test_h_inner_length_mismatch():
 
 
 # ---------------------------------------------------------------------------
-# classification and conjugate pairing
+# classification
 
 
-def test_classify_and_pair_counterexample():
+def test_report_counts_the_counterexample_pair():
     op = build_counterexample()
     report = spectral_report(op)
     assert report.m == 1
     assert len(report.imaginary()) == 2
 
 
-def test_classify_and_pair_two_point():
+def test_report_counts_no_pair_on_two_point():
     assert spectral_report(build_two_point()).m == 0
 
 
@@ -193,30 +193,21 @@ def test_report_rejects_a_nonpositive_band(tau):
 def test_classification_band():
     # eigenvalues 1e-15 +- 0.3i lie inside the band 1e-9 * ||A||_F
     a = np.array([[1e-15, 0.3], [-0.3, 1e-15]])
-    scale = np.linalg.norm(a, "fro")
-    pairs, m = classify_and_pair(eigen_decompose(a, tau_eig=1e-9), scale)
-    assert m == 1
+    pairs = eigen_decompose(a, tau_eig=1e-9)
     assert all(p.classification is EigenvalueClass.IMAGINARY for p in pairs)
-
-
-def test_unpaired_imaginary_eigenvalue_is_an_error():
-    w = np.array([1.0, 0.0], dtype=complex)
-    lone = HEigenPair(0.3j, w, EigenvalueClass.IMAGINARY, 1.0)
-    with pytest.raises(PairingError):
-        classify_and_pair([lone], scale=1.0)
-
-
-def test_zero_eigenvalue_cannot_be_paired():
-    w = np.array([1.0, 0.0], dtype=complex)
-    zeros = [
-        HEigenPair(0.0 + 0.0j, w, EigenvalueClass.IMAGINARY, 1.0),
-        HEigenPair(0.0 + 0.0j, w, EigenvalueClass.IMAGINARY, 1.0),
-    ]
-    with pytest.raises(PairingError):
-        classify_and_pair(zeros, scale=1.0)
+    # a repair by 1e-11 moves +-i/sqrt(5) to about 7e-12 +- i/sqrt(5), still
+    # inside the default band 1e-10 * ||D_tilde||_F, so the pair is counted
+    repaired, plan = repair_operator(build_counterexample(), 1e-11)
+    pairs = eigen_decompose(build_d_tilde(repaired), h=repaired.h)
+    inside = [p for p in pairs if p.classification is EigenvalueClass.IMAGINARY]
+    assert [p.lam.real > 0.0 for p in inside] == [True, True]
+    assert inside[0].lam.real == pytest.approx(0.5 * plan.epsilons[0], rel=1e-3)
+    assert spectral_report(repaired).m == 1
 
 
 def test_conjugate_closure_is_exact():
+    # LAPACK returns the complex eigenpairs of a real matrix as exact
+    # conjugates; the report relies on it and synthesizes nothing
     report = spectral_report(build_counterexample())
     imaginary = report.imaginary()
     by_value = {p.lam for p in imaginary}
@@ -227,93 +218,55 @@ def test_conjugate_closure_is_exact():
     np.testing.assert_array_equal(minus.w, np.conj(plus.w))
 
 
+def _crippled_counterexample():
+    # rows 2 and 3 of D_plus zeroed: ker D_plus is two-dimensional, and the
+    # penalized matrix has a double zero eigenvalue
+    op = build_counterexample()
+    d = np.array(op.d_plus)
+    d[2] = 0.0
+    d[3] = 0.0
+    return op.with_fields(d_plus=d, d_minus=d)
+
+
+def test_spectrum_of_an_operator_that_is_not_nullspace_consistent(capsys, tmp_path):
+    op = _crippled_counterexample()
+    report = spectral_report(op)
+    zeros = [p for p in report.pairs if p.lam == 0.0]
+    assert len(zeros) == 2
+    assert all(p.classification is EigenvalueClass.IMAGINARY for p in zeros)
+    assert report.m == 0
+    path = str(tmp_path / "crippled.json")
+    save_operator(op, path)
+    assert main(["spectrum", "--input", path]) == 0
+    assert json.loads(capsys.readouterr().out)["m"] == 0
+    with pytest.raises(RepairImpossibleError):
+        repair_operator(op, 1e-3)
+
+
 # ---------------------------------------------------------------------------
-# orthogonalization
+# basis of the imaginary invariant subspace
 
 
 def test_orthogonalize_counterexample():
     op = build_counterexample()
-    report = spectral_report(op)
-    vectors = orthogonalize_imaginary(report, op.h)
+    vectors = orthogonalize_imaginary(analyze(op))
     assert len(vectors) == 2
-    for v in vectors:
-        assert h_norm(v, op.h) == pytest.approx(1.0, abs=1e-12)
-    assert abs(h_inner(vectors[0], vectors[1], op.h)) < 1e-10
-
-
-def test_orthogonalize_single_vector_is_normalized():
-    op = build_counterexample()
-    w = _paper_style_eigenvector()
-    single = [HEigenPair(1j * INV_SQRT5, w, EigenvalueClass.IMAGINARY,
-                         h_norm(w, op.h))]
-    vectors = orthogonalize_imaginary(single, op.h)
-    assert h_norm(vectors[0], op.h) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_orthogonalize_degenerate_input():
-    op = build_counterexample()
-    w = _paper_style_eigenvector()
-    duplicated = [
-        HEigenPair(1j * INV_SQRT5, w, EigenvalueClass.IMAGINARY, h_norm(w, op.h)),
-        HEigenPair(1j * INV_SQRT5, w.copy(), EigenvalueClass.IMAGINARY,
-                   h_norm(w, op.h)),
-    ]
-    with pytest.raises(DegenerateEigenspaceError):
-        orthogonalize_imaginary(duplicated, op.h)
-
-
-# H = diag(2, 2, 3, 3, 1, 1): for these vectors Re w and Im w are H-orthogonal
-# with equal H-norms, as for the eigenvectors of an H-skew operator.
-PLANE_H = np.diag([2.0, 2.0, 3.0, 3.0, 1.0, 1.0])
-PLANE_W = np.array([1, 1j, 0, 0, 0, 0])
-PLANE_V = np.array([0, 0, 1, 1j, 0, 0])
-
-
-def _imaginary_pairs(lams, vectors, h):
-    return [HEigenPair(lam, w, EigenvalueClass.IMAGINARY, h_norm(w, h))
-            for lam, w in zip(lams, vectors)]
-
-
-@pytest.mark.parametrize("delta", [0.0] + [10.0**-k for k in range(0, 16, 2)])
-def test_orthogonalize_near_dependent_eigenspace(delta):
-    # Either the rank loss is reported or the basis is H-orthonormal; a
-    # basis that is neither is never returned (delta = 0 must raise).
-    pairs = _imaginary_pairs([0.5j, 0.5j], [PLANE_W, PLANE_W + delta * PLANE_V],
-                             PLANE_H)
-    try:
-        vectors = orthogonalize_imaginary(pairs, PLANE_H)
-    except DegenerateEigenspaceError:
-        assert delta < 1e-2
-        return
     q = np.column_stack(vectors)
-    assert np.max(np.abs(q.conj().T @ PLANE_H @ q - np.eye(4))) <= 1e-8
+    assert not np.iscomplexobj(q)
+    assert np.max(np.abs(q.T @ op.h @ q - np.eye(2))) <= 1e-14
+    # the plane of Re w and Im w of the closed-form eigenvector
+    w = _paper_style_eigenvector()
+    plane = np.column_stack([w.real, w.imag])
+    assert np.linalg.matrix_rank(np.hstack([q, plane]), tol=1e-10) == 2
 
 
-@pytest.mark.parametrize("lams, second", [
-    # not H-orthogonal to w itself, at a distinct eigenvalue
-    ((0.5j, 1.5j), PLANE_W + PLANE_V),
-    # H-orthogonal to w but not to conj(w), at a distinct eigenvalue
-    ((0.5j, 1.5j), np.conj(PLANE_W) + PLANE_V),
-    # the same, inside one eigenspace (conj(w) belongs to -0.5i)
-    ((0.5j, 0.5j), np.conj(PLANE_W) + PLANE_V),
-])
-def test_orthogonalize_rejects_non_h_orthogonal_eigenvectors(lams, second):
-    h = np.eye(6)
-    pairs = _imaginary_pairs(lams, [PLANE_W, second], h)
-    with pytest.raises(InternalInconsistencyError):
-        orthogonalize_imaginary(pairs, h)
-
-
-def test_orthogonalize_rejects_a_norm_of_the_wrong_size():
-    op = build_counterexample()
-    with pytest.raises(ShapeError):
-        orthogonalize_imaginary(spectral_report(op), np.eye(5))
-
-
-def test_orthogonalize_requires_imaginary_pairs():
-    op = build_two_point()
-    with pytest.raises(ContractError):
-        orthogonalize_imaginary(spectral_report(op), op.h)
+@pytest.mark.parametrize("build", [
+    build_two_point,
+    lambda: build_classical_fd(64, Interval(0.0, 1.0)),
+    lambda: repair_operator(build_counterexample(), 1e-3)[0],
+], ids=["two_point", "classical_fd_64", "repaired_counterexample"])
+def test_orthogonalize_is_empty_with_the_eigenvalue_property(build):
+    assert orthogonalize_imaginary(analyze(build())) == []
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from sbpkit import (
     derive_d_minus,
     load_operator,
     operator_to_document,
+    orthogonalize_imaginary,
     repair_operator,
     verify_all,
 )
@@ -353,18 +354,18 @@ def test_verdicts_do_not_depend_on_where_the_interval_sits(name, c, s):
 # exact oracle
 
 
+def _exact(sp, a):
+    m = sp.Matrix(np.atleast_2d(a)).applyfunc(lambda v: sp.nsimplify(v, rational=True))
+    # the rationals are the fixture: they round back to its doubles
+    assert np.array_equal(np.array(m, dtype=float), np.atleast_2d(a))
+    return m
+
+
 def test_counterexample_facts_hold_over_the_rationals():
     sp = pytest.importorskip("sympy")
     op = build_counterexample()
-
-    def exact(a):
-        m = sp.Matrix(np.atleast_2d(a)).applyfunc(lambda v: sp.nsimplify(v, rational=True))
-        # the rationals are the fixture: they round back to its doubles
-        assert np.array_equal(np.array(m, dtype=float), np.atleast_2d(a))
-        return m
-
-    d, dm, h, s = (exact(a) for a in (op.d_plus, op.d_minus, op.h, op.s))
-    p0, pn, x = (exact(a).T for a in (op.p0, op.pn, op.x))
+    d, dm, h, s = (_exact(sp, a) for a in (op.d_plus, op.d_minus, op.h, op.s))
+    p0, pn, x = (_exact(sp, a).T for a in (op.p0, op.pn, op.x))
     a, b = sp.Rational(-5, 2), sp.Rational(5, 2)
     boundary = -p0 * p0.T + pn * pn.T
     assert h * d + d.T * h - boundary - s == sp.zeros(6, 6)
@@ -384,3 +385,29 @@ def test_counterexample_facts_hold_over_the_rationals():
     expected = (5 * lam**2 + 1) * (25 * lam**4 - 50 * lam**3 + 55 * lam**2
                                    - 34 * lam + 10) / 125
     assert sp.expand(d_tilde.charpoly(lam).as_expr() - expected) == 0
+
+
+def test_counterexample_unobservable_subspace_over_the_rationals():
+    # S = 0, so C = [p0^T; pn^T]; the kernel of [C; C D~; ...; C D~^5] is the
+    # unobservable subspace, the plane of Re w and Im w / sqrt(5) of the
+    # paper's eigenvector w = (0, 1, -3, 3, -1, 0) + i sqrt(5) (0, 1, -1, -1, 1, 0)
+    sp = pytest.importorskip("sympy")
+    op = build_counterexample()
+    assert not np.any(op.s)
+    d, h, p0, pn = (_exact(sp, a) for a in (op.d_plus, op.h, op.p0, op.pn))
+    d_tilde = d + h.inv() * p0.T * p0
+    blocks = [p0.col_join(pn)]
+    for _ in range(5):
+        blocks.append(blocks[-1] * d_tilde)
+    observability = sp.Matrix.vstack(*blocks)
+    assert observability.rank() == 4
+    kernel = sp.Matrix.hstack(*observability.nullspace())
+    plane = sp.Matrix([[0, 1, -2, 1, 0, 0], [0, 2, -3, 0, 1, 0]]).T
+    assert sp.Matrix.hstack(kernel, plane).rank() == 2
+    paper = sp.Matrix([[0, 1, -3, 3, -1, 0], [0, 1, -1, -1, 1, 0]]).T
+    assert sp.Matrix.hstack(plane, paper).rank() == 2
+
+    basis, _ = np.linalg.qr(np.column_stack(orthogonalize_imaginary(analyze(op))))
+    exact, _ = np.linalg.qr(np.array(plane, dtype=float))
+    sines = np.linalg.svd(exact - basis @ (basis.T @ exact), compute_uv=False)
+    assert np.max(sines) <= 1e-13
