@@ -7,18 +7,43 @@ insertion order and floats are printed with 17 significant digits
 refused with ``ParameterError``.
 
 A flat list whose elements are all exactly ``float`` (the shape of every
-``ndarray.tolist()`` in a document) is formatted in one pass with
-``map``/``join``.  Finite ``%.17g`` output never contains the letter ``n``,
-so an ``n`` in the joined text means an inf or a nan is present; the list
-then takes the per-element path, which raises the error.  Every other list
-(ints, bools, numpy scalars, mixed or nested) takes the per-element path.
+``ndarray.tolist()`` in a document) is not formatted where the walk meets
+it.  The walk leaves a placeholder; once it is done, the values of all such
+lists stream, in emit order, through chunks of ``_CHUNK`` doubles, and numpy
+computes the text of a whole chunk at once:
+
+- The 17 significant digits of ``|x|`` are the integer ``D = round(y)``,
+  ``y = |x| 10^k`` with ``10^16 <= y < 10^17``.  Dekker's two-product (1971)
+  against a double-double table of ``10^k`` gives ``y = hi + lo`` with ``hi``
+  an integer and an absolute error below ``1e-14``, so ``D = hi + rint(lo)``
+  is the correctly rounded ``D`` unless ``y`` lies near a half-integer.  A
+  ``D`` of ``10^17`` carries into the exponent; a zero takes ``D = 0``.
+- Sign, digits, decimal point, exponent and the separator ``", "`` are laid
+  into ``uint8`` columns, one row per value.  Columns a value does not use
+  hold NUL, and deleting every NUL byte leaves the chunk's text.  The last
+  value of a list gets ``]`` instead of the separator, which splits the
+  chunk's text into the text of each list.
+
+``%.17g`` itself formats every value the fast path cannot decide: values
+outside ``_FAST_MIN <= |x| < _FAST_MAX``, values whose ``y`` lies within
+``_TIE_MARGIN`` of a half-integer (an 18th digit at or next to a rounding
+tie), and non-finite values, which raise the error.  Everything else gets
+the digits ``%.17g`` computes, since both round correctly, and the same
+notation rule: exponent form when the decimal exponent is below -4 (the
+fast range has none of 17 or more), trailing zeros and a bare point
+dropped.  So every byte equals the ``%.17g`` output.
+
+A list's text is complete as soon as its last value is done, so beyond the
+strings of the document, one chunk's arrays and text are alive at a time.
+Every other list (ints, bools, numpy scalars, mixed or nested) takes the
+per-element path.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from typing import Any
+from typing import Any, Iterator
 
 import numpy as np
 
@@ -29,6 +54,66 @@ __all__ = ["dumps", "format_float"]
 #: The one number format of every document.
 _FORMAT_FLOAT = "%.17g".__mod__
 
+#: Doubles formatted per numpy pass; bounds the working set of one dumps call.
+_CHUNK = 4096
+
+#: The fast path's range of |x|.
+_FAST_MIN, _FAST_MAX = 1e-28, 1e16
+
+#: Distance of |x| 10^k from a half-integer below which %.17g decides.
+_TIE_MARGIN = 1e-9
+
+# 10^k for k = 0 .. 46 as hi + lo (both doubles), with hi split into
+# 26-bit halves for Dekker's product.
+_POW10 = [10**k for k in range(47)]
+_P_HI = np.array(_POW10, dtype=float)
+_P_LO = np.array([p - int(h) for p, h in zip(_POW10, _P_HI)], dtype=float)
+_SPLIT = 134217729.0  # 2^27 + 1
+_P_HH = _P_HI * _SPLIT - (_P_HI * _SPLIT - _P_HI)
+_P_HL = _P_HI - _P_HH
+
+# Each entry of _DIGIT_WORDS spells four digits as the eight bytes
+# "d\0d\0d\0d\0", the layout of digits 1-16 in a row (below).  Entry g
+# spells g with its trailing zeros as NUL, entry 10000 + g all four digits.
+_QUADS = np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1).T + ord("0")
+_TRAILING = np.logical_and.accumulate(_QUADS[:, ::-1] == ord("0"), axis=1)[:, ::-1]
+_DIGIT_WORDS = np.zeros((2, 10000, 8), dtype=np.uint8)
+_DIGIT_WORDS[0, :, ::2] = _QUADS * ~_TRAILING
+_DIGIT_WORDS[1, :, ::2] = _QUADS
+_DIGIT_WORDS = _DIGIT_WORDS.view(np.uint64).ravel()
+del _QUADS, _TRAILING
+
+# One row of 48 bytes per value: the sign in column 0, the "0." and zeros of
+# 0.000ddd in columns 1-5, significant digit j in column 6 + 2j with a
+# decimal point after it in column 7 + 2j, the exponent in columns 40-43 and
+# the separator in 44-45.  Every column a value leaves empty holds NUL.
+_DIGIT, _EXP, _SEP, _WIDTH = 6, 40, 44, 48
+
+#: Decimal exponents of the fast range (1e-28 itself prints as 9.99...e-29).
+_X_MIN, _X_MAX = -29, 15
+
+
+def _templates() -> np.ndarray:
+    """The bytes of a row that depend on the decimal exponent X alone: row
+    ``X - _X_MIN``."""
+    x = np.arange(_X_MIN, _X_MAX + 1)[:, None]
+    sci = x < -4
+    small = (x < 0) & ~sci
+    j = np.arange(17)
+    rows = np.zeros((x.size, _WIDTH), dtype=np.uint8)
+    rows[:, 1:3] = np.where(small, np.frombuffer(b"0.", dtype=np.uint8), 0)
+    rows[:, 3:6] = np.where(small & (j[:3] < -1 - x), ord("0"), 0)
+    # The integer digits of a fixed-point value print their trailing zeros.
+    rows[:, _DIGIT:_EXP:2] = np.where((x >= 0) & (j <= x), ord("0"), 0)
+    exponent = b"".join(b"e%+03d" % e for e in range(_X_MIN, _X_MAX + 1))
+    exponent = np.frombuffer(exponent, dtype=np.uint8).reshape(-1, 4)
+    rows[:, _EXP:_SEP] = np.where(sci, exponent, 0)
+    rows[:, _SEP:_SEP + 2] = np.frombuffer(b", ", dtype=np.uint8)
+    return rows
+
+
+_TEMPLATES = _templates()
+
 
 def format_float(value: float) -> str:
     """Render a finite double with 17 significant digits."""
@@ -37,7 +122,124 @@ def format_float(value: float) -> str:
     return _FORMAT_FLOAT(float(value))
 
 
-def _emit(obj: Any, indent: int, level: int, out: list[str]) -> None:
+def _scaled(a: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``a * 10^k`` as ``hi + lo``: Dekker's two-product plus the table's lo."""
+    hi = a * _P_HI[k]
+    c = a * _SPLIT
+    ah = c - (c - a)
+    al = a - ah
+    bh, bl = _P_HH[k], _P_HL[k]
+    err = ((ah * bh - hi) + ah * bl + al * bh) + al * bl
+    return hi, err + a * _P_LO[k]
+
+
+def _format_chunk(v: np.ndarray, last: np.ndarray) -> str:
+    """Text of ``v`` as list elements: ``]`` after the values at ``last``,
+    ``", "`` after every other value."""
+    size = v.size
+    a = np.abs(v)
+    fast = (a >= _FAST_MIN) & (a < _FAST_MAX)
+    zero = v == 0
+    a[~fast] = 1.0
+
+    # Decimal exponent X of |x|, so that y = |x| 10^(16 - X) is in [1e16, 1e17).
+    # log10 may miss by one next to a power of ten; the exact test mends it.
+    k = 16 - np.floor(np.log10(a)).astype(np.intp)
+    hi, lo = _scaled(a, k)
+    low = (hi < 1e16) | ((hi == 1e16) & (lo < 0))
+    high = (hi > 1e17) | ((hi == 1e17) & (lo >= 0))
+    miss = np.flatnonzero(low | high)
+    if miss.size:
+        k[miss] += low[miss].astype(np.intp) - high[miss]
+        hi[miss], lo[miss] = _scaled(a[miss], k[miss])
+    slow = np.abs(lo - np.floor(lo) - 0.5) < _TIE_MARGIN
+    slow |= ~(fast | zero)
+    d = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+    carry = d == 10**17
+    d[carry] = 10**16
+    d[zero] = 0
+    x = 16 - k + carry
+    x[zero] = 0
+
+    # Digits 1-16 in four groups of four, which leaves d the leading digit.
+    # A group keeps its trailing zeros only if a later group is nonzero, so
+    # the number's trailing zeros are NUL.
+    groups = np.empty((4, size), dtype=np.intp)
+    for g in (3, 2, 1, 0):
+        q = d // 10000
+        np.subtract(d, 10000 * q, out=groups[g])
+        d = q
+    later = groups[3] != 0
+    for g in (2, 1, 0):
+        nonzero = groups[g] != 0
+        np.add(groups[g], 10000, out=groups[g], where=later)
+        later |= nonzero
+    words = np.take(_DIGIT_WORDS, groups)
+
+    buf = np.take(_TEMPLATES, x - _X_MIN, axis=0)
+    buf[:, 0] = np.where(np.signbit(v), ord("-"), 0)
+    buf[:, _DIGIT] = d + ord("0")
+    for g in range(4):
+        buf.view(np.uint64)[:, 1 + g] |= words[g]
+    # A point follows the units digit (the first digit in exponent form) if
+    # a digit after it is printed; 0.000ddd has its point in the template.
+    flat = buf.ravel()
+    at = np.arange(size) * _WIDTH + _DIGIT + 1 + 2 * np.maximum(x, 0)
+    flat[at[(flat[at + 1] != 0) & ((x < -4) | (x >= 0))]] = ord(".")
+    buf[last, _SEP] = ord("]")
+    buf[last, _SEP + 1] = 0
+
+    # %.17g writes the values the fast path does not decide, spliced in
+    # where their rows hold a lone \x01.
+    slow = np.flatnonzero(slow)
+    if slow.size:
+        buf[slow, :_SEP] = 0
+        buf[slow, 0] = 1
+    text = buf.tobytes().translate(None, b"\0").decode("ascii")
+    if not slow.size:
+        return text
+    parts = text.split("\x01")
+    spliced = [""] * (2 * len(parts) - 1)
+    spliced[::2] = parts
+    spliced[1::2] = [format_float(value) for value in v[slow].tolist()]
+    return "".join(spliced)
+
+
+def _format_lists(lists: list) -> Iterator[str]:
+    """Yield the text of each flat float list in order, without its opening
+    bracket, chunk by chunk."""
+    values: list[float] = []
+    last: list[int] = []
+    open_parts: list[str] = []
+
+    def flush() -> Iterator[str]:
+        chunk = _format_chunk(np.array(values, dtype=float), np.array(last, dtype=np.intp))
+        values.clear()
+        last.clear()
+        *done, tail = chunk.split("]")
+        for text in done:
+            open_parts.extend((text, "]"))
+            yield "".join(open_parts)
+            open_parts.clear()
+        if tail:
+            open_parts.append(tail)
+
+    for lst in lists:
+        start = 0
+        while len(lst) - start > _CHUNK - len(values):
+            stop = start + _CHUNK - len(values)
+            values.extend(lst[start:stop])
+            start = stop
+            yield from flush()
+        values.extend(lst[start:] if start else lst)
+        last.append(len(values) - 1)
+        if len(values) >= _CHUNK:
+            yield from flush()
+    if values:
+        yield from flush()
+
+
+def _emit(obj: Any, indent: int, level: int, out: list, lists: list) -> None:
     pad = " " * (indent * level)
     inner = " " * (indent * (level + 1))
     if isinstance(obj, dict):
@@ -51,7 +253,7 @@ def _emit(obj: Any, indent: int, level: int, out: list[str]) -> None:
             out.append(inner)
             out.append(json.dumps(key))
             out.append(": ")
-            _emit(value, indent, level + 1, out)
+            _emit(value, indent, level + 1, out, lists)
             out.append(",\n" if k < len(obj) - 1 else "\n")
         out.append(pad + "}")
     elif isinstance(obj, (list, tuple)):
@@ -60,17 +262,16 @@ def _emit(obj: Any, indent: int, level: int, out: list[str]) -> None:
             return
         # Flat numeric arrays stay on one line; nested structures get spread.
         if set(map(type, obj)) == {float}:
-            text = ", ".join(map(_FORMAT_FLOAT, obj))
-            if "n" not in text:
-                out.append("[" + text + "]")
-                return
+            out += ("[", None)
+            lists.append(obj)
+            return
         if all(isinstance(v, (int, float, bool, np.generic)) for v in obj):
             out.append("[" + ", ".join(_scalar(v) for v in obj) + "]")
             return
         out.append("[\n")
         for k, value in enumerate(obj):
             out.append(inner)
-            _emit(value, indent, level + 1, out)
+            _emit(value, indent, level + 1, out, lists)
             out.append(",\n" if k < len(obj) - 1 else "\n")
         out.append(pad + "]")
     else:
@@ -95,6 +296,16 @@ def _scalar(obj: Any) -> str:
 
 def dumps(obj: Any, indent: int = 2) -> str:
     """Serialize to a deterministic JSON string (no trailing newline)."""
-    out: list[str] = []
-    _emit(obj, indent, 0, out)
+    out: list = []  # text, and None where a flat float list goes
+    lists: list = []
+    try:
+        _emit(obj, indent, 0, out, lists)
+    except ParameterError:
+        # A non-finite value in a list the walk already passed comes first.
+        for _ in _format_lists(lists):
+            pass
+        raise
+    slots = [i for i, piece in enumerate(out) if piece is None]
+    for slot, text in zip(slots, _format_lists(lists)):
+        out[slot] = text
     return "".join(out)

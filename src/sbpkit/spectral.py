@@ -100,19 +100,15 @@ class SpectralReport:
         )
 
     def to_document(self) -> dict:
-        interleaved = []
-        for p in self.pairs:
-            flat = np.empty(2 * p.w.size)
-            flat[0::2] = p.w.real
-            flat[1::2] = p.w.imag
-            interleaved.append(flat.tolist())
+        # Each row of the complex array, viewed as doubles, is Re w_0, Im w_0, ...
+        interleaved = np.array([p.w for p in self.pairs], dtype=complex).view(float)
         return {
             "m": self.m,
             "tau_eig": self.tau_eig,
             "eigenvalues": [[p.lam.real, p.lam.imag] for p in self.pairs],
             "classifications": [p.classification.value for p in self.pairs],
             "h_norms": [p.h_norm for p in self.pairs],
-            "eigenvectors": interleaved,
+            "eigenvectors": interleaved.tolist(),
             "boundary_residuals": [list(r) for r in self.boundary_residuals],
             "moment_residuals": [list(r) for r in self.moment_residuals],
             "d_tilde": self.d_tilde.ravel().tolist(),

@@ -5,8 +5,9 @@ The on-disk format is a JSON object with keys ``n``, ``q``, ``interval``
 (row-major arrays of (n+1)^2 numbers each), ``p0``, ``pn`` (n+1 numbers)
 and an optional ``name``.  ``D_minus`` and ``S`` may be omitted on input;
 S then defaults to zero and D_minus is derived.  Floats are written with
-full round-trip precision, so save/load is bit-exact, except that ``-0.0`` is
-written as ``-0`` and loads as ``+0.0``.
+full round-trip precision, so save/load is bit-exact.  ``-0.0`` is written
+as ``-0``, which JSON readers take for the integer 0; :func:`load_operator`
+reads that literal back as ``-0.0``.
 
 Number arrays are validated and converted in one numpy pass when every entry
 is a plain ``int`` or ``float``; otherwise entry by entry, so that a bool or
@@ -125,6 +126,11 @@ def operator_from_document(doc: Any) -> SbpOperatorPair:
     )
 
 
+def _parse_int(literal: str) -> int | float:
+    """``json.loads`` hook for integer literals: ``-0`` is the double -0.0."""
+    return -0.0 if literal == "-0" else int(literal)
+
+
 def save_operator(op: SbpOperatorPair, destination: str | os.PathLike | IO[str]) -> None:
     """Write the operator document (bit-exact round trip with load)."""
     text = jsonio.dumps(operator_to_document(op)) + "\n"
@@ -143,7 +149,7 @@ def load_operator(source: str | os.PathLike | IO[str]) -> SbpOperatorPair:
         with open(source, "r", encoding="utf-8") as fh:
             text = fh.read()
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, parse_int=_parse_int)
     except json.JSONDecodeError as exc:
         raise ParseError(f"not valid JSON: {exc}") from exc
     return operator_from_document(doc)

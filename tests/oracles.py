@@ -1,5 +1,7 @@
 """Reference constructions that the tests compare sbpkit against."""
 
+import json
+
 import numpy as np
 
 
@@ -37,3 +39,36 @@ def eigenspace_basis(a, lam) -> list:
     _, sv, vh = np.linalg.svd(a.astype(complex) - complex(lam) * np.eye(m))
     g = int(np.count_nonzero(sv <= rank_threshold(float(sv[0]), m)))
     return [np.conj(vh[k]) for k in range(m - g, m)]
+
+
+def reference_dumps(obj, indent=2, level=0) -> str:
+    """The document format, element by element with ``format(v, ".17g")``.
+
+    The oracle for ``jsonio.dumps``, which formats flat float lists in numpy
+    chunks instead.
+    """
+    pad, inner = " " * indent * level, " " * indent * (level + 1)
+    if isinstance(obj, np.generic):
+        obj = obj.item()
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = [f"{inner}{json.dumps(k)}: {reference_dumps(v, indent, level + 1)}"
+                 for k, v in obj.items()]
+        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        if all(isinstance(v, (int, float, bool, np.generic)) for v in obj):
+            return "[" + ", ".join(reference_dumps(v) for v in obj) + "]"
+        items = [inner + reference_dumps(v, indent, level + 1) for v in obj]
+        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
+    if obj is None:
+        return "null"
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if isinstance(obj, int):
+        return str(obj)
+    if isinstance(obj, float):
+        return format(obj, ".17g")
+    return json.dumps(obj)

@@ -52,6 +52,37 @@ def test_benchmark_oracle_accepts_the_outputs(worker, tmp_path, workload, slots)
         assert bench.check(item, bench.run(item)) == ("ok", [])
 
 
+def test_benchmark_documents_match_the_reference(worker, tmp_path, monkeypatch):
+    # Every document of the seed-7 inputs above, the saved operators included,
+    # is byte for byte the element-wise %.17g format.
+    from oracles import reference_dumps
+    from sbpkit import jsonio
+
+    emitted = []
+    dumps = jsonio.dumps
+
+    def recording(obj, indent=2):
+        text = dumps(obj, indent)
+        emitted.append((obj, text))
+        return text
+
+    monkeypatch.setattr(jsonio, "dumps", recording)
+    saved = []
+    for workload, slots in (("DiagnoseFd", 2), ("RepairPlanted", 6)):
+        bench = getattr(worker, workload)(seed=7, work_dir=str(tmp_path))
+        bench.prepare(setup_only=False)
+        for item in bench.items[:slots]:
+            bench.run(item)
+            if workload == "RepairPlanted":
+                with open(item[-1], encoding="utf-8") as fh:
+                    saved.append(fh.read())
+    assert len(emitted) == 2 * 2 + 6 * 2
+    for obj, text in emitted:
+        assert text == reference_dumps(obj)
+    operators = [text + "\n" for obj, text in emitted if "D_plus" in obj]
+    assert saved == operators
+
+
 def _oracle():
     spec = importlib.util.spec_from_file_location("perfbench_oracle", PERFBENCH / "oracle.py")
     oracle = importlib.util.module_from_spec(spec)

@@ -1,40 +1,16 @@
 import json
+import math
 import struct
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from oracles import reference_dumps
+from sbpkit import jsonio
 from sbpkit.errors import ParameterError
 from sbpkit.jsonio import dumps, format_float
-
-
-def _reference(obj, indent=2, level=0):
-    """The document format, element by element with ``format(v, ".17g")``."""
-    pad, inner = " " * indent * level, " " * indent * (level + 1)
-    if isinstance(obj, np.generic):
-        obj = obj.item()
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = [f"{inner}{json.dumps(k)}: {_reference(v, indent, level + 1)}"
-                 for k, v in obj.items()]
-        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        if all(isinstance(v, (int, float, bool, np.generic)) for v in obj):
-            return "[" + ", ".join(_reference(v) for v in obj) + "]"
-        items = [inner + _reference(v, indent, level + 1) for v in obj]
-        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
-    if obj is None:
-        return "null"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, int):
-        return str(obj)
-    if isinstance(obj, float):
-        return format(obj, ".17g")
-    return json.dumps(obj)
 
 
 def _random_doubles(seed, size):
@@ -50,7 +26,63 @@ SPECIAL = [
     1e16, 123456789012345678.0, 1 / 3,
 ]
 
+
+
+def _ties():
+    """Doubles whose exact decimal value has 18 significant digits, the last
+    a 5: %.17g must round them half to even."""
+    rng = np.random.default_rng(4)
+    odd = [1, 3, 5, 7, 2**17 + 1] + (2 * rng.integers(1, 2**52, 400) + 1).tolist()
+    found = [1 + 2**-17]
+    for j in range(1, 90):
+        for m in odd:
+            value = math.ldexp(m, -j)
+            digits = Decimal(value).as_tuple().digits
+            if len(digits) == 18 and digits[-1] == 5:
+                found += [value, -value]
+    return found
+
+
+def _near_ties():
+    """Doubles x = m 2^-(s + k) with y = x 10^k = m 5^k / 2^s only i / 2^s
+    (|i| <= 3, s >= 49) off a half-integer.  Below 1e-6, 10^k is not a double
+    and the product's error can round these the wrong way."""
+    found = []
+    for k in range(23, 45):
+        for s in range(int(2.32 * k) - 5, int(2.32 * k) + 1):
+            inverse = pow(5**k, -1, 2**s)
+            for i in (-3, -2, -1, 1, 2, 3):
+                m = (2 ** (s - 1) + i) * inverse % 2**s
+                m += -(-max(2**52 - m, 0) // 2**s) * 2**s
+                x = math.ldexp(m, -s - k)
+                if m < 2**53 and x >= jsonio._FAST_MIN and 10**16 <= Fraction(x) * 10**k < 10**17:
+                    found += [x, -x]
+    return found
+
+
+def _powers_of_ten():
+    """Each power of ten from 1e-30 to 1e20 and both neighbours, signed."""
+    powers = [float(f"1e{e}") for e in range(-30, 21)]
+    near = powers + [np.nextafter(p, 0.0) for p in powers] + [np.nextafter(p, np.inf)
+                                                              for p in powers]
+    return [float(v) for v in near] + [-float(v) for v in near]
+
+
+def _limits():
+    """The fast range's limits, values that round up to the next power of ten
+    (notation switches included), subnormals and zeros."""
+    edges = [jsonio._FAST_MIN, jsonio._FAST_MAX, 1e-5, 1e-4, 1e16, 1e17]
+    values = edges + [float(np.nextafter(e, t)) for e in edges for t in (0.0, np.inf)]
+    values += [float(f"9.99999999999999996e{e}") for e in range(-31, 19)]
+    values += [5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308, 1e-310, 0.0, -0.0]
+    return values + [-v for v in values]
+
+
+ADVERSARIAL = {"ties": _ties(), "near_ties": _near_ties(), "powers_of_ten": _powers_of_ten(),
+               "limits": _limits()}
+
 CASES = {
+    **ADVERSARIAL,
     "special": SPECIAL,
     "random_bits": _random_doubles(1, 2000),
     "random_normal": np.random.default_rng(2).normal(size=(40, 40)).ravel().tolist(),
@@ -67,19 +99,62 @@ CASES = {
     "empty_dict": {},
     "document": {"n": 3, "x": SPECIAL, "name": "op", "none": None,
                  "rows": [[1.5, 2.5], [3.5]], "flags": [True], "empty": []},
+    # A list longer than a chunk, and lists whose first value ends a chunk:
+    # a zero, a %.17g value, a value that ends the chunk and its list.
+    "long_list": np.random.default_rng(5).normal(size=3 * jsonio._CHUNK + 17).tolist(),
+    "straddle": [[0.5] * (jsonio._CHUNK - 1), [0.0, -0.0, 1.5], [0.25] * (jsonio._CHUNK - 3),
+                 [1e300, 2.0], [0.75] * (jsonio._CHUNK - 2), [-2.5], [3.5, 1e-300]],
 }
+
+
+def test_the_adversarial_cases_exist():
+    assert len(ADVERSARIAL["ties"]) > 100
+    assert all(len(Decimal(v).as_tuple().digits) == 18 for v in ADVERSARIAL["ties"])
+    assert len(ADVERSARIAL["near_ties"]) > 40
+    for x in ADVERSARIAL["near_ties"]:
+        y = abs(Fraction(x)) * 10 ** (16 - math.floor(math.log10(abs(x))))
+        assert 0 < abs(y - math.floor(y) - Fraction(1, 2)) < 1e-14
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_bytes_match_element_wise_reference(name):
     obj = CASES[name]
-    assert dumps(obj) == _reference(obj)
-    assert dumps({"k": obj}, indent=4) == _reference({"k": obj}, indent=4)
+    assert dumps(obj) == reference_dumps(obj)
+    assert dumps({"k": obj}, indent=4) == reference_dumps({"k": obj}, indent=4)
+
+
+def test_any_finite_doubles_match_the_reference():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    special = sorted(v for values in ADVERSARIAL.values() for v in values)
+    doubles = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                        st.floats(jsonio._FAST_MIN, jsonio._FAST_MAX),
+                        st.sampled_from(special))
+    # A run of padding in front moves the drawn lists across chunk boundaries.
+    pad = st.one_of(st.integers(0, 3 * jsonio._CHUNK),
+                    st.integers(jsonio._CHUNK - 40, jsonio._CHUNK))
+
+    @hypothesis.settings(max_examples=150, deadline=None)
+    @hypothesis.given(st.lists(st.lists(doubles, min_size=1, max_size=40), max_size=6), pad)
+    def check(lists, padding):
+        doc = [[0.5] * padding, *lists] if padding else lists
+        assert dumps(doc) == reference_dumps(doc)
+
+    check()
+
+
+def test_random_bit_patterns_match_format():
+    values = _random_doubles(6, 20000)
+    scaled = (np.random.default_rng(7).uniform(-1, 1, 20000)
+              * 10.0 ** np.random.default_rng(8).uniform(-30, 17, 20000)).tolist()
+    for case in (values, scaled):
+        assert dumps(case) == "[" + ", ".join(format(v, ".17g") for v in case) + "]"
 
 
 @pytest.mark.parametrize("name", ["special", "random_bits", "random_scaled"])
 def test_round_trip_is_bit_exact(name):
-    # -0.0 is written as "-0", which json.loads reads as the integer 0.
+    # -0.0 is written as "-0", which json.loads reads as the integer 0
+    # (storage.load_operator reads it back as -0.0).
     values = [v for v in CASES[name] if struct.pack("<d", v) != struct.pack("<d", -0.0)]
     back = json.loads(dumps(values))
     assert [struct.pack("<d", v) for v in back] == [struct.pack("<d", v) for v in values]
@@ -101,12 +176,24 @@ def test_format_float_is_the_list_format():
     lambda bad: [np.float64(0.5), bad],
     lambda bad: {"rows": [[0.5], [bad]]},
     lambda bad: bad,
-], ids=["floats", "single", "mixed", "numpy", "nested", "scalar"])
+    lambda bad: [[0.5] * (jsonio._CHUNK + 5), [1.5, bad]],
+], ids=["floats", "single", "mixed", "numpy", "nested", "scalar", "later_chunk"])
 def test_non_finite_is_refused(bad, where):
     with pytest.raises(ParameterError, match="cannot serialize non-finite number"
                        ) as excinfo:
         dumps(where(bad))
     assert repr(bad) in str(excinfo.value)
+
+
+@pytest.mark.parametrize("doc, named", [
+    ({"a": [0.5, math.nan], "b": math.inf}, "nan"),
+    ({"a": [0.5, math.nan], "b": {1: 0.5}}, "nan"),
+    ({"a": [0.5, 1.5], "b": math.inf, "c": [math.nan]}, "inf"),
+    ({"a": [[0.5] * jsonio._CHUNK, [-math.inf]], "b": [math.nan]}, "-inf"),
+], ids=["list_then_scalar", "list_then_key", "scalar_then_list", "two_lists"])
+def test_the_first_bad_value_in_emit_order_is_named(doc, named):
+    with pytest.raises(ParameterError, match=f"non-finite number {named}$"):
+        dumps(doc)
 
 
 def test_non_finite_numpy_scalar_is_refused():

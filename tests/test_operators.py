@@ -256,6 +256,24 @@ def test_round_trip_is_bit_exact(idx, tmp_path):
     assert loaded.name == op.name
 
 
+def test_round_trip_keeps_negative_zeros(tmp_path):
+    # jsonio writes -0.0 as "-0", which JSON readers take for the integer 0.
+    base = build_classical_fd(5, Interval(0.0, 1.0))
+    d_plus = np.where(base.d_plus == 0, -0.0, base.d_plus)
+    s = np.full_like(base.s, -0.0)
+    p0 = np.where(base.p0 == 0, -0.0, base.p0)
+    op = base.with_fields(d_plus=d_plus, d_minus=derive_d_minus(d_plus, base.h, s), s=s,
+                          p0=p0, interval=Interval(-0.0, 1.0))
+    assert np.signbit(op.d_plus).sum() > np.signbit(base.d_plus).sum()
+    path = tmp_path / "op.json"
+    save_operator(op, path)
+    assert ", -0," in path.read_text()
+    loaded = load_operator(path)
+    for attr in ("d_plus", "d_minus", "h", "s", "p0", "pn", "x"):
+        assert getattr(loaded, attr).tobytes() == getattr(op, attr).tobytes(), attr
+    assert str(loaded.interval.a) == "-0.0"
+
+
 def test_save_is_deterministic():
     op = build_counterexample()
     first, second = io.StringIO(), io.StringIO()
