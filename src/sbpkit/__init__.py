@@ -53,11 +53,8 @@ from .sat import (
     solve_problem,
 )
 from .spectral import (
-    Analysis,
     EigenvalueClass,
-    HEigenPair,
     SpectralReport,
-    analyze,
     build_d_tilde,
     eigen_decompose,
     h_inner,

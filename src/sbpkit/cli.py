@@ -145,14 +145,19 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 # spectrum
 
 
+def _spectrum_lines(report: spectral.SpectralReport, width: int) -> list[str]:
+    return [
+        f"  {_complex_str(lam):<{width}} {c.value}"
+        for lam, c in zip(report.eigenvalues.tolist(), report.classifications)
+    ]
+
+
 def _spectrum_text(op: SbpOperatorPair, report: spectral.SpectralReport) -> str:
-    lines = [
+    return "\n".join([
         f"operator: {op.name or '<unnamed>'} (n={op.n}, q={op.q})",
         f"imaginary conjugate pairs: m={report.m}",
-    ]
-    for p in report.pairs:
-        lines.append(f"  {_complex_str(p.lam):<32} {p.classification.value}")
-    return "\n".join(lines)
+        *_spectrum_lines(report, 32),
+    ])
 
 
 def _cmd_spectrum(args: argparse.Namespace) -> int:
@@ -351,17 +356,15 @@ def _cmd_demo(args: argparse.Namespace) -> int:
             f"nullspace_consistent={before_verify.nullspace_consistent}, "
             f"eigenvalue_property={before_verify.eigenvalue_property}",
             "spectrum before repair:",
+            *_spectrum_lines(before_spectrum, 34),
         ]
-        for p in before_spectrum.pairs:
-            lines.append(f"  {_complex_str(p.lam):<34} {p.classification.value}")
         lines.append(
             f"repair: target eps={_fmt(args.target_eps)} "
             f"({plan.norm_choice.value}), m={plan.m} conjugate pairs, "
             f"achieved |D_plus' - D_plus|={_fmt(plan.norm_bound)}"
         )
         lines.append("spectrum after repair:")
-        for p in after_spectrum.pairs:
-            lines.append(f"  {_complex_str(p.lam):<34} {p.classification.value}")
+        lines += _spectrum_lines(after_spectrum, 34)
         lines.append(
             f"verification after repair: "
             f"{'PASS' if after_verify.all_passed() else 'FAIL'}, "

@@ -42,7 +42,7 @@ from .errors import (
 from .linalg import (DEFAULT_TOLERANCE, check_positive, legendre_basis, max_abs,
                      rank_threshold)
 from .operators import Interval, SbpOperatorPair
-from .spectral import analyze
+from .spectral import spectral_report
 from .verify import check_eigenvalue_property, check_nullspace_consistency
 
 __all__ = [
@@ -427,9 +427,9 @@ def certify_families(
     failures: list[str] = []
     for family in families:
         op = build_pseudospectral_operator(family)
-        analysis = analyze(op, tau_eig)
-        nullspace = check_nullspace_consistency(analysis)
-        eig = check_eigenvalue_property(analysis)
+        report = spectral_report(op, tau_eig)
+        nullspace = check_nullspace_consistency(report)
+        eig = check_eigenvalue_property(report)
 
         v, _ = legendre_basis(op.x, op.interval, op.n)
         msv = np.linalg.svd(v.T @ op.h, compute_uv=False)

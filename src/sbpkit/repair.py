@@ -36,7 +36,7 @@ from .errors import (
 )
 from .linalg import DEFAULT_TOLERANCE, check_positive, max_abs
 from .operators import SbpOperatorPair, derive_d_minus, solve_against_norm
-from .spectral import EigenvalueClass, analyze, orthogonalize_imaginary
+from .spectral import EigenvalueClass, orthogonalize_imaginary, spectral_report
 from .verify import check_nullspace_consistency
 
 __all__ = [
@@ -156,37 +156,38 @@ def repair_operator(
 ) -> tuple[SbpOperatorPair, PerturbationPlan]:
     """Return an operator with the positive-spectrum property and the plan.
 
-    An operator that already has the property is returned unchanged with an
-    empty plan, which makes the repair idempotent.  All eps_k are equal:
+    The nullspace verdict, the band and m come from one
+    :func:`spectral_report` of ``op``.  An operator that already has the
+    property is returned unchanged with an empty plan, which makes the
+    repair idempotent.  All eps_k are equal:
     built at 1 on the H-orthonormal basis of the imaginary subspace, whose
     dimension must be twice the number of imaginary pairs in the band (else
     ``InternalInconsistencyError``), then scaled linearly so that
     ``||D_plus' - D_plus|| == target_eps`` in the chosen norm.
     """
     check_positive(target_eps, "target_eps")
-    analysis = analyze(op, tolerance)
-    diagnostics = check_nullspace_consistency(analysis)
+    report = spectral_report(op, tolerance)
+    diagnostics = check_nullspace_consistency(report)
     if not diagnostics.consistent:
         raise RepairImpossibleError(
             "operator is not nullspace consistent (rank "
             f"{diagnostics.rank} of expected {diagnostics.expected_rank}); "
             "a zero eigenvalue cannot be moved by the dissipation construction"
         )
-    negative = [
-        p for p in analysis.pairs
-        if p.classification is EigenvalueClass.NEGATIVE_REAL_PART
+    negative = report.eigenvalues[
+        report.classifications == EigenvalueClass.NEGATIVE_REAL_PART
     ]
-    if negative:
+    if negative.size:
         raise ContractError(
             "penalized matrix has eigenvalues with negative real part "
-            f"({[p.lam for p in negative]}); the operator does not satisfy "
+            f"({negative.tolist()}); the operator does not satisfy "
             "the dissipation structure and cannot be repaired"
         )
-    m = analysis.m
+    m = report.m
     if m == 0:
         return op, _empty_plan(op, norm_choice)
 
-    vectors = orthogonalize_imaginary(analysis)
+    vectors = orthogonalize_imaginary(report)
     if len(vectors) != 2 * m:
         raise InternalInconsistencyError(
             f"the band holds {m} imaginary pairs but the unobservable subspace "

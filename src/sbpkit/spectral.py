@@ -16,11 +16,11 @@ largest D_tilde-invariant subspace inside ker C; it is H-orthogonal to
 All inner products here are ``<f, g> = f* H g``; Euclidean orthogonality has
 no meaning for these operators and is never asserted.
 
-:func:`analyze` builds and decomposes the penalized matrix once; verify,
-:func:`spectral_report`, the repair and the certification all read its
-classified eigenpairs, so they decide from the same eigenvalues and band.
-The repair's basis of N (:func:`orthogonalize_imaginary`) uses no
-eigenvector.
+:func:`spectral_report` is the one analysis of an operator: it builds and
+decomposes the penalized matrix once and classifies the eigenvalues from
+arrays.  Verify, the repair and the certification all read that report, so
+they decide from the same eigenvalues and band.  The repair's basis of N
+(:func:`orthogonalize_imaginary`) uses no eigenvector.
 """
 
 from __future__ import annotations
@@ -31,16 +31,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, DecompositionError, ShapeError
-from .linalg import (DEFAULT_TOLERANCE, check_positive, legendre_basis, max_abs,
+from .linalg import (DEFAULT_TOLERANCE, check_positive, legendre_basis,
                      rank_threshold, relative_residual)
 from .operators import SbpOperatorPair, solve_against_norm
 
 __all__ = [
-    "Analysis",
     "EigenvalueClass",
-    "HEigenPair",
     "SpectralReport",
-    "analyze",
     "build_d_tilde",
     "eigen_decompose",
     "spectral_report",
@@ -56,88 +53,59 @@ class EigenvalueClass(enum.Enum):
 
 
 @dataclass(frozen=True)
-class HEigenPair:
-    """One eigenvalue of the penalized matrix with its eigenvector.
-
-    ``classification`` follows the band |Re| <= tau * scale around the
-    imaginary axis; ``h_norm`` is the H-norm of the eigenvector.
-    """
-
-    lam: complex
-    w: np.ndarray
-    classification: EigenvalueClass
-    h_norm: float
-
-
-@dataclass(frozen=True)
 class SpectralReport:
-    """Classified spectrum of the penalized matrix of one operator.
+    """The one analysis of an operator: its penalized matrix, decomposed once.
 
-    ``pairs`` holds the eigenpairs of the analysis as LAPACK returns them,
-    sorted by (Re, Im); for a real matrix its complex eigenvalues and
-    eigenvectors come in exact conjugate pairs, and nothing is synthesized.
-    ``m`` counts the imaginary eigenvalues with positive imaginary part, so
-    a zero eigenvalue (of an operator that is not nullspace consistent) is
-    classified imaginary but not counted.  The residual tables are
-    aligned with :meth:`imaginary`, i.e. one row per imaginary member:
-    ``boundary_residuals`` holds (|p0.w|, |pn.w|, max|S w|) and
-    ``moment_residuals`` holds the relative moments
+    ``d_tilde`` is built once and ``scale`` is its Frobenius norm.
+    ``eigenvalues`` (complex) are LAPACK's, sorted by (Re, Im), and row k of
+    ``eigenvectors`` is the eigenvector of eigenvalue k, C-contiguous and
+    real only when every eigenvalue is; for a real matrix complex
+    eigenpairs come in exact conjugate pairs, and nothing is synthesized.
+    ``h_norms`` are the H-norms of the rows.  ``classifications`` (an
+    object array of :class:`EigenvalueClass`) follow the band
+    |Re| <= tolerance * scale around the imaginary axis, and ``m`` counts
+    the imaginary eigenvalues with positive imaginary part, so a zero
+    eigenvalue (of an operator that is not nullspace consistent) is
+    classified imaginary but not counted.
+
+    The residual tables have one row per imaginary eigenvalue, in the order
+    of :attr:`imaginary`: ``boundary_residuals`` holds (|p0.w|, |pn.w|,
+    max|S w|) and ``moment_residuals`` holds the relative moments
     ``|<P_k, w>_H| / (||P_k||_H ||w||_H)`` for k = 0..q, with P_k the
     Legendre polynomials mapped to the interval (which span the same space
     as x^j); all of them vanish for a conforming operator.
-    """
-
-    d_tilde: np.ndarray
-    pairs: tuple[HEigenPair, ...]
-    m: int
-    boundary_residuals: tuple[tuple[float, float, float], ...]
-    moment_residuals: tuple[tuple[float, ...], ...]
-    tau_eig: float
-
-    def imaginary(self) -> tuple[HEigenPair, ...]:
-        return tuple(
-            p for p in self.pairs if p.classification is EigenvalueClass.IMAGINARY
-        )
-
-    def to_document(self) -> dict:
-        # Each row of the complex array, viewed as doubles, is Re w_0, Im w_0, ...
-        interleaved = np.array([p.w for p in self.pairs], dtype=complex).view(float)
-        return {
-            "m": self.m,
-            "tau_eig": self.tau_eig,
-            "eigenvalues": [[p.lam.real, p.lam.imag] for p in self.pairs],
-            "classifications": [p.classification.value for p in self.pairs],
-            "h_norms": [p.h_norm for p in self.pairs],
-            "eigenvectors": interleaved.tolist(),
-            "boundary_residuals": [list(r) for r in self.boundary_residuals],
-            "moment_residuals": [list(r) for r in self.moment_residuals],
-            "d_tilde": self.d_tilde.ravel().tolist(),
-        }
-
-
-@dataclass(frozen=True)
-class Analysis:
-    """One decomposition of the penalized matrix of one operator.
-
-    ``d_tilde`` is built once and ``pairs`` come from one
-    :func:`eigen_decompose` call: sorted by (Re, Im) and classified by the
-    band |Re| <= tolerance * scale, where ``scale`` is the Frobenius norm of
-    ``d_tilde``.
     """
 
     op: SbpOperatorPair
     tolerance: float
     d_tilde: np.ndarray
     scale: float
-    pairs: tuple[HEigenPair, ...]
+    eigenvalues: np.ndarray
+    eigenvectors: np.ndarray
+    h_norms: np.ndarray
+    classifications: np.ndarray
+    m: int
+    boundary_residuals: np.ndarray
+    moment_residuals: np.ndarray
 
     @property
-    def m(self) -> int:
-        """Number of imaginary eigenvalues with positive imaginary part."""
-        return sum(
-            p.classification is EigenvalueClass.IMAGINARY and p.lam.imag > 0
-            for p in self.pairs
-        )
+    def imaginary(self) -> np.ndarray:
+        """Mask of the eigenvalues classified ``IMAGINARY``."""
+        return self.classifications == EigenvalueClass.IMAGINARY
+
+    def to_document(self) -> dict:
+        # Each row of a complex array, viewed as doubles, is Re z_0, Im z_0, ...
+        return {
+            "m": self.m,
+            "tau_eig": self.tolerance,
+            "eigenvalues": self.eigenvalues.view(float).reshape(-1, 2).tolist(),
+            "classifications": [c.value for c in self.classifications],
+            "h_norms": self.h_norms.tolist(),
+            "eigenvectors": np.asarray(self.eigenvectors, complex).view(float).tolist(),
+            "boundary_residuals": self.boundary_residuals.tolist(),
+            "moment_residuals": self.moment_residuals.tolist(),
+            "d_tilde": self.d_tilde.ravel().tolist(),
+        }
 
 
 def build_d_tilde(op: SbpOperatorPair) -> np.ndarray:
@@ -159,29 +127,18 @@ def h_inner(f: np.ndarray, g: np.ndarray, h: np.ndarray) -> complex:
     return complex(np.conj(f) @ (h @ g))
 
 
-def _classify(lam: complex, tau_eig: float, scale: float) -> EigenvalueClass:
-    band = tau_eig * scale
-    if lam.real > band:
-        return EigenvalueClass.POSITIVE_REAL_PART
-    if lam.real < -band:
-        return EigenvalueClass.NEGATIVE_REAL_PART
-    return EigenvalueClass.IMAGINARY
-
-
 def eigen_decompose(
-    a: np.ndarray,
-    h: np.ndarray | None = None,
-    tau_eig: float = DEFAULT_TOLERANCE,
-) -> tuple[HEigenPair, ...]:
+    a: np.ndarray, h: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Full eigendecomposition by one LAPACK ``eig``, sorted by (Re, Im).
 
-    The eigenvectors are LAPACK's own, unit length in the Euclidean norm;
-    for a real matrix complex eigenpairs come in exact conjugate pairs.
-    A repeated eigenvalue keeps LAPACK's vectors, which need not be
-    independent; the repair reads no eigenvector.  ``h`` (identity when
-    omitted) only feeds the stored H-norms.
+    Returns the eigenvalues (complex), the eigenvectors as the C-contiguous
+    rows of one array, and their H-norms, with ``h`` the identity when
+    omitted.  The eigenvectors are LAPACK's own, unit length in the
+    Euclidean norm and real when every eigenvalue is; for a real matrix
+    complex eigenpairs come in exact conjugate pairs.  A repeated eigenvalue
+    keeps LAPACK's vectors, which need not be independent.
     """
-    tau_eig = check_positive(tau_eig, "tau_eig")
     a = np.asarray(a)
     if np.iscomplexobj(a):
         raise ContractError("expected a real matrix")
@@ -199,71 +156,64 @@ def eigen_decompose(
     except np.linalg.LinAlgError as exc:
         raise DecompositionError(f"eigenvalue iteration failed: {exc}") from exc
     order = np.lexsort((lam.imag, lam.real))
-    lam = lam[order]
-    vectors = [vec[:, k] for k in order]
-    scale = float(np.linalg.norm(a, "fro"))
+    w = vec.T[order]
 
     # All H-norms from one real product, one eigenvector per row: each sum
     # then runs along the contiguous axis, which numpy adds pairwise (a
     # column sum drifts by a few ulp from the per-vector w* H w).
-    w = np.array(vectors)
     re, im = w.real, w.imag
     squares = np.sum(re * (re @ h.T) + im * (im @ h.T), axis=1)
-    h_norms = np.sqrt(np.maximum(squares, 0.0))
-    return tuple(
-        HEigenPair(
-            lam=complex(lam[k]),
-            w=vectors[k],
-            classification=_classify(complex(lam[k]), tau_eig, scale),
-            h_norm=float(h_norms[k]),
-        )
-        for k in range(m)
-    )
-
-
-def analyze(op: SbpOperatorPair, tolerance: float = DEFAULT_TOLERANCE) -> Analysis:
-    """Build the penalized matrix of ``op`` once and decompose it once."""
-    tolerance = check_positive(tolerance)
-    d_tilde = build_d_tilde(op)
-    return Analysis(
-        op=op,
-        tolerance=tolerance,
-        d_tilde=d_tilde,
-        scale=float(np.linalg.norm(d_tilde, "fro")),
-        pairs=eigen_decompose(d_tilde, h=op.h, tau_eig=tolerance),
-    )
+    # Keep LAPACK's array, allocated first, and free the copy above it: a
+    # freed hole below a kept block made peak RSS jump by 5 MB more often.
+    vec[...] = w
+    return (lam[order].astype(complex), np.ascontiguousarray(vec),
+            np.sqrt(np.maximum(squares, 0.0)))
 
 
 def spectral_report(
     op: SbpOperatorPair, tau_eig: float = DEFAULT_TOLERANCE
 ) -> SpectralReport:
-    """Decompose, classify and probe the penalized matrix of an operator."""
-    analysis = analyze(op, tau_eig)
-    imaginary = [
-        p for p in analysis.pairs if p.classification is EigenvalueClass.IMAGINARY
-    ]
-    # <P_k, w>_H for every degree and imaginary member from one product V^T H W.
+    """Build the penalized matrix of ``op`` once, decompose it once, classify
+    its spectrum by the band ``tau_eig * ||D_tilde||_F`` and probe the
+    imaginary eigenvectors."""
+    tau_eig = check_positive(tau_eig)
+    d_tilde = build_d_tilde(op)
+    scale = float(np.linalg.norm(d_tilde, "fro"))
+    lam, w, h_norms = eigen_decompose(d_tilde, h=op.h)
+    band = tau_eig * scale
+    # EigenvalueClass lists positive, imaginary, negative.
+    index = 1 + (lam.real < -band).astype(int) - (lam.real > band)
+    classifications = np.array(list(EigenvalueClass), dtype=object)[index]
+    imaginary = index == 1
+
+    # One product per table over the contiguous imaginary rows, so the sums
+    # do not depend on how the eigenvectors are laid out in memory.
+    rows = np.ascontiguousarray(w[imaginary], dtype=complex)
+    boundary = np.column_stack([
+        np.abs(rows @ op.p0), np.abs(rows @ op.pn),
+        np.max(np.abs(rows @ op.s.T), axis=1),
+    ])
+    # <P_k, w>_H for every degree and imaginary row from one product W H V.
     v, _ = legendre_basis(op.x, op.interval, op.q)
     vh = v.T @ op.h
     p_norms = np.sqrt(np.maximum(np.sum(vh * v.T, axis=1), 0.0))
-    w = np.array([p.w for p in imaginary], dtype=complex).reshape(-1, op.n + 1)
-    moments = relative_residual(
-        w @ vh.T, np.outer([p.h_norm for p in imaginary], p_norms)
-    )
+    moments = relative_residual(rows @ vh.T, np.outer(h_norms[imaginary], p_norms))
     return SpectralReport(
-        d_tilde=analysis.d_tilde,
-        pairs=analysis.pairs,
-        m=analysis.m,
-        boundary_residuals=tuple(
-            (abs(complex(op.p0 @ p.w)), abs(complex(op.pn @ p.w)), max_abs(op.s @ p.w))
-            for p in imaginary
-        ),
-        moment_residuals=tuple(tuple(map(float, row)) for row in moments),
-        tau_eig=analysis.tolerance,
+        op=op,
+        tolerance=tau_eig,
+        d_tilde=d_tilde,
+        scale=scale,
+        eigenvalues=lam,
+        eigenvectors=w,
+        h_norms=h_norms,
+        classifications=classifications,
+        m=int(np.count_nonzero(imaginary & (lam.imag > 0))),
+        boundary_residuals=boundary,
+        moment_residuals=moments,
     )
 
 
-def orthogonalize_imaginary(analysis: Analysis) -> list[np.ndarray]:
+def orthogonalize_imaginary(report: SpectralReport) -> list[np.ndarray]:
     """Real H-orthonormal basis of the imaginary invariant subspace.
 
     That subspace is the unobservable subspace N of ``(C, D_tilde)`` with
@@ -277,7 +227,7 @@ def orthogonalize_imaginary(analysis: Analysis) -> list[np.ndarray]:
     its H-Gram matrix; no eigenvector is used.  Returns the columns of that
     basis, none when N = {0}.
     """
-    op = analysis.op
+    op = report.op
     size = op.n + 1
     krylov = np.zeros((size, 0))
     block = np.column_stack([op.p0, op.pn, op.s])
@@ -290,8 +240,8 @@ def orthogonalize_imaginary(analysis: Analysis) -> list[np.ndarray]:
         if rank == 0:
             break
         krylov = np.hstack([krylov, u[:, :rank]])
-        block = analysis.d_tilde.T @ u[:, :rank]
-        scale = analysis.scale
+        block = report.d_tilde.T @ u[:, :rank]
+        scale = report.scale
     if krylov.shape[1] == size:
         return []
     complete, _ = np.linalg.qr(krylov, mode="complete")

@@ -12,8 +12,9 @@ relative residuals ``|A V - T| / (|A||V| + |T|)`` (0/0 = 0), so they do not
 depend on where the interval sits; identity and symmetry residuals are
 absolute; definiteness and spectral decisions scale with the Frobenius norm.
 
-The two spectral checks read one :class:`sbpkit.spectral.Analysis`, so the
-eigenvalue verdict uses the eigenvalues and the band of the spectral report.
+The two spectral checks read one :class:`sbpkit.spectral.SpectralReport`,
+so the eigenvalue verdict uses the eigenvalues and the band of the spectral
+report.
 """
 
 from __future__ import annotations
@@ -257,7 +258,7 @@ def check_s_conditions(
     )
 
 
-def check_nullspace_consistency(analysis: spectral.Analysis) -> NullspaceDiagnostics:
+def check_nullspace_consistency(report: spectral.SpectralReport) -> NullspaceDiagnostics:
     """Decide whether the kernel of D_plus is exactly the constants.
 
     Two independent routes must agree: invertibility of the penalized matrix
@@ -265,8 +266,8 @@ def check_nullspace_consistency(analysis: spectral.Analysis) -> NullspaceDiagnos
     annihilated, rank equal to n).  Disagreement raises
     ``InternalInconsistencyError``, signalling a borderline operator.
     """
-    op, tolerance = analysis.op, analysis.tolerance
-    sv = np.linalg.svd(analysis.d_tilde, compute_uv=False)
+    op, tolerance = report.op, report.tolerance
+    sv = np.linalg.svd(report.d_tilde, compute_uv=False)
     sigma_max, sigma_min = float(sv[0]), float(sv[-1])
     via_penalized = sigma_min > tolerance * sigma_max
 
@@ -291,19 +292,16 @@ def check_nullspace_consistency(analysis: spectral.Analysis) -> NullspaceDiagnos
     )
 
 
-def check_eigenvalue_property(analysis: spectral.Analysis) -> EigenvalueCheck:
+def check_eigenvalue_property(report: spectral.SpectralReport) -> EigenvalueCheck:
     """True iff every eigenvalue of the penalized matrix has real part
-    above tolerance * ||D_tilde||_F, i.e. every pair of the analysis is
+    above tolerance * ||D_tilde||_F, i.e. every eigenvalue of the report is
     classified ``POSITIVE_REAL_PART``."""
-    offending = tuple(
-        p.lam
-        for p in analysis.pairs
-        if p.classification is not spectral.EigenvalueClass.POSITIVE_REAL_PART
-    )
+    positive = report.classifications == spectral.EigenvalueClass.POSITIVE_REAL_PART
+    offending = tuple(report.eigenvalues[~positive].tolist())
     return EigenvalueCheck(
         has_property=not offending,
-        min_real_part=analysis.pairs[0].lam.real,
-        scale=analysis.scale,
+        min_real_part=float(report.eigenvalues[0].real),
+        scale=report.scale,
         offending=offending,
     )
 
@@ -321,11 +319,11 @@ def verify_all(
     spd = check_spd(op.h, tolerance)
     res_c, res_d = check_sbp_identities(op, tolerance)
     s_sym, s_psd, s_ann = check_s_conditions(op, tolerance)
-    analysis = spectral.analyze(op, tolerance)
+    report = spectral.spectral_report(op, tolerance)
     return VerificationReport(
         residuals=(*acc.residuals, spd, res_c, res_d, s_sym, s_psd, s_ann),
         observed_order=acc.observed_order,
-        nullspace=check_nullspace_consistency(analysis),
-        eigenvalue_check=check_eigenvalue_property(analysis),
+        nullspace=check_nullspace_consistency(report),
+        eigenvalue_check=check_eigenvalue_property(report),
         tolerance=tolerance,
     )

@@ -14,7 +14,6 @@ import pytest
 from sbpkit import (
     Interval,
     NodeFamily,
-    analyze,
     build_classical_fd,
     build_counterexample,
     build_d_tilde,
@@ -76,12 +75,12 @@ def test_criterion_1_counterexample_regression():
         failures.append("not nullspace consistent")
     if report.eigenvalue_property:
         failures.append("eigenvalue property unexpectedly present")
-    imaginary = spectrum.imaginary()
+    imaginary = spectrum.eigenvalues[spectrum.imaginary]
     if len(imaginary) != 2:
         failures.append(f"expected 2 imaginary eigenvalues, got {len(imaginary)}")
     targets = {1j * INV_SQRT5, -1j * INV_SQRT5}
     for target in targets:
-        if min(abs(p.lam - target) for p in imaginary) > 1e-10:
+        if min(abs(imaginary - target)) > 1e-10:
             failures.append(f"no imaginary eigenvalue within 1e-10 of {target}")
     _conclude(1, "builtin operator verifies, lacks the eigenvalue property, "
                  "spectrum has the known imaginary pair", failures,
@@ -95,29 +94,31 @@ def test_criterion_2_imaginary_eigenpair_structure():
     report = spectral_report(op, tau_eig=1e-10)
     d_tilde = report.d_tilde
 
-    for pair, triple, moments in zip(
-        report.imaginary(), report.boundary_residuals, report.moment_residuals
+    lam, rows, norms = report.eigenvalues, report.eigenvectors, report.h_norms
+    for k, triple, moments in zip(
+        np.flatnonzero(report.imaginary), report.boundary_residuals,
+        report.moment_residuals
     ):
-        euclidean = float(np.linalg.norm(pair.w))
+        euclidean = float(np.linalg.norm(rows[k]))
         for label, value in zip(("p0.w", "pn.w", "max|S w|"), triple):
             if not value <= 1e-10 * euclidean:
                 failures.append(f"{label} = {value:.3e} above 1e-10*|w|")
         for j, value in enumerate(moments[: 2]):
-            if not value <= 1e-10 * pair.h_norm:
+            if not value <= 1e-10 * norms[k]:
                 failures.append(f"<x^{j}, w> = {value:.3e} above 1e-10*|w|_H")
-        for other in report.pairs:
-            if abs(other.lam - pair.lam) < 1e-12:
+        for other in range(lam.size):
+            if abs(lam[other] - lam[k]) < 1e-12:
                 continue
-            inner = abs(h_inner(pair.w, other.w, op.h))
-            if not inner <= 1e-8 * pair.h_norm * other.h_norm:
+            inner = abs(h_inner(rows[k], rows[other], op.h))
+            if not inner <= 1e-8 * norms[k] * norms[other]:
                 failures.append(
-                    f"<w, v> = {inner:.3e} for eigenvalues {pair.lam}, {other.lam}"
+                    f"<w, v> = {inner:.3e} for eigenvalues {lam[k]}, {lam[other]}"
                 )
-        geometric = len(eigenspace_basis(d_tilde, pair.lam))
-        algebraic = sum(1 for p in report.pairs if abs(p.lam - pair.lam) < 1e-8)
+        geometric = len(eigenspace_basis(d_tilde, lam[k]))
+        algebraic = int(np.count_nonzero(np.abs(lam - lam[k]) < 1e-8))
         if geometric != algebraic:
             failures.append(
-                f"multiplicities differ at {pair.lam}: geometric {geometric}, "
+                f"multiplicities differ at {lam[k]}: geometric {geometric}, "
                 f"algebraic {algebraic}"
             )
     elapsed = time.perf_counter() - start
@@ -143,7 +144,7 @@ def test_criterion_3_repair_at_three_budgets():
         # strict positivity is certified with the classification band placed
         # below the attained shift (the eps=1e-10 shift is ~7e-11, inside
         # the default 1e-10-scaled band)
-        eig = check_eigenvalue_property(analyze(repaired, 1e-12))
+        eig = check_eigenvalue_property(spectral_report(repaired, 1e-12))
         if not eig.has_property:
             failures.append(f"eps={eps}: eigenvalue property still absent")
         delta = float(np.linalg.norm(repaired.d_plus - op.d_plus, "fro"))

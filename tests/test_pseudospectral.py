@@ -5,7 +5,6 @@ from sbpkit import (
     Family,
     Interval,
     NodeFamily,
-    analyze,
     build_interpolatory_h,
     build_pseudospectral_d,
     build_pseudospectral_operator,
@@ -14,6 +13,7 @@ from sbpkit import (
     load_operator,
     orthogonalize_imaginary,
     save_operator,
+    spectral_report,
     verify_all,
 )
 from sbpkit.errors import IndefiniteNormError, InvariantError, ParameterError
@@ -272,7 +272,7 @@ def test_diagonal_norm_only_where_exact_on_shifted_intervals(
         assert report.all_passed(), (n, report.to_document())
         assert report.observed_order == n
         assert report.nullspace_consistent and report.eigenvalue_property, n
-        assert orthogonalize_imaginary(analyze(loaded)) == [], n
+        assert orthogonalize_imaginary(spectral_report(loaded)) == [], n
 
 
 def test_oversized_degree_rejected():

@@ -4,7 +4,6 @@ import pytest
 from sbpkit import (
     Interval,
     NormChoice,
-    analyze,
     build_classical_fd,
     build_counterexample,
     build_d_tilde,
@@ -13,6 +12,7 @@ from sbpkit import (
     check_eigenvalue_property,
     orthogonalize_imaginary,
     repair_operator,
+    spectral,
     spectral_report,
     verify_all,
 )
@@ -34,7 +34,7 @@ def _paper_style_eigenvector():
 
 
 def _ortho_vectors(op):
-    return orthogonalize_imaginary(analyze(op))
+    return orthogonalize_imaginary(spectral_report(op))
 
 
 def _sorted_eigs(matrix):
@@ -256,7 +256,7 @@ def test_plan_document_fields():
 
 def test_repaired_spectrum_is_clean():
     repaired, plan = repair_operator(build_counterexample(), 1e-6)
-    check = check_eigenvalue_property(analyze(repaired))
+    check = check_eigenvalue_property(spectral_report(repaired))
     assert check.has_property
     assert check.min_real_part == pytest.approx(0.5 * plan.epsilons[0], rel=1e-6)
 
@@ -307,7 +307,7 @@ def test_repair_is_the_projector_onto_the_planted_subspace(omegas, congruent):
     op, z = _plant(build_classical_fd(40, Interval(0.0, 1.0)), omegas,
                    np.random.default_rng(40), congruent)
     m = len(omegas)
-    assert len(orthogonalize_imaginary(analyze(op))) == 2 * m
+    assert len(orthogonalize_imaginary(spectral_report(op))) == 2 * m
 
     repaired, plan = repair_operator(op, 1e-3)
     eps = plan.epsilons[0]
@@ -325,11 +325,61 @@ def test_repair_is_the_projector_onto_the_planted_subspace(omegas, congruent):
         assert abs(after.pop(k) - lam) <= 1e-9
 
 
+def test_boundary_residuals_do_not_depend_on_the_eigenvector_layout(monkeypatch):
+    # the congruent plant has a dense p0, so |p0.w| sums many products
+    op, _ = _plant(build_classical_fd(40, Interval(0.0, 1.0)), (9.0, 9.0, 17.0),
+                   np.random.default_rng(40), congruent=True)
+    report = spectral_report(op)
+    rows = report.eigenvectors[report.imaginary]
+    assert rows.shape == (6, op.n + 1)
+    table = report.boundary_residuals
+    assert table[:, 0].tobytes() == np.abs(rows @ op.p0).tobytes()
+    assert table[:, 1].tobytes() == np.abs(rows @ op.pn).tobytes()
+
+    decompose = spectral.eigen_decompose
+
+    def fortran_rows(a, h=None):
+        lam, w, h_norms = decompose(a, h)
+        return lam, np.asfortranarray(w), h_norms
+
+    monkeypatch.setattr(spectral, "eigen_decompose", fortran_rows)
+    assert spectral_report(op).boundary_residuals.tobytes() == table.tobytes()
+
+
+def test_any_budget_repairs_a_planted_operator():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    planted = {}
+    for omegas in ((3.0,), (9.0, 9.0, 17.0)):
+        for congruent in (False, True):
+            op, _ = _plant(build_classical_fd(40, Interval(0.0, 1.0)), omegas,
+                           np.random.default_rng(40), congruent)
+            planted[omegas, congruent] = op, verify_all(op).observed_order
+
+    @hypothesis.settings(max_examples=30, deadline=None)
+    @hypothesis.given(
+        st.floats(-6.0, -1.0).map(lambda e: 10.0 ** e),
+        st.sampled_from(list(NormChoice)),
+        st.sampled_from(sorted(planted)),
+    )
+    def check(budget, norm, case):
+        op, order = planted[case]
+        repaired, plan = repair_operator(op, budget, norm)
+        report = verify_all(repaired)
+        assert report.all_passed() and report.eigenvalue_property
+        assert report.observed_order == order
+        assert plan.m == len(case[0])
+        assert plan.norm_bound == pytest.approx(budget, rel=1e-12, abs=0.0)
+        assert repair_operator(repaired, budget, norm)[1].is_empty()
+
+    check()
+
+
 def test_repair_rejects_a_band_pair_without_an_unobservable_subspace():
     # After a repair by 1e-11 the moved pair still lies in the band
     # 1e-10 * ||D_tilde||_F, but S' makes it observable: N = {0}.
     once, _ = repair_operator(build_counterexample(), 1e-11)
     assert spectral_report(once).m == 1
-    assert orthogonalize_imaginary(analyze(once)) == []
+    assert orthogonalize_imaginary(spectral_report(once)) == []
     with pytest.raises(InternalInconsistencyError):
         repair_operator(once, 1e-3)

@@ -8,7 +8,6 @@ from sbpkit import (
     EigenvalueClass,
     Interval,
     NodeFamily,
-    analyze,
     build_classical_fd,
     build_counterexample,
     build_d_tilde,
@@ -69,26 +68,29 @@ def test_d_tilde_classical_fd_corner():
 
 
 def test_eigen_decompose_two_by_two():
-    pairs = eigen_decompose(np.array([[1.0, 1.0], [-1.0, 1.0]]))
-    assert [p.lam for p in pairs] == [1.0 - 1.0j, 1.0 + 1.0j]
+    lam, _, _ = eigen_decompose(np.array([[1.0, 1.0], [-1.0, 1.0]]))
+    assert lam.tolist() == [1.0 - 1.0j, 1.0 + 1.0j]
+
+
+def test_two_point_eigenvalues_have_positive_real_parts():
+    report = spectral_report(build_two_point())
+    assert report.eigenvalues.tolist() == [1.0 - 1.0j, 1.0 + 1.0j]
     assert all(
-        p.classification is EigenvalueClass.POSITIVE_REAL_PART for p in pairs
+        c is EigenvalueClass.POSITIVE_REAL_PART for c in report.classifications
     )
 
 
 def test_eigen_decompose_counterexample_contains_imaginary_pair():
     op = build_counterexample()
-    pairs = eigen_decompose(build_d_tilde(op), h=op.h)
-    values = np.array([p.lam for p in pairs])
+    values, _, _ = eigen_decompose(build_d_tilde(op), h=op.h)
     assert np.min(np.abs(values - 1j * INV_SQRT5)) < 1e-10
     assert np.min(np.abs(values + 1j * INV_SQRT5)) < 1e-10
 
 
 def test_eigen_decompose_identity_multiplicity():
-    pairs = eigen_decompose(np.eye(3))
-    assert all(p.lam == pytest.approx(1.0) for p in pairs)
-    stacked = np.column_stack([p.w for p in pairs])
-    assert np.linalg.matrix_rank(stacked) == 3
+    lam, w, _ = eigen_decompose(np.eye(3))
+    assert all(v == pytest.approx(1.0) for v in lam)
+    assert np.linalg.matrix_rank(w) == 3
 
 
 def test_eigen_decompose_residual_bound():
@@ -96,9 +98,17 @@ def test_eigen_decompose_residual_bound():
                build_classical_fd(9, Interval(0.0, 1.0))):
         a = build_d_tilde(op)
         scale = np.linalg.norm(a, "fro")
-        for p in eigen_decompose(a, h=op.h):
-            residual = np.linalg.norm(a @ p.w - p.lam * p.w)
-            assert residual <= 1e-10 * scale * np.linalg.norm(p.w)
+        for lam, w in zip(*eigen_decompose(a, h=op.h)[:2]):
+            residual = np.linalg.norm(a @ w - lam * w)
+            assert residual <= 1e-10 * scale * np.linalg.norm(w)
+
+
+def test_eigen_decompose_returns_contiguous_rows():
+    op = build_classical_fd(16, Interval(0.0, 1.0))
+    lam, w, h_norms = eigen_decompose(build_d_tilde(op), h=op.h)
+    assert w.flags.c_contiguous
+    assert lam.dtype == complex
+    assert lam.shape == h_norms.shape == (op.n + 1,)
 
 
 def test_eigen_decompose_rejects_complex_input():
@@ -106,18 +116,15 @@ def test_eigen_decompose_rejects_complex_input():
         eigen_decompose(np.eye(2, dtype=complex) * 1j)
 
 
-@pytest.mark.parametrize("tau", [0.0, -1.0, float("nan")])
-def test_eigen_decompose_rejects_a_nonpositive_band(tau):
-    # With tau = -1 the +-i/sqrt(5) pair would be labelled positive_real_part.
-    d_tilde = build_d_tilde(build_counterexample())
-    with pytest.raises(ParameterError):
-        eigen_decompose(d_tilde, tau_eig=tau)
-
-
-def test_eigen_decompose_classifies_negative_real_parts():
-    pairs = eigen_decompose(np.diag([-1.0, 2.0]))
-    assert pairs[0].classification is EigenvalueClass.NEGATIVE_REAL_PART
-    assert pairs[1].classification is EigenvalueClass.POSITIVE_REAL_PART
+def test_report_classifies_negative_real_parts():
+    # D_plus = diag(-1, 2) with p0 = pn = 0: D_tilde = D_plus
+    op = build_two_point().with_fields(
+        d_plus=np.diag([-1.0, 2.0]), p0=np.zeros(2), pn=np.zeros(2))
+    report = spectral_report(op)
+    assert report.classifications.tolist() == [
+        EigenvalueClass.NEGATIVE_REAL_PART, EigenvalueClass.POSITIVE_REAL_PART]
+    assert report.m == 0
+    assert report.boundary_residuals.shape == (0, 3)
 
 
 def test_eigen_decompose_rejects_a_norm_of_the_wrong_size():
@@ -133,8 +140,9 @@ def test_eigen_decompose_rejects_a_norm_of_the_wrong_size():
 ], ids=["counterexample", "classical_fd_64", "cgl_16"])
 def test_eigen_decompose_h_norms_match_the_per_vector_norm(op):
     # the H-norms are summed in another order than sqrt(w* H w) per vector
-    for p in eigen_decompose(build_d_tilde(op), h=op.h):
-        assert p.h_norm == pytest.approx(h_norm(p.w, op.h), rel=8 * np.finfo(float).eps)
+    _, rows, h_norms = eigen_decompose(build_d_tilde(op), h=op.h)
+    for w, norm in zip(rows, h_norms):
+        assert norm == pytest.approx(h_norm(w, op.h), rel=8 * np.finfo(float).eps)
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +184,7 @@ def test_report_counts_the_counterexample_pair():
     op = build_counterexample()
     report = spectral_report(op)
     assert report.m == 1
-    assert len(report.imaginary()) == 2
+    assert np.count_nonzero(report.imaginary) == 2
 
 
 def test_report_counts_no_pair_on_two_point():
@@ -192,30 +200,31 @@ def test_report_rejects_a_nonpositive_band(tau):
 
 def test_classification_band():
     # eigenvalues 1e-15 +- 0.3i lie inside the band 1e-9 * ||A||_F
+    # (D_plus = a with p0 = pn = 0, so D_tilde = a)
     a = np.array([[1e-15, 0.3], [-0.3, 1e-15]])
-    pairs = eigen_decompose(a, tau_eig=1e-9)
-    assert all(p.classification is EigenvalueClass.IMAGINARY for p in pairs)
+    op = build_two_point().with_fields(d_plus=a, p0=np.zeros(2), pn=np.zeros(2))
+    report = spectral_report(op, tau_eig=1e-9)
+    assert report.imaginary.tolist() == [True, True]
+    assert report.m == 1
     # a repair by 1e-11 moves +-i/sqrt(5) to about 7e-12 +- i/sqrt(5), still
     # inside the default band 1e-10 * ||D_tilde||_F, so the pair is counted
     repaired, plan = repair_operator(build_counterexample(), 1e-11)
-    pairs = eigen_decompose(build_d_tilde(repaired), h=repaired.h)
-    inside = [p for p in pairs if p.classification is EigenvalueClass.IMAGINARY]
-    assert [p.lam.real > 0.0 for p in inside] == [True, True]
-    assert inside[0].lam.real == pytest.approx(0.5 * plan.epsilons[0], rel=1e-3)
-    assert spectral_report(repaired).m == 1
+    report = spectral_report(repaired)
+    inside = report.eigenvalues[report.imaginary]
+    assert (inside.real > 0.0).tolist() == [True, True]
+    assert inside[0].real == pytest.approx(0.5 * plan.epsilons[0], rel=1e-3)
+    assert report.m == 1
 
 
 def test_conjugate_closure_is_exact():
     # LAPACK returns the complex eigenpairs of a real matrix as exact
     # conjugates; the report relies on it and synthesizes nothing
     report = spectral_report(build_counterexample())
-    imaginary = report.imaginary()
-    by_value = {p.lam for p in imaginary}
-    for p in imaginary:
-        assert np.conj(p.lam) in by_value
-    plus = [p for p in imaginary if p.lam.imag > 0][0]
-    minus = [p for p in imaginary if p.lam.imag < 0][0]
-    np.testing.assert_array_equal(minus.w, np.conj(plus.w))
+    lam = report.eigenvalues[report.imaginary]
+    rows = report.eigenvectors[report.imaginary]
+    assert set(np.conj(lam).tolist()) == set(lam.tolist())
+    plus, minus = rows[lam.imag > 0][0], rows[lam.imag < 0][0]
+    np.testing.assert_array_equal(minus, np.conj(plus))
 
 
 def _crippled_counterexample():
@@ -231,9 +240,9 @@ def _crippled_counterexample():
 def test_spectrum_of_an_operator_that_is_not_nullspace_consistent(capsys, tmp_path):
     op = _crippled_counterexample()
     report = spectral_report(op)
-    zeros = [p for p in report.pairs if p.lam == 0.0]
-    assert len(zeros) == 2
-    assert all(p.classification is EigenvalueClass.IMAGINARY for p in zeros)
+    zeros = report.eigenvalues == 0.0
+    assert np.count_nonzero(zeros) == 2
+    assert all(report.imaginary[zeros])
     assert report.m == 0
     path = str(tmp_path / "crippled.json")
     save_operator(op, path)
@@ -249,7 +258,7 @@ def test_spectrum_of_an_operator_that_is_not_nullspace_consistent(capsys, tmp_pa
 
 def test_orthogonalize_counterexample():
     op = build_counterexample()
-    vectors = orthogonalize_imaginary(analyze(op))
+    vectors = orthogonalize_imaginary(spectral_report(op))
     assert len(vectors) == 2
     q = np.column_stack(vectors)
     assert not np.iscomplexobj(q)
@@ -266,7 +275,7 @@ def test_orthogonalize_counterexample():
     lambda: repair_operator(build_counterexample(), 1e-3)[0],
 ], ids=["two_point", "classical_fd_64", "repaired_counterexample"])
 def test_orthogonalize_is_empty_with_the_eigenvalue_property(build):
-    assert orthogonalize_imaginary(analyze(build())) == []
+    assert orthogonalize_imaginary(spectral_report(build())) == []
 
 
 # ---------------------------------------------------------------------------
@@ -276,9 +285,10 @@ def test_orthogonalize_is_empty_with_the_eigenvalue_property(build):
 def test_boundary_projections_vanish_on_counterexample():
     op = build_counterexample()
     report = spectral_report(op)
-    for pair, triple in zip(report.imaginary(), report.boundary_residuals):
-        scale = np.linalg.norm(pair.w)
-        assert all(r <= 1e-10 * scale for r in triple)
+    rows = report.eigenvectors[report.imaginary]
+    assert report.boundary_residuals.shape == (2, 3)
+    for w, triple in zip(rows, report.boundary_residuals):
+        assert all(r <= 1e-10 * np.linalg.norm(w) for r in triple)
 
 
 def test_moment_residuals_vanish_on_counterexample():
@@ -289,17 +299,19 @@ def test_moment_residuals_vanish_on_counterexample():
     assert abs(np.sum(weights * w)) < 1e-12
     assert abs(np.sum(weights * op.x * w)) < 1e-12
     report = spectral_report(op)
-    for pair, moments in zip(report.imaginary(), report.moment_residuals):
-        assert len(moments) == op.q + 1
-        assert all(r <= 1e-10 * pair.h_norm for r in moments)
+    assert report.moment_residuals.shape == (2, op.q + 1)
+    for norm, moments in zip(report.h_norms[report.imaginary],
+                             report.moment_residuals):
+        assert all(r <= 1e-10 * norm for r in moments)
 
 
 def test_repaired_operator_has_no_imaginary_pairs():
     repaired, _ = repair_operator(build_counterexample(), 1e-3)
     report = spectral_report(repaired)
     assert report.m == 0
-    assert report.imaginary() == ()
-    assert report.boundary_residuals == ()
+    assert not report.imaginary.any()
+    assert report.boundary_residuals.shape == (0, 3)
+    assert report.moment_residuals.shape == (0, repaired.q + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -309,12 +321,13 @@ def test_repaired_operator_has_no_imaginary_pairs():
 def test_imaginary_eigenvectors_are_h_orthogonal_to_all_others():
     op = build_counterexample()
     report = spectral_report(op)
-    for p in report.imaginary():
-        for other in report.pairs:
-            if abs(other.lam - p.lam) < 1e-12:
+    lam, rows, norms = report.eigenvalues, report.eigenvectors, report.h_norms
+    for k in np.flatnonzero(report.imaginary):
+        for j in range(lam.size):
+            if abs(lam[j] - lam[k]) < 1e-12:
                 continue
-            inner = abs(h_inner(p.w, other.w, op.h))
-            assert inner <= 1e-8 * p.h_norm * other.h_norm
+            inner = abs(h_inner(rows[k], rows[j], op.h))
+            assert inner <= 1e-8 * norms[k] * norms[j]
 
 
 def test_imaginary_eigenvalues_are_nondefective():
@@ -365,11 +378,9 @@ def test_verify_and_report_decide_from_the_same_eigenvalues(build):
     op = build()
     check = verify_all(op).eigenvalue_check
     report = spectral_report(op)
-    assert check.offending == tuple(
-        p.lam for p in report.pairs
-        if p.classification is not EigenvalueClass.POSITIVE_REAL_PART
-    )
-    assert check.min_real_part == report.pairs[0].lam.real
+    positive = report.classifications == EigenvalueClass.POSITIVE_REAL_PART
+    assert check.offending == tuple(report.eigenvalues[~positive].tolist())
+    assert check.min_real_part == report.eigenvalues[0].real
 
 
 @pytest.fixture

@@ -5,7 +5,6 @@ from sbpkit import (
     Interval,
     NodeFamily,
     Property,
-    analyze,
     build_classical_fd,
     build_counterexample,
     build_pseudospectral_operator,
@@ -21,6 +20,7 @@ from sbpkit import (
     operator_to_document,
     orthogonalize_imaginary,
     repair_operator,
+    spectral_report,
     verify_all,
 )
 from sbpkit.errors import InternalInconsistencyError, ParameterError
@@ -145,13 +145,13 @@ def test_s_annihilation_fails_for_boundary_projector():
 
 
 def test_nullspace_counterexample():
-    diag = check_nullspace_consistency(analyze(build_counterexample()))
+    diag = check_nullspace_consistency(spectral_report(build_counterexample()))
     assert diag.consistent
     assert diag.rank == 5
 
 
 def test_nullspace_two_point():
-    diag = check_nullspace_consistency(analyze(build_two_point()))
+    diag = check_nullspace_consistency(spectral_report(build_two_point()))
     assert diag.consistent
     assert diag.sigma_min == pytest.approx(np.sqrt(2.0))
 
@@ -160,7 +160,7 @@ def test_nullspace_engineered_kernel():
     # two zeroed rows leave the constants in the kernel but drop the rank,
     # so the kernel has dimension >= 2 and both routes agree on "no"
     crippled = _zero_rows(build_counterexample(), (2, 3))
-    diag = check_nullspace_consistency(analyze(crippled))
+    diag = check_nullspace_consistency(spectral_report(crippled))
     assert not diag.consistent
     assert diag.rank < crippled.n
 
@@ -171,7 +171,7 @@ def test_nullspace_routes_disagree_on_non_sbp_input():
     # two routes rely on only holds for true operator pairs
     crippled = _zero_rows(build_counterexample(), (2,))
     with pytest.raises(InternalInconsistencyError):
-        check_nullspace_consistency(analyze(crippled))
+        check_nullspace_consistency(spectral_report(crippled))
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +179,7 @@ def test_nullspace_routes_disagree_on_non_sbp_input():
 
 
 def test_eigenvalue_property_counterexample():
-    check = check_eigenvalue_property(analyze(build_counterexample()))
+    check = check_eigenvalue_property(spectral_report(build_counterexample()))
     assert not check.has_property
     offending = sorted(check.offending, key=lambda v: v.imag)
     assert len(offending) == 2
@@ -188,14 +188,14 @@ def test_eigenvalue_property_counterexample():
 
 
 def test_eigenvalue_property_two_point():
-    check = check_eigenvalue_property(analyze(build_two_point()))
+    check = check_eigenvalue_property(spectral_report(build_two_point()))
     assert check.has_property
     assert check.min_real_part == pytest.approx(1.0)
 
 
 def test_eigenvalue_property_after_repair():
     repaired, _ = repair_operator(build_counterexample(), 1e-3)
-    assert check_eigenvalue_property(analyze(repaired)).has_property
+    assert check_eigenvalue_property(spectral_report(repaired)).has_property
 
 
 # ---------------------------------------------------------------------------
@@ -234,8 +234,8 @@ def test_verify_all_flags_corrupted_norm(tmp_path):
 def test_report_keeps_the_diagnostics_behind_its_verdicts():
     op = build_counterexample()
     report = verify_all(op)
-    assert report.nullspace == check_nullspace_consistency(analyze(op))
-    assert report.eigenvalue_check == check_eigenvalue_property(analyze(op))
+    assert report.nullspace == check_nullspace_consistency(spectral_report(op))
+    assert report.eigenvalue_check == check_eigenvalue_property(spectral_report(op))
     assert report.nullspace_consistent is report.nullspace.consistent
     assert report.eigenvalue_property is report.eigenvalue_check.has_property
 
@@ -407,7 +407,7 @@ def test_counterexample_unobservable_subspace_over_the_rationals():
     paper = sp.Matrix([[0, 1, -3, 3, -1, 0], [0, 1, -1, -1, 1, 0]]).T
     assert sp.Matrix.hstack(plane, paper).rank() == 2
 
-    basis, _ = np.linalg.qr(np.column_stack(orthogonalize_imaginary(analyze(op))))
+    basis, _ = np.linalg.qr(np.column_stack(orthogonalize_imaginary(spectral_report(op))))
     exact, _ = np.linalg.qr(np.array(plane, dtype=float))
     sines = np.linalg.svd(exact - basis @ (basis.T @ exact), compute_uv=False)
     assert np.max(sines) <= 1e-13
