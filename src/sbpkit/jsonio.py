@@ -6,11 +6,19 @@ insertion order and floats are printed with 17 significant digits
 (``%.17g``), which round-trips IEEE doubles exactly.  Non-finite floats are
 refused with ``ParameterError``.
 
-A flat list whose elements are all exactly ``float`` (the shape of every
-``ndarray.tolist()`` in a document) is not formatted where the walk meets
+Besides the JSON types, a document may hold float64 arrays: a 1-D array is
+written as a flat list and a 2-D array as a list of rows, byte for byte as
+its ``tolist()``.  Report documents hold their tables that way, so they are
+written with this module; ``json.dumps`` does not accept them.  Arrays of
+another dtype or dimension are refused with ``ParameterError``.
+
+A flat float list (a 1-D array, a row of a 2-D array, or a list whose
+elements are all exactly ``float``) is not formatted where the walk meets
 it.  The walk leaves a placeholder; once it is done, the values of all such
-lists stream, in emit order, through chunks of ``_CHUNK`` doubles, and numpy
-computes the text of a whole chunk at once:
+lists stream, in emit order, through chunks of ``_CHUNK`` doubles copied
+into one reused float64 array.  Each chunk is checked for non-finite values
+at once (the first one raises the error), and numpy computes the text of a
+whole chunk at once:
 
 - The 17 significant digits of ``|x|`` are the integer ``D = round(y)``,
   ``y = |x| 10^k`` with ``10^16 <= y < 10^17``.  Dekker's two-product (1971)
@@ -24,11 +32,12 @@ computes the text of a whole chunk at once:
   value of a list gets ``]`` instead of the separator, which splits the
   chunk's text into the text of each list.
 
-``%.17g`` itself formats every value the fast path cannot decide: values
-outside ``_FAST_MIN <= |x| < _FAST_MAX``, values whose ``y`` lies within
-``_TIE_MARGIN`` of a half-integer (an 18th digit at or next to a rounding
-tie), and non-finite values, which raise the error.  Everything else gets
-the digits ``%.17g`` computes, since both round correctly, and the same
+``%.17g`` itself formats every value the fast path cannot decide, in one
+``map`` per chunk: values outside ``_FAST_MIN <= |x| < _FAST_MAX`` and
+values whose ``y`` lies within ``_TIE_MARGIN`` of a half-integer (an 18th
+digit at or next to a rounding tie).  A chunk whose values lie mostly
+outside the fast range skips the numpy pass.  Everything else gets the
+digits ``%.17g`` computes, since both round correctly, and the same
 notation rule: exponent form when the decimal exponent is below -4 (the
 fast range has none of 17 or more), trailing zeros and a bare point
 dropped.  So every byte equals the ``%.17g`` output.
@@ -133,13 +142,24 @@ def _scaled(a: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return hi, err + a * _P_LO[k]
 
 
-def _format_chunk(v: np.ndarray, last: np.ndarray) -> str:
-    """Text of ``v`` as list elements: ``]`` after the values at ``last``,
-    ``", "`` after every other value."""
+def _format_chunk(v: np.ndarray, last: np.ndarray) -> list[str]:
+    """Text of the finite values ``v`` as list elements, split after the
+    values at ``last``: the text of each list that ends in the chunk, without
+    its ``]``, then the start of a list that goes on, or ``""``.  Each value
+    in that start is followed by ``", "``, as are the other values of a list
+    but its last."""
     size = v.size
     a = np.abs(v)
     fast = (a >= _FAST_MIN) & (a < _FAST_MAX)
     zero = v == 0
+    if 2 * np.count_nonzero(fast | zero) < size:
+        # Mostly outside the fast range: %.17g formats the whole chunk.
+        texts = list(map(_FORMAT_FLOAT, v.tolist()))
+        stops = [0, *(last + 1).tolist(), size]
+        parts = [", ".join(texts[i:j]) for i, j in zip(stops, stops[1:])]
+        if parts[-1]:
+            parts[-1] += ", "
+        return parts
     a[~fast] = 1.0
 
     # Decimal exponent X of |x|, so that y = |x| 10^(16 - X) is in [1e16, 1e17).
@@ -196,47 +216,60 @@ def _format_chunk(v: np.ndarray, last: np.ndarray) -> str:
         buf[slow, :_SEP] = 0
         buf[slow, 0] = 1
     text = buf.tobytes().translate(None, b"\0").decode("ascii")
-    if not slow.size:
-        return text
-    parts = text.split("\x01")
-    spliced = [""] * (2 * len(parts) - 1)
-    spliced[::2] = parts
-    spliced[1::2] = [format_float(value) for value in v[slow].tolist()]
-    return "".join(spliced)
+    if slow.size:
+        parts = text.split("\x01")
+        spliced = [""] * (2 * len(parts) - 1)
+        spliced[::2] = parts
+        spliced[1::2] = map(_FORMAT_FLOAT, v[slow].tolist())
+        text = "".join(spliced)
+    return text.split("]")
 
 
-def _format_lists(lists: list) -> Iterator[str]:
-    """Yield the text of each flat float list in order, without its opening
-    bracket, chunk by chunk."""
-    values: list[float] = []
+def _chunks(lists: list) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The values of the flat lists in emit order, ``_CHUNK`` at a time in
+    one reused float64 array, each chunk with the positions where a list
+    ends.  The first non-finite value raises ``ParameterError``."""
+    # One array of all values would add its size to the peak memory of a
+    # large document.
+    chunk = np.empty(_CHUNK)
+    size = 0
     last: list[int] = []
-    open_parts: list[str] = []
+    for lst in lists:
+        start = 0
+        while start < len(lst):
+            stop = min(len(lst), start + _CHUNK - size)
+            chunk[size:size + stop - start] = lst[start:stop]
+            size += stop - start
+            start = stop
+            if start == len(lst):
+                last.append(size - 1)
+            if size == _CHUNK:
+                yield _finite(chunk), np.array(last, dtype=np.intp)
+                size, last = 0, []
+    if size:
+        yield _finite(chunk[:size]), np.array(last, dtype=np.intp)
 
-    def flush() -> Iterator[str]:
-        chunk = _format_chunk(np.array(values, dtype=float), np.array(last, dtype=np.intp))
-        values.clear()
-        last.clear()
-        *done, tail = chunk.split("]")
+
+def _finite(values: np.ndarray) -> np.ndarray:
+    """``values``, once none of them is inf or nan."""
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        format_float(values[bad[0]].item())  # raises, naming the value
+    return values
+
+
+def _list_texts(lists: list) -> Iterator[str]:
+    """Yield the text of each flat list in order, without its opening
+    bracket, chunk by chunk."""
+    open_parts: list[str] = []
+    for values, last in _chunks(lists):
+        *done, tail = _format_chunk(values, last)
         for text in done:
             open_parts.extend((text, "]"))
             yield "".join(open_parts)
             open_parts.clear()
         if tail:
             open_parts.append(tail)
-
-    for lst in lists:
-        start = 0
-        while len(lst) - start > _CHUNK - len(values):
-            stop = start + _CHUNK - len(values)
-            values.extend(lst[start:stop])
-            start = stop
-            yield from flush()
-        values.extend(lst[start:] if start else lst)
-        last.append(len(values) - 1)
-        if len(values) >= _CHUNK:
-            yield from flush()
-    if values:
-        yield from flush()
 
 
 def _emit(obj: Any, indent: int, level: int, out: list, lists: list) -> None:
@@ -256,6 +289,18 @@ def _emit(obj: Any, indent: int, level: int, out: list, lists: list) -> None:
             _emit(value, indent, level + 1, out, lists)
             out.append(",\n" if k < len(obj) - 1 else "\n")
         out.append(pad + "}")
+    elif isinstance(obj, np.ndarray):
+        if obj.dtype != np.float64 or obj.ndim not in (1, 2):
+            raise ParameterError(
+                f"cannot serialize a {obj.ndim}-d array of {obj.dtype}; "
+                "only 1-d and 2-d float64 arrays are written")
+        if obj.ndim == 2:
+            _emit(list(obj), indent, level, out, lists)
+        elif obj.size == 0:
+            out.append("[]")
+        else:
+            out += ("[", None)
+            lists.append(obj)
     elif isinstance(obj, (list, tuple)):
         if len(obj) == 0:
             out.append("[]")
@@ -295,17 +340,21 @@ def _scalar(obj: Any) -> str:
 
 
 def dumps(obj: Any, indent: int = 2) -> str:
-    """Serialize to a deterministic JSON string (no trailing newline)."""
+    """Serialize to a deterministic JSON string (no trailing newline).
+
+    ``obj`` may hold 1-d and 2-d float64 arrays besides the JSON types; they
+    are written as ``obj.tolist()`` would be.
+    """
     out: list = []  # text, and None where a flat float list goes
     lists: list = []
     try:
         _emit(obj, indent, 0, out, lists)
     except ParameterError:
         # A non-finite value in a list the walk already passed comes first.
-        for _ in _format_lists(lists):
+        for _ in _chunks(lists):
             pass
         raise
     slots = [i for i, piece in enumerate(out) if piece is None]
-    for slot, text in zip(slots, _format_lists(lists)):
+    for slot, text in zip(slots, _list_texts(lists)):
         out[slot] = text
     return "".join(out)

@@ -70,6 +70,10 @@ class PerturbationPlan:
     imaginary invariant subspace (the columns of Q in ``S' = H Q E Q^T H``);
     ``epsilons`` the m positive coefficients;
     ``norm_bound`` the achieved ``||1/2 H^{-1} S'||`` in ``norm_choice``.
+
+    :meth:`to_document` holds ``s_prime`` as a float64 array, so the document
+    is written with :func:`sbpkit.jsonio.dumps`; ``json.dumps`` does not
+    accept it.
     """
 
     imaginary_pairs: tuple[np.ndarray, ...]
@@ -91,7 +95,7 @@ class PerturbationPlan:
             "epsilons": list(self.epsilons),
             "norm_choice": self.norm_choice.value,
             "norm_bound": self.norm_bound,
-            "s_prime": self.s_prime.ravel().tolist(),
+            "s_prime": self.s_prime.ravel(),
         }
 
 

@@ -74,6 +74,10 @@ class SpectralReport:
     ``|<P_k, w>_H| / (||P_k||_H ||w||_H)`` for k = 0..q, with P_k the
     Legendre polynomials mapped to the interval (which span the same space
     as x^j); all of them vanish for a conforming operator.
+
+    :meth:`to_document` holds these tables as float64 arrays (views of the
+    report's own arrays where it can), so the document is written with
+    :func:`sbpkit.jsonio.dumps`; ``json.dumps`` does not accept it.
     """
 
     op: SbpOperatorPair
@@ -98,13 +102,13 @@ class SpectralReport:
         return {
             "m": self.m,
             "tau_eig": self.tolerance,
-            "eigenvalues": self.eigenvalues.view(float).reshape(-1, 2).tolist(),
+            "eigenvalues": self.eigenvalues.view(float).reshape(-1, 2),
             "classifications": [c.value for c in self.classifications],
-            "h_norms": self.h_norms.tolist(),
-            "eigenvectors": np.asarray(self.eigenvectors, complex).view(float).tolist(),
-            "boundary_residuals": self.boundary_residuals.tolist(),
-            "moment_residuals": self.moment_residuals.tolist(),
-            "d_tilde": self.d_tilde.ravel().tolist(),
+            "h_norms": self.h_norms,
+            "eigenvectors": np.asarray(self.eigenvectors, complex).view(float),
+            "boundary_residuals": self.boundary_residuals,
+            "moment_residuals": self.moment_residuals,
+            "d_tilde": self.d_tilde.ravel(),
         }
 
 
@@ -229,22 +233,25 @@ def orthogonalize_imaginary(report: SpectralReport) -> list[np.ndarray]:
     """
     op = report.op
     size = op.n + 1
-    krylov = np.zeros((size, 0))
+    basis = np.empty((size, size))
+    dim = 0  # the Krylov basis is basis[:, :dim]
     block = np.column_stack([op.p0, op.pn, op.s])
     scale = float(np.linalg.norm(block))
-    while krylov.shape[1] < size:
+    while dim < size:
+        krylov = basis[:, :dim]
         for _ in range(2):
             block = block - krylov @ (krylov.T @ block)
         u, sv, _ = np.linalg.svd(block, full_matrices=False)
         rank = int(np.count_nonzero(sv > rank_threshold(scale, size)))
         if rank == 0:
             break
-        krylov = np.hstack([krylov, u[:, :rank]])
+        basis[:, dim:dim + rank] = u[:, :rank]
+        dim += rank
         block = report.d_tilde.T @ u[:, :rank]
         scale = report.scale
-    if krylov.shape[1] == size:
+    if dim == size:
         return []
-    complete, _ = np.linalg.qr(krylov, mode="complete")
-    z = complete[:, krylov.shape[1]:]
+    complete, _ = np.linalg.qr(basis[:, :dim], mode="complete")
+    z = complete[:, dim:]
     lower = np.linalg.cholesky(z.T @ (op.h @ z))
     return list(np.linalg.solve(lower, z.T))

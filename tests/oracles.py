@@ -45,11 +45,11 @@ def reference_dumps(obj, indent=2, level=0) -> str:
     """The document format, element by element with ``format(v, ".17g")``.
 
     The oracle for ``jsonio.dumps``, which formats flat float lists in numpy
-    chunks instead.
+    chunks instead.  An array is written as its ``tolist()``.
     """
     pad, inner = " " * indent * level, " " * indent * (level + 1)
-    if isinstance(obj, np.generic):
-        obj = obj.item()
+    if isinstance(obj, (np.generic, np.ndarray)):
+        obj = obj.tolist()
     if isinstance(obj, dict):
         if not obj:
             return "{}"

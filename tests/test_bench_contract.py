@@ -122,3 +122,17 @@ def test_cli_import_leaves_numpy_polynomial_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out.strip() == "False"
+
+
+def test_traced_modules_are_loaded_by_the_cli_import():
+    # Tracer.install looks each traced module up in sys.modules, so a module
+    # that `import sbpkit` and `import sbpkit.cli` leave unloaded would break
+    # every traced run.
+    modules = sorted({f"sbpkit.{module}" for module, _ in _traced_functions()})
+    code = ("import sys, sbpkit, sbpkit.cli; "
+            f"print([m for m in {modules!r} if m not in sys.modules])")
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"

@@ -158,6 +158,16 @@ def test_verify_rejects_an_order_above_n_at_once(capsys, tmp_path):
     assert "InvariantError" in err
 
 
+def test_verify_rejects_an_integer_too_large_for_a_double(capsys, tmp_path):
+    doc = operator_to_document(build_counterexample())
+    doc["x"] = [0, 10**400, 2, 3, 4, 5]
+    path = tmp_path / "huge_x.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = _run(capsys, ["verify", "--input", str(path)])
+    assert code == 2
+    assert "SchemaError" in err and "x[1]" in err
+
+
 def test_malformed_document_exit_2(capsys, tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{this is not json")

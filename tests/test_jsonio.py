@@ -177,7 +177,8 @@ def test_format_float_is_the_list_format():
     lambda bad: {"rows": [[0.5], [bad]]},
     lambda bad: bad,
     lambda bad: [[0.5] * (jsonio._CHUNK + 5), [1.5, bad]],
-], ids=["floats", "single", "mixed", "numpy", "nested", "scalar", "later_chunk"])
+    lambda bad: [0.5] * 7 + [bad] + [0.5] * (2 * jsonio._CHUNK),
+], ids=["floats", "single", "mixed", "numpy", "nested", "scalar", "later_chunk", "full_chunk"])
 def test_non_finite_is_refused(bad, where):
     with pytest.raises(ParameterError, match="cannot serialize non-finite number"
                        ) as excinfo:
@@ -209,3 +210,93 @@ def test_non_string_key_is_refused():
 def test_unknown_type_is_refused():
     with pytest.raises(ParameterError, match="type complex"):
         dumps([0.5, 1j])
+
+
+# ---------------------------------------------------------------------------
+# float64 arrays are written as their tolist()
+
+FLOAT_CASES = sorted(name for name, obj in CASES.items()
+                     if obj and isinstance(obj, (list, tuple)) and set(map(type, obj)) == {float})
+
+
+def _views(values):
+    """The values as a 1-D array, reshaped to rows, Fortran-ordered, and as
+    strided views of both."""
+    a = np.array(values, dtype=float)
+    rows = a[:a.size - a.size % 3].reshape(-1, 3)
+    return {"1d": a, "2d": rows, "fortran": np.asfortranarray(rows), "transposed": rows.T,
+            "strided_1d": a[::-2], "strided_2d": rows[::2, ::2], "column": rows[:, 1]}
+
+
+def test_the_float_cases_exist():
+    assert {"ties", "near_ties", "powers_of_ten", "limits", "special", "random_bits",
+            "tuple", "long_list"} <= set(FLOAT_CASES)
+
+
+@pytest.mark.parametrize("name", FLOAT_CASES)
+def test_float64_arrays_give_the_bytes_of_their_lists(name):
+    for view, a in _views(CASES[name]).items():
+        assert a.dtype == np.float64
+        assert dumps(a) == reference_dumps(a.tolist()), view
+        assert dumps({"k": a, "and": [a, a.tolist()]}) == reference_dumps(
+            {"k": a.tolist(), "and": [a.tolist(), a.tolist()]}), view
+
+
+def test_array_layouts_are_covered():
+    views = _views(CASES["special"])
+    assert views["fortran"].flags.f_contiguous and not views["fortran"].flags.c_contiguous
+    assert not views["strided_1d"].flags.contiguous
+    assert not views["column"].flags.contiguous
+    assert not views["strided_2d"].flags.c_contiguous and views["strided_2d"].shape == (3, 2)
+    assert views["2d"].ndim == views["transposed"].ndim == 2
+
+
+@pytest.mark.parametrize("shape", [(0,), (0, 3), (3, 0)])
+def test_empty_arrays(shape):
+    a = np.zeros(shape)
+    assert dumps(a) == reference_dumps(a.tolist())
+    assert dumps({"a": a, "b": [1.5]}, indent=4) == reference_dumps(
+        {"a": a.tolist(), "b": [1.5]}, indent=4)
+
+
+def test_negative_zero_in_arrays():
+    a = np.array([-0.0, 0.0, -0.0])
+    assert dumps(a) == "[-0, 0, -0]"
+    assert dumps(a.reshape(3, 1)) == "[\n  [-0],\n  [0],\n  [-0]\n]"
+
+
+def test_arrays_and_lists_share_the_chunks():
+    # Arrays and lists in one document stream through the same chunks, and
+    # a list of a chunk's worth of values is cut across two of them.
+    rng = np.random.default_rng(9)
+    doc = {"a": rng.normal(size=(jsonio._CHUNK // 3, 5)), "b": rng.normal(size=7).tolist(),
+           "c": rng.normal(size=jsonio._CHUNK + 3), "d": [[0.5, 1e300], np.array([2.5])]}
+    plain = {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in doc.items()}
+    plain["d"] = [[0.5, 1e300], [2.5]]
+    assert dumps(doc) == reference_dumps(plain)
+
+
+@pytest.mark.parametrize("doc, named", [
+    ({"a": np.array([0.5, np.nan]), "b": [math.inf]}, "nan"),
+    ({"a": [0.5, -math.inf], "b": np.array([np.nan])}, "-inf"),
+    ({"a": np.ones((3, 2)), "b": np.array([[0.5, 1.5], [np.inf, np.nan]]), "c": [math.nan]},
+     "inf"),
+    ({"a": np.ones(jsonio._CHUNK + 1), "b": [0.5, math.nan], "c": np.array([-np.inf])}, "nan"),
+    ({"a": np.array([1.0, -np.inf] + [0.5] * jsonio._CHUNK), "b": [math.nan]}, "-inf"),
+    ({"a": np.array([0.5]), "b": [1, math.inf], "c": np.array([np.nan])}, "inf"),
+    ({"a": np.array([0.5, np.nan]), "b": [1, math.inf]}, "nan"),
+    ({"a": np.array([0.5, 1.5])[::-1], "b": np.array([[np.nan, 1.0]]).T}, "nan"),
+], ids=["array_then_list", "list_then_array", "rows", "later_chunk", "full_chunk",
+        "mixed_list_first", "array_before_mixed_list", "strided"])
+def test_the_first_non_finite_value_among_arrays_and_lists_is_named(doc, named):
+    with pytest.raises(ParameterError, match=f"non-finite number {named}$"):
+        dumps(doc)
+
+
+@pytest.mark.parametrize("array", [
+    np.arange(3), np.array([True, False]), np.array([1 + 2j, 0.5]), np.array(0.5),
+    np.zeros((2, 2, 2)), np.zeros(3, dtype=np.float32), np.array(["a"]),
+], ids=["int", "bool", "complex", "0-d", "3-d", "float32", "str"])
+def test_other_arrays_are_refused(array):
+    with pytest.raises(ParameterError, match="cannot serialize"):
+        dumps({"a": [0.5], "b": array})

@@ -17,6 +17,7 @@ from sbpkit import (
     operator_to_document,
     repair_operator,
     save_operator,
+    storage,
     verify_all,
 )
 from sbpkit.errors import (
@@ -274,6 +275,31 @@ def test_round_trip_keeps_negative_zeros(tmp_path):
     assert str(loaded.interval.a) == "-0.0"
 
 
+@pytest.mark.parametrize("name", ["plain", "has-0", "-0"])
+def test_load_reads_integer_negative_zero_with_or_without_one(name, monkeypatch):
+    # A document without the literal -0 skips the integer hook; one with it,
+    # or with -0 only inside its name, takes the hook.  Both read the saved
+    # doubles bit for bit.
+    hooked = []
+    parse_int = storage._parse_int
+    monkeypatch.setattr(storage, "_parse_int",
+                        lambda literal: hooked.append(literal) or parse_int(literal))
+    base = build_classical_fd(6, Interval(0.0, 1.0)).with_fields(name=name)
+    d_plus = np.where(base.d_plus == 0, -0.0, base.d_plus)
+    signed = base.with_fields(d_plus=d_plus, d_minus=derive_d_minus(d_plus, base.h, base.s))
+    for op in (base, signed):
+        buffer = io.StringIO()
+        save_operator(op, buffer)
+        text = buffer.getvalue()
+        assert (", -0," in text) == (op is signed)
+        hooked.clear()
+        loaded = load_operator(io.StringIO(text))
+        assert bool(hooked) == (op is signed or "-0" in name)
+        for attr in ("d_plus", "d_minus", "h", "s", "p0", "pn", "x"):
+            assert getattr(loaded, attr).tobytes() == getattr(op, attr).tobytes(), attr
+        assert loaded.name == name
+
+
 def test_save_is_deterministic():
     op = build_counterexample()
     first, second = io.StringIO(), io.StringIO()
@@ -333,6 +359,17 @@ def test_bad_entry_deep_in_large_matrix_names_its_index(bad):
     assert excinfo.value.path == f"D_plus[{k}]"
 
 
+@pytest.mark.parametrize("field", ["x", "D_plus", "interval"])
+def test_integer_too_large_for_a_double_names_its_entry(field):
+    doc = operator_to_document(build_two_point())
+    doc[field][1] = 10**400
+    with pytest.raises(SchemaError, match=rf"{field}\[1\]: integer too large") as excinfo:
+        operator_from_document(doc)
+    assert excinfo.value.path == f"{field}[1]"
+    with pytest.raises(SchemaError, match=rf"{field}\[1\]"):
+        load_operator(io.StringIO(json.dumps(doc)))
+
+
 def test_numpy_scalar_entries_accepted():
     op = build_classical_fd(8, Interval(0.0, 1.0))
     doc = operator_to_document(op)
@@ -370,6 +407,17 @@ def test_bad_interval_entry():
 def test_malformed_json_is_parse_error():
     with pytest.raises(ParseError):
         load_operator(io.StringIO("{not json"))
+
+
+@pytest.mark.parametrize("name", ["plain", "-0"])
+def test_integer_beyond_the_digit_limit_is_parse_error(name):
+    # json.loads raises a plain ValueError for it, with the integer hook (which
+    # a -0 in the name turns on) and without it.
+    doc = operator_to_document(build_two_point())
+    doc["name"] = name
+    text = json.dumps(doc).replace('"q": 1', '"q": 1' + "0" * 5000)
+    with pytest.raises(ParseError, match="digits"):
+        load_operator(io.StringIO(text))
 
 
 def test_non_object_document_rejected():
