@@ -35,8 +35,7 @@ whole chunk at once:
 ``%.17g`` itself formats every value the fast path cannot decide, in one
 ``map`` per chunk: values outside ``_FAST_MIN <= |x| < _FAST_MAX`` and
 values whose ``y`` lies within ``_TIE_MARGIN`` of a half-integer (an 18th
-digit at or next to a rounding tie).  A chunk whose values lie mostly
-outside the fast range skips the numpy pass.  Everything else gets the
+digit at or next to a rounding tie).  Everything else gets the
 digits ``%.17g`` computes, since both round correctly, and the same
 notation rule: exponent form when the decimal exponent is below -4 (the
 fast range has none of 17 or more), trailing zeros and a bare point
@@ -142,24 +141,13 @@ def _scaled(a: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return hi, err + a * _P_LO[k]
 
 
-def _format_chunk(v: np.ndarray, last: np.ndarray) -> list[str]:
-    """Text of the finite values ``v`` as list elements, split after the
-    values at ``last``: the text of each list that ends in the chunk, without
-    its ``]``, then the start of a list that goes on, or ``""``.  Each value
-    in that start is followed by ``", "``, as are the other values of a list
-    but its last."""
+def _format_chunk(v: np.ndarray, last: np.ndarray) -> str:
+    """Text of the finite values ``v`` as list elements: ``]`` after the
+    values at ``last``, ``", "`` after every other value."""
     size = v.size
     a = np.abs(v)
     fast = (a >= _FAST_MIN) & (a < _FAST_MAX)
     zero = v == 0
-    if 2 * np.count_nonzero(fast | zero) < size:
-        # Mostly outside the fast range: %.17g formats the whole chunk.
-        texts = list(map(_FORMAT_FLOAT, v.tolist()))
-        stops = [0, *(last + 1).tolist(), size]
-        parts = [", ".join(texts[i:j]) for i, j in zip(stops, stops[1:])]
-        if parts[-1]:
-            parts[-1] += ", "
-        return parts
     a[~fast] = 1.0
 
     # Decimal exponent X of |x|, so that y = |x| 10^(16 - X) is in [1e16, 1e17).
@@ -222,7 +210,7 @@ def _format_chunk(v: np.ndarray, last: np.ndarray) -> list[str]:
         spliced[::2] = parts
         spliced[1::2] = map(_FORMAT_FLOAT, v[slow].tolist())
         text = "".join(spliced)
-    return text.split("]")
+    return text
 
 
 def _chunks(lists: list) -> Iterator[tuple[np.ndarray, np.ndarray]]:
@@ -263,7 +251,7 @@ def _list_texts(lists: list) -> Iterator[str]:
     bracket, chunk by chunk."""
     open_parts: list[str] = []
     for values, last in _chunks(lists):
-        *done, tail = _format_chunk(values, last)
+        *done, tail = _format_chunk(values, last).split("]")
         for text in done:
             open_parts.extend((text, "]"))
             yield "".join(open_parts)

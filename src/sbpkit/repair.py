@@ -71,9 +71,9 @@ class PerturbationPlan:
     ``epsilons`` the m positive coefficients;
     ``norm_bound`` the achieved ``||1/2 H^{-1} S'||`` in ``norm_choice``.
 
-    :meth:`to_document` holds ``s_prime`` as a float64 array, so the document
-    is written with :func:`sbpkit.jsonio.dumps`; ``json.dumps`` does not
-    accept it.
+    ``s_prime`` is read-only.  :meth:`to_document` holds it as a float64
+    array (a read-only view), so the document is written with
+    :func:`sbpkit.jsonio.dumps`; ``json.dumps`` does not accept it.
     """
 
     imaginary_pairs: tuple[np.ndarray, ...]
@@ -81,6 +81,9 @@ class PerturbationPlan:
     s_prime: np.ndarray
     norm_bound: float
     norm_choice: NormChoice
+
+    def __post_init__(self) -> None:
+        self.s_prime.flags.writeable = False
 
     @property
     def m(self) -> int:

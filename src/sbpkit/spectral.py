@@ -75,9 +75,10 @@ class SpectralReport:
     Legendre polynomials mapped to the interval (which span the same space
     as x^j); all of them vanish for a conforming operator.
 
-    :meth:`to_document` holds these tables as float64 arrays (views of the
-    report's own arrays where it can), so the document is written with
-    :func:`sbpkit.jsonio.dumps`; ``json.dumps`` does not accept it.
+    The arrays are read-only.  :meth:`to_document` holds these tables as
+    float64 arrays (read-only views of the report's own arrays where it
+    can), so the document is written with :func:`sbpkit.jsonio.dumps`;
+    ``json.dumps`` does not accept it.
     """
 
     op: SbpOperatorPair
@@ -91,6 +92,12 @@ class SpectralReport:
     m: int
     boundary_residuals: np.ndarray
     moment_residuals: np.ndarray
+
+    def __post_init__(self) -> None:
+        for array in (self.d_tilde, self.eigenvalues, self.eigenvectors, self.h_norms,
+                      self.classifications, self.boundary_residuals,
+                      self.moment_residuals):
+            array.flags.writeable = False
 
     @property
     def imaginary(self) -> np.ndarray:

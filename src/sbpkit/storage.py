@@ -9,9 +9,8 @@ full round-trip precision, so save/load is bit-exact.  ``-0.0`` is written
 as ``-0``, which JSON readers take for the integer 0; :func:`load_operator`
 reads that literal back as ``-0.0``.
 
-:func:`save_operator` hands the operator's own float64 arrays to
-:func:`sbpkit.jsonio.dumps`; :func:`operator_to_document` builds the same
-fields as plain lists, the shape :func:`operator_from_document` reads.
+:func:`operator_to_document` builds the fields as plain lists, the shape
+:func:`operator_from_document` reads and :func:`save_operator` writes.
 
 Number arrays are validated and converted in one numpy pass when every entry
 is a plain ``int`` or ``float``; otherwise entry by entry, so that a bool, a
@@ -23,8 +22,7 @@ from __future__ import annotations
 
 import json
 import os
-import re
-from typing import IO, Any, Callable
+from typing import IO, Any
 
 import numpy as np
 
@@ -40,21 +38,23 @@ __all__ = [
 ]
 
 
-def _document(op: SbpOperatorPair, convert: Callable[[np.ndarray], Any]) -> dict[str, Any]:
-    """The operator's fields, each array flattened row-major and passed
-    through ``convert``."""
-    doc: dict[str, Any] = {"n": op.n, "q": op.q, "interval": [op.interval.a, op.interval.b]}
-    for key, array in (("x", op.x), ("D_plus", op.d_plus), ("D_minus", op.d_minus),
-                       ("H", op.h), ("S", op.s), ("p0", op.p0), ("pn", op.pn)):
-        doc[key] = convert(array.ravel())
+def operator_to_document(op: SbpOperatorPair) -> dict[str, Any]:
+    """Build the JSON-ready document for an operator."""
+    doc: dict[str, Any] = {
+        "n": op.n,
+        "q": op.q,
+        "interval": [op.interval.a, op.interval.b],
+        "x": op.x.tolist(),
+        "D_plus": op.d_plus.ravel().tolist(),
+        "D_minus": op.d_minus.ravel().tolist(),
+        "H": op.h.ravel().tolist(),
+        "S": op.s.ravel().tolist(),
+        "p0": op.p0.tolist(),
+        "pn": op.pn.tolist(),
+    }
     if op.name is not None:
         doc["name"] = op.name
     return doc
-
-
-def operator_to_document(op: SbpOperatorPair) -> dict[str, Any]:
-    """Build the JSON-ready document for an operator, with plain lists."""
-    return _document(op, np.ndarray.tolist)
 
 
 def _require(doc: dict, key: str) -> Any:
@@ -142,14 +142,9 @@ def _parse_int(literal: str) -> int | float:
     return -0.0 if literal == "-0" else int(literal)
 
 
-#: The integer literal ``-0`` (not the start of ``-0.5`` or ``-0e1``).  A
-#: match in a string value only costs the slower hook path.
-_NEGATIVE_ZERO = re.compile(r"-0(?![0-9.eE])")
-
-
 def save_operator(op: SbpOperatorPair, destination: str | os.PathLike | IO[str]) -> None:
     """Write the operator document (bit-exact round trip with load)."""
-    text = jsonio.dumps(_document(op, np.asarray)) + "\n"
+    text = jsonio.dumps(operator_to_document(op)) + "\n"
     if hasattr(destination, "write"):
         destination.write(text)
     else:
@@ -164,10 +159,8 @@ def load_operator(source: str | os.PathLike | IO[str]) -> SbpOperatorPair:
     else:
         with open(source, "r", encoding="utf-8") as fh:
             text = fh.read()
-    # Most documents hold no -0 and skip the per-integer hook.
-    parse_int = _parse_int if _NEGATIVE_ZERO.search(text) else None
     try:
-        doc = json.loads(text, parse_int=parse_int)
+        doc = json.loads(text, parse_int=_parse_int)
     except ValueError as exc:
         # A JSONDecodeError, or an integer literal longer than Python's
         # limit on int digits.

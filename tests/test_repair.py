@@ -252,6 +252,10 @@ def test_plan_document_fields():
     assert doc["norm_choice"] == "frobenius"
     assert len(doc["s_prime"]) == 36
     assert doc["epsilons"][0] == pytest.approx(1e-3 * np.sqrt(2.0), rel=1e-10)
+    with pytest.raises(ValueError, match="read-only"):
+        doc["s_prime"][0] = 7.0
+    with pytest.raises(ValueError, match="read-only"):
+        plan.s_prime[0, 0] = 7.0
 
 
 def test_repaired_spectrum_is_clean():

@@ -345,6 +345,16 @@ def test_report_document_round_trip_fields():
     assert doc["classifications"].count("imaginary") == 2
 
 
+@pytest.mark.parametrize("key", ["eigenvalues", "h_norms", "eigenvectors",
+                                 "boundary_residuals", "moment_residuals", "d_tilde"])
+def test_report_document_does_not_write_into_the_report(key):
+    report = spectral_report(build_counterexample())
+    before = report.to_document()[key].copy()
+    with pytest.raises(ValueError, match="read-only"):
+        report.to_document()[key][0] = 7.0
+    np.testing.assert_array_equal(report.to_document()[key], before)
+
+
 # ---------------------------------------------------------------------------
 # one analysis per call
 
