@@ -9,8 +9,10 @@ full round-trip precision, so save/load is bit-exact.  ``-0.0`` is written
 as ``-0``, which JSON readers take for the integer 0; :func:`load_operator`
 reads that literal back as ``-0.0``.
 
-:func:`operator_to_document` builds the fields as plain lists, the shape
-:func:`operator_from_document` reads and :func:`save_operator` writes.
+:func:`save_operator` hands :func:`sbpkit.jsonio.dumps` the operator's own
+arrays, which it writes byte for byte as their lists;
+:func:`operator_to_document` returns the same document with plain lists, the
+shape :func:`operator_from_document` reads.
 
 Number arrays are validated and converted in one numpy pass when every entry
 is a plain ``int`` or ``float``; otherwise entry by entry, so that a bool, a
@@ -38,23 +40,22 @@ __all__ = [
 ]
 
 
-def operator_to_document(op: SbpOperatorPair) -> dict[str, Any]:
-    """Build the JSON-ready document for an operator."""
-    doc: dict[str, Any] = {
-        "n": op.n,
-        "q": op.q,
-        "interval": [op.interval.a, op.interval.b],
-        "x": op.x.tolist(),
-        "D_plus": op.d_plus.ravel().tolist(),
-        "D_minus": op.d_minus.ravel().tolist(),
-        "H": op.h.ravel().tolist(),
-        "S": op.s.ravel().tolist(),
-        "p0": op.p0.tolist(),
-        "pn": op.pn.tolist(),
-    }
+def _document(op: SbpOperatorPair) -> dict[str, Any]:
+    """The operator document, each matrix or vector a flat float64 array
+    (a read-only view of the operator's own)."""
+    doc: dict[str, Any] = {"n": op.n, "q": op.q, "interval": [op.interval.a, op.interval.b]}
+    for key, array in (("x", op.x), ("D_plus", op.d_plus), ("D_minus", op.d_minus),
+                       ("H", op.h), ("S", op.s), ("p0", op.p0), ("pn", op.pn)):
+        doc[key] = array.ravel()
     if op.name is not None:
         doc["name"] = op.name
     return doc
+
+
+def operator_to_document(op: SbpOperatorPair) -> dict[str, Any]:
+    """Build the JSON-ready document for an operator, with plain lists."""
+    return {key: value.tolist() if isinstance(value, np.ndarray) else value
+            for key, value in _document(op).items()}
 
 
 def _require(doc: dict, key: str) -> Any:
@@ -144,7 +145,7 @@ def _parse_int(literal: str) -> int | float:
 
 def save_operator(op: SbpOperatorPair, destination: str | os.PathLike | IO[str]) -> None:
     """Write the operator document (bit-exact round trip with load)."""
-    text = jsonio.dumps(operator_to_document(op)) + "\n"
+    text = jsonio.dumps(_document(op)) + "\n"
     if hasattr(destination, "write"):
         destination.write(text)
     else:

@@ -12,6 +12,7 @@ from sbpkit import (
     build_two_point,
     classify_flavor,
     derive_d_minus,
+    jsonio,
     load_operator,
     operator_from_document,
     operator_to_document,
@@ -298,6 +299,18 @@ def test_save_is_deterministic():
     save_operator(op, first)
     save_operator(op, second)
     assert first.getvalue() == second.getvalue()
+
+
+def test_save_writes_the_list_document():
+    # save_operator writes the operator's arrays, operator_to_document
+    # returns lists: the bytes are the same.
+    base = build_classical_fd(6, Interval(0.0, 1.0))
+    d_plus = np.where(base.d_plus == 0, -0.0, base.d_plus)
+    for op in (build_counterexample(), build_two_point(),
+               base.with_fields(d_plus=d_plus, d_minus=derive_d_minus(d_plus, base.h, base.s))):
+        buffer = io.StringIO()
+        save_operator(op, buffer)
+        assert buffer.getvalue() == jsonio.dumps(operator_to_document(op)) + "\n"
 
 
 def test_optional_fields_default():
