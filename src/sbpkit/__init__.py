@@ -22,12 +22,10 @@ from .linalg import DEFAULT_TOLERANCE
 from .operators import (
     BUILTIN_OPERATORS,
     Interval,
-    OperatorFlavor,
     SbpOperatorPair,
     build_classical_fd,
     build_counterexample,
     build_two_point,
-    classify_flavor,
     derive_d_minus,
 )
 from .pseudospectral import (
@@ -48,7 +46,6 @@ from .sat import (
     SatSystem,
     assemble,
     convergence_study,
-    polynomial_exactness_check,
     solve,
     solve_problem,
 )

@@ -7,7 +7,8 @@ human-readable text rendering of the same data, so the two formats can never
 disagree on a verdict.
 
 Exit status: 0 on success/pass, 1 on a verification or certification
-failure, 2 on usage or input errors.  The environment variable
+failure, 2 on usage or input errors, an operator too large for memory
+included.  The environment variable
 ``SBP_TOLERANCE`` overrides the default tolerance.
 """
 
@@ -79,7 +80,12 @@ def _load_input(args: argparse.Namespace) -> SbpOperatorPair:
         if args.builtin in BUILTIN_OPERATORS:
             return BUILTIN_OPERATORS[args.builtin]()
         if args.builtin.startswith("classical_fd_"):
-            n = int(args.builtin.removeprefix("classical_fd_"))
+            size = args.builtin.removeprefix("classical_fd_")
+            try:
+                n = int(size)
+            except ValueError:
+                raise ParameterError(
+                    f"classical_fd_<n> needs an integer n, got {size!r}") from None
             return build_classical_fd(n, Interval(0.0, 1.0))
         raise ParameterError(
             f"unknown builtin operator {args.builtin!r}; available: "
@@ -207,7 +213,10 @@ def _make_family(args: argparse.Namespace, n: int) -> pseudospectral.NodeFamily:
         return _NODE_FAMILIES[args.family](n, interval)
     if not args.nodes:
         raise ParameterError("--nodes is required for the explicit family")
-    nodes = np.array([float(v) for v in args.nodes.split(",")])
+    try:
+        nodes = np.array([float(v) for v in args.nodes.split(",")])
+    except ValueError as exc:
+        raise ParameterError(f"--nodes must be comma-separated numbers: {exc}") from None
     return pseudospectral.NodeFamily.explicit(nodes, interval)
 
 
@@ -549,6 +558,11 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        # numpy refuses an array larger than memory at once, e.g. for
+        # --builtin classical_fd_99999999.
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -2,14 +2,14 @@
 
 Every report and operator document goes through :func:`dumps` so that
 identical inputs always produce byte-identical output: keys keep their
-insertion order and floats are printed with 17 significant digits
-(``%.17g``), which round-trips IEEE doubles exactly.  Non-finite floats are
-refused with ``ParameterError``.
+insertion order, each level is indented by two spaces and floats are
+printed with 17 significant digits (``%.17g``), which round-trips IEEE
+doubles exactly.  Non-finite floats are refused with ``ParameterError``.
 
 Besides the JSON types, a document may hold float64 arrays: a 1-D array is
 written as a flat list and a 2-D array as a list of rows, byte for byte as
-its ``tolist()``.  Report documents hold their tables that way, so they are
-written with this module; ``json.dumps`` does not accept them.  Arrays of
+its ``tolist()``.  Report and operator documents hold their tables that way,
+so they are written with this module; ``json.dumps`` does not accept them.  Arrays of
 another dtype or dimension are refused with ``ParameterError``.
 
 A flat float list (a 1-D array, a row of a 2-D array, or a list whose
@@ -57,7 +57,7 @@ import numpy as np
 
 from .errors import ParameterError
 
-__all__ = ["dumps", "format_float"]
+__all__ = ["dumps"]
 
 #: The one number format of every document.
 _FORMAT_FLOAT = "%.17g".__mod__
@@ -123,7 +123,7 @@ def _templates() -> np.ndarray:
 _TEMPLATES = _templates()
 
 
-def format_float(value: float) -> str:
+def _format_float(value: float) -> str:
     """Render a finite double with 17 significant digits."""
     if not math.isfinite(value):
         raise ParameterError(f"cannot serialize non-finite number {value!r}")
@@ -242,7 +242,7 @@ def _finite(values: np.ndarray) -> np.ndarray:
     """``values``, once none of them is inf or nan."""
     bad = np.flatnonzero(~np.isfinite(values))
     if bad.size:
-        format_float(values[bad[0]].item())  # raises, naming the value
+        _format_float(values[bad[0]].item())  # raises, naming the value
     return values
 
 
@@ -260,9 +260,9 @@ def _list_texts(lists: list) -> Iterator[str]:
             open_parts.append(tail)
 
 
-def _emit(obj: Any, indent: int, level: int, out: list, lists: list) -> None:
-    pad = " " * (indent * level)
-    inner = " " * (indent * (level + 1))
+def _emit(obj: Any, level: int, out: list, lists: list) -> None:
+    pad = "  " * level
+    inner = "  " * (level + 1)
     if isinstance(obj, dict):
         if not obj:
             out.append("{}")
@@ -274,7 +274,7 @@ def _emit(obj: Any, indent: int, level: int, out: list, lists: list) -> None:
             out.append(inner)
             out.append(json.dumps(key))
             out.append(": ")
-            _emit(value, indent, level + 1, out, lists)
+            _emit(value, level + 1, out, lists)
             out.append(",\n" if k < len(obj) - 1 else "\n")
         out.append(pad + "}")
     elif isinstance(obj, np.ndarray):
@@ -283,7 +283,7 @@ def _emit(obj: Any, indent: int, level: int, out: list, lists: list) -> None:
                 f"cannot serialize a {obj.ndim}-d array of {obj.dtype}; "
                 "only 1-d and 2-d float64 arrays are written")
         if obj.ndim == 2:
-            _emit(list(obj), indent, level, out, lists)
+            _emit(list(obj), level, out, lists)
         elif obj.size == 0:
             out.append("[]")
         else:
@@ -304,7 +304,7 @@ def _emit(obj: Any, indent: int, level: int, out: list, lists: list) -> None:
         out.append("[\n")
         for k, value in enumerate(obj):
             out.append(inner)
-            _emit(value, indent, level + 1, out, lists)
+            _emit(value, level + 1, out, lists)
             out.append(",\n" if k < len(obj) - 1 else "\n")
         out.append(pad + "]")
     else:
@@ -321,13 +321,13 @@ def _scalar(obj: Any) -> str:
     if isinstance(obj, int):
         return str(obj)
     if isinstance(obj, float):
-        return format_float(obj)
+        return _format_float(obj)
     if isinstance(obj, str):
         return json.dumps(obj)
     raise ParameterError(f"cannot serialize object of type {type(obj).__name__}")
 
 
-def dumps(obj: Any, indent: int = 2) -> str:
+def dumps(obj: Any) -> str:
     """Serialize to a deterministic JSON string (no trailing newline).
 
     ``obj`` may hold 1-d and 2-d float64 arrays besides the JSON types; they
@@ -336,7 +336,7 @@ def dumps(obj: Any, indent: int = 2) -> str:
     out: list = []  # text, and None where a flat float list goes
     lists: list = []
     try:
-        _emit(obj, indent, 0, out, lists)
+        _emit(obj, 0, out, lists)
     except ParameterError:
         # A non-finite value in a list the walk already passed comes first.
         for _ in _chunks(lists):

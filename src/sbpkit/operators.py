@@ -19,7 +19,6 @@ conditions are checked by :mod:`sbpkit.verify`.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -28,12 +27,10 @@ from .errors import InvariantError, ParameterError, ShapeError, SingularNormErro
 
 __all__ = [
     "Interval",
-    "OperatorFlavor",
     "SbpOperatorPair",
     "build_counterexample",
     "build_two_point",
     "build_classical_fd",
-    "classify_flavor",
     "derive_d_minus",
     "solve_against_norm",
     "BUILTIN_OPERATORS",
@@ -59,22 +56,6 @@ class Interval:
     @property
     def length(self) -> float:
         return self.b - self.a
-
-
-class OperatorFlavor(enum.Enum):
-    """Special cases of the operator algebra, by the constraints satisfied.
-
-    ``classical``:   S = 0 and p0, pn are the unit boundary basis vectors.
-    ``generalized``: S = 0 with general boundary interpolation vectors.
-    ``upwind``:      S != 0 with unit boundary basis vectors.
-    ``general``:     none of the above (e.g. dissipation added to a
-                     generalized operator).
-    """
-
-    CLASSICAL = "classical"
-    GENERALIZED = "generalized"
-    UPWIND = "upwind"
-    GENERAL = "general"
 
 
 def _locked(arr: np.ndarray) -> np.ndarray:
@@ -182,27 +163,6 @@ def derive_d_minus(d_plus: np.ndarray, h: np.ndarray, s: np.ndarray) -> np.ndarr
             f"d_plus shape {d_plus.shape} does not match s shape {s.shape}"
         )
     return d_plus - solve_against_norm(h, s)
-
-
-def classify_flavor(op: SbpOperatorPair, tolerance: float = 1e-12) -> OperatorFlavor:
-    """Classify an operator by which defining constraints it satisfies."""
-    m = op.x.size
-    e0 = np.zeros(m)
-    e0[0] = 1.0
-    en = np.zeros(m)
-    en[-1] = 1.0
-    s_zero = np.max(np.abs(op.s)) <= tolerance
-    unit_boundaries = (
-        np.max(np.abs(op.p0 - e0)) <= tolerance
-        and np.max(np.abs(op.pn - en)) <= tolerance
-    )
-    if s_zero and unit_boundaries:
-        return OperatorFlavor.CLASSICAL
-    if s_zero:
-        return OperatorFlavor.GENERALIZED
-    if unit_boundaries:
-        return OperatorFlavor.UPWIND
-    return OperatorFlavor.GENERAL
 
 
 def build_counterexample() -> SbpOperatorPair:

@@ -51,7 +51,6 @@ __all__ = [
     "legendre_gauss_lobatto",
     "chebyshev_gauss_lobatto_nodes",
     "build_pseudospectral_d",
-    "lagrange_cardinal_values",
     "build_interpolatory_h",
     "build_modal_h",
     "build_pseudospectral_operator",
@@ -222,18 +221,16 @@ def build_pseudospectral_d(nodes) -> np.ndarray:
     which puts the constants in the kernel by construction.
     """
     nodes = _check_nodes(nodes)
-    m = nodes.size
     beta = _barycentric_weights(nodes)
-    d = np.zeros((m, m))
-    for i in range(m):
-        for j in range(m):
-            if i != j:
-                d[i, j] = (beta[j] / beta[i]) / (nodes[i] - nodes[j])
-        d[i, i] = -np.sum(d[i])
+    diff = nodes[:, None] - nodes[None, :]
+    np.fill_diagonal(diff, 1.0)
+    d = (beta[None, :] / beta[:, None]) / diff
+    np.fill_diagonal(d, 0.0)
+    np.fill_diagonal(d, -np.sum(d, axis=1))
     return d
 
 
-def lagrange_cardinal_values(nodes, point: float) -> np.ndarray:
+def _lagrange_cardinal_values(nodes, point: float) -> np.ndarray:
     """Values L_i(point) of the cardinal interpolation basis."""
     nodes = _check_nodes(nodes)
     point = float(point)
@@ -271,8 +268,8 @@ def build_interpolatory_h(
             f"interpolatory quadrature weights are not all positive: {listing}",
             weights=weights,
         )
-    p0 = lagrange_cardinal_values(nodes, interval.a)
-    pn = lagrange_cardinal_values(nodes, interval.b)
+    p0 = _lagrange_cardinal_values(nodes, interval.a)
+    pn = _lagrange_cardinal_values(nodes, interval.b)
     return np.diag(weights), p0, pn
 
 

@@ -3,21 +3,20 @@
 Given a nullspace consistent operator whose penalized matrix has imaginary
 eigenvalues, an arbitrarily small symmetric positive semi-definite matrix
 
-    S' = H Q E Q^T H
+    S' = eps H Q Q^T H
 
 is assembled in real arithmetic.  The columns of Q are a real H-orthonormal
 basis of the invariant subspace N of the imaginary eigenvalues, two per
 conjugate pair, computed from N itself without eigenvectors (see
-:func:`orthogonalize_imaginary`), and E repeats each eps_k twice.  Because N
-is H-orthogonal to x^j for j = 0..q, S' annihilates the grid polynomials,
-so ``D_plus' = D_plus + 1/2 H^{-1} S'`` is again an operator of the same
-order with S replaced by S + S'.  The repair takes every eps_k equal to
-eps, and then ``1/2 H^{-1} S' = (eps/2) P_N`` with ``P_N = Q Q^T H`` the
-H-orthogonal projector onto N.  N and its H-orthogonal complement are both
-invariant under the penalized matrix, so each imaginary eigenvalue moves
-right by exactly eps/2 while every other eigenpair is untouched, and the
-perturbation size ``||D_plus' - D_plus||`` is set exactly by linear scaling
-of eps.
+:func:`orthogonalize_imaginary`); one eps serves every pair.  Because N is
+H-orthogonal to x^j for j = 0..q, S' annihilates the grid polynomials, so
+``D_plus' = D_plus + 1/2 H^{-1} S'`` is again an operator of the same order
+with S replaced by S + S', and ``1/2 H^{-1} S' = (eps/2) P_N`` with
+``P_N = Q Q^T H`` the H-orthogonal projector onto N.  N and its
+H-orthogonal complement are both invariant under the penalized matrix, so
+each imaginary eigenvalue moves right by exactly eps/2 while every other
+eigenpair is untouched, and the perturbation size ``||D_plus' - D_plus||``
+is set exactly by linear scaling of eps.
 """
 
 from __future__ import annotations
@@ -44,7 +43,6 @@ __all__ = [
     "PerturbationPlan",
     "build_s_prime",
     "repair_operator",
-    "matrix_norm",
 ]
 
 #: Gram-matrix defect above which the input vectors are rejected.
@@ -56,7 +54,7 @@ class NormChoice(enum.Enum):
     SPECTRAL = "spectral"
 
 
-def matrix_norm(a: np.ndarray, choice: NormChoice) -> float:
+def _matrix_norm(a: np.ndarray, choice: NormChoice) -> float:
     if choice is NormChoice.FROBENIUS:
         return float(np.linalg.norm(a, "fro"))
     return float(np.linalg.norm(a, 2))
@@ -67,8 +65,8 @@ class PerturbationPlan:
     """Everything needed to reproduce one repair.
 
     ``imaginary_pairs`` holds the 2m real H-orthonormal basis vectors of the
-    imaginary invariant subspace (the columns of Q in ``S' = H Q E Q^T H``);
-    ``epsilons`` the m positive coefficients;
+    imaginary invariant subspace (the columns of Q in ``S' = eps H Q Q^T H``);
+    ``epsilons`` holds eps once per pair;
     ``norm_bound`` the achieved ``||1/2 H^{-1} S'||`` in ``norm_choice``.
 
     ``s_prime`` is read-only.  :meth:`to_document` holds it as a float64
@@ -89,9 +87,6 @@ class PerturbationPlan:
     def m(self) -> int:
         return len(self.epsilons)
 
-    def is_empty(self) -> bool:
-        return self.m == 0
-
     def to_document(self) -> dict:
         return {
             "m": self.m,
@@ -104,31 +99,21 @@ class PerturbationPlan:
 
 def build_s_prime(
     h: np.ndarray,
-    ortho_vectors: list[np.ndarray] | tuple[np.ndarray, ...],
-    epsilons: list[float] | tuple[float, ...],
+    vectors: list[np.ndarray] | tuple[np.ndarray, ...],
+    eps: float,
 ) -> np.ndarray:
-    """Assemble the dissipation perturbation ``S' = H Q E Q^T H``.
+    """Assemble the dissipation perturbation ``S' = eps H Q Q^T H``.
 
-    ``ortho_vectors`` are the 2m real H-orthonormal columns of Q, two per
-    eps; E repeats each eps twice.  :func:`orthogonalize_imaginary` returns
-    a basis of the whole imaginary subspace that is not grouped by pair, so
-    with it all eps must be equal, as in the repair.
+    ``vectors`` are the real H-orthonormal columns of Q, such as the basis
+    :func:`orthogonalize_imaginary` returns; none gives ``S' = 0``.
     """
     h = np.asarray(h, dtype=float)
-    m2 = len(ortho_vectors)
-    if m2 == 0:
-        if len(epsilons) != 0:
-            raise ContractError("epsilons given but no vectors")
+    eps = float(eps)
+    if not eps > 0.0:
+        raise ParameterError(f"eps must be positive, got {eps}")
+    if len(vectors) == 0:
         return np.zeros_like(h)
-    if m2 % 2 != 0:
-        raise ContractError(f"expected two vectors per epsilon (even count), got {m2}")
-    m = m2 // 2
-    if len(epsilons) != m:
-        raise ContractError(f"expected {m} epsilons for {m2} vectors, got {len(epsilons)}")
-    eps = np.array([float(e) for e in epsilons])
-    if not np.all(eps > 0.0):
-        raise ParameterError(f"all epsilons must be positive, got {eps.tolist()}")
-    vectors = [np.ravel(np.asarray(v)) for v in ortho_vectors]
+    vectors = [np.ravel(np.asarray(v)) for v in vectors]
     if any(np.iscomplexobj(v) for v in vectors):
         raise ContractError("expected real vectors, got complex ones")
     n = h.shape[0] if h.ndim == 2 else -1
@@ -137,12 +122,12 @@ def build_s_prime(
 
     q = np.column_stack(vectors).astype(float)
     u = h @ q
-    defect = max_abs(q.T @ u - np.eye(m2))
+    defect = max_abs(q.T @ u - np.eye(len(vectors)))
     if defect > ORTHONORMALITY_TOLERANCE:
         raise ContractError(
             f"input vectors are not H-orthonormal (Gram defect {defect:.3e})"
         )
-    return (u * np.repeat(eps, 2)) @ u.T
+    return (u * eps) @ u.T
 
 
 def _empty_plan(op: SbpOperatorPair, norm_choice: NormChoice) -> PerturbationPlan:
@@ -166,8 +151,8 @@ def repair_operator(
     The nullspace verdict, the band and m come from one
     :func:`spectral_report` of ``op``.  An operator that already has the
     property is returned unchanged with an empty plan, which makes the
-    repair idempotent.  All eps_k are equal:
-    built at 1 on the H-orthonormal basis of the imaginary subspace, whose
+    repair idempotent.  S' is built with eps = 1 on the H-orthonormal
+    basis of the imaginary subspace, whose
     dimension must be twice the number of imaginary pairs in the band (else
     ``InternalInconsistencyError``), then scaled linearly so that
     ``||D_plus' - D_plus|| == target_eps`` in the chosen norm.
@@ -200,9 +185,9 @@ def repair_operator(
             f"the band holds {m} imaginary pairs but the unobservable subspace "
             f"has dimension {len(vectors)}"
         )
-    unit = build_s_prime(op.h, vectors, [1.0] * m)
+    unit = build_s_prime(op.h, vectors, 1.0)
     half_unit = 0.5 * solve_against_norm(op.h, unit)
-    delta = matrix_norm(half_unit, norm_choice)
+    delta = _matrix_norm(half_unit, norm_choice)
     if delta <= 0.0:
         raise InternalInconsistencyError("perturbation with unit weights is zero")
     eps_k = float(target_eps) / delta
@@ -221,7 +206,7 @@ def repair_operator(
         imaginary_pairs=tuple(vectors),
         epsilons=(eps_k,) * m,
         s_prime=s_prime,
-        norm_bound=matrix_norm(half_update, norm_choice),
+        norm_bound=_matrix_norm(half_update, norm_choice),
         norm_choice=norm_choice,
     )
     return repaired, plan

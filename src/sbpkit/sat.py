@@ -8,9 +8,7 @@ yields ``D_minus + sigma H^{-1} pn pn^T``.  The reversed assembly is
 validated by the mirror-symmetry property: reflecting the data reflects the
 solution.
 
-Also provides the polynomial-exactness harness (degree <= q must be
-reproduced through the solve) and grid-refinement convergence studies in the
-discrete H norm.
+Also provides grid-refinement convergence studies in the discrete H norm.
 """
 
 from __future__ import annotations
@@ -22,7 +20,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ParameterError, ShapeError, SingularSystemError
-from .linalg import legendre_basis, max_abs
+from .linalg import max_abs
 from .operators import SbpOperatorPair, solve_against_norm
 from .spectral import build_d_tilde
 
@@ -33,7 +31,6 @@ __all__ = [
     "assemble",
     "solve",
     "solve_problem",
-    "polynomial_exactness_check",
     "ConvergenceStudy",
     "convergence_study",
 ]
@@ -127,42 +124,6 @@ def solve(system: SatSystem) -> np.ndarray:
 
 def solve_problem(op: SbpOperatorPair, problem: SatProblem) -> np.ndarray:
     return solve(assemble(op, problem))
-
-
-def polynomial_exactness_check(
-    op: SbpOperatorPair,
-    degree: int | None = None,
-    trials: int = 20,
-    seed: int = 1902,
-) -> float:
-    """Max relative error when reproducing random polynomials by the solve.
-
-    Random polynomials p of the given degree (default: the operator's order
-    q), with coefficients uniform in [-1, 1] in the mapped Legendre basis,
-    are pushed through the forward solve with f = p' and u0 = p(a); for
-    degree <= q the result must match p at the nodes to roundoff.  Assumes
-    the operator verifies; errors from a singular system propagate.
-    """
-    if degree is None:
-        degree = op.q
-    if degree < 0:
-        raise ParameterError(f"degree must be >= 0, got {degree}")
-    v, dv = legendre_basis(op.x, op.interval, degree)
-    start, _ = legendre_basis(np.array([op.interval.a]), op.interval, degree)
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(trials):
-        coeffs = rng.uniform(-1.0, 1.0, degree + 1)
-        exact = v @ coeffs
-        problem = SatProblem(
-            f_samples=dv @ coeffs,
-            u0=float(start[0] @ coeffs),
-            direction=FlowDirection.FORWARD,
-        )
-        u = solve_problem(op, problem)
-        scale = max(1.0, max_abs(exact))
-        worst = max(worst, max_abs(u - exact) / scale)
-    return worst
 
 
 @dataclass(frozen=True)

@@ -139,13 +139,12 @@ def h_inner(f: np.ndarray, g: np.ndarray, h: np.ndarray) -> complex:
 
 
 def eigen_decompose(
-    a: np.ndarray, h: np.ndarray | None = None
+    a: np.ndarray, h: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Full eigendecomposition by one LAPACK ``eig``, sorted by (Re, Im).
 
     Returns the eigenvalues (complex), the eigenvectors as the C-contiguous
-    rows of one array, and their H-norms, with ``h`` the identity when
-    omitted.  The eigenvectors are LAPACK's own, unit length in the
+    rows of one array, and their H-norms.  The eigenvectors are LAPACK's own, unit length in the
     Euclidean norm and real when every eigenvalue is; for a real matrix
     complex eigenpairs come in exact conjugate pairs.  A repeated eigenvalue
     keeps LAPACK's vectors, which need not be independent.
@@ -157,7 +156,7 @@ def eigen_decompose(
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ShapeError(f"expected a square matrix, got shape {a.shape}")
     m = a.shape[0]
-    h = np.eye(m) if h is None else np.asarray(h, dtype=float)
+    h = np.asarray(h, dtype=float)
     if h.shape != (m, m):
         raise ShapeError(
             f"norm matrix of shape {h.shape} does not match the {m}x{m} matrix"
@@ -190,7 +189,7 @@ def spectral_report(
     tau_eig = check_positive(tau_eig)
     d_tilde = build_d_tilde(op)
     scale = float(np.linalg.norm(d_tilde, "fro"))
-    lam, w, h_norms = eigen_decompose(d_tilde, h=op.h)
+    lam, w, h_norms = eigen_decompose(d_tilde, op.h)
     band = tau_eig * scale
     # EigenvalueClass lists positive, imaginary, negative.
     index = 1 + (lam.real < -band).astype(int) - (lam.real > band)

@@ -9,12 +9,14 @@ full round-trip precision, so save/load is bit-exact.  ``-0.0`` is written
 as ``-0``, which JSON readers take for the integer 0; :func:`load_operator`
 reads that literal back as ``-0.0``.
 
-:func:`save_operator` hands :func:`sbpkit.jsonio.dumps` the operator's own
-arrays, which it writes byte for byte as their lists;
-:func:`operator_to_document` returns the same document with plain lists, the
-shape :func:`operator_from_document` reads.
+There is one document shape: :func:`operator_to_document` holds each matrix
+or vector as a flat float64 array, a read-only view of the operator's own,
+so the document is written with :func:`sbpkit.jsonio.dumps`, byte for byte as
+its lists; ``json.dumps`` does not accept it.  :func:`save_operator` writes
+that document.  :func:`operator_from_document` reads these arrays as well as
+the lists of a parsed document.
 
-Number arrays are validated and converted in one numpy pass when every entry
+Number lists are validated and converted in one numpy pass when every entry
 is a plain ``int`` or ``float``; otherwise entry by entry, so that a bool, a
 non-number or an integer too large for a double is reported with its path
 (for example ``D_plus[k]``).
@@ -40,9 +42,9 @@ __all__ = [
 ]
 
 
-def _document(op: SbpOperatorPair) -> dict[str, Any]:
-    """The operator document, each matrix or vector a flat float64 array
-    (a read-only view of the operator's own)."""
+def operator_to_document(op: SbpOperatorPair) -> dict[str, Any]:
+    """Build the JSON-ready document for an operator, each matrix or vector a
+    flat float64 array (a read-only view of the operator's own)."""
     doc: dict[str, Any] = {"n": op.n, "q": op.q, "interval": [op.interval.a, op.interval.b]}
     for key, array in (("x", op.x), ("D_plus", op.d_plus), ("D_minus", op.d_minus),
                        ("H", op.h), ("S", op.s), ("p0", op.p0), ("pn", op.pn)):
@@ -50,12 +52,6 @@ def _document(op: SbpOperatorPair) -> dict[str, Any]:
     if op.name is not None:
         doc["name"] = op.name
     return doc
-
-
-def operator_to_document(op: SbpOperatorPair) -> dict[str, Any]:
-    """Build the JSON-ready document for an operator, with plain lists."""
-    return {key: value.tolist() if isinstance(value, np.ndarray) else value
-            for key, value in _document(op).items()}
 
 
 def _require(doc: dict, key: str) -> Any:
@@ -71,10 +67,16 @@ def _as_int(value: Any, path: str) -> int:
 
 
 def _as_float_array(value: Any, length: int, path: str) -> np.ndarray:
-    if not isinstance(value, list):
-        raise SchemaError(f"expected an array, got {type(value).__name__}", path=path)
+    # The 1-d float64 arrays of operator_to_document, or the lists of a
+    # parsed document.
+    array = isinstance(value, np.ndarray) and value.dtype == np.float64 and value.ndim == 1
+    if not (array or isinstance(value, list)):
+        raise SchemaError(f"expected a list or a 1-d float64 array, got {type(value).__name__}",
+                          path=path)
     if len(value) != length:
         raise SchemaError(f"expected {length} numbers, got {len(value)}", path=path)
+    if array:
+        return value
     # json.loads yields only int and float for numbers: convert in one pass.
     # Anything else (bools included) takes the loop that names the entry.
     # An integer too large for a double takes the loop as well.
@@ -145,7 +147,7 @@ def _parse_int(literal: str) -> int | float:
 
 def save_operator(op: SbpOperatorPair, destination: str | os.PathLike | IO[str]) -> None:
     """Write the operator document (bit-exact round trip with load)."""
-    text = jsonio.dumps(_document(op)) + "\n"
+    text = jsonio.dumps(operator_to_document(op)) + "\n"
     if hasattr(destination, "write"):
         destination.write(text)
     else:

@@ -140,12 +140,6 @@ class VerificationReport:
     def all_passed(self) -> bool:
         return all(r.passed for r in self.residuals)
 
-    def residual(self, prop: Property) -> PropertyResidual:
-        for r in self.residuals:
-            if r.property is prop:
-                return r
-        raise KeyError(prop)
-
     def to_document(self) -> dict:
         return {
             "tolerance": self.tolerance,

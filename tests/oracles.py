@@ -4,6 +4,10 @@ import json
 
 import numpy as np
 
+from sbpkit.errors import ParameterError
+from sbpkit.linalg import legendre_basis, max_abs
+from sbpkit.sat import FlowDirection, SatProblem, solve_problem
+
 
 def vandermonde_d(nodes) -> np.ndarray:
     """Differentiation matrix by the literal row-wise Vandermonde solve.
@@ -18,6 +22,58 @@ def vandermonde_d(nodes) -> np.ndarray:
     for k in range(1, m):
         rhs[k] = k * nodes ** (k - 1)
     return np.linalg.solve(vt, rhs).T
+
+
+def loop_pseudospectral_d(nodes) -> np.ndarray:
+    """Differentiation matrix from the barycentric weights, entry by entry.
+
+    The reference for the array expressions of ``build_pseudospectral_d``:
+    off-diagonal ``(beta_j / beta_i) / (x_i - x_j)``, diagonal the negated
+    row sum.
+    """
+    from sbpkit.pseudospectral import _barycentric_weights, _check_nodes
+
+    nodes = _check_nodes(nodes)
+    m = nodes.size
+    beta = _barycentric_weights(nodes)
+    d = np.zeros((m, m))
+    for i in range(m):
+        for j in range(m):
+            if i != j:
+                d[i, j] = (beta[j] / beta[i]) / (nodes[i] - nodes[j])
+        d[i, i] = -np.sum(d[i])
+    return d
+
+
+def polynomial_exactness_check(op, degree=None, trials=20, seed=1902) -> float:
+    """Max relative error when reproducing random polynomials by the solve.
+
+    Random polynomials p of the given degree (default: the operator's order
+    q), with coefficients uniform in [-1, 1] in the mapped Legendre basis,
+    are pushed through the forward solve with f = p' and u0 = p(a); for
+    degree <= q the result must match p at the nodes to roundoff.  Assumes
+    the operator verifies; errors from a singular system propagate.
+    """
+    if degree is None:
+        degree = op.q
+    if degree < 0:
+        raise ParameterError(f"degree must be >= 0, got {degree}")
+    v, dv = legendre_basis(op.x, op.interval, degree)
+    start, _ = legendre_basis(np.array([op.interval.a]), op.interval, degree)
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(trials):
+        coeffs = rng.uniform(-1.0, 1.0, degree + 1)
+        exact = v @ coeffs
+        problem = SatProblem(
+            f_samples=dv @ coeffs,
+            u0=float(start[0] @ coeffs),
+            direction=FlowDirection.FORWARD,
+        )
+        u = solve_problem(op, problem)
+        scale = max(1.0, max_abs(exact))
+        worst = max(worst, max_abs(u - exact) / scale)
+    return worst
 
 
 def h_norm(f, h) -> float:
@@ -41,19 +97,19 @@ def eigenspace_basis(a, lam) -> list:
     return [np.conj(vh[k]) for k in range(m - g, m)]
 
 
-def reference_dumps(obj, indent=2, level=0) -> str:
+def reference_dumps(obj, level=0) -> str:
     """The document format, element by element with ``format(v, ".17g")``.
 
     The oracle for ``jsonio.dumps``, which formats flat float lists in numpy
     chunks instead.  An array is written as its ``tolist()``.
     """
-    pad, inner = " " * indent * level, " " * indent * (level + 1)
+    pad, inner = "  " * level, "  " * (level + 1)
     if isinstance(obj, (np.generic, np.ndarray)):
         obj = obj.tolist()
     if isinstance(obj, dict):
         if not obj:
             return "{}"
-        items = [f"{inner}{json.dumps(k)}: {reference_dumps(v, indent, level + 1)}"
+        items = [f"{inner}{json.dumps(k)}: {reference_dumps(v, level + 1)}"
                  for k, v in obj.items()]
         return "{\n" + ",\n".join(items) + "\n" + pad + "}"
     if isinstance(obj, (list, tuple)):
@@ -61,7 +117,7 @@ def reference_dumps(obj, indent=2, level=0) -> str:
             return "[]"
         if all(isinstance(v, (int, float, bool, np.generic)) for v in obj):
             return "[" + ", ".join(reference_dumps(v) for v in obj) + "]"
-        items = [inner + reference_dumps(v, indent, level + 1) for v in obj]
+        items = [inner + reference_dumps(v, level + 1) for v in obj]
         return "[\n" + ",\n".join(items) + "\n" + pad + "]"
     if obj is None:
         return "null"

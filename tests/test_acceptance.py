@@ -28,7 +28,6 @@ from sbpkit import (
     h_inner,
     legendre_gauss_lobatto,
     load_operator,
-    polynomial_exactness_check,
     repair_operator,
     save_operator,
     spectral_report,
@@ -38,7 +37,7 @@ from sbpkit.cli import main
 from sbpkit.errors import IndefiniteNormError
 from sbpkit.pseudospectral import chebyshev_gauss_lobatto_nodes
 
-from oracles import eigenspace_basis, vandermonde_d
+from oracles import eigenspace_basis, polynomial_exactness_check, vandermonde_d
 
 INV_SQRT5 = 0.4472135954999579
 

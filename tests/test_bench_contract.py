@@ -61,8 +61,8 @@ def test_benchmark_documents_match_the_reference(worker, tmp_path, monkeypatch):
     emitted = []
     dumps = jsonio.dumps
 
-    def recording(obj, indent=2):
-        text = dumps(obj, indent)
+    def recording(obj):
+        text = dumps(obj)
         emitted.append((obj, text))
         return text
 

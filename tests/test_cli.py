@@ -9,6 +9,7 @@ from sbpkit import (
     Interval,
     build_classical_fd,
     build_counterexample,
+    jsonio,
     load_operator,
     operator_from_document,
     operator_to_document,
@@ -96,9 +97,9 @@ def test_verify_corrupted_norm_fails(capsys, tmp_path):
     doc = operator_to_document(build_counterexample())
     h = np.array(doc["H"]).reshape(6, 6)
     h[0, 0] = -0.5
-    doc["H"] = h.ravel().tolist()
+    doc["H"] = h.ravel()
     path = tmp_path / "corrupt.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(jsonio.dumps(doc))
     code, out, _ = _run(capsys, ["verify", "--input", str(path)])
     assert code == 1
     report = json.loads(out)
@@ -140,19 +141,31 @@ def test_verify_classical_fd_builtin(capsys):
         ["spectrum", "--builtin", "counterexample", "--tolerance", "nan"],
         ["solve", "--builtin", "two_point", "--f", "one", "--tolerance", "0"],
         ["converge", "--grids", "8,x,32"],
+        ["verify", "--builtin", "classical_fd_abc"],
+        ["verify", "--builtin", "classical_fd_"],
+        ["pseudospectral", "--family", "explicit", "--nodes", "0,x,1"],
     ],
 )
 def test_errors_exit_2(capsys, argv):
     code, _, err = _run(capsys, argv)
     assert code == 2
-    assert "error:" in err
+    assert "error: ParameterError:" in err
+
+
+def test_an_operator_larger_than_memory_exits_2(capsys):
+    # numpy refuses the 71 PiB D_plus at once and allocates nothing.
+    code, out, err = _run(capsys, ["verify", "--builtin", "classical_fd_99999999"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 def test_verify_rejects_an_order_above_n_at_once(capsys, tmp_path):
     doc = operator_to_document(build_classical_fd(20, Interval(0.0, 1.0)))
     doc["q"] = 10**6
     path = tmp_path / "huge_q.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(jsonio.dumps(doc))
     code, _, err = _run(capsys, ["verify", "--input", str(path)])
     assert code == 2
     assert "InvariantError" in err
@@ -162,7 +175,7 @@ def test_verify_rejects_an_integer_too_large_for_a_double(capsys, tmp_path):
     doc = operator_to_document(build_counterexample())
     doc["x"] = [0, 10**400, 2, 3, 4, 5]
     path = tmp_path / "huge_x.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(jsonio.dumps(doc))
     code, _, err = _run(capsys, ["verify", "--input", str(path)])
     assert code == 2
     assert "SchemaError" in err and "x[1]" in err

@@ -6,11 +6,9 @@ import pytest
 
 from sbpkit import (
     Interval,
-    OperatorFlavor,
     build_classical_fd,
     build_counterexample,
     build_two_point,
-    classify_flavor,
     derive_d_minus,
     jsonio,
     load_operator,
@@ -29,6 +27,8 @@ from sbpkit.errors import (
     SingularNormError,
 )
 from sbpkit.operators import SbpOperatorPair, solve_against_norm
+
+from oracles import reference_dumps
 
 
 # ---------------------------------------------------------------------------
@@ -215,23 +215,12 @@ def test_solve_against_norm_matches_dense_solve():
 
 
 # ---------------------------------------------------------------------------
-# flavor classification
-
-
-def test_flavors():
-    assert classify_flavor(build_counterexample()) is OperatorFlavor.CLASSICAL
-    repaired, _ = repair_operator(build_counterexample(), 1e-3)
-    assert classify_flavor(repaired) is OperatorFlavor.UPWIND
-
-    op = build_two_point()
-    generalized = op.with_fields(p0=np.array([0.9, 0.1]))
-    assert classify_flavor(generalized) is OperatorFlavor.GENERALIZED
-    general = generalized.with_fields(s=np.full((2, 2), 0.25))
-    assert classify_flavor(general) is OperatorFlavor.GENERAL
-
-
-# ---------------------------------------------------------------------------
 # serialization
+
+
+def _parsed_document(op):
+    """The operator document as ``json.loads`` reads it: plain lists."""
+    return json.loads(jsonio.dumps(operator_to_document(op)))
 
 
 def _builtin_catalog():
@@ -249,12 +238,37 @@ def test_round_trip_is_bit_exact(idx, tmp_path):
     op = _builtin_catalog()[idx]
     path = tmp_path / "op.json"
     save_operator(op, path)
-    loaded = load_operator(path)
-    for attr in ("d_plus", "d_minus", "h", "s", "p0", "pn", "x"):
-        np.testing.assert_array_equal(getattr(loaded, attr), getattr(op, attr))
-    assert loaded.q == op.q
-    assert loaded.interval == op.interval
-    assert loaded.name == op.name
+    # The document itself, arrays and all, also reads back.
+    for loaded in (load_operator(path), operator_from_document(operator_to_document(op))):
+        for attr in ("d_plus", "d_minus", "h", "s", "p0", "pn", "x"):
+            np.testing.assert_array_equal(getattr(loaded, attr), getattr(op, attr))
+        assert loaded.q == op.q
+        assert loaded.interval == op.interval
+        assert loaded.name == op.name
+
+
+def test_document_holds_read_only_views_of_the_operator():
+    op = build_counterexample()
+    doc = operator_to_document(op)
+    for key, array in (("x", op.x), ("D_plus", op.d_plus), ("D_minus", op.d_minus),
+                       ("H", op.h), ("S", op.s), ("p0", op.p0), ("pn", op.pn)):
+        assert doc[key].dtype == np.float64 and doc[key].ndim == 1
+        assert np.shares_memory(doc[key], array)
+        with pytest.raises(ValueError):
+            doc[key][0] = 7.0
+    assert doc["interval"] == [-2.5, 2.5]
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [np.zeros(5), np.zeros((6, 1)), np.arange(6), np.zeros(6, dtype=np.float32)],
+    ids=["short", "2-d", "int", "float32"],
+)
+def test_document_array_of_another_shape_or_dtype_is_schema_error(bad):
+    doc = operator_to_document(build_counterexample())
+    doc["x"] = bad
+    with pytest.raises(SchemaError, match="x"):
+        operator_from_document(doc)
 
 
 def test_round_trip_keeps_negative_zeros(tmp_path):
@@ -269,10 +283,10 @@ def test_round_trip_keeps_negative_zeros(tmp_path):
     path = tmp_path / "op.json"
     save_operator(op, path)
     assert ", -0," in path.read_text()
-    loaded = load_operator(path)
-    for attr in ("d_plus", "d_minus", "h", "s", "p0", "pn", "x"):
-        assert getattr(loaded, attr).tobytes() == getattr(op, attr).tobytes(), attr
-    assert str(loaded.interval.a) == "-0.0"
+    for loaded in (load_operator(path), operator_from_document(operator_to_document(op))):
+        for attr in ("d_plus", "d_minus", "h", "s", "p0", "pn", "x"):
+            assert getattr(loaded, attr).tobytes() == getattr(op, attr).tobytes(), attr
+        assert str(loaded.interval.a) == "-0.0"
 
 
 @pytest.mark.parametrize("name", ["plain", "has-0", "-0"])
@@ -302,15 +316,16 @@ def test_save_is_deterministic():
 
 
 def test_save_writes_the_list_document():
-    # save_operator writes the operator's arrays, operator_to_document
-    # returns lists: the bytes are the same.
+    # The operator's arrays are written byte for byte as their lists.
     base = build_classical_fd(6, Interval(0.0, 1.0))
     d_plus = np.where(base.d_plus == 0, -0.0, base.d_plus)
     for op in (build_counterexample(), build_two_point(),
                base.with_fields(d_plus=d_plus, d_minus=derive_d_minus(d_plus, base.h, base.s))):
         buffer = io.StringIO()
         save_operator(op, buffer)
-        assert buffer.getvalue() == jsonio.dumps(operator_to_document(op)) + "\n"
+        lists = {key: value.tolist() if isinstance(value, np.ndarray) else value
+                 for key, value in operator_to_document(op).items()}
+        assert buffer.getvalue() == reference_dumps(lists) + "\n"
 
 
 def test_optional_fields_default():
@@ -356,7 +371,7 @@ def test_non_number_entry_names_field_path():
 @pytest.mark.parametrize("bad", [True, "0.5", [0.5]], ids=["bool", "string", "nested"])
 def test_bad_entry_deep_in_large_matrix_names_its_index(bad):
     op = build_classical_fd(40, Interval(0.0, 1.0))
-    doc = operator_to_document(op)
+    doc = _parsed_document(op)
     k = len(doc["D_plus"]) - 7
     doc["D_plus"][k] = bad
     with pytest.raises(SchemaError, match=rf"D_plus\[{k}\]") as excinfo:
@@ -366,7 +381,7 @@ def test_bad_entry_deep_in_large_matrix_names_its_index(bad):
 
 @pytest.mark.parametrize("field", ["x", "D_plus", "interval"])
 def test_integer_too_large_for_a_double_names_its_entry(field):
-    doc = operator_to_document(build_two_point())
+    doc = _parsed_document(build_two_point())
     doc[field][1] = 10**400
     with pytest.raises(SchemaError, match=rf"{field}\[1\]: integer too large") as excinfo:
         operator_from_document(doc)
@@ -396,7 +411,7 @@ def test_integer_entries_load_as_floats():
 
 @pytest.mark.parametrize("q", [21, 10**30])
 def test_document_with_order_above_n_is_rejected(q):
-    doc = operator_to_document(build_classical_fd(20, Interval(0.0, 1.0)))
+    doc = _parsed_document(build_classical_fd(20, Interval(0.0, 1.0)))
     doc["q"] = q
     with pytest.raises(InvariantError, match="exceeds n=20"):
         load_operator(io.StringIO(json.dumps(doc)))
@@ -416,7 +431,7 @@ def test_malformed_json_is_parse_error():
 
 def test_integer_beyond_the_digit_limit_is_parse_error():
     # json.loads raises a plain ValueError for it, not a JSONDecodeError.
-    doc = operator_to_document(build_two_point())
+    doc = _parsed_document(build_two_point())
     text = json.dumps(doc).replace('"q": 1', '"q": 1' + "0" * 5000)
     with pytest.raises(ParseError, match="digits"):
         load_operator(io.StringIO(text))

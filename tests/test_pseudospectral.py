@@ -19,7 +19,7 @@ from sbpkit import (
 from sbpkit.errors import IndefiniteNormError, InvariantError, ParameterError
 from sbpkit.pseudospectral import build_modal_h, chebyshev_gauss_lobatto_nodes
 
-from oracles import vandermonde_d
+from oracles import loop_pseudospectral_d, vandermonde_d
 
 REFERENCE = Interval(-1.0, 1.0)
 
@@ -42,6 +42,22 @@ def test_three_node_matrix_against_vandermonde_oracle():
     d = build_pseudospectral_d(nodes)
     np.testing.assert_allclose(d, D3, atol=1e-14)
     np.testing.assert_allclose(vandermonde_d(nodes), D3, atol=1e-13)
+
+
+@pytest.mark.parametrize("interval", [(-1.0, 1.0), (0.0, 10.0), (100.0, 101.0)])
+@pytest.mark.parametrize("make", [NodeFamily.legendre_gauss_lobatto,
+                                  NodeFamily.chebyshev_gauss_lobatto, NodeFamily.uniform])
+def test_matrix_equals_the_entrywise_loop_bit_for_bit(make, interval):
+    for n in range(1, 33):
+        nodes = make(n, Interval(*interval)).nodes
+        assert build_pseudospectral_d(nodes).tobytes() == loop_pseudospectral_d(nodes).tobytes()
+
+
+def test_matrix_equals_the_entrywise_loop_on_random_nodes():
+    rng = np.random.default_rng(1729)
+    for _ in range(200):
+        nodes = rng.uniform(-3.0, 3.0, rng.integers(2, 34)) * 10.0 ** rng.uniform(-2, 2)
+        assert build_pseudospectral_d(nodes).tobytes() == loop_pseudospectral_d(nodes).tobytes()
 
 
 def test_duplicate_nodes_rejected():

@@ -48,7 +48,7 @@ def _sorted_eigs(matrix):
 
 def test_s_prime_counterexample_structure():
     op = build_counterexample()
-    s_prime = build_s_prime(op.h, _ortho_vectors(op), [1.0])
+    s_prime = build_s_prime(op.h, _ortho_vectors(op), 1.0)
     rank, _ = svd_rank(s_prime)
     assert rank == 2
     assert np.max(np.abs(s_prime - s_prime.T)) < 1e-15
@@ -59,14 +59,14 @@ def test_s_prime_counterexample_structure():
 
 def test_s_prime_empty_input_is_zero():
     op = build_two_point()
-    np.testing.assert_array_equal(build_s_prime(op.h, [], []), np.zeros((2, 2)))
+    np.testing.assert_array_equal(build_s_prime(op.h, [], 1.0), np.zeros((2, 2)))
 
 
 def test_s_prime_is_linear_in_eps():
     op = build_counterexample()
     vectors = _ortho_vectors(op)
-    one = build_s_prime(op.h, vectors, [1.0])
-    two = build_s_prime(op.h, vectors, [2.0])
+    one = build_s_prime(op.h, vectors, 1.0)
+    two = build_s_prime(op.h, vectors, 2.0)
     np.testing.assert_array_equal(two, 2.0 * one)
 
 
@@ -74,23 +74,23 @@ def test_s_prime_rejects_unnormalized_vectors():
     op = build_counterexample()
     vectors = [2.0 * v for v in _ortho_vectors(op)]
     with pytest.raises(ContractError, match="orthonormal"):
-        build_s_prime(op.h, vectors, [1.0])
+        build_s_prime(op.h, vectors, 1.0)
 
 
 def test_s_prime_rejects_complex_vectors():
     op = build_counterexample()
     w = _paper_style_eigenvector() / np.sqrt(40.0)
     with pytest.raises(ContractError, match="real"):
-        build_s_prime(op.h, [w, np.conj(w)], [1.0])
+        build_s_prime(op.h, [w, np.conj(w)], 1.0)
     with pytest.raises(ContractError, match="real"):
-        build_s_prime(op.h, [v.astype(complex) for v in _ortho_vectors(op)], [1.0])
+        build_s_prime(op.h, [v.astype(complex) for v in _ortho_vectors(op)], 1.0)
 
 
 def test_s_prime_rejects_mismatched_lengths():
     op = build_counterexample()
     vectors = [np.append(v, 0.0) for v in _ortho_vectors(op)]
     with pytest.raises(ShapeError):
-        build_s_prime(op.h, vectors, [1.0])
+        build_s_prime(op.h, vectors, 1.0)
 
 
 def test_s_prime_closed_form_on_counterexample():
@@ -108,7 +108,7 @@ def test_s_prime_on_a_two_dimensional_eigenspace():
     # has Q Q^T = P = diag(1/2, 1/2, 1/3, 1/3, 0, 0), and S' = H P H
     h = np.diag([2.0, 2.0, 3.0, 3.0, 1.0, 1.0])
     vectors = [np.eye(6)[k] / np.sqrt(h[k, k]) for k in range(4)]
-    s_prime = build_s_prime(h, vectors, [1.0, 1.0])
+    s_prime = build_s_prime(h, vectors, 1.0)
     p = np.diag([0.5, 0.5, 1 / 3, 1 / 3, 0.0, 0.0])
     assert np.max(np.abs(s_prime - h @ p @ h)) <= 1e-14
 
@@ -117,13 +117,16 @@ def test_s_prime_rejects_nonpositive_eps():
     op = build_counterexample()
     for eps in (-1.0, 0.0, float("nan")):
         with pytest.raises(ParameterError):
-            build_s_prime(op.h, _ortho_vectors(op), [eps])
+            build_s_prime(op.h, _ortho_vectors(op), eps)
 
 
-def test_s_prime_rejects_odd_vector_count():
+def test_s_prime_of_one_vector_is_rank_one():
+    # One eps for any number of H-orthonormal vectors: S' = eps (Hv)(Hv)^T.
     op = build_counterexample()
-    with pytest.raises(ContractError):
-        build_s_prime(op.h, _ortho_vectors(op)[:1], [1.0])
+    v = _ortho_vectors(op)[0]
+    s_prime = build_s_prime(op.h, [v], 0.5)
+    assert svd_rank(s_prime)[0] == 1
+    np.testing.assert_allclose(s_prime, 0.5 * np.outer(op.h @ v, op.h @ v), rtol=0, atol=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +203,7 @@ def test_repair_is_idempotent():
     repaired, _ = repair_operator(op, 1e-3)
     again, plan = repair_operator(repaired, 1e-3)
     assert again is repaired
-    assert plan.is_empty()
+    assert plan.m == 0
     assert plan.norm_bound == 0.0
 
 
@@ -208,7 +211,7 @@ def test_repair_returns_conforming_operator_unchanged():
     op = build_two_point()
     repaired, plan = repair_operator(op, 1e-3)
     assert repaired is op
-    assert plan.is_empty()
+    assert plan.m == 0
 
 
 def test_repair_requires_nullspace_consistency():
@@ -342,7 +345,7 @@ def test_boundary_residuals_do_not_depend_on_the_eigenvector_layout(monkeypatch)
 
     decompose = spectral.eigen_decompose
 
-    def fortran_rows(a, h=None):
+    def fortran_rows(a, h):
         lam, w, h_norms = decompose(a, h)
         return lam, np.asfortranarray(w), h_norms
 
@@ -374,7 +377,7 @@ def test_any_budget_repairs_a_planted_operator():
         assert report.observed_order == order
         assert plan.m == len(case[0])
         assert plan.norm_bound == pytest.approx(budget, rel=1e-12, abs=0.0)
-        assert repair_operator(repaired, budget, norm)[1].is_empty()
+        assert repair_operator(repaired, budget, norm)[1].m == 0
 
     check()
 

@@ -13,11 +13,12 @@ from sbpkit import (
     build_pseudospectral_operator,
     build_two_point,
     convergence_study,
-    polynomial_exactness_check,
     solve,
     solve_problem,
 )
 from sbpkit.errors import ParameterError, ShapeError, SingularSystemError
+
+from oracles import polynomial_exactness_check
 
 
 def _crippled_counterexample():

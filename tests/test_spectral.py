@@ -68,7 +68,7 @@ def test_d_tilde_classical_fd_corner():
 
 
 def test_eigen_decompose_two_by_two():
-    lam, _, _ = eigen_decompose(np.array([[1.0, 1.0], [-1.0, 1.0]]))
+    lam, _, _ = eigen_decompose(np.array([[1.0, 1.0], [-1.0, 1.0]]), np.eye(2))
     assert lam.tolist() == [1.0 - 1.0j, 1.0 + 1.0j]
 
 
@@ -88,7 +88,7 @@ def test_eigen_decompose_counterexample_contains_imaginary_pair():
 
 
 def test_eigen_decompose_identity_multiplicity():
-    lam, w, _ = eigen_decompose(np.eye(3))
+    lam, w, _ = eigen_decompose(np.eye(3), np.eye(3))
     assert all(v == pytest.approx(1.0) for v in lam)
     assert np.linalg.matrix_rank(w) == 3
 
@@ -113,7 +113,7 @@ def test_eigen_decompose_returns_contiguous_rows():
 
 def test_eigen_decompose_rejects_complex_input():
     with pytest.raises(ContractError):
-        eigen_decompose(np.eye(2, dtype=complex) * 1j)
+        eigen_decompose(np.eye(2, dtype=complex) * 1j, np.eye(2))
 
 
 def test_report_classifies_negative_real_parts():

@@ -16,6 +16,7 @@ from sbpkit import (
     check_sbp_identities,
     check_spd,
     derive_d_minus,
+    jsonio,
     load_operator,
     operator_to_document,
     orthogonalize_imaginary,
@@ -24,6 +25,10 @@ from sbpkit import (
     verify_all,
 )
 from sbpkit.errors import InternalInconsistencyError, ParameterError
+
+
+def _residuals(report):
+    return {r.property: r for r in report.residuals}
 
 
 def _zero_rows(op, rows):
@@ -221,13 +226,11 @@ def test_verify_all_flags_corrupted_norm(tmp_path):
     doc = operator_to_document(build_counterexample())
     h = np.array(doc["H"]).reshape(6, 6)
     h[0, 0] = -0.5
-    doc["H"] = h.ravel().tolist()
+    doc["H"] = h.ravel()
     path = tmp_path / "corrupt.json"
-    import json
-
-    path.write_text(json.dumps(doc))
+    path.write_text(jsonio.dumps(doc))
     report = verify_all(load_operator(path))
-    assert not report.residual(Property.B_SPD).passed
+    assert not _residuals(report)[Property.B_SPD].passed
     assert not report.all_passed()
 
 
@@ -293,7 +296,7 @@ def test_stored_d_minus_matches_derivation():
     for op in _fixtures():
         report = verify_all(op)
         if all(
-            report.residual(p).passed
+            _residuals(report)[p].passed
             for p in (Property.C_IDENTITY, Property.D_IDENTITY, Property.S_SYMMETRY)
         ):
             derived = derive_d_minus(op.d_plus, op.h, op.s)
