@@ -15,6 +15,7 @@ included.  The environment variable
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 
@@ -254,6 +255,21 @@ def _cmd_pseudospectral(args: argparse.Namespace) -> int:
 # solve
 
 
+def _read_samples(path: str) -> np.ndarray:
+    """The samples in ``path``, which must be a flat JSON list of finite numbers."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            values = json.load(fh)
+            if not isinstance(values, list) or any(type(v) not in (int, float) for v in values):
+                raise ValueError("not a flat list of numbers")
+            samples = np.array(values, dtype=float)
+            if not np.isfinite(samples).all():
+                raise ValueError("a sample is not finite")
+        except (ValueError, OverflowError) as exc:
+            raise ParameterError(f"--f-samples {path!r}: {exc}") from None
+    return samples
+
+
 def _cmd_solve(args: argparse.Namespace) -> int:
     op = _load_input(args)
     if args.function and args.f_samples_path:
@@ -266,10 +282,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
             )
         f_samples = _NAMED_FUNCTIONS[args.function](op.x)
     elif args.f_samples_path:
-        import json
-
-        with open(args.f_samples_path, "r", encoding="utf-8") as fh:
-            f_samples = np.asarray(json.load(fh), dtype=float)
+        f_samples = _read_samples(args.f_samples_path)
     else:
         raise ParameterError("a right-hand side is required (--f or --f-samples)")
     problem = SatProblem(
@@ -281,7 +294,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
             "op_ref": op.name or f"operator(n={op.n}, q={op.q})",
             "direction": args.direction,
             "u0": args.u0,
-            "u": u.tolist(),
+            "u": u,
         }
         _emit(jsonio.dumps(doc), args.output_path)
     else:

@@ -12,13 +12,11 @@ its ``tolist()``.  Report and operator documents hold their tables that way,
 so they are written with this module; ``json.dumps`` does not accept them.  Arrays of
 another dtype or dimension are refused with ``ParameterError``.
 
-A flat float list (a 1-D array, a row of a 2-D array, or a list whose
-elements are all exactly ``float``) is not formatted where the walk meets
-it.  The walk leaves a placeholder; once it is done, the values of all such
-lists stream, in emit order, through chunks of ``_CHUNK`` doubles copied
-into one reused float64 array.  Each chunk is checked for non-finite values
-at once (the first one raises the error), and numpy computes the text of a
-whole chunk at once:
+One walk writes the document in order.  Plain lists and scalars are
+printed value by value with ``%.17g``.  An array is written where the walk
+meets it, in blocks of whole rows (or pieces of a row) of at most ``_CHUNK``
+values.  Each block is checked for non-finite values (the first one raises
+the error), and numpy computes the text of the whole block at once:
 
 - The 17 significant digits of ``|x|`` are the integer ``D = round(y)``,
   ``y = |x| 10^k`` with ``10^16 <= y < 10^17``.  Dekker's two-product (1971)
@@ -28,12 +26,12 @@ whole chunk at once:
   ``D`` of ``10^17`` carries into the exponent; a zero takes ``D = 0``.
 - Sign, digits, decimal point, exponent and the separator ``", "`` are laid
   into ``uint8`` columns, one row per value.  Columns a value does not use
-  hold NUL, and deleting every NUL byte leaves the chunk's text.  The last
-  value of a list gets ``]`` instead of the separator, which splits the
-  chunk's text into the text of each list.
+  hold NUL, and deleting every NUL byte leaves the block's text.  The last
+  value of a row gets ``]`` instead of the separator, and each ``]`` is
+  followed by the text between rows.
 
 ``%.17g`` itself formats every value the fast path cannot decide, in one
-``map`` per chunk: values outside ``_FAST_MIN <= |x| < _FAST_MAX`` and
+``map`` per block: values outside ``_FAST_MIN <= |x| < _FAST_MAX`` and
 values whose ``y`` lies within ``_TIE_MARGIN`` of a half-integer (an 18th
 digit at or next to a rounding tie).  Everything else gets the
 digits ``%.17g`` computes, since both round correctly, and the same
@@ -41,17 +39,15 @@ notation rule: exponent form when the decimal exponent is below -4 (the
 fast range has none of 17 or more), trailing zeros and a bare point
 dropped.  So every byte equals the ``%.17g`` output.
 
-A list's text is complete as soon as its last value is done, so beyond the
-strings of the document, one chunk's arrays and text are alive at a time.
-Every other list (ints, bools, numpy scalars, mixed or nested) takes the
-per-element path.
+Beyond the pieces of the document's text, one block's arrays and text are
+alive at a time: a strided array is copied a block at a time, never whole.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from typing import Any, Iterator
+from typing import Any
 
 import numpy as np
 
@@ -213,31 +209,6 @@ def _format_chunk(v: np.ndarray, last: np.ndarray) -> str:
     return text
 
 
-def _chunks(lists: list) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """The values of the flat lists in emit order, ``_CHUNK`` at a time in
-    one reused float64 array, each chunk with the positions where a list
-    ends.  The first non-finite value raises ``ParameterError``."""
-    # One array of all values would add its size to the peak memory of a
-    # large document.
-    chunk = np.empty(_CHUNK)
-    size = 0
-    last: list[int] = []
-    for lst in lists:
-        start = 0
-        while start < len(lst):
-            stop = min(len(lst), start + _CHUNK - size)
-            chunk[size:size + stop - start] = lst[start:stop]
-            size += stop - start
-            start = stop
-            if start == len(lst):
-                last.append(size - 1)
-            if size == _CHUNK:
-                yield _finite(chunk), np.array(last, dtype=np.intp)
-                size, last = 0, []
-    if size:
-        yield _finite(chunk[:size]), np.array(last, dtype=np.intp)
-
-
 def _finite(values: np.ndarray) -> np.ndarray:
     """``values``, once none of them is inf or nan."""
     bad = np.flatnonzero(~np.isfinite(values))
@@ -246,21 +217,22 @@ def _finite(values: np.ndarray) -> np.ndarray:
     return values
 
 
-def _list_texts(lists: list) -> Iterator[str]:
-    """Yield the text of each flat list in order, without its opening
-    bracket, chunk by chunk."""
-    open_parts: list[str] = []
-    for values, last in _chunks(lists):
-        *done, tail = _format_chunk(values, last).split("]")
-        for text in done:
-            open_parts.extend((text, "]"))
-            yield "".join(open_parts)
-            open_parts.clear()
-        if tail:
-            open_parts.append(tail)
+def _emit_rows(rows: np.ndarray, sep: str, out: list) -> None:
+    """Append the text of each row of ``rows`` without its ``[``, with
+    ``sep`` between rows, at most ``_CHUNK`` values per numpy pass."""
+    height, width = rows.shape
+    step = max(1, _CHUNK // width)
+    for i in range(0, height, step):
+        for j in range(0, width, _CHUNK):
+            block = rows[i:i + step, j:j + _CHUNK]  # copied below if strided
+            cut = block.shape[1]
+            values = _finite(block.reshape(-1))
+            last = np.arange(cut - 1, values.size, cut) if j + cut == width else []
+            out.append(_format_chunk(values, last).replace("]", "]" + sep))
+    out[-1] = out[-1].removesuffix(sep)
 
 
-def _emit(obj: Any, level: int, out: list, lists: list) -> None:
+def _emit(obj: Any, level: int, out: list) -> None:
     pad = "  " * level
     inner = "  " * (level + 1)
     if isinstance(obj, dict):
@@ -274,7 +246,7 @@ def _emit(obj: Any, level: int, out: list, lists: list) -> None:
             out.append(inner)
             out.append(json.dumps(key))
             out.append(": ")
-            _emit(value, level + 1, out, lists)
+            _emit(value, level + 1, out)
             out.append(",\n" if k < len(obj) - 1 else "\n")
         out.append(pad + "}")
     elif isinstance(obj, np.ndarray):
@@ -282,29 +254,27 @@ def _emit(obj: Any, level: int, out: list, lists: list) -> None:
             raise ParameterError(
                 f"cannot serialize a {obj.ndim}-d array of {obj.dtype}; "
                 "only 1-d and 2-d float64 arrays are written")
-        if obj.ndim == 2:
-            _emit(list(obj), level, out, lists)
-        elif obj.size == 0:
-            out.append("[]")
+        if obj.size == 0:
+            _emit(obj.tolist(), level, out)
+        elif obj.ndim == 1:
+            out.append("[")
+            _emit_rows(obj[None], "", out)
         else:
-            out += ("[", None)
-            lists.append(obj)
+            out.append("[\n" + inner + "[")
+            _emit_rows(obj, ",\n" + inner + "[", out)
+            out.append("\n" + pad + "]")
     elif isinstance(obj, (list, tuple)):
         if len(obj) == 0:
             out.append("[]")
             return
-        # Flat numeric arrays stay on one line; nested structures get spread.
-        if set(map(type, obj)) == {float}:
-            out += ("[", None)
-            lists.append(obj)
-            return
+        # Flat numeric lists stay on one line; nested structures get spread.
         if all(isinstance(v, (int, float, bool, np.generic)) for v in obj):
             out.append("[" + ", ".join(_scalar(v) for v in obj) + "]")
             return
         out.append("[\n")
         for k, value in enumerate(obj):
             out.append(inner)
-            _emit(value, level + 1, out, lists)
+            _emit(value, level + 1, out)
             out.append(",\n" if k < len(obj) - 1 else "\n")
         out.append(pad + "]")
     else:
@@ -333,16 +303,6 @@ def dumps(obj: Any) -> str:
     ``obj`` may hold 1-d and 2-d float64 arrays besides the JSON types; they
     are written as ``obj.tolist()`` would be.
     """
-    out: list = []  # text, and None where a flat float list goes
-    lists: list = []
-    try:
-        _emit(obj, 0, out, lists)
-    except ParameterError:
-        # A non-finite value in a list the walk already passed comes first.
-        for _ in _chunks(lists):
-            pass
-        raise
-    slots = [i for i, piece in enumerate(out) if piece is None]
-    for slot, text in zip(slots, _list_texts(lists)):
-        out[slot] = text
+    out: list[str] = []
+    _emit(obj, 0, out)
     return "".join(out)

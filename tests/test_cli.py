@@ -144,9 +144,17 @@ def test_verify_classical_fd_builtin(capsys):
         ["verify", "--builtin", "classical_fd_abc"],
         ["verify", "--builtin", "classical_fd_"],
         ["pseudospectral", "--family", "explicit", "--nodes", "0,x,1"],
+        # --f-samples must name a flat JSON list of finite numbers; the last
+        # entry is the file's text.
+        *(["solve", "--builtin", "two_point", "--f-samples", text]
+          for text in ('{"a": 1}', '["a", 1]', "[1, 2", "[NaN, 1]", "[[1], [2]]")),
     ],
 )
-def test_errors_exit_2(capsys, argv):
+def test_errors_exit_2(capsys, tmp_path, argv):
+    if "--f-samples" in argv:
+        path = tmp_path / "f.json"
+        path.write_text(argv[-1])
+        argv = [*argv[:-1], str(path)]
     code, _, err = _run(capsys, argv)
     assert code == 2
     assert "error: ParameterError:" in err

@@ -1,6 +1,7 @@
 import json
 import math
 import struct
+import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
 
@@ -139,6 +140,10 @@ def test_any_finite_doubles_match_the_reference():
     def check(lists, padding):
         doc = [[0.5] * padding, *lists] if padding else lists
         assert dumps(doc) == reference_dumps(doc)
+        assert dumps([np.array(v) for v in doc]) == reference_dumps(doc)
+        # One array, so that the drawn values meet the ends of its chunks.
+        flat = [v for values in doc for v in values]
+        assert dumps(np.array(flat)) == reference_dumps(flat)
 
     check()
 
@@ -264,15 +269,59 @@ def test_negative_zero_in_arrays():
     assert dumps(a.reshape(3, 1)) == "[\n  [-0],\n  [0],\n  [-0]\n]"
 
 
-def test_arrays_and_lists_share_the_chunks():
-    # Arrays and lists in one document stream through the same chunks, and
-    # a list of a chunk's worth of values is cut across two of them.
+def test_arrays_and_lists_mix_in_one_document():
+    # Arrays of whole chunks and of parts of one, between plain lists.
     rng = np.random.default_rng(9)
     doc = {"a": rng.normal(size=(jsonio._CHUNK // 3, 5)), "b": rng.normal(size=7).tolist(),
            "c": rng.normal(size=jsonio._CHUNK + 3), "d": [[0.5, 1e300], np.array([2.5])]}
     plain = {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in doc.items()}
     plain["d"] = [[0.5, 1e300], [2.5]]
     assert dumps(doc) == reference_dumps(plain)
+
+
+def _chunk_edge_arrays():
+    """The ``long_list`` and ``straddle`` cases as arrays, rows that end next
+    to a chunk end, rows longer than a chunk, and a strided view of them."""
+    c = jsonio._CHUNK
+    rows = np.random.default_rng(10).normal(size=(6, 2 * c + 6))
+    # A zero, a negative zero and values %.17g formats where chunks and rows end.
+    rows[:, [0, c - 2, c - 1, c, 2 * c, -1]] = [0.0, -0.0, 1e300, -1e-300, 2.5, 1e-5]
+    return {"long_list": np.array(CASES["long_list"]),
+            "straddle": [np.array(values) for values in CASES["straddle"]],
+            "rows_near_chunk_ends": np.ascontiguousarray(rows[:, :c - 1]),
+            "rows_of_a_third_chunk": np.ascontiguousarray(rows[:, :c // 3 + 1]),
+            "rows_longer_than_a_chunk": rows,
+            "strided": rows[:, ::2]}
+
+
+def test_the_chunk_edge_arrays_exist():
+    arrays = _chunk_edge_arrays()
+    assert arrays["long_list"].size > 3 * jsonio._CHUNK
+    assert arrays["rows_longer_than_a_chunk"].shape[1] > 2 * jsonio._CHUNK
+    assert arrays["strided"].shape[1] > jsonio._CHUNK
+    assert not arrays["strided"].flags.contiguous
+
+
+@pytest.mark.parametrize("name", sorted(_chunk_edge_arrays()))
+def test_arrays_across_chunk_ends_give_the_bytes_of_their_lists(name):
+    obj = _chunk_edge_arrays()[name]
+    plain = [a.tolist() for a in obj] if isinstance(obj, list) else obj.tolist()
+    assert dumps(obj) == reference_dumps(plain)
+    assert dumps({"k": [obj, 0.5]}) == reference_dumps({"k": [plain, 0.5]})
+
+
+@pytest.mark.parametrize("shape", [(400, 500), (200_000,)])
+def test_the_working_set_is_about_two_texts(shape):
+    # The pieces of the text and their join are alive together: twice the
+    # text.  A further copy of an array's whole text would read three times.
+    a = np.random.default_rng(12).normal(size=shape)
+    tracemalloc.start()
+    try:
+        text = dumps(a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * len(text)
 
 
 @pytest.mark.parametrize("doc, named", [

@@ -1,0 +1,83 @@
+"""Print one SHA-256 over the bytes sbpkit writes for the benchmark's inputs.
+
+    python3 tools/doc_digest.py SRC_DIR
+
+``SRC_DIR`` is the ``src`` directory of an sbpkit checkout.  The digest
+covers, in this order:
+
+- for seeds 7 and 947, the verification and spectrum documents of every
+  ``diagnose_fd`` input, and the report and saved operator of every
+  ``repair_planted`` input, made in this process as the benchmark makes them;
+- the argv, exit status, stdout and written file of each of the 60 seed-7
+  ``cli_small`` commands, one ``python3 -m sbpkit.cli`` child process each.
+
+Two checkouts that print the same digest write the same bytes on all of
+these.  The inputs and commands come from this checkout's ``perfbench/``,
+which is only read.  BLAS runs on one thread, as in the benchmark, and the
+temporary directory's path is replaced by ``WORK`` before hashing.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import os
+import subprocess
+import sys
+import tempfile
+
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
+SEEDS = (7, 947)
+CLI_SEED = 7
+
+
+def main() -> int:
+    if len(sys.argv) != 2:
+        print(__doc__.split("\n\n")[1], file=sys.stderr)
+        return 2
+    src = os.path.abspath(sys.argv[1])
+    sys.path[:0] = [src, PERFBENCH]
+    import run
+
+    os.environ.update(run.BLAS_PINS)  # before numpy starts its BLAS
+    import sbpkit
+    import worker
+
+    if not os.path.abspath(sbpkit.__file__).startswith(src + os.sep):
+        print(f"sbpkit imported from {sbpkit.__file__}, not from {src}", file=sys.stderr)
+        return 2
+    digest = hashlib.sha256()
+    with tempfile.TemporaryDirectory() as work:
+
+        def add(*parts) -> None:
+            for part in parts:
+                data = str(part).replace(work, "WORK").encode()
+                digest.update(len(data).to_bytes(8, "little") + data)
+
+        def read(path: str) -> str:
+            with open(path, encoding="utf-8") as fh:
+                return fh.read()
+
+        for seed in SEEDS:
+            diagnose = worker.DiagnoseFd(seed, work)
+            diagnose.prepare(setup_only=False)
+            for item in diagnose.items:
+                add(*diagnose.run(item))
+            repair = worker.RepairPlanted(seed, work)
+            repair.prepare(setup_only=False)
+            for item in repair.items:
+                add(repair.run(item)[0], read(item[-1]))
+
+        cli = worker.CliSmall(CLI_SEED, work)
+        cli.prepare(setup_only=False)
+        env = dict(os.environ, PYTHONPATH=src)
+        for kind, argv, *spec in (command for task in cli.round() for command in task):
+            proc = subprocess.run([sys.executable, "-m", "sbpkit.cli", *argv], env=env,
+                                  cwd=work, capture_output=True, text=True, check=False)
+            written = read(spec[0]["path"]) if kind == "generate" else ""
+            add(argv, proc.returncode, proc.stdout, written)
+    print(digest.hexdigest())
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
