@@ -1,14 +1,20 @@
 """Command-line front end.
 
 Subcommands: ``verify``, ``spectrum``, ``repair``, ``pseudospectral``,
-``solve``, ``converge`` and ``demo``.  Each emits a machine-readable JSON
-report (deterministic: byte-identical for identical inputs) or a
-human-readable text rendering of the same data, so the two formats can never
-disagree on a verdict.
+``solve``, ``converge`` and ``demo``.  Each handler builds one document and
+a text rendering of the same data, and ``_report`` writes the one that
+``--format`` asks for: JSON (deterministic: byte-identical for identical
+inputs) or text, so the two formats can never disagree on a verdict.
+``pseudospectral`` without ``--certify`` always writes the operator document.
+
+argparse checks every option it can declare (required and mutually
+exclusive options, choices, finite positive ``--tolerance`` and
+``--target-eps``); the handlers check only ``classical_fd_<n>``,
+``--nodes``, the input file and the ``--f-samples`` file.
 
 Exit status: 0 on success/pass, 1 on a verification or certification
-failure, 2 on usage or input errors, an operator too large for memory
-included.  The environment variable
+failure, 2 on usage or input errors (an ``error:`` line on stderr), an
+operator too large for memory included.  The environment variable
 ``SBP_TOLERANCE`` overrides the default tolerance.
 """
 
@@ -24,12 +30,7 @@ import numpy as np
 from . import jsonio, pseudospectral, repair, sat, spectral, storage, verify
 from .errors import ParameterError, SbpError
 from .linalg import DEFAULT_TOLERANCE, check_positive
-from .operators import (
-    BUILTIN_OPERATORS,
-    Interval,
-    SbpOperatorPair,
-    build_classical_fd,
-)
+from .operators import BUILTIN_OPERATORS, Interval, SbpOperatorPair, build_classical_fd
 from .repair import NormChoice
 from .sat import FlowDirection, SatProblem
 
@@ -52,12 +53,7 @@ _CONVERGENCE_PAIRS = {
     "exp": (np.exp, np.exp),
 }
 
-#: --family value -> node set builder; "explicit" takes --nodes instead
-_NODE_FAMILIES = {
-    "legendre_gauss_lobatto": pseudospectral.NodeFamily.legendre_gauss_lobatto,
-    "chebyshev_gauss_lobatto": pseudospectral.NodeFamily.chebyshev_gauss_lobatto,
-    "uniform": pseudospectral.NodeFamily.uniform,
-}
+_EXPLICIT = pseudospectral.Family.EXPLICIT.value
 
 
 def _fmt(value: float) -> str:
@@ -74,29 +70,31 @@ def _emit(text: str, output_path: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _report(args: argparse.Namespace, document: dict, text: str) -> None:
+    """Write ``document`` as JSON or ``text``, as ``--format`` asks."""
+    _emit(jsonio.dumps(document) if args.format == "json" else text, args.output_path)
+
+
 def _load_input(args: argparse.Namespace) -> SbpOperatorPair:
-    if args.input_path and args.builtin:
-        raise ParameterError("give either --input or --builtin, not both")
-    if args.builtin:
-        if args.builtin in BUILTIN_OPERATORS:
-            return BUILTIN_OPERATORS[args.builtin]()
-        if args.builtin.startswith("classical_fd_"):
-            size = args.builtin.removeprefix("classical_fd_")
-            try:
-                n = int(size)
-            except ValueError:
-                raise ParameterError(
-                    f"classical_fd_<n> needs an integer n, got {size!r}") from None
-            return build_classical_fd(n, Interval(0.0, 1.0))
-        raise ParameterError(
-            f"unknown builtin operator {args.builtin!r}; available: "
-            f"{sorted(BUILTIN_OPERATORS)} or classical_fd_<n>"
-        )
-    if not args.input_path:
-        raise ParameterError("an operator is required (--input PATH or --builtin NAME)")
-    if not os.path.exists(args.input_path):
-        raise ParameterError(f"input file not found: {args.input_path}")
-    return storage.load_operator(args.input_path)
+    # argparse gives exactly one of the two, possibly as an empty string.
+    if args.input_path is not None:
+        if not os.path.exists(args.input_path):
+            raise ParameterError(f"input file not found: {args.input_path}")
+        return storage.load_operator(args.input_path)
+    if args.builtin in BUILTIN_OPERATORS:
+        return BUILTIN_OPERATORS[args.builtin]()
+    if args.builtin.startswith("classical_fd_"):
+        size = args.builtin.removeprefix("classical_fd_")
+        try:
+            n = int(size)
+        except ValueError:
+            raise ParameterError(
+                f"classical_fd_<n> needs an integer n, got {size!r}") from None
+        return build_classical_fd(n, Interval(0.0, 1.0))
+    raise ParameterError(
+        f"unknown builtin operator {args.builtin!r}; available: "
+        f"{sorted(BUILTIN_OPERATORS)} or classical_fd_<n>"
+    )
 
 
 def _complex_str(value: complex, digits: int = 10) -> str:
@@ -111,30 +109,23 @@ def _complex_str(value: complex, digits: int = 10) -> str:
 
 
 def _verify_text(op: SbpOperatorPair, report: verify.VerificationReport) -> str:
-    lines = [
+    return "\n".join([
         f"operator: {op.name or '<unnamed>'} (n={op.n}, q={op.q})",
         f"tolerance: {_fmt(report.tolerance)}",
         f"{'property':<16} {'residual':>12}  verdict",
-    ]
-    for r in report.residuals:
-        lines.append(
-            f"{r.property.value:<16} {_fmt(r.residual):>12}  "
-            f"{'pass' if r.passed else 'FAIL'}"
-        )
-    lines.append(f"observed_order: {report.observed_order}")
-    lines.append(f"nullspace_consistent: {report.nullspace_consistent}")
-    lines.append(f"eigenvalue_property: {report.eigenvalue_property}")
-    lines.append(f"verdict: {'PASS' if report.all_passed() else 'FAIL'}")
-    return "\n".join(lines)
+        *(f"{r.property.value:<16} {_fmt(r.residual):>12}  "
+          f"{'pass' if r.passed else 'FAIL'}" for r in report.residuals),
+        f"observed_order: {report.observed_order}",
+        f"nullspace_consistent: {report.nullspace_consistent}",
+        f"eigenvalue_property: {report.eigenvalue_property}",
+        f"verdict: {'PASS' if report.all_passed() else 'FAIL'}",
+    ])
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     op = _load_input(args)
     report = verify.verify_all(op, args.tolerance)
-    if args.format == "json":
-        _emit(jsonio.dumps(report.to_document()), args.output_path)
-    else:
-        _emit(_verify_text(op, report), args.output_path)
+    _report(args, report.to_document(), _verify_text(op, report))
     if not report.all_passed():
         return 1
     if args.require_eigenvalue_property and not report.eigenvalue_property:
@@ -170,10 +161,7 @@ def _spectrum_text(op: SbpOperatorPair, report: spectral.SpectralReport) -> str:
 def _cmd_spectrum(args: argparse.Namespace) -> int:
     op = _load_input(args)
     report = spectral.spectral_report(op, tau_eig=args.tolerance)
-    if args.format == "json":
-        _emit(jsonio.dumps(report.to_document()), args.output_path)
-    else:
-        _emit(_spectrum_text(op, report), args.output_path)
+    _report(args, report.to_document(), _spectrum_text(op, report))
     return 0
 
 
@@ -186,21 +174,14 @@ def _cmd_repair(args: argparse.Namespace) -> int:
     repaired, plan = repair.repair_operator(
         op, args.target_eps, NormChoice(args.norm_choice), args.tolerance
     )
-    if args.format == "json":
-        doc = {
-            "operator": storage.operator_to_document(repaired),
-            "plan": plan.to_document(),
-        }
-        _emit(jsonio.dumps(doc), args.output_path)
-    else:
-        lines = [
-            f"operator: {op.name or '<unnamed>'} (n={op.n}, q={op.q})",
-            f"conjugate pairs shifted: m={plan.m}",
-            f"epsilons: [{', '.join(_fmt(e) for e in plan.epsilons)}]",
-            f"achieved |D_plus' - D_plus| ({plan.norm_choice.value}): "
-            f"{_fmt(plan.norm_bound)}",
-        ]
-        _emit("\n".join(lines), args.output_path)
+    doc = {"operator": storage.operator_to_document(repaired), "plan": plan.to_document()}
+    _report(args, doc, "\n".join([
+        f"operator: {op.name or '<unnamed>'} (n={op.n}, q={op.q})",
+        f"conjugate pairs shifted: m={plan.m}",
+        f"epsilons: [{', '.join(_fmt(e) for e in plan.epsilons)}]",
+        f"achieved |D_plus' - D_plus| ({plan.norm_choice.value}): "
+        f"{_fmt(plan.norm_bound)}",
+    ]))
     return 0
 
 
@@ -210,8 +191,9 @@ def _cmd_repair(args: argparse.Namespace) -> int:
 
 def _make_family(args: argparse.Namespace, n: int) -> pseudospectral.NodeFamily:
     interval = Interval(*args.interval)
-    if args.family in _NODE_FAMILIES:
-        return _NODE_FAMILIES[args.family](n, interval)
+    if args.family != _EXPLICIT:
+        # each other --family value names its NodeFamily constructor
+        return getattr(pseudospectral.NodeFamily, args.family)(n, interval)
     if not args.nodes:
         raise ParameterError("--nodes is required for the explicit family")
     try:
@@ -235,15 +217,12 @@ def _certification_text(report: pseudospectral.CertificationReport) -> str:
 
 def _cmd_pseudospectral(args: argparse.Namespace) -> int:
     if args.certify:
-        if args.family in _NODE_FAMILIES:
+        if args.family != _EXPLICIT:
             families = [_make_family(args, n) for n in range(1, args.n + 1)]
         else:
             families = [_make_family(args, args.n)]
         report = pseudospectral.certify_families(families, tau_eig=args.tolerance)
-        if args.format == "json":
-            _emit(jsonio.dumps(report.to_document()), args.output_path)
-        else:
-            _emit(_certification_text(report), args.output_path)
+        _report(args, report.to_document(), _certification_text(report))
         return 0 if report.certified else 1
     family = _make_family(args, args.n)
     op = pseudospectral.build_pseudospectral_operator(family)
@@ -272,34 +251,21 @@ def _read_samples(path: str) -> np.ndarray:
 
 def _cmd_solve(args: argparse.Namespace) -> int:
     op = _load_input(args)
-    if args.function and args.f_samples_path:
-        raise ParameterError("give either --f or --f-samples, not both")
-    if args.function:
-        if args.function not in _NAMED_FUNCTIONS:
-            raise ParameterError(
-                f"unknown function {args.function!r}; available: "
-                f"{sorted(_NAMED_FUNCTIONS)}"
-            )
+    if args.function is not None:
         f_samples = _NAMED_FUNCTIONS[args.function](op.x)
-    elif args.f_samples_path:
-        f_samples = _read_samples(args.f_samples_path)
     else:
-        raise ParameterError("a right-hand side is required (--f or --f-samples)")
+        f_samples = _read_samples(args.f_samples_path)
     problem = SatProblem(
         f_samples=f_samples, u0=args.u0, direction=FlowDirection(args.direction)
     )
     u = sat.solve_problem(op, problem)
-    if args.format == "json":
-        doc = {
-            "op_ref": op.name or f"operator(n={op.n}, q={op.q})",
-            "direction": args.direction,
-            "u0": args.u0,
-            "u": u,
-        }
-        _emit(jsonio.dumps(doc), args.output_path)
-    else:
-        lines = [f"{x:.6g} {v:.6g}" for x, v in zip(op.x, u)]
-        _emit("\n".join(lines), args.output_path)
+    doc = {
+        "op_ref": op.name or f"operator(n={op.n}, q={op.q})",
+        "direction": args.direction,
+        "u0": args.u0,
+        "u": u,
+    }
+    _report(args, doc, "\n".join(f"{x:.6g} {v:.6g}" for x, v in zip(op.x, u)))
     return 0
 
 
@@ -308,18 +274,6 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _cmd_converge(args: argparse.Namespace) -> int:
-    if args.family != "classical_fd":
-        raise ParameterError(
-            f"unknown operator family {args.family!r} for convergence studies; "
-            "available: classical_fd"
-        )
-    if args.function not in _CONVERGENCE_PAIRS:
-        raise ParameterError(
-            f"unknown function {args.function!r}; available: "
-            f"{sorted(_CONVERGENCE_PAIRS)}"
-        )
-    if not args.grids:
-        raise ParameterError("--grids is required (comma-separated resolutions)")
     interval = Interval(*args.interval)
     f, exact_u = _CONVERGENCE_PAIRS[args.function]
     study = sat.convergence_study(
@@ -328,18 +282,15 @@ def _cmd_converge(args: argparse.Namespace) -> int:
         exact_u=exact_u,
         ns=args.grids,
     )
-    if args.format == "json":
-        _emit(jsonio.dumps(study.to_document()), args.output_path)
-    else:
-        rows = ["n,spacing,error_h,error_max,order"]
-        for k, n in enumerate(study.ns):
-            order = "" if k == 0 else format(study.pairwise_orders[k - 1], ".6g")
-            rows.append(
-                f"{n},{study.spacings[k]:.6g},{study.errors_h[k]:.6g},"
-                f"{study.errors_max[k]:.6g},{order}"
-            )
-        rows.append(f"fit,,,,{study.fitted_order:.6g}")
-        _emit("\n".join(rows), args.output_path)
+    rows = ["n,spacing,error_h,error_max,order"]
+    for k, n in enumerate(study.ns):
+        order = "" if k == 0 else format(study.pairwise_orders[k - 1], ".6g")
+        rows.append(
+            f"{n},{study.spacings[k]:.6g},{study.errors_h[k]:.6g},"
+            f"{study.errors_max[k]:.6g},{order}"
+        )
+    rows.append(f"fit,,,,{study.fitted_order:.6g}")
+    _report(args, study.to_document(), "\n".join(rows))
     return 0
 
 
@@ -357,48 +308,36 @@ def _cmd_demo(args: argparse.Namespace) -> int:
     after_verify = verify.verify_all(repaired, args.tolerance)
     after_spectrum = spectral.spectral_report(repaired, tau_eig=args.tolerance)
 
-    if args.format == "json":
-        doc = {
-            "before": {
-                "verification": before_verify.to_document(),
-                "spectrum": before_spectrum.to_document(),
-            },
-            "plan": plan.to_document(),
-            "after": {
-                "verification": after_verify.to_document(),
-                "spectrum": after_spectrum.to_document(),
-            },
-        }
-        _emit(jsonio.dumps(doc), args.output_path)
-    else:
-        lines = [
-            f"operator: {op.name} (n={op.n}, q={op.q})",
-            f"verification before repair: "
-            f"{'PASS' if before_verify.all_passed() else 'FAIL'}, "
-            f"nullspace_consistent={before_verify.nullspace_consistent}, "
-            f"eigenvalue_property={before_verify.eigenvalue_property}",
-            "spectrum before repair:",
-            *_spectrum_lines(before_spectrum, 34),
-        ]
-        lines.append(
-            f"repair: target eps={_fmt(args.target_eps)} "
-            f"({plan.norm_choice.value}), m={plan.m} conjugate pairs, "
-            f"achieved |D_plus' - D_plus|={_fmt(plan.norm_bound)}"
-        )
-        lines.append("spectrum after repair:")
-        lines += _spectrum_lines(after_spectrum, 34)
-        lines.append(
-            f"verification after repair: "
-            f"{'PASS' if after_verify.all_passed() else 'FAIL'}, "
-            f"eigenvalue_property={after_verify.eigenvalue_property}"
-        )
-        _emit("\n".join(lines), args.output_path)
-    ok = (
-        before_verify.all_passed()
-        and after_verify.all_passed()
-        and after_verify.eigenvalue_property
-    )
-    return 0 if ok else 1
+    doc = {
+        "before": {
+            "verification": before_verify.to_document(),
+            "spectrum": before_spectrum.to_document(),
+        },
+        "plan": plan.to_document(),
+        "after": {
+            "verification": after_verify.to_document(),
+            "spectrum": after_spectrum.to_document(),
+        },
+    }
+    _report(args, doc, "\n".join([
+        f"operator: {op.name} (n={op.n}, q={op.q})",
+        f"verification before repair: "
+        f"{'PASS' if before_verify.all_passed() else 'FAIL'}, "
+        f"nullspace_consistent={before_verify.nullspace_consistent}, "
+        f"eigenvalue_property={before_verify.eigenvalue_property}",
+        "spectrum before repair:",
+        *_spectrum_lines(before_spectrum, 34),
+        f"repair: target eps={_fmt(args.target_eps)} "
+        f"({plan.norm_choice.value}), m={plan.m} conjugate pairs, "
+        f"achieved |D_plus' - D_plus|={_fmt(plan.norm_bound)}",
+        "spectrum after repair:",
+        *_spectrum_lines(after_spectrum, 34),
+        f"verification after repair: "
+        f"{'PASS' if after_verify.all_passed() else 'FAIL'}, "
+        f"eigenvalue_property={after_verify.eigenvalue_property}",
+    ]))
+    ok = before_verify.all_passed() and after_verify.all_passed()
+    return 0 if ok and after_verify.eigenvalue_property else 1
 
 
 def _default_tolerance() -> float:
@@ -410,6 +349,13 @@ def _default_tolerance() -> float:
     except ValueError:
         raise ParameterError(f"SBP_TOLERANCE is not a number: {raw!r}") from None
     return check_positive(value, "SBP_TOLERANCE")
+
+
+def _positive(text: str) -> float:
+    try:
+        return check_positive(float(text), "the value")
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _grids(text: str) -> tuple[int, ...]:
@@ -443,8 +389,9 @@ def _build_parser(default_tol: float) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help)
         p.set_defaults(handler=handler)
         if with_input:
-            p.add_argument("--input", dest="input_path", help="operator document path")
-            p.add_argument(
+            source = p.add_mutually_exclusive_group(required=True)
+            source.add_argument("--input", dest="input_path", help="operator document path")
+            source.add_argument(
                 "--builtin",
                 help="builtin operator name (counterexample, two_point, "
                 "classical_fd_<n>)",
@@ -452,7 +399,7 @@ def _build_parser(default_tol: float) -> argparse.ArgumentParser:
         p.add_argument("--output", dest="output_path", help="write the report here")
         p.add_argument(
             "--tolerance",
-            type=float,
+            type=_positive,
             default=default_tol,
             help=f"verification tolerance (default {default_tol:g}; "
             "env SBP_TOLERANCE overrides the default)",
@@ -469,7 +416,7 @@ def _build_parser(default_tol: float) -> argparse.ArgumentParser:
         p.add_argument(
             "--target-eps",
             dest="target_eps",
-            type=float,
+            type=_positive,
             default=DEFAULT_TARGET_EPS,
             help=f"perturbation size budget (default {DEFAULT_TARGET_EPS:g})",
         )
@@ -520,8 +467,10 @@ def _build_parser(default_tol: float) -> argparse.ArgumentParser:
     )
 
     p = command("solve", _cmd_solve, "boundary-penalized solve of u' = f")
-    p.add_argument("--f", dest="function", help="named right-hand side (sin, cos, exp, zero, one)")
-    p.add_argument(
+    rhs = p.add_mutually_exclusive_group(required=True)
+    rhs.add_argument("--f", dest="function", choices=_NAMED_FUNCTIONS,
+                     help="named right-hand side")
+    rhs.add_argument(
         "--f-samples",
         dest="f_samples_path",
         help="JSON array with f sampled at the operator nodes",
@@ -536,14 +485,18 @@ def _build_parser(default_tol: float) -> argparse.ArgumentParser:
     p = command(
         "converge", _cmd_converge, "grid-refinement convergence study", with_input=False
     )
-    p.add_argument("--family", default="classical_fd")
+    p.add_argument("--family", choices=("classical_fd",), default="classical_fd")
     p.add_argument(
-        "--grids", type=_grids, help="comma-separated resolutions, e.g. 32,64,128,256"
+        "--grids",
+        type=_grids,
+        required=True,
+        help="comma-separated resolutions, e.g. 32,64,128,256",
     )
     p.add_argument(
         "--function",
+        choices=_CONVERGENCE_PAIRS,
         default="sin",
-        help="exact solution name (sin, cos, exp); f is its derivative",
+        help="exact solution name; f is its derivative",
     )
     interval(p, (0.0, 1.0))
 
@@ -562,9 +515,6 @@ def _build_parser(default_tol: float) -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     try:
         args = _build_parser(_default_tolerance()).parse_args(argv)
-        check_positive(args.tolerance)
-        if "target_eps" in args:
-            check_positive(args.target_eps, "target-eps")
         return args.handler(args)
     except SbpError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -24,9 +24,10 @@ RANK_SAFETY = 64.0
 
 
 def check_positive(value: float, name: str = "tolerance") -> float:
-    """``value`` as a float; ``ParameterError`` unless it is positive (nan is not)."""
-    if not value > 0.0:
-        raise ParameterError(f"{name} must be positive, got {value}")
+    """``value`` as a float; ``ParameterError`` unless it is finite and
+    positive (nan and inf are not)."""
+    if not 0.0 < value < np.inf:
+        raise ParameterError(f"{name} must be finite and positive, got {value}")
     return float(value)
 
 

@@ -29,7 +29,6 @@ import numpy as np
 from .errors import (
     ContractError,
     InternalInconsistencyError,
-    ParameterError,
     RepairImpossibleError,
     ShapeError,
 )
@@ -108,9 +107,7 @@ def build_s_prime(
     :func:`orthogonalize_imaginary` returns; none gives ``S' = 0``.
     """
     h = np.asarray(h, dtype=float)
-    eps = float(eps)
-    if not eps > 0.0:
-        raise ParameterError(f"eps must be positive, got {eps}")
+    eps = check_positive(eps, "eps")
     if len(vectors) == 0:
         return np.zeros_like(h)
     vectors = [np.ravel(np.asarray(v)) for v in vectors]

@@ -53,7 +53,8 @@ class SatProblem:
     """Right-hand side samples, boundary datum and flow direction.
 
     The penalty parameter is tied to the direction: sigma = 1 for forward
-    flow (datum at a), sigma = -1 for reversed flow (datum at b).
+    flow (datum at a), sigma = -1 for reversed flow (datum at b).  The
+    samples and the datum must be finite (else ``ParameterError``).
     """
 
     f_samples: np.ndarray
@@ -62,9 +63,14 @@ class SatProblem:
 
     def __post_init__(self) -> None:
         samples = np.array(np.ravel(self.f_samples), dtype=float)
+        u0 = float(self.u0)
+        if not np.isfinite(samples).all():
+            raise ParameterError("f_samples must be finite")
+        if not np.isfinite(u0):
+            raise ParameterError(f"u0 must be finite, got {u0}")
         samples.flags.writeable = False
         object.__setattr__(self, "f_samples", samples)
-        object.__setattr__(self, "u0", float(self.u0))
+        object.__setattr__(self, "u0", u0)
 
     @property
     def sigma(self) -> float:

@@ -223,8 +223,9 @@ def check_sbp_identities(
     """Residuals of the two summation-by-parts identities."""
     tolerance = check_positive(tolerance)
     boundary = -np.outer(op.p0, op.p0) + np.outer(op.pn, op.pn)
-    res_c = max_abs(op.h @ op.d_plus + op.d_plus.T @ op.h - boundary - op.s)
-    res_d = max_abs(op.h @ op.d_plus + op.d_minus.T @ op.h - boundary)
+    hd = op.h @ op.d_plus
+    res_c = max_abs(hd + op.d_plus.T @ op.h - boundary - op.s)
+    res_d = max_abs(hd + op.d_minus.T @ op.h - boundary)
     return (
         PropertyResidual(Property.C_IDENTITY, res_c, res_c <= tolerance),
         PropertyResidual(Property.D_IDENTITY, res_d, res_d <= tolerance),
@@ -256,14 +257,15 @@ def check_nullspace_consistency(report: spectral.SpectralReport) -> NullspaceDia
     """Decide whether the kernel of D_plus is exactly the constants.
 
     Two independent routes must agree: invertibility of the penalized matrix
-    (singular value ratio) and a direct kernel test on D_plus (constants
-    annihilated, rank equal to n).  Disagreement raises
+    (full rank n + 1) and a direct kernel test on D_plus (constants
+    annihilated, rank equal to n).  Both ranks come from ``svd_rank``, the
+    package's one rank rule, whatever the tolerance.  Disagreement raises
     ``InternalInconsistencyError``, signalling a borderline operator.
     """
     op, tolerance = report.op, report.tolerance
-    sv = np.linalg.svd(report.d_tilde, compute_uv=False)
+    rank_tilde, sv = svd_rank(report.d_tilde)
     sigma_max, sigma_min = float(sv[0]), float(sv[-1])
-    via_penalized = sigma_min > tolerance * sigma_max
+    via_penalized = rank_tilde == op.n + 1
 
     rank, sv_d = svd_rank(op.d_plus)
     kernel_residual = max_abs(op.d_plus @ np.ones(op.n + 1))

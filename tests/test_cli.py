@@ -142,6 +142,19 @@ def test_verify_classical_fd_builtin(capsys):
         ["solve", "--builtin", "two_point", "--f", "one", "--tolerance", "0"],
         ["converge", "--grids", "8,x,32"],
         ["verify", "--builtin", "classical_fd_abc"],
+        # an empty name or path counts as given, and is refused
+        ["verify", "--builtin", ""],
+        ["verify", "--input", ""],
+        # each pair of alternatives takes exactly one
+        ["verify", "--input", "/nonexistent/op.json", "--builtin", "two_point"],
+        ["solve", "--builtin", "two_point", "--f", "one", "--f-samples", "[1, 2]"],
+        # a tolerance, budget or datum must be finite
+        ["verify", "--builtin", "two_point", "--tolerance", "inf"],
+        ["spectrum", "--builtin", "counterexample", "--tolerance", "inf"],
+        ["repair", "--builtin", "counterexample", "--target-eps", "inf"],
+        ["converge", "--grids", "8,16,32", "--function", "tan"],
+        ["solve", "--builtin", "classical_fd_4", "--f", "sin", "--u0", "nan"],
+        ["solve", "--builtin", "classical_fd_4", "--f", "sin", "--u0", "inf"],
         ["verify", "--builtin", "classical_fd_"],
         ["pseudospectral", "--family", "explicit", "--nodes", "0,x,1"],
         # --f-samples must name a flat JSON list of finite numbers; the last
@@ -237,6 +250,15 @@ def test_invalid_tolerance_environment(capsys, monkeypatch):
     code, _, err = _run(capsys, ["verify", "--builtin", "two_point"])
     assert code == 2
     assert "SBP_TOLERANCE" in err
+
+
+@pytest.mark.parametrize("value", ["inf", "0"])
+def test_a_tolerance_environment_that_is_not_finite_and_positive(capsys, monkeypatch, value):
+    monkeypatch.setenv("SBP_TOLERANCE", value)
+    code, out, err = _run(capsys, ["verify", "--builtin", "two_point"])
+    assert code == 2
+    assert out == ""
+    assert "error: ParameterError: SBP_TOLERANCE must be finite and positive" in err
 
 
 # ---------------------------------------------------------------------------

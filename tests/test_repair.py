@@ -115,7 +115,7 @@ def test_s_prime_on_a_two_dimensional_eigenspace():
 
 def test_s_prime_rejects_nonpositive_eps():
     op = build_counterexample()
-    for eps in (-1.0, 0.0, float("nan")):
+    for eps in (-1.0, 0.0, float("nan"), float("inf")):
         with pytest.raises(ParameterError):
             build_s_prime(op.h, _ortho_vectors(op), eps)
 
@@ -236,6 +236,12 @@ def test_repair_rejects_negative_real_parts():
 def test_repair_rejects_nonpositive_target():
     with pytest.raises(ParameterError):
         repair_operator(build_counterexample(), 0.0)
+
+
+def test_repair_rejects_an_infinite_target():
+    # An infinite budget would scale S' to inf and D_plus' to nan.
+    with pytest.raises(ParameterError, match="finite"):
+        repair_operator(build_counterexample(), float("inf"))
 
 
 def test_repair_updates_dissipation_and_flavor_inputs():

@@ -69,6 +69,14 @@ def test_problem_sigma_follows_direction():
     assert reversed_.sigma == -1.0
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_problem_rejects_non_finite_data(bad):
+    with pytest.raises(ParameterError, match="f_samples"):
+        SatProblem(f_samples=[0.0, bad], u0=0.0)
+    with pytest.raises(ParameterError, match="u0"):
+        SatProblem(f_samples=[0.0, 0.0], u0=bad)
+
+
 def test_assembly_rejects_wrong_sample_count():
     with pytest.raises(ShapeError):
         assemble(build_two_point(), SatProblem(f_samples=[1.0, 2.0, 3.0], u0=0.0))

@@ -198,6 +198,12 @@ def test_report_rejects_a_nonpositive_band(tau):
         spectral_report(build_counterexample(), tau_eig=tau)
 
 
+def test_report_rejects_an_infinite_band():
+    # An infinite band has no finite tolerance to write into a document.
+    with pytest.raises(ParameterError, match="finite"):
+        spectral_report(build_counterexample(), tau_eig=float("inf"))
+
+
 def test_classification_band():
     # eigenvalues 1e-15 +- 0.3i lie inside the band 1e-9 * ||A||_F
     # (D_plus = a with p0 = pn = 0, so D_tilde = a)

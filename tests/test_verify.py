@@ -179,6 +179,18 @@ def test_nullspace_routes_disagree_on_non_sbp_input():
         check_nullspace_consistency(spectral_report(crippled))
 
 
+@pytest.mark.parametrize("build, tolerance", [
+    (lambda: build_classical_fd(256, Interval(0.0, 1.0)), 1e-2),
+    (build_counterexample, 0.5),
+], ids=["classical_fd_256", "counterexample"])
+def test_a_loose_tolerance_does_not_split_the_nullspace_routes(build, tolerance):
+    # sigma_min / sigma_max of D_tilde is below the tolerance, so a ratio test
+    # at the tolerance would call D_tilde singular while D_plus has rank n.
+    report = verify_all(build(), tolerance)
+    assert report.nullspace.sigma_min < tolerance * report.nullspace.sigma_max
+    assert report.nullspace_consistent
+
+
 # ---------------------------------------------------------------------------
 # eigenvalue property
 

@@ -9,7 +9,11 @@ covers, in this order:
   ``diagnose_fd`` input, and the report and saved operator of every
   ``repair_planted`` input, made in this process as the benchmark makes them;
 - the argv, exit status, stdout and written file of each of the 60 seed-7
-  ``cli_small`` commands, one ``python3 -m sbpkit.cli`` child process each.
+  ``cli_small`` commands, one ``python3 -m sbpkit.cli`` child process each;
+- the argv, exit status and stdout of each command in ``EXTRA_COMMANDS``:
+  the text rendering of every subcommand that has one, and two empty
+  operator options, whose stderr adds only whether it starts with
+  ``error: ParameterError:``.
 
 Two checkouts that print the same digest write the same bytes on all of
 these.  The inputs and commands come from this checkout's ``perfbench/``,
@@ -28,6 +32,18 @@ import tempfile
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
 SEEDS = (7, 947)
 CLI_SEED = 7
+EXTRA_COMMANDS = (
+    ["verify", "--builtin", "classical_fd_16", "--format", "text"],
+    ["verify", "--builtin", "counterexample", "--format", "text"],
+    ["spectrum", "--builtin", "counterexample", "--format", "text"],
+    ["repair", "--builtin", "counterexample", "--format", "text"],
+    ["solve", "--builtin", "classical_fd_8", "--f", "sin", "--u0", "0.5", "--format", "text"],
+    ["converge", "--grids", "8,16,32", "--function", "exp", "--format", "text"],
+    ["pseudospectral", "--family", "legendre_gauss_lobatto", "--n", "6", "--certify",
+     "--format", "text"],
+    ["verify", "--builtin", ""],
+    ["verify", "--input", ""],
+)
 
 
 def main() -> int:
@@ -70,11 +86,19 @@ def main() -> int:
         cli = worker.CliSmall(CLI_SEED, work)
         cli.prepare(setup_only=False)
         env = dict(os.environ, PYTHONPATH=src)
-        for kind, argv, *spec in (command for task in cli.round() for command in task):
-            proc = subprocess.run([sys.executable, "-m", "sbpkit.cli", *argv], env=env,
+
+        def sbpkit_cli(argv: list[str]) -> subprocess.CompletedProcess:
+            return subprocess.run([sys.executable, "-m", "sbpkit.cli", *argv], env=env,
                                   cwd=work, capture_output=True, text=True, check=False)
+
+        for kind, argv, *spec in (command for task in cli.round() for command in task):
+            proc = sbpkit_cli(argv)
             written = read(spec[0]["path"]) if kind == "generate" else ""
             add(argv, proc.returncode, proc.stdout, written)
+        for argv in EXTRA_COMMANDS:
+            proc = sbpkit_cli(argv)
+            add(argv, proc.returncode, proc.stdout,
+                proc.stderr.startswith("error: ParameterError:"))
     print(digest.hexdigest())
     return 0
 
