@@ -368,8 +368,9 @@ def _grids(text: str) -> tuple[int, ...]:
 
 
 class _SubcommandParser(argparse.ArgumentParser):
-    """Reports a bad option value as a ``ParameterError``, so that ``main``
-    returns 2 with an ``error:`` line, as for every other input error."""
+    """Reports a bad, missing or conflicting option as a ``ParameterError``,
+    so that ``main`` returns 2 with an ``error:`` line, as for every other
+    input error."""
 
     def error(self, message: str):
         raise ParameterError(message)
