@@ -43,11 +43,9 @@ from .sat import (
     ConvergenceStudy,
     FlowDirection,
     SatProblem,
-    SatSystem,
     assemble,
     convergence_study,
     solve,
-    solve_problem,
 )
 from .spectral import (
     EigenvalueClass,

@@ -236,16 +236,18 @@ def _cmd_pseudospectral(args: argparse.Namespace) -> int:
 
 def _read_samples(path: str) -> np.ndarray:
     """The samples in ``path``, which must be a flat JSON list of finite numbers."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
             values = json.load(fh)
-            if not isinstance(values, list) or any(type(v) not in (int, float) for v in values):
-                raise ValueError("not a flat list of numbers")
-            samples = np.array(values, dtype=float)
-            if not np.isfinite(samples).all():
-                raise ValueError("a sample is not finite")
-        except (ValueError, OverflowError) as exc:
-            raise ParameterError(f"--f-samples {path!r}: {exc}") from None
+        if not isinstance(values, list) or any(type(v) not in (int, float) for v in values):
+            raise ValueError("not a flat list of numbers")
+        samples = np.array(values, dtype=float)
+        if not np.isfinite(samples).all():
+            raise ValueError("a sample is not finite")
+    except OSError as exc:
+        raise ParameterError(f"--f-samples {path!r}: {exc.strerror}") from None
+    except (ValueError, OverflowError) as exc:
+        raise ParameterError(f"--f-samples {path!r}: {exc}") from None
     return samples
 
 
@@ -258,7 +260,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     problem = SatProblem(
         f_samples=f_samples, u0=args.u0, direction=FlowDirection(args.direction)
     )
-    u = sat.solve_problem(op, problem)
+    u = sat.solve(op, problem)
     doc = {
         "op_ref": op.name or f"operator(n={op.n}, q={op.q})",
         "direction": args.direction,

@@ -119,13 +119,13 @@ class NodeFamily:
     def legendre_gauss_lobatto(cls, n: int, interval: Interval) -> "NodeFamily":
         t, _ = legendre_gauss_lobatto(n)
         return cls(Family.LEGENDRE_GAUSS_LOBATTO, n, interval,
-                   _map_to_interval(t, interval, pin_endpoints=True))
+                   _map_to_interval(t, interval))
 
     @classmethod
     def chebyshev_gauss_lobatto(cls, n: int, interval: Interval) -> "NodeFamily":
         t = chebyshev_gauss_lobatto_nodes(n)
         return cls(Family.CHEBYSHEV_GAUSS_LOBATTO, n, interval,
-                   _map_to_interval(t, interval, pin_endpoints=True))
+                   _map_to_interval(t, interval))
 
     @classmethod
     def uniform(cls, n: int, interval: Interval) -> "NodeFamily":
@@ -144,15 +144,11 @@ class NodeFamily:
         )
 
 
-def _map_to_interval(
-    t: np.ndarray, interval: Interval, pin_endpoints: bool
-) -> np.ndarray:
-    c = 0.5 * (interval.a + interval.b)
-    r = 0.5 * interval.length
-    x = c + r * t
-    if pin_endpoints:
-        x[0] = interval.a
-        x[-1] = interval.b
+def _map_to_interval(t: np.ndarray, interval: Interval) -> np.ndarray:
+    """Lobatto nodes ``t`` on [-1, 1] mapped to ``interval``, endpoints exact."""
+    x = 0.5 * (interval.a + interval.b) + 0.5 * interval.length * t
+    x[0] = interval.a
+    x[-1] = interval.b
     return x
 
 

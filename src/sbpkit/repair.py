@@ -16,7 +16,9 @@ with S replaced by S + S', and ``1/2 H^{-1} S' = (eps/2) P_N`` with
 H-orthogonal complement are both invariant under the penalized matrix, so
 each imaginary eigenvalue moves right by exactly eps/2 while every other
 eigenpair is untouched, and the perturbation size ``||D_plus' - D_plus||``
-is set exactly by linear scaling of eps.
+is set exactly by linear scaling of eps.  :func:`repair_operator` returns
+the repaired operator and a :class:`PerturbationPlan` holding eps, S' and
+the achieved norm; Q itself is not kept.
 """
 
 from __future__ import annotations
@@ -63,17 +65,15 @@ def _matrix_norm(a: np.ndarray, choice: NormChoice) -> float:
 class PerturbationPlan:
     """Everything needed to reproduce one repair.
 
-    ``imaginary_pairs`` holds the 2m real H-orthonormal basis vectors of the
-    imaginary invariant subspace (the columns of Q in ``S' = eps H Q Q^T H``);
-    ``epsilons`` holds eps once per pair;
-    ``norm_bound`` the achieved ``||1/2 H^{-1} S'||`` in ``norm_choice``.
+    ``epsilons`` holds eps once per imaginary pair, ``s_prime`` the
+    perturbation ``S' = eps H Q Q^T H`` and ``norm_bound`` the achieved
+    ``||1/2 H^{-1} S'||`` in ``norm_choice``.
 
     ``s_prime`` is read-only.  :meth:`to_document` holds it as a float64
     array (a read-only view), so the document is written with
     :func:`sbpkit.jsonio.dumps`; ``json.dumps`` does not accept it.
     """
 
-    imaginary_pairs: tuple[np.ndarray, ...]
     epsilons: tuple[float, ...]
     s_prime: np.ndarray
     norm_bound: float
@@ -129,7 +129,6 @@ def build_s_prime(
 
 def _empty_plan(op: SbpOperatorPair, norm_choice: NormChoice) -> PerturbationPlan:
     return PerturbationPlan(
-        imaginary_pairs=(),
         epsilons=(),
         s_prime=np.zeros_like(op.h),
         norm_bound=0.0,
@@ -160,7 +159,7 @@ def repair_operator(
     if not diagnostics.consistent:
         raise RepairImpossibleError(
             "operator is not nullspace consistent (rank "
-            f"{diagnostics.rank} of expected {diagnostics.expected_rank}); "
+            f"{diagnostics.rank} of expected {op.n}); "
             "a zero eigenvalue cannot be moved by the dissipation construction"
         )
     negative = report.eigenvalues[
@@ -200,7 +199,6 @@ def repair_operator(
         name=f"{op.name}+dissipation" if op.name else None,
     )
     plan = PerturbationPlan(
-        imaginary_pairs=tuple(vectors),
         epsilons=(eps_k,) * m,
         s_prime=s_prime,
         norm_bound=_matrix_norm(half_update, norm_choice),

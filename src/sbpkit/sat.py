@@ -4,9 +4,10 @@ The forward discretization is ``D_plus u = f + sigma H^{-1} p0 (u0 - p0.u)``
 with sigma = 1; collecting the solution terms on the left gives the
 penalized matrix ``D_plus + H^{-1} p0 p0^T``.  Reversed flow uses D_minus,
 imposes the datum at b through pn, and takes sigma = -1; the same collection
-yields ``D_minus + sigma H^{-1} pn pn^T``.  The reversed assembly is
-validated by the mirror-symmetry property: reflecting the data reflects the
-solution.
+yields ``D_minus + sigma H^{-1} pn pn^T``.  :func:`assemble` returns that
+system as ``(matrix, rhs)``; :func:`solve` assembles it, solves it and checks
+the residual.  The reversed assembly is validated by the mirror-symmetry
+property: reflecting the data reflects the solution.
 
 Also provides grid-refinement convergence studies in the discrete H norm.
 """
@@ -27,10 +28,8 @@ from .spectral import build_d_tilde
 __all__ = [
     "FlowDirection",
     "SatProblem",
-    "SatSystem",
     "assemble",
     "solve",
-    "solve_problem",
     "ConvergenceStudy",
     "convergence_study",
 ]
@@ -77,17 +76,8 @@ class SatProblem:
         return 1.0 if self.direction is FlowDirection.FORWARD else -1.0
 
 
-@dataclass(frozen=True)
-class SatSystem:
-    """An assembled linear system plus the operator it came from."""
-
-    system_matrix: np.ndarray
-    rhs: np.ndarray
-    op_ref: str
-
-
-def assemble(op: SbpOperatorPair, problem: SatProblem) -> SatSystem:
-    """Collect the solution-dependent penalty terms into the system matrix."""
+def assemble(op: SbpOperatorPair, problem: SatProblem) -> tuple[np.ndarray, np.ndarray]:
+    """Collect the solution-dependent penalty terms: ``(matrix, rhs)``."""
     m = op.n + 1
     if problem.f_samples.size != m:
         raise ShapeError(
@@ -100,19 +90,19 @@ def assemble(op: SbpOperatorPair, problem: SatProblem) -> SatSystem:
     else:
         penalty = solve_against_norm(op.h, op.pn)
         matrix = op.d_minus + sigma * np.outer(penalty, op.pn)
-    rhs = problem.f_samples + sigma * penalty * problem.u0
+    return matrix, problem.f_samples + sigma * penalty * problem.u0
+
+
+def solve(op: SbpOperatorPair, problem: SatProblem) -> np.ndarray:
+    """Assemble, solve by dense LU with partial pivoting and verify the
+    residual; ``SingularSystemError`` if the system is (numerically) singular."""
+    a, rhs = assemble(op, problem)
     ref = op.name if op.name else f"operator(n={op.n}, q={op.q})"
-    return SatSystem(system_matrix=matrix, rhs=rhs, op_ref=ref)
-
-
-def solve(system: SatSystem) -> np.ndarray:
-    """Solve by dense LU with partial pivoting and verify the residual."""
-    a, rhs = system.system_matrix, system.rhs
     try:
         u = np.linalg.solve(a, rhs)
     except np.linalg.LinAlgError as exc:
         raise SingularSystemError(
-            f"system for {system.op_ref} is singular (the operator is not "
+            f"system for {ref} is singular (the operator is not "
             f"nullspace consistent): {exc}"
         ) from exc
     residual = float(np.linalg.norm(a @ u - rhs))
@@ -122,14 +112,10 @@ def solve(system: SatSystem) -> np.ndarray:
     )
     if not residual <= bound:
         raise SingularSystemError(
-            f"system for {system.op_ref} is numerically singular: residual "
+            f"system for {ref} is numerically singular: residual "
             f"{residual:.3e} exceeds {bound:.3e}"
         )
     return u
-
-
-def solve_problem(op: SbpOperatorPair, problem: SatProblem) -> np.ndarray:
-    return solve(assemble(op, problem))
 
 
 @dataclass(frozen=True)
@@ -187,7 +173,7 @@ def convergence_study(
             f_samples=np.asarray(f(op.x), dtype=float),
             u0=float(exact_u(op.interval.a)),
         )
-        u = solve_problem(op, problem)
+        u = solve(op, problem)
         err = u - exact
         spacings.append(op.interval.length / n)
         errors_h.append(float(np.sqrt(max(err @ (op.h @ err), 0.0))))

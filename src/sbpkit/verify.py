@@ -10,7 +10,9 @@ Default tolerance is 1e-10.  Polynomial conditions (accuracy, S x^j = 0)
 are tested on the Legendre polynomials P_j mapped to the interval, as
 relative residuals ``|A V - T| / (|A||V| + |T|)`` (0/0 = 0), so they do not
 depend on where the interval sits; identity and symmetry residuals are
-absolute; definiteness and spectral decisions scale with the Frobenius norm.
+absolute; spectral decisions scale with the Frobenius norm.  Definiteness of
+H and the ranks of both nullspace routes follow the package's one rank rule
+(:func:`sbpkit.linalg.rank_threshold`), whatever the tolerance.
 
 The two spectral checks read one :class:`sbpkit.spectral.SpectralReport`,
 so the eigenvalue verdict uses the eigenvalues and the band of the spectral
@@ -27,14 +29,13 @@ import numpy as np
 from . import spectral
 from .errors import InternalInconsistencyError, ParameterError
 from .linalg import (DEFAULT_TOLERANCE, check_positive, legendre_basis, max_abs,
-                     relative_residual, svd_rank)
+                     rank_threshold, relative_residual, svd_rank)
 from .operators import SbpOperatorPair
 
 __all__ = [
     "DEFAULT_TOLERANCE",
     "Property",
     "PropertyResidual",
-    "AccuracyReport",
     "NullspaceDiagnostics",
     "EigenvalueCheck",
     "VerificationReport",
@@ -76,24 +77,6 @@ class PropertyResidual:
 
 
 @dataclass(frozen=True)
-class AccuracyReport:
-    """Accuracy residuals swept over polynomial degrees j = 0..j_max.
-
-    ``residuals`` aggregates each accuracy condition over j <= min(j_max, q),
-    the range the operator actually claims.  ``observed_order`` is the largest
-    j such that all four conditions pass at every degree up to j (or -1).
-    """
-
-    residuals: tuple[PropertyResidual, ...]
-    observed_order: int
-    j_values: tuple[int, ...]
-    d_plus_by_j: tuple[float, ...]
-    d_minus_by_j: tuple[float, ...]
-    p0_by_j: tuple[float, ...]
-    pn_by_j: tuple[float, ...]
-
-
-@dataclass(frozen=True)
 class NullspaceDiagnostics:
     """Outcome of the two independent nullspace-consistency routes."""
 
@@ -102,7 +85,6 @@ class NullspaceDiagnostics:
     sigma_max: float
     kernel_residual: float
     rank: int
-    expected_rank: int
 
 
 @dataclass(frozen=True)
@@ -111,7 +93,6 @@ class EigenvalueCheck:
 
     has_property: bool
     min_real_part: float
-    scale: float
     offending: tuple[complex, ...]
 
 
@@ -164,9 +145,15 @@ def _exactness(a: np.ndarray, v: np.ndarray, target) -> np.ndarray:
 
 def check_accuracy(
     op: SbpOperatorPair, j_max: int, tolerance: float = DEFAULT_TOLERANCE
-) -> AccuracyReport:
+) -> tuple[tuple[PropertyResidual, ...], int]:
     """Relative residuals of ``D_pm P_j = P_j'``, ``p0.P_j = P_j(a)`` and
-    ``pn.P_j = P_j(b)`` for the mapped Legendre polynomials j = 0..j_max."""
+    ``pn.P_j = P_j(b)`` for the mapped Legendre polynomials j = 0..j_max.
+
+    Returns ``(residuals, observed_order)``: ``residuals`` aggregates each of
+    the four conditions over j <= min(j_max, q), the degrees the operator
+    claims; ``observed_order`` is the largest j such that all four pass at
+    every degree up to j (or -1).
+    """
     tolerance = check_positive(tolerance)
     if j_max < 0:
         raise ParameterError(f"j_max must be >= 0, got {j_max}")
@@ -188,32 +175,24 @@ def check_accuracy(
     residuals = tuple(
         PropertyResidual(p, float(r), bool(r <= tolerance)) for p, r in zip(props, agg)
     )
-    dp, dm, p0, pn = (tuple(map(float, col)) for col in by_j)
-    return AccuracyReport(
-        residuals=residuals,
-        observed_order=observed,
-        j_values=tuple(range(j_max + 1)),
-        d_plus_by_j=dp,
-        d_minus_by_j=dm,
-        p0_by_j=p0,
-        pn_by_j=pn,
-    )
+    return residuals, observed
 
 
 def check_spd(h: np.ndarray, tolerance: float = DEFAULT_TOLERANCE) -> PropertyResidual:
     """Check H = H^T > 0.
 
     The residual combines the symmetry defect with the negative part of the
-    smallest eigenvalue of the symmetrized matrix; definiteness additionally
-    requires that eigenvalue to clear tolerance * ||H||_F.
+    smallest eigenvalue of the symmetrized matrix.  The tolerance bounds the
+    symmetry defect only; definiteness is decided by the package's one rank
+    rule, the smallest eigenvalue clearing ``rank_threshold`` of the largest.
     """
     tolerance = check_positive(tolerance)
     h = np.asarray(h, dtype=float)
     sym_defect = max_abs(h - h.T)
-    lam_min = float(np.linalg.eigvalsh(0.5 * (h + h.T))[0])
+    lam = np.linalg.eigvalsh(0.5 * (h + h.T))
+    lam_min = float(lam[0])
     residual = max(sym_defect, max(0.0, -lam_min))
-    scale = float(np.linalg.norm(h, "fro"))
-    passed = sym_defect <= tolerance and lam_min > tolerance * scale
+    passed = sym_defect <= tolerance and lam_min > rank_threshold(lam[-1], h.shape[0])
     return PropertyResidual(Property.B_SPD, residual, passed)
 
 
@@ -284,7 +263,6 @@ def check_nullspace_consistency(report: spectral.SpectralReport) -> NullspaceDia
         sigma_max=sigma_max,
         kernel_residual=kernel_residual,
         rank=rank,
-        expected_rank=op.n,
     )
 
 
@@ -297,7 +275,6 @@ def check_eigenvalue_property(report: spectral.SpectralReport) -> EigenvalueChec
     return EigenvalueCheck(
         has_property=not offending,
         min_real_part=float(report.eigenvalues[0].real),
-        scale=report.scale,
         offending=offending,
     )
 
@@ -311,14 +288,14 @@ def verify_all(
     operator that is exactly of its claimed order from a better one.
     """
     tolerance = check_positive(tolerance)
-    acc = check_accuracy(op, j_max=op.q + 1, tolerance=tolerance)
+    accuracy, observed_order = check_accuracy(op, j_max=op.q + 1, tolerance=tolerance)
     spd = check_spd(op.h, tolerance)
     res_c, res_d = check_sbp_identities(op, tolerance)
     s_sym, s_psd, s_ann = check_s_conditions(op, tolerance)
     report = spectral.spectral_report(op, tolerance)
     return VerificationReport(
-        residuals=(*acc.residuals, spd, res_c, res_d, s_sym, s_psd, s_ann),
-        observed_order=acc.observed_order,
+        residuals=(*accuracy, spd, res_c, res_d, s_sym, s_psd, s_ann),
+        observed_order=observed_order,
         nullspace=check_nullspace_consistency(report),
         eigenvalue_check=check_eigenvalue_property(report),
         tolerance=tolerance,

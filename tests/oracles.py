@@ -6,7 +6,7 @@ import numpy as np
 
 from sbpkit.errors import ParameterError
 from sbpkit.linalg import legendre_basis, max_abs
-from sbpkit.sat import FlowDirection, SatProblem, solve_problem
+from sbpkit.sat import FlowDirection, SatProblem, solve
 
 
 def vandermonde_d(nodes) -> np.ndarray:
@@ -70,7 +70,7 @@ def polynomial_exactness_check(op, degree=None, trials=20, seed=1902) -> float:
             u0=float(start[0] @ coeffs),
             direction=FlowDirection.FORWARD,
         )
-        u = solve_problem(op, problem)
+        u = solve(op, problem)
         scale = max(1.0, max_abs(exact))
         worst = max(worst, max_abs(u - exact) / scale)
     return worst

@@ -147,7 +147,7 @@ def test_verify_classical_fd_builtin(capsys):
         ["verify", "--input", ""],
         # each pair of alternatives takes exactly one
         ["verify", "--input", "/nonexistent/op.json", "--builtin", "two_point"],
-        ["solve", "--builtin", "two_point", "--f", "one", "--f-samples", "[1, 2]"],
+        ["solve", "--builtin", "two_point", "--f", "one", "--f-samples", "FILE:[1, 2]"],
         # a tolerance, budget or datum must be finite
         ["verify", "--builtin", "two_point", "--tolerance", "inf"],
         ["spectrum", "--builtin", "counterexample", "--tolerance", "inf"],
@@ -157,16 +157,18 @@ def test_verify_classical_fd_builtin(capsys):
         ["solve", "--builtin", "classical_fd_4", "--f", "sin", "--u0", "inf"],
         ["verify", "--builtin", "classical_fd_"],
         ["pseudospectral", "--family", "explicit", "--nodes", "0,x,1"],
-        # --f-samples must name a flat JSON list of finite numbers; the last
-        # entry is the file's text.
-        *(["solve", "--builtin", "two_point", "--f-samples", text]
+        # --f-samples must name a readable file holding a flat JSON list of
+        # finite numbers; a last entry FILE:<text> becomes a file of that text.
+        *(["solve", "--builtin", "two_point", "--f-samples", f"FILE:{text}"]
           for text in ('{"a": 1}', '["a", 1]', "[1, 2", "[NaN, 1]", "[[1], [2]]")),
+        ["solve", "--builtin", "two_point", "--f-samples", "/nonexistent/f.json"],
+        ["solve", "--builtin", "two_point", "--f-samples", ""],
     ],
 )
 def test_errors_exit_2(capsys, tmp_path, argv):
-    if "--f-samples" in argv:
+    if argv[-1].startswith("FILE:"):
         path = tmp_path / "f.json"
-        path.write_text(argv[-1])
+        path.write_text(argv[-1].removeprefix("FILE:"))
         argv = [*argv[:-1], str(path)]
     code, _, err = _run(capsys, argv)
     assert code == 2

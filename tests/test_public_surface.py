@@ -46,7 +46,7 @@ PACKAGE_NAMES = [
     "DEFAULT_TOLERANCE", "DecompositionError", "EigenvalueClass", "Family", "FlowDirection",
     "IndefiniteNormError", "InternalInconsistencyError", "Interval", "InvariantError",
     "NodeFamily", "NormChoice", "ParameterError", "ParseError", "PerturbationPlan",
-    "Property", "PropertyResidual", "RepairImpossibleError", "SatProblem", "SatSystem",
+    "Property", "PropertyResidual", "RepairImpossibleError", "SatProblem",
     "SbpError", "SbpOperatorPair", "SchemaError", "ShapeError", "SingularNormError",
     "SingularSystemError", "SpectralReport", "VerificationReport", "assemble",
     "build_classical_fd", "build_counterexample", "build_d_tilde", "build_interpolatory_h",
@@ -56,7 +56,7 @@ PACKAGE_NAMES = [
     "convergence_study", "derive_d_minus", "eigen_decompose", "h_inner",
     "legendre_gauss_lobatto", "load_operator", "operator_from_document",
     "operator_to_document", "orthogonalize_imaginary", "repair_operator", "save_operator",
-    "solve", "solve_problem", "spectral_report", "verify_all",
+    "solve", "spectral_report", "verify_all",
 ]
 
 MODULE_ALL = {
@@ -84,8 +84,8 @@ MODULE_ALL = {
     ],
     "repair": ["NormChoice", "PerturbationPlan", "build_s_prime", "repair_operator"],
     "sat": [
-        "ConvergenceStudy", "FlowDirection", "SatProblem", "SatSystem", "assemble",
-        "convergence_study", "solve", "solve_problem",
+        "ConvergenceStudy", "FlowDirection", "SatProblem", "assemble", "convergence_study",
+        "solve",
     ],
     "spectral": [
         "EigenvalueClass", "SpectralReport", "build_d_tilde", "eigen_decompose", "h_inner",
@@ -94,7 +94,7 @@ MODULE_ALL = {
     "storage": ["load_operator", "operator_from_document", "operator_to_document",
                 "save_operator"],
     "verify": [
-        "AccuracyReport", "DEFAULT_TOLERANCE", "EigenvalueCheck", "NullspaceDiagnostics",
+        "DEFAULT_TOLERANCE", "EigenvalueCheck", "NullspaceDiagnostics",
         "Property", "PropertyResidual", "VerificationReport", "check_accuracy",
         "check_eigenvalue_property", "check_nullspace_consistency", "check_s_conditions",
         "check_sbp_identities", "check_spd", "verify_all",

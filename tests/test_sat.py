@@ -14,7 +14,6 @@ from sbpkit import (
     build_two_point,
     convergence_study,
     solve,
-    solve_problem,
 )
 from sbpkit.errors import ParameterError, ShapeError, SingularSystemError
 
@@ -35,30 +34,30 @@ def _crippled_counterexample():
 
 def test_forward_assembly_two_point():
     op = build_two_point()
-    system = assemble(op, SatProblem(f_samples=[1.0, 1.0], u0=0.0))
-    np.testing.assert_array_equal(system.system_matrix, [[1.0, 1.0], [-1.0, 1.0]])
-    np.testing.assert_array_equal(system.rhs, [1.0, 1.0])
+    matrix, rhs = assemble(op, SatProblem(f_samples=[1.0, 1.0], u0=0.0))
+    np.testing.assert_array_equal(matrix, [[1.0, 1.0], [-1.0, 1.0]])
+    np.testing.assert_array_equal(rhs, [1.0, 1.0])
 
 
 def test_forward_matrix_is_the_penalized_matrix():
     op = build_counterexample()
-    system = assemble(op, SatProblem(f_samples=np.zeros(6), u0=0.5))
-    np.testing.assert_array_equal(system.system_matrix, build_d_tilde(op))
+    matrix, _ = assemble(op, SatProblem(f_samples=np.zeros(6), u0=0.5))
+    np.testing.assert_array_equal(matrix, build_d_tilde(op))
 
 
 def test_forward_datum_enters_through_the_norm():
     op = build_two_point()
-    system = assemble(op, SatProblem(f_samples=[0.0, 0.0], u0=3.0))
-    np.testing.assert_array_equal(system.rhs, [6.0, 0.0])
+    _, rhs = assemble(op, SatProblem(f_samples=[0.0, 0.0], u0=3.0))
+    np.testing.assert_array_equal(rhs, [6.0, 0.0])
 
 
 def test_reversed_assembly_two_point():
     op = build_two_point()
-    system = assemble(
+    matrix, rhs = assemble(
         op, SatProblem(f_samples=[1.0, 1.0], u0=1.0, direction=FlowDirection.REVERSED)
     )
-    np.testing.assert_array_equal(system.system_matrix, [[-1.0, 1.0], [-1.0, -1.0]])
-    np.testing.assert_array_equal(system.rhs, [1.0, -1.0])
+    np.testing.assert_array_equal(matrix, [[-1.0, 1.0], [-1.0, -1.0]])
+    np.testing.assert_array_equal(rhs, [1.0, -1.0])
 
 
 def test_problem_sigma_follows_direction():
@@ -88,27 +87,27 @@ def test_assembly_rejects_wrong_sample_count():
 
 def test_two_point_reproduces_the_identity_map():
     op = build_two_point()
-    u = solve_problem(op, SatProblem(f_samples=[1.0, 1.0], u0=0.0))
+    u = solve(op, SatProblem(f_samples=[1.0, 1.0], u0=0.0))
     np.testing.assert_allclose(u, [0.0, 1.0], atol=1e-14)
 
 
 def test_counterexample_system_is_uniquely_solvable():
     op = build_counterexample()
-    u = solve_problem(op, SatProblem(f_samples=np.zeros(6), u0=1.0))
-    system = assemble(op, SatProblem(f_samples=np.zeros(6), u0=1.0))
-    np.testing.assert_allclose(system.system_matrix @ u, system.rhs, atol=1e-12)
+    u = solve(op, SatProblem(f_samples=np.zeros(6), u0=1.0))
+    matrix, rhs = assemble(op, SatProblem(f_samples=np.zeros(6), u0=1.0))
+    np.testing.assert_allclose(matrix @ u, rhs, atol=1e-12)
 
 
 def test_engineered_kernel_makes_solve_singular():
     op = _crippled_counterexample()
     with pytest.raises(SingularSystemError):
-        solve_problem(op, SatProblem(f_samples=np.ones(6), u0=0.0))
+        solve(op, SatProblem(f_samples=np.ones(6), u0=0.0))
 
 
 def test_reversed_solve_reproduces_decreasing_line():
     # u' = -1 with u(1) = 0 has solution 1 - x
     op = build_two_point()
-    u = solve_problem(
+    u = solve(
         op,
         SatProblem(f_samples=[-1.0, -1.0], u0=0.0, direction=FlowDirection.REVERSED),
     )
@@ -124,12 +123,12 @@ def test_mirror_symmetry(n):
     op = build_classical_fd(n, interval)
     coeffs = np.array([0.75, -2.0])  # u(x) = 0.75 - 2 x
     exact = np.polynomial.Polynomial(coeffs)
-    u = solve_problem(
+    u = solve(
         op,
         SatProblem(f_samples=exact.deriv()(op.x), u0=exact(interval.a)),
     )
     reflected = interval.a + interval.b - op.x
-    v = solve_problem(
+    v = solve(
         op,
         SatProblem(
             f_samples=-exact.deriv()(reflected),
@@ -140,6 +139,38 @@ def test_mirror_symmetry(n):
     np.testing.assert_allclose(v, u[::-1], atol=1e-9)
 
 
+MIRROR_FAMILIES = {
+    "classical_fd": (2, 64, build_classical_fd),
+    "legendre_gauss_lobatto": (1, 24, lambda n, interval: build_pseudospectral_operator(
+        NodeFamily.legendre_gauss_lobatto(n, interval))),
+    "chebyshev_gauss_lobatto": (1, 24, lambda n, interval: build_pseudospectral_operator(
+        NodeFamily.chebyshev_gauss_lobatto(n, interval))),
+}
+
+
+@pytest.mark.parametrize("family", sorted(MIRROR_FAMILIES))
+def test_reversed_solve_mirrors_the_forward_solve(family):
+    # the reversed solve of -f[::-1] with the datum at b is the forward
+    # solve of f reversed, for any data and interval
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    low, high, build = MIRROR_FAMILIES[family]
+
+    @hypothesis.settings(max_examples=100, deadline=None)
+    @hypothesis.given(st.integers(low, high), st.floats(-10.0, 10.0), st.floats(0.1, 10.0),
+                      st.integers(0, 2**32 - 1), st.floats(-1e3, 1e3))
+    def check(n, a, length, seed, u0):
+        op = build(n, Interval(a, a + length))
+        rng = np.random.default_rng(seed)
+        f = rng.standard_normal(n + 1) * 10.0 ** rng.uniform(-3.0, 3.0, n + 1)
+        u = solve(op, SatProblem(f_samples=f, u0=u0))
+        v = solve(op, SatProblem(f_samples=-f[::-1], u0=u0,
+                                 direction=FlowDirection.REVERSED))
+        np.testing.assert_allclose(v, u[::-1], rtol=0.0, atol=1e-10 * np.max(np.abs(u)))
+
+    check()
+
+
 # ---------------------------------------------------------------------------
 # polynomial exactness harness
 
@@ -147,7 +178,7 @@ def test_mirror_symmetry(n):
 def test_two_point_linear_reproduction():
     op = build_two_point()
     poly = np.polynomial.Polynomial([1.0, 2.0])  # 2x + 1
-    u = solve_problem(op, SatProblem(f_samples=poly.deriv()(op.x), u0=poly(0.0)))
+    u = solve(op, SatProblem(f_samples=poly.deriv()(op.x), u0=poly(0.0)))
     assert np.max(np.abs(u - poly(op.x))) < 1e-12
     assert polynomial_exactness_check(op) < 1e-12
 
@@ -219,11 +250,10 @@ def test_solution_residual_bound_is_enforced():
     # solvable but observed residuals stay inside the advertised bound
     op = build_classical_fd(128, Interval(0.0, 1.0))
     problem = SatProblem(f_samples=np.cos(op.x), u0=0.0)
-    system = assemble(op, problem)
-    u = solve(system)
-    residual = np.linalg.norm(system.system_matrix @ u - system.rhs)
+    matrix, rhs = assemble(op, problem)
+    u = solve(op, problem)
+    residual = np.linalg.norm(matrix @ u - rhs)
     bound = 1e-12 * (
-        np.linalg.norm(system.system_matrix, "fro") * np.linalg.norm(u)
-        + np.linalg.norm(system.rhs)
+        np.linalg.norm(matrix, "fro") * np.linalg.norm(u) + np.linalg.norm(rhs)
     )
     assert residual <= bound
