@@ -13,10 +13,12 @@ so they are written with this module; ``json.dumps`` does not accept them.  Arra
 another dtype or dimension are refused with ``ParameterError``.
 
 One walk writes the document in order.  Plain lists and scalars are
-printed value by value with ``%.17g``.  An array is written where the walk
-meets it, in blocks of whole rows (or pieces of a row) of at most ``_CHUNK``
-values.  Each block is checked for non-finite values (the first one raises
-the error), and numpy computes the text of the whole block at once:
+printed value by value with ``%.17g``, and so is an array of fewer than
+``_SHORT`` values, as its ``tolist()``.  A longer array is written where the
+walk meets it, in blocks of whole rows (or pieces of a row) of at most
+``_CHUNK`` values.  Each block is checked for non-finite values (the first
+one raises the error), and numpy computes the text of the whole block at
+once:
 
 - The 17 significant digits of ``|x|`` are the integer ``D = round(y)``,
   ``y = |x| 10^k`` with ``10^16 <= y < 10^17``.  Dekker's two-product (1971)
@@ -60,6 +62,10 @@ _FORMAT_FLOAT = "%.17g".__mod__
 
 #: Doubles formatted per numpy pass; bounds the working set of one dumps call.
 _CHUNK = 4096
+
+#: Arrays with fewer values are written as their ``tolist()``: the numpy
+#: pass costs about 100 us to set up, more than ``%.17g`` takes for them.
+_SHORT = 48
 
 #: The fast path's range of |x|.
 _FAST_MIN, _FAST_MAX = 1e-28, 1e16
@@ -254,7 +260,7 @@ def _emit(obj: Any, level: int, out: list) -> None:
             raise ParameterError(
                 f"cannot serialize a {obj.ndim}-d array of {obj.dtype}; "
                 "only 1-d and 2-d float64 arrays are written")
-        if obj.size == 0:
+        if obj.size < _SHORT:
             _emit(obj.tolist(), level, out)
         elif obj.ndim == 1:
             out.append("[")

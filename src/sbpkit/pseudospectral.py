@@ -407,8 +407,10 @@ def certify_families(
 
     For each constructible family, the checks of :mod:`sbpkit.verify` decide
     both verdicts at tolerance ``tau_eig``: the constants must be annihilated
-    by the differentiation matrix, its rank must be n, and every eigenvalue
-    of the penalized matrix must clear the tau band.  The uniqueness
+    by the differentiation matrix, its rank must be n, and the penalized
+    matrix must have the eigenvalue property (the Hautus test, or the tau
+    band where that test does not apply).  The entry's minimum real part is
+    read from one :func:`spectral_report`.  The uniqueness
     mechanism is also probed directly: sigma_min(V^T H) must clear the rank
     threshold, i.e. no nonzero vector is H-orthogonal to all grid
     polynomials; V tabulates the Legendre basis mapped to the interval.
@@ -421,8 +423,9 @@ def certify_families(
     for family in families:
         op = build_pseudospectral_operator(family)
         report = spectral_report(op, tau_eig)
-        nullspace = check_nullspace_consistency(report)
-        eig = check_eigenvalue_property(report)
+        nullspace = check_nullspace_consistency(op, report.d_tilde, tau_eig)
+        eig = check_eigenvalue_property(op, report.d_tilde, tau_eig)
+        min_real_part = float(report.eigenvalues[0].real)
 
         v, _ = legendre_basis(op.x, op.interval, op.n)
         msv = np.linalg.svd(v.T @ op.h, compute_uv=False)
@@ -435,7 +438,7 @@ def certify_families(
             kernel_residual=nullspace.kernel_residual,
             rank=nullspace.rank,
             nullspace_ok=nullspace.consistent,
-            min_real_part=eig.min_real_part,
+            min_real_part=min_real_part,
             eigenvalue_ok=eig.has_property,
             moment_sigma_min=moment_sigma_min,
             moment_ok=moment_ok,
@@ -445,7 +448,7 @@ def certify_families(
             offenders = ", ".join(str(v) for v in eig.offending) or "none"
             failures.append(
                 f"{family.label()}: nullspace_ok={nullspace.consistent}, "
-                f"min Re(lambda)={eig.min_real_part:.6e} "
+                f"min Re(lambda)={min_real_part:.6e} "
                 f"(offending eigenvalues {offenders}), moment_ok={moment_ok}"
             )
     return CertificationReport(

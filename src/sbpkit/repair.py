@@ -155,7 +155,7 @@ def repair_operator(
     """
     check_positive(target_eps, "target_eps")
     report = spectral_report(op, tolerance)
-    diagnostics = check_nullspace_consistency(report)
+    diagnostics = check_nullspace_consistency(op, report.d_tilde, report.tolerance)
     if not diagnostics.consistent:
         raise RepairImpossibleError(
             "operator is not nullspace consistent (rank "

@@ -16,11 +16,14 @@ largest D_tilde-invariant subspace inside ker C; it is H-orthogonal to
 All inner products here are ``<f, g> = f* H g``; Euclidean orthogonality has
 no meaning for these operators and is never asserted.
 
-:func:`spectral_report` is the one analysis of an operator: it builds and
-decomposes the penalized matrix once and classifies the eigenvalues from
-arrays.  Verify, the repair and the certification all read that report, so
-they decide from the same eigenvalues and band.  The repair's basis of N
-(:func:`orthogonalize_imaginary`) uses no eigenvector.
+:func:`spectral_report` is the one eigen-decomposition of an operator: it
+builds and decomposes the penalized matrix once and classifies the
+eigenvalues by the band ``|Re| <= tau * ||D_tilde||_F``.  The ``spectrum``
+command, the repair and the certification read that report; the repair's
+basis of N (:func:`orthogonalize_imaginary`) uses no eigenvector.  Verify
+decides the eigenvalue property without it, by the Hautus test on the skew
+part of D_tilde in H coordinates (:mod:`sbpkit.verify`), and falls back to
+this band only where the SBP identity does not hold to rounding.
 """
 
 from __future__ import annotations
@@ -180,6 +183,12 @@ def eigen_decompose(
             np.sqrt(np.maximum(squares, 0.0)))
 
 
+def _band_index(lam: np.ndarray, band: float) -> np.ndarray:
+    """Index into ``EigenvalueClass`` (positive, imaginary, negative) of each
+    eigenvalue by the band ``|Re| <= band``."""
+    return 1 + (lam.real < -band).astype(int) - (lam.real > band)
+
+
 def spectral_report(
     op: SbpOperatorPair, tau_eig: float = DEFAULT_TOLERANCE
 ) -> SpectralReport:
@@ -190,9 +199,7 @@ def spectral_report(
     d_tilde = build_d_tilde(op)
     scale = float(np.linalg.norm(d_tilde, "fro"))
     lam, w, h_norms = eigen_decompose(d_tilde, op.h)
-    band = tau_eig * scale
-    # EigenvalueClass lists positive, imaginary, negative.
-    index = 1 + (lam.real < -band).astype(int) - (lam.real > band)
+    index = _band_index(lam, tau_eig * scale)
     classifications = np.array(list(EigenvalueClass), dtype=object)[index]
     imaginary = index == 1
 

@@ -2,21 +2,41 @@
 
 Every defining condition is evaluated as a residual in the max norm and
 compared against a tolerance: the accuracy conditions for j = 0..q, symmetric
-positive definiteness of H, the two summation-by-parts identities, the three
-conditions on the dissipation matrix S, nullspace consistency of D_plus and
-the sign of the spectrum of the penalized matrix D_plus + H^{-1} p0 p0^T.
+positive definiteness of H, the two summation-by-parts identities and the
+three conditions on the dissipation matrix S.  Two spectral verdicts follow:
+nullspace consistency of D_plus and the eigenvalue property of the penalized
+matrix ``D_tilde = D_plus + H^{-1} p0 p0^T``.
 
 Default tolerance is 1e-10.  Polynomial conditions (accuracy, S x^j = 0)
 are tested on the Legendre polynomials P_j mapped to the interval, as
 relative residuals ``|A V - T| / (|A||V| + |T|)`` (0/0 = 0), so they do not
 depend on where the interval sits; identity and symmetry residuals are
-absolute; spectral decisions scale with the Frobenius norm.  Definiteness of
-H and the ranks of both nullspace routes follow the package's one rank rule
-(:func:`sbpkit.linalg.rank_threshold`), whatever the tolerance.
+absolute; the eigenvalue band of the fallback below scales with the
+Frobenius norm.  Definiteness of H and the ranks of both nullspace routes
+follow the package's one rank rule (:func:`sbpkit.linalg.rank_threshold`),
+whatever the tolerance.  A diagonal H (or S) skips the dense products and
+eigenvalue solves with bit-identical residuals.
 
-The two spectral checks read one :class:`sbpkit.spectral.SpectralReport`,
-so the eigenvalue verdict uses the eigenvalues and the band of the spectral
-report.
+:func:`verify_all` builds D_tilde once and hands it to both spectral checks.
+The eigenvalue property is decided without an eigen-decomposition of
+D_tilde, by the Hautus test (Hautus 1969) on its skew part in H coordinates:
+with ``H = L L^T``, ``A = L^T D_tilde L^{-T}`` and
+``B = L^{-1} [p0, pn, S^(1/2)]`` the SBP identity reads
+``A + A^T = B B^T``, so the skew part ``K = (A - A^T)/2`` is normal and
+``(C, D_tilde)``, with ``C = [p0^T; pn^T; S]``, has the unobservable
+subspace ``N = sum over mu of (V_mu intersected with ker B^T)`` over the
+eigenspaces V_mu of K.  The property holds iff N = {0}; on N, D_tilde has
+the purely imaginary eigenvalues ``i mu``, which are the offending values.
+One Hermitian ``eigh`` of ``-iK`` gives mu and V_mu.  Eigenvalues mu form
+one cluster while the gaps between them stay within ``rank_threshold`` of
+``max |mu|``, and a cluster holds as many unobservable directions as
+``B^T V_mu`` has singular values within ``rank_threshold`` of ``||B||_2``:
+the package's rank rule decides, not the tolerance.  Where the SBP identity
+does not hold to rounding (``max|A + A^T - B B^T|`` above
+``rank_threshold(max|A|)``) or H has no Cholesky factor, the test is
+invalid, and the verdict falls back to the band
+``|Re lambda| <= tolerance * ||D_tilde||_F`` of one ``eig``, the
+classification :func:`sbpkit.spectral.spectral_report` uses.
 """
 
 from __future__ import annotations
@@ -27,10 +47,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import spectral
-from .errors import InternalInconsistencyError, ParameterError
+from .errors import DecompositionError, InternalInconsistencyError, ParameterError
 from .linalg import (DEFAULT_TOLERANCE, check_positive, legendre_basis, max_abs,
                      rank_threshold, relative_residual, svd_rank)
-from .operators import SbpOperatorPair
+from .operators import SbpOperatorPair, _is_diagonal
 
 __all__ = [
     "DEFAULT_TOLERANCE",
@@ -89,10 +109,14 @@ class NullspaceDiagnostics:
 
 @dataclass(frozen=True)
 class EigenvalueCheck:
-    """Spectrum-sign verdict for the penalized matrix."""
+    """Eigenvalue-property verdict for the penalized matrix.
+
+    ``offending`` holds the eigenvalues of D_tilde with real part zero, one
+    per unobservable direction, sorted by (Re, Im); on the fallback route,
+    every eigenvalue that is not right of the band.
+    """
 
     has_property: bool
-    min_real_part: float
     offending: tuple[complex, ...]
 
 
@@ -189,7 +213,10 @@ def check_spd(h: np.ndarray, tolerance: float = DEFAULT_TOLERANCE) -> PropertyRe
     tolerance = check_positive(tolerance)
     h = np.asarray(h, dtype=float)
     sym_defect = max_abs(h - h.T)
-    lam = np.linalg.eigvalsh(0.5 * (h + h.T))
+    if _is_diagonal(h):
+        lam = np.sort(np.diagonal(h))
+    else:
+        lam = np.linalg.eigvalsh(0.5 * (h + h.T))
     lam_min = float(lam[0])
     residual = max(sym_defect, max(0.0, -lam_min))
     passed = sym_defect <= tolerance and lam_min > rank_threshold(lam[-1], h.shape[0])
@@ -202,9 +229,16 @@ def check_sbp_identities(
     """Residuals of the two summation-by-parts identities."""
     tolerance = check_positive(tolerance)
     boundary = -np.outer(op.p0, op.p0) + np.outer(op.pn, op.pn)
-    hd = op.h @ op.d_plus
-    res_c = max_abs(hd + op.d_plus.T @ op.h - boundary - op.s)
-    res_d = max_abs(hd + op.d_minus.T @ op.h - boundary)
+    if _is_diagonal(op.h):
+        # Scaling rows by diag(H) rounds each entry as the dense product does.
+        d = np.diagonal(op.h)[:, None]
+        hd = d * op.d_plus
+        res_c = max_abs(hd + hd.T - boundary - op.s)
+        res_d = max_abs(hd + (d * op.d_minus).T - boundary)
+    else:
+        hd = op.h @ op.d_plus
+        res_c = max_abs(hd + op.d_plus.T @ op.h - boundary - op.s)
+        res_d = max_abs(hd + op.d_minus.T @ op.h - boundary)
     return (
         PropertyResidual(Property.C_IDENTITY, res_c, res_c <= tolerance),
         PropertyResidual(Property.D_IDENTITY, res_d, res_d <= tolerance),
@@ -218,7 +252,10 @@ def check_s_conditions(
     tolerance = check_positive(tolerance)
     s = op.s
     sym_defect = max_abs(s - s.T)
-    lam_min = float(np.linalg.eigvalsh(0.5 * (s + s.T))[0])
+    if _is_diagonal(s):
+        lam_min = float(np.min(np.diagonal(s)))
+    else:
+        lam_min = float(np.linalg.eigvalsh(0.5 * (s + s.T))[0])
     psd_defect = max(0.0, -lam_min)
     # Roundoff floor scaled to the matrix itself (rank-one sums in repaired
     # operators are slightly indefinite at machine precision).
@@ -232,17 +269,20 @@ def check_s_conditions(
     )
 
 
-def check_nullspace_consistency(report: spectral.SpectralReport) -> NullspaceDiagnostics:
+def check_nullspace_consistency(
+    op: SbpOperatorPair, d_tilde: np.ndarray, tolerance: float = DEFAULT_TOLERANCE
+) -> NullspaceDiagnostics:
     """Decide whether the kernel of D_plus is exactly the constants.
 
     Two independent routes must agree: invertibility of the penalized matrix
-    (full rank n + 1) and a direct kernel test on D_plus (constants
-    annihilated, rank equal to n).  Both ranks come from ``svd_rank``, the
-    package's one rank rule, whatever the tolerance.  Disagreement raises
-    ``InternalInconsistencyError``, signalling a borderline operator.
+    ``d_tilde`` (full rank n + 1) and a direct kernel test on D_plus
+    (constants annihilated, rank equal to n).  Both ranks come from
+    ``svd_rank``, the package's one rank rule, whatever the tolerance.
+    Disagreement raises ``InternalInconsistencyError``, signalling a
+    borderline operator.
     """
-    op, tolerance = report.op, report.tolerance
-    rank_tilde, sv = svd_rank(report.d_tilde)
+    tolerance = check_positive(tolerance)
+    rank_tilde, sv = svd_rank(d_tilde)
     sigma_max, sigma_min = float(sv[0]), float(sv[-1])
     via_penalized = rank_tilde == op.n + 1
 
@@ -266,17 +306,88 @@ def check_nullspace_consistency(report: spectral.SpectralReport) -> NullspaceDia
     )
 
 
-def check_eigenvalue_property(report: spectral.SpectralReport) -> EigenvalueCheck:
-    """True iff every eigenvalue of the penalized matrix has real part
-    above tolerance * ||D_tilde||_F, i.e. every eigenvalue of the report is
-    classified ``POSITIVE_REAL_PART``."""
-    positive = report.classifications == spectral.EigenvalueClass.POSITIVE_REAL_PART
-    offending = tuple(report.eigenvalues[~positive].tolist())
-    return EigenvalueCheck(
-        has_property=not offending,
-        min_real_part=float(report.eigenvalues[0].real),
-        offending=offending,
-    )
+def _h_coordinates(
+    op: SbpOperatorPair, d_tilde: np.ndarray
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """``A = L^T D_tilde L^{-T}`` and ``B = L^{-1} [p0, pn, S^(1/2)]`` for
+    ``H = L L^T``, or None when H has no Cholesky factor."""
+    size = op.n + 1
+    columns = [op.p0, op.pn]
+    if np.any(op.s):
+        lam, vec = np.linalg.eigh(0.5 * (op.s + op.s.T))
+        keep = lam > rank_threshold(np.max(np.abs(lam)), size)
+        columns.append(vec[:, keep] * np.sqrt(lam[keep]))
+    c = np.column_stack(columns)
+    if _is_diagonal(op.h):
+        d = np.diagonal(op.h)
+        if not np.all(d > 0.0):
+            return None
+        root = np.sqrt(d)
+        a = d_tilde * root[:, None]
+        a /= root
+        return a, c / root[:, None]
+    try:
+        lower = np.linalg.cholesky(op.h)
+    except np.linalg.LinAlgError:
+        return None
+    # One solve gives L^{-1} D_tilde^T, whose product with L is A^T, and B.
+    x = np.linalg.solve(lower, np.column_stack([d_tilde.T, c]))
+    return (x[:, :size] @ lower).T, x[:, size:]
+
+
+def _hautus(op: SbpOperatorPair, d_tilde: np.ndarray) -> tuple[complex, ...] | None:
+    """The eigenvalues ``i mu`` of the unobservable directions, one per
+    direction, or None when the SBP identity does not hold to rounding."""
+    size = op.n + 1
+    coords = _h_coordinates(op, d_tilde)
+    if coords is None:
+        return None
+    a, b = coords
+    defect = a + a.T
+    defect -= b @ b.T
+    if max_abs(defect) > rank_threshold(1.0, size) * max_abs(a):
+        return None
+    # -iK = i(A^T - A)/2 is Hermitian; -iK v = mu v means K v = i mu v.
+    herm = np.zeros((size, size), dtype=complex)
+    np.subtract(a.T, a, out=herm.imag)
+    herm.imag *= 0.5
+    try:
+        mu, vec = np.linalg.eigh(herm)
+    except np.linalg.LinAlgError as exc:
+        raise DecompositionError(f"eigenvalue iteration failed: {exc}") from exc
+    # Clusters of K's spectrum split where the gap clears the rank rule; a
+    # direction of cluster V_mu is unobservable where B^T V_mu loses rank.
+    bt_v = b.T @ vec
+    zero = rank_threshold(np.linalg.norm(b, 2), size)
+    starts = np.flatnonzero(
+        np.diff(mu, prepend=-np.inf) > rank_threshold(np.max(np.abs(mu)), size))
+    sizes = np.diff(starts, append=size)
+    hidden = (np.linalg.norm(bt_v[:, starts], axis=0) <= zero).astype(int)
+    for k in np.flatnonzero(sizes > 1):
+        sv = np.linalg.svd(bt_v[:, starts[k]:starts[k] + sizes[k]], compute_uv=False)
+        hidden[k] = sizes[k] - np.count_nonzero(sv > zero)
+    centres = np.add.reduceat(mu, starts) / sizes
+    return tuple(complex(0.0, m) for m in np.repeat(centres, hidden).tolist())
+
+
+def check_eigenvalue_property(
+    op: SbpOperatorPair, d_tilde: np.ndarray, tolerance: float = DEFAULT_TOLERANCE
+) -> EigenvalueCheck:
+    """Decide whether every eigenvalue of the penalized matrix ``d_tilde``
+    has a positive real part.
+
+    Decided by the Hautus test of the module docstring, which does not read
+    the tolerance.  Where that test is invalid, one ``eig`` of ``d_tilde``
+    decides instead: every eigenvalue must lie right of the band
+    ``tolerance * ||D_tilde||_F``.
+    """
+    tolerance = check_positive(tolerance)
+    offending = _hautus(op, d_tilde)
+    if offending is None:
+        lam = spectral.eigen_decompose(d_tilde, op.h)[0]
+        band = tolerance * float(np.linalg.norm(d_tilde, "fro"))
+        offending = tuple(lam[spectral._band_index(lam, band) != 0].tolist())
+    return EigenvalueCheck(has_property=not offending, offending=offending)
 
 
 def verify_all(
@@ -285,18 +396,19 @@ def verify_all(
     """Run every check and aggregate the report.
 
     Accuracy is swept one degree past q so the report can distinguish an
-    operator that is exactly of its claimed order from a better one.
+    operator that is exactly of its claimed order from a better one.  The
+    penalized matrix is built once for both spectral checks.
     """
     tolerance = check_positive(tolerance)
     accuracy, observed_order = check_accuracy(op, j_max=op.q + 1, tolerance=tolerance)
     spd = check_spd(op.h, tolerance)
     res_c, res_d = check_sbp_identities(op, tolerance)
     s_sym, s_psd, s_ann = check_s_conditions(op, tolerance)
-    report = spectral.spectral_report(op, tolerance)
+    d_tilde = spectral.build_d_tilde(op)
     return VerificationReport(
         residuals=(*accuracy, spd, res_c, res_d, s_sym, s_psd, s_ann),
         observed_order=observed_order,
-        nullspace=check_nullspace_consistency(report),
-        eigenvalue_check=check_eigenvalue_property(report),
+        nullspace=check_nullspace_consistency(op, d_tilde, tolerance),
+        eigenvalue_check=check_eigenvalue_property(op, d_tilde, tolerance),
         tolerance=tolerance,
     )

@@ -140,10 +140,10 @@ def test_criterion_3_repair_at_three_budgets():
         report = verify_all(repaired, 1e-10)
         if not report.all_passed():
             failures.append(f"eps={eps}: algebraic checks failed after repair")
-        # strict positivity is certified with the classification band placed
-        # below the attained shift (the eps=1e-10 shift is ~7e-11, inside
-        # the default 1e-10-scaled band)
-        eig = check_eigenvalue_property(spectral_report(repaired, 1e-12))
+        # strict positivity is certified by the Hautus test, which has no
+        # band (the eps=1e-10 shift is ~7e-11, inside the default
+        # 1e-10-scaled band of the spectral report)
+        eig = check_eigenvalue_property(repaired, build_d_tilde(repaired), 1e-12)
         if not eig.has_property:
             failures.append(f"eps={eps}: eigenvalue property still absent")
         delta = float(np.linalg.norm(repaired.d_plus - op.d_plus, "fro"))

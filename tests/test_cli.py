@@ -47,6 +47,18 @@ def test_demo_prints_the_offending_eigenvalues(capsys):
     assert "imaginary" not in after
 
 
+@pytest.mark.parametrize("budget", ["1e-10", "1e-12"])
+def test_demo_at_a_budget_inside_the_band_repairs(capsys, budget):
+    # The moved pair sits inside the spectrum's band, but the Hautus test
+    # finds no unobservable direction left, so verify reports the property.
+    code, out, _ = _run(capsys, ["demo", "--target-eps", budget, "--format", "json"])
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["before"]["verification"]["eigenvalue_property"] is False
+    assert doc["after"]["verification"]["eigenvalue_property"] is True
+    assert doc["after"]["spectrum"]["classifications"].count("imaginary") == 2
+
+
 def test_demo_is_deterministic(capsys):
     _, first, _ = _run(capsys, ["demo"])
     _, second, _ = _run(capsys, ["demo"])

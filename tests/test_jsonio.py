@@ -348,3 +348,32 @@ def test_the_first_non_finite_value_among_arrays_and_lists_is_named(doc, named):
 def test_other_arrays_are_refused(array):
     with pytest.raises(ParameterError, match="cannot serialize"):
         dumps({"a": [0.5], "b": array})
+
+
+# ---------------------------------------------------------------------------
+# short arrays take the tolist() path
+
+
+def test_arrays_below_the_cut_off_skip_the_numpy_formatter(monkeypatch):
+    chunks = []
+    format_chunk = jsonio._format_chunk
+    monkeypatch.setattr(jsonio, "_format_chunk",
+                        lambda v, last: chunks.append(v.size) or format_chunk(v, last))
+    short, long = np.linspace(-1.0, 1.0, jsonio._SHORT - 1), np.linspace(-1.0, 1.0, jsonio._SHORT)
+    assert dumps({"a": short, "b": short.reshape(1, -1)}) == reference_dumps(
+        {"a": short.tolist(), "b": [short.tolist()]})
+    assert chunks == []
+    assert dumps(long) == reference_dumps(long.tolist())
+    assert chunks == [jsonio._SHORT]
+
+
+@pytest.mark.parametrize("name", FLOAT_CASES)
+def test_short_arrays_through_the_numpy_formatter_give_the_bytes_of_their_lists(
+        name, monkeypatch):
+    # With the cut-off at one value the numpy formatter writes every array.
+    monkeypatch.setattr(jsonio, "_SHORT", 1)
+    for view, a in _views(CASES[name]).items():
+        assert dumps(a) == reference_dumps(a.tolist()), view
+    assert dumps(np.array([-0.0, 0.0, -0.0]).reshape(3, 1)) == "[\n  [-0],\n  [0],\n  [-0]\n]"
+    with pytest.raises(ParameterError, match="non-finite number nan$"):
+        dumps({"a": np.array([0.5, np.nan]), "b": [1, math.inf]})

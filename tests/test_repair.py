@@ -269,13 +269,35 @@ def test_plan_document_fields():
 
 def test_repaired_spectrum_is_clean():
     repaired, plan = repair_operator(build_counterexample(), 1e-6)
-    check = check_eigenvalue_property(spectral_report(repaired))
+    check = check_eigenvalue_property(repaired, build_d_tilde(repaired))
     assert check.has_property
-    assert check.min_real_part == pytest.approx(0.5 * plan.epsilons[0], rel=1e-6)
+    min_real_part = spectral_report(repaired).eigenvalues[0].real
+    assert min_real_part == pytest.approx(0.5 * plan.epsilons[0], rel=1e-6)
 
 
 # ---------------------------------------------------------------------------
 # planted imaginary subspace
+
+
+def _congruence(op, rng, rank=3, size=0.5):
+    """Map ``op`` by ``T = I + U V^T`` with ``V^T x^j = 0`` for j <= q + 1 and
+    ``||U V^T||_2 = size``: ``D -> T^-1 D T``, ``H -> T^T H T``,
+    ``S -> T^T S T``, ``p -> T^T p``.  T keeps the grid polynomials, so the
+    result is an operator of the same order with a dense H and the same
+    penalized spectrum.  Returns it and ``T^-1``."""
+    n1 = op.n + 1
+    poly, _ = np.linalg.qr(np.vander(op.x, op.q + 2, increasing=True))
+    v = rng.standard_normal((n1, rank))
+    v -= poly @ (poly.T @ v)
+    v /= np.linalg.norm(v, axis=0)
+    u = rng.standard_normal((n1, rank))
+    u *= size / np.linalg.norm(u @ v.T, 2)
+    t = np.eye(n1) + u @ v.T
+    t_inv = np.linalg.inv(t)
+    h = t.T @ op.h @ t
+    return op.with_fields(d_plus=t_inv @ op.d_plus @ t, d_minus=t_inv @ op.d_minus @ t,
+                          h=0.5 * (h + h.T), s=t.T @ op.s @ t, p0=t.T @ op.p0,
+                          pn=t.T @ op.pn), t_inv
 
 
 def _plant(op, omegas, rng, congruent):
@@ -283,8 +305,8 @@ def _plant(op, omegas, rng, congruent):
     does: ``D' = (I - P) D (I - P) + sum_k omega_k (v_k u_k^T - u_k v_k^T) H``
     with ``Z = [u_1, v_1, ...]`` H-orthonormal, annihilated by p0 and pn and
     H-orthogonal to x^0..x^q, and ``P = Z Z^T H``.  With ``congruent`` the
-    result is mapped by ``T = I + U V^T`` (``V^T x^j = 0`` for j <= q + 1),
-    which gives a dense H.  Returns the operator and its planted Z."""
+    result is mapped by :func:`_congruence`, which gives a dense H.  Returns
+    the operator and its planted Z."""
     size = op.n + 1
     h = op.h
     c = np.vstack([op.p0, op.pn, (h @ np.vander(op.x, op.q + 1, increasing=True)).T])
@@ -298,20 +320,11 @@ def _plant(op, omegas, rng, congruent):
         rot += omega * (np.outer(v, u) - np.outer(u, v))
     proj = np.eye(size) - z @ z.T @ h
     d = proj @ op.d_plus @ proj + rot @ h
+    planted = op.with_fields(d_plus=d, d_minus=d)
     if not congruent:
-        return op.with_fields(d_plus=d, d_minus=d), z
-    poly, _ = np.linalg.qr(np.vander(op.x, op.q + 2, increasing=True))
-    v = rng.standard_normal((size, 3))
-    v -= poly @ (poly.T @ v)
-    v /= np.linalg.norm(v, axis=0)
-    u = rng.standard_normal((size, 3))
-    u *= 0.5 / np.linalg.norm(u @ v.T, 2)
-    t = np.eye(size) + u @ v.T
-    t_inv = np.linalg.inv(t)
-    h = t.T @ h @ t
-    d = t_inv @ d @ t
-    return op.with_fields(d_plus=d, d_minus=d, h=0.5 * (h + h.T), p0=t.T @ op.p0,
-                          pn=t.T @ op.pn), t_inv @ z
+        return planted, z
+    mapped, t_inv = _congruence(planted, rng)
+    return mapped, t_inv @ z
 
 
 @pytest.mark.parametrize("congruent", [False, True], ids=["plain", "congruent"])
@@ -336,6 +349,57 @@ def test_repair_is_the_projector_onto_the_planted_subspace(omegas, congruent):
     for lam in np.where(near, before + 0.5 * eps, before):
         k = int(np.argmin(np.abs(np.array(after) - lam)))
         assert abs(after.pop(k) - lam) <= 1e-9
+
+
+@pytest.mark.parametrize("congruent", [False, True], ids=["plain", "congruent"])
+@pytest.mark.parametrize("omegas", [(3.0,), (9.0, 9.0, 17.0),
+                                    (3.0, 7.0, 9.0, 9.0, 17.0, 25.0)], ids=["1", "3", "6"])
+def test_hautus_krylov_and_band_find_the_planted_subspace(omegas, congruent):
+    op, _ = _plant(build_classical_fd(40, Interval(0.0, 1.0)), omegas,
+                   np.random.default_rng(40), congruent)
+    report = spectral_report(op)
+    offending = check_eigenvalue_property(op, report.d_tilde).offending
+    # exact i mu values come from the Hautus test, not from the band's eig
+    assert all(value.real == 0.0 for value in offending)
+    assert len(offending) == len(orthogonalize_imaginary(report)) == 2 * report.m
+    assert report.m == len(omegas)
+    planted = np.concatenate([-np.array(omegas), omegas])
+    np.testing.assert_allclose(sorted(v.imag for v in offending), np.sort(planted),
+                               rtol=1e-10)
+
+
+def test_a_congruence_keeps_the_eigenvalue_verdict():
+    # T = I + U V^T with V^T x^j = 0 maps D_tilde to T^-1 D_tilde T: the
+    # spectrum, and so the verdict and the offending values, stay.
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    bases = {
+        "counterexample": build_counterexample(),
+        "classical_fd_16": build_classical_fd(16, Interval(-0.5, 1.5)),
+        "planted_9_9_17": _plant(build_classical_fd(40, Interval(0.0, 1.0)), (9.0, 9.0, 17.0),
+                                 np.random.default_rng(40), congruent=False)[0],
+        "repaired_counterexample": repair_operator(build_counterexample(), 1e-3)[0],
+    }
+    verdicts = {name: check_eigenvalue_property(op, build_d_tilde(op))
+                for name, op in bases.items()}
+    assert [len(v.offending) for v in verdicts.values()] == [2, 0, 6, 0]
+
+    @hypothesis.settings(max_examples=40, deadline=None)
+    @hypothesis.given(st.sampled_from(sorted(bases)), st.integers(0, 2**32 - 1),
+                      st.integers(1, 3), st.floats(0.05, 0.9))
+    def check(name, seed, rank, size):
+        mapped, _ = _congruence(bases[name], np.random.default_rng(seed), rank, size)
+        d_tilde = build_d_tilde(mapped)
+        after = check_eigenvalue_property(mapped, d_tilde)
+        before = verdicts[name]
+        assert after.has_property is before.has_property
+        assert len(after.offending) == len(before.offending)
+        assert all(value.real == 0.0 for value in after.offending)
+        scale = np.linalg.norm(d_tilde, "fro")
+        np.testing.assert_allclose(after.offending, before.offending, rtol=0.0,
+                                   atol=1e-10 * scale)
+
+    check()
 
 
 def test_boundary_residuals_do_not_depend_on_the_eigenvector_layout(monkeypatch):

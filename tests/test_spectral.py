@@ -14,6 +14,7 @@ from sbpkit import (
     build_pseudospectral_operator,
     build_two_point,
     certify_families,
+    check_eigenvalue_property,
     eigen_decompose,
     h_inner,
     orthogonalize_imaginary,
@@ -391,12 +392,19 @@ AGREEMENT_FIXTURES = {
 @pytest.mark.parametrize("build", AGREEMENT_FIXTURES.values(),
                          ids=AGREEMENT_FIXTURES.keys())
 def test_verify_and_report_decide_from_the_same_eigenvalues(build):
+    # Verify decides by the Hautus test and the report by the band; both
+    # give the same verdict, and each offending value i mu lies on one of
+    # the report's imaginary eigenvalues.
     op = build()
     check = verify_all(op).eigenvalue_check
     report = spectral_report(op)
-    positive = report.classifications == EigenvalueClass.POSITIVE_REAL_PART
-    assert check.offending == tuple(report.eigenvalues[~positive].tolist())
-    assert check.min_real_part == report.eigenvalues[0].real
+    band = report.eigenvalues[report.classifications != EigenvalueClass.POSITIVE_REAL_PART]
+    assert check.has_property is (band.size == 0)
+    assert len(check.offending) == band.size
+    by_imag = sorted(band.tolist(), key=lambda z: z.imag)
+    for value, lam in zip(sorted(check.offending, key=lambda z: z.imag), by_imag):
+        assert value.real == 0.0
+        assert abs(value - lam) <= 1e-10 * report.scale
 
 
 @pytest.fixture
@@ -409,24 +417,50 @@ def calls(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    for name in ("eig", "eigvals"):
+    for name in ("eig", "eigvals", "eigh", "cholesky"):
         monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
     monkeypatch.setattr(spectral, "build_d_tilde",
                         counted("build_d_tilde", spectral.build_d_tilde))
     return tally
 
 
+@pytest.mark.parametrize("build", AGREEMENT_FIXTURES.values(),
+                         ids=AGREEMENT_FIXTURES.keys())
+def test_hautus_krylov_and_band_find_the_same_unobservable_subspace(calls, build):
+    op = build()
+    report = spectral_report(op)
+    eigs = calls["eig"]
+    offending = check_eigenvalue_property(op, report.d_tilde).offending
+    assert calls["eig"] == eigs  # no eig: the Hautus test decided
+    assert len(offending) == len(orthogonalize_imaginary(report)) == 2 * report.m
+
+
+def test_where_the_sbp_identity_is_off_by_more_than_rounding_one_eig_decides(calls):
+    # LGL on [100, 101] loses digits to the distance from the origin: the
+    # identity defect of A + A^T = B B^T in H coordinates is 2.2e-12 of
+    # max|A| against the gate's 4.7e-13.  The band of one eig decides.
+    op = build_pseudospectral_operator(
+        NodeFamily.legendre_gauss_lobatto(32, Interval(100.0, 101.0)))
+    check = verify_all(op).eigenvalue_check
+    assert (calls["build_d_tilde"], calls["eig"], calls["eigh"]) == (1, 1, 0)
+    assert check.has_property and check.offending == ()
+
+
 LGL_1_TO_4 = [NodeFamily.legendre_gauss_lobatto(n, Interval(-1.0, 1.0))
               for n in range(1, 5)]
 
 
-@pytest.mark.parametrize("call, builds", [
-    (lambda op: verify_all(op), 1),
-    (lambda op: spectral_report(op), 1),
-    (lambda op: repair_operator(op, 1e-6), 1),
-    (lambda op: certify_families(LGL_1_TO_4), 4),
+@pytest.mark.parametrize("call, counts", [
+    (lambda op: verify_all(op), (1, 0, 1, 0)),
+    (lambda op: spectral_report(op), (1, 1, 0, 0)),
+    (lambda op: repair_operator(op, 1e-6), (1, 1, 0, 1)),
+    (lambda op: certify_families(LGL_1_TO_4), (4, 4, 4, 0)),
 ], ids=["verify_all", "spectral_report", "repair_operator", "certify_families"])
-def test_each_call_builds_and_decomposes_d_tilde_once(calls, call, builds):
+def test_each_call_builds_and_decomposes_d_tilde_once(calls, call, counts):
+    # verify_all decomposes the skew part in H coordinates (one eigh) instead
+    # of D_tilde, and certification adds that test to its report's eig.
+    # The repair's one Cholesky factor is of the H-Gram matrix of its basis.
     call(build_counterexample())
-    counts = (calls["build_d_tilde"], calls["eig"], calls["eigvals"])
-    assert counts == (builds, builds, 0)
+    assert calls["eigvals"] == 0
+    assert (calls["build_d_tilde"], calls["eig"], calls["eigh"],
+            calls["cholesky"]) == counts

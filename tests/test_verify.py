@@ -7,6 +7,7 @@ from sbpkit import (
     Property,
     build_classical_fd,
     build_counterexample,
+    build_d_tilde,
     build_pseudospectral_operator,
     build_two_point,
     check_accuracy,
@@ -29,6 +30,14 @@ from sbpkit.errors import InternalInconsistencyError, ParameterError
 
 def _residuals(report):
     return {r.property: r for r in report.residuals}
+
+
+def _nullspace(op):
+    return check_nullspace_consistency(op, build_d_tilde(op))
+
+
+def _eigenvalue_check(op):
+    return check_eigenvalue_property(op, build_d_tilde(op))
 
 
 def _zero_rows(op, rows):
@@ -153,13 +162,13 @@ def test_s_annihilation_fails_for_boundary_projector():
 
 
 def test_nullspace_counterexample():
-    diag = check_nullspace_consistency(spectral_report(build_counterexample()))
+    diag = _nullspace(build_counterexample())
     assert diag.consistent
     assert diag.rank == 5
 
 
 def test_nullspace_two_point():
-    diag = check_nullspace_consistency(spectral_report(build_two_point()))
+    diag = _nullspace(build_two_point())
     assert diag.consistent
     assert diag.sigma_min == pytest.approx(np.sqrt(2.0))
 
@@ -168,7 +177,7 @@ def test_nullspace_engineered_kernel():
     # two zeroed rows leave the constants in the kernel but drop the rank,
     # so the kernel has dimension >= 2 and both routes agree on "no"
     crippled = _zero_rows(build_counterexample(), (2, 3))
-    diag = check_nullspace_consistency(spectral_report(crippled))
+    diag = _nullspace(crippled)
     assert not diag.consistent
     assert diag.rank < crippled.n
 
@@ -179,7 +188,7 @@ def test_nullspace_routes_disagree_on_non_sbp_input():
     # two routes rely on only holds for true operator pairs
     crippled = _zero_rows(build_counterexample(), (2,))
     with pytest.raises(InternalInconsistencyError):
-        check_nullspace_consistency(spectral_report(crippled))
+        _nullspace(crippled)
 
 
 @pytest.mark.parametrize("build, tolerance", [
@@ -199,7 +208,7 @@ def test_a_loose_tolerance_does_not_split_the_nullspace_routes(build, tolerance)
 
 
 def test_eigenvalue_property_counterexample():
-    check = check_eigenvalue_property(spectral_report(build_counterexample()))
+    check = _eigenvalue_check(build_counterexample())
     assert not check.has_property
     offending = sorted(check.offending, key=lambda v: v.imag)
     assert len(offending) == 2
@@ -208,14 +217,85 @@ def test_eigenvalue_property_counterexample():
 
 
 def test_eigenvalue_property_two_point():
-    check = check_eigenvalue_property(spectral_report(build_two_point()))
-    assert check.has_property
-    assert check.min_real_part == pytest.approx(1.0)
+    check = _eigenvalue_check(build_two_point())
+    assert check.has_property and check.offending == ()
+    assert spectral_report(build_two_point()).eigenvalues[0].real == pytest.approx(1.0)
 
 
 def test_eigenvalue_property_after_repair():
     repaired, _ = repair_operator(build_counterexample(), 1e-3)
-    assert check_eigenvalue_property(spectral_report(repaired)).has_property
+    assert _eigenvalue_check(repaired).has_property
+
+
+@pytest.mark.parametrize("eps", [1e-10, 1e-12, 1e-14])
+def test_a_repair_inside_the_band_has_the_eigenvalue_property(eps):
+    # The moved pair's real part eps/2 lies inside the band
+    # 1e-10 * ||D_tilde||_F, so the spectral report still classifies it
+    # imaginary; the Hautus test sees that no direction is unobservable.
+    repaired, _ = repair_operator(build_counterexample(), eps)
+    report = verify_all(repaired)
+    assert report.all_passed() and report.eigenvalue_property
+    assert report.eigenvalue_check.offending == ()
+    assert spectral_report(repaired).m == 1
+
+
+def test_offending_values_are_exactly_imaginary():
+    check = _eigenvalue_check(build_counterexample())
+    assert [v.real for v in check.offending] == [0.0, 0.0]
+    assert check.offending[0].imag == pytest.approx(-check.offending[1].imag, rel=1e-14)
+
+
+# ---------------------------------------------------------------------------
+# diagonal-norm fast path
+
+
+def _dense_residuals(op):
+    """check_spd, check_sbp_identities and the S_psd residual by dense
+    products and eigvalsh, whatever the structure of H and S."""
+    h, s = op.h, op.s
+    lam = np.linalg.eigvalsh(0.5 * (h + h.T))
+    spd = max(float(np.max(np.abs(h - h.T))), max(0.0, -float(lam[0])))
+    boundary = -np.outer(op.p0, op.p0) + np.outer(op.pn, op.pn)
+    hd = h @ op.d_plus
+    res_c = float(np.max(np.abs(hd + op.d_plus.T @ h - boundary - s)))
+    res_d = float(np.max(np.abs(hd + op.d_minus.T @ h - boundary)))
+    psd = max(0.0, -float(np.linalg.eigvalsh(0.5 * (s + s.T))[0]))
+    return spd, res_c, res_d, psd
+
+
+def _residuals_of_the_checks(op):
+    c, d = check_sbp_identities(op)
+    return check_spd(op.h).residual, c.residual, d.residual, check_s_conditions(op)[1].residual
+
+
+@pytest.mark.parametrize("build", [
+    lambda: build_classical_fd(64, Interval(-0.3, 0.7)),
+    lambda: build_pseudospectral_operator(
+        NodeFamily.legendre_gauss_lobatto(16, Interval(100.0, 101.0))),
+    lambda: repair_operator(build_counterexample(), 1e-3)[0],  # dense S
+    lambda: build_classical_fd(8, Interval(0.0, 1.0)).with_fields(
+        s=np.diag(np.linspace(-1e-3, 1e-3, 9))),  # indefinite diagonal S
+], ids=["classical_fd_64", "lgl_16_far", "repaired_counterexample", "diagonal_s"])
+def test_a_diagonal_norm_gives_the_residuals_of_the_dense_products(build, monkeypatch):
+    op = build()
+    assert np.count_nonzero(op.h - np.diag(np.diagonal(op.h))) == 0
+    np.testing.assert_array_equal(np.sort(np.diagonal(op.h)),
+                                  np.linalg.eigvalsh(0.5 * (op.h + op.h.T)))
+    expected = _dense_residuals(op)
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a) or eigvalsh(a))
+    assert _residuals_of_the_checks(op) == expected
+    dense_s = np.count_nonzero(op.s - np.diag(np.diagonal(op.s))) > 0
+    assert len(calls) == int(dense_s)
+
+
+def test_a_dense_norm_gives_the_residuals_of_the_dense_products():
+    op = build_pseudospectral_operator(
+        NodeFamily.chebyshev_gauss_lobatto(16, Interval(0.0, 10.0)))
+    assert np.count_nonzero(op.h - np.diag(np.diagonal(op.h))) > 0
+    assert _residuals_of_the_checks(op) == _dense_residuals(op)
+    assert max(_dense_residuals(op)[1:3]) > 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -252,8 +332,8 @@ def test_verify_all_flags_corrupted_norm(tmp_path):
 def test_report_keeps_the_diagnostics_behind_its_verdicts():
     op = build_counterexample()
     report = verify_all(op)
-    assert report.nullspace == check_nullspace_consistency(spectral_report(op))
-    assert report.eigenvalue_check == check_eigenvalue_property(spectral_report(op))
+    assert report.nullspace == _nullspace(op)
+    assert report.eigenvalue_check == _eigenvalue_check(op)
     assert report.nullspace_consistent is report.nullspace.consistent
     assert report.eigenvalue_property is report.eigenvalue_check.has_property
 
