@@ -7,9 +7,11 @@ eigenvalues, an arbitrarily small symmetric positive semi-definite matrix
 
 is assembled in real arithmetic.  The columns of Q are a real H-orthonormal
 basis of the invariant subspace N of the imaginary eigenvalues, two per
-conjugate pair, computed from N itself without eigenvectors (see
-:func:`orthogonalize_imaginary`); one eps serves every pair.  Because N is
-H-orthogonal to x^j for j = 0..q, S' annihilates the grid polynomials, so
+conjugate pair, from the Hautus test that verify decides by
+(:func:`sbpkit.spectral.orthogonalize_imaginary`); one eps serves every
+pair.  The repair builds no spectral report and runs no ``eig`` unless that
+test does not apply.  Because N is H-orthogonal to x^j for j = 0..q, S'
+annihilates the grid polynomials, so
 ``D_plus' = D_plus + 1/2 H^{-1} S'`` is again an operator of the same order
 with S replaced by S + S', and ``1/2 H^{-1} S' = (eps/2) P_N`` with
 ``P_N = Q Q^T H`` the H-orthogonal projector onto N.  N and its
@@ -28,6 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import spectral
 from .errors import (
     ContractError,
     InternalInconsistencyError,
@@ -36,8 +39,7 @@ from .errors import (
 )
 from .linalg import DEFAULT_TOLERANCE, check_positive, max_abs
 from .operators import SbpOperatorPair, derive_d_minus, solve_against_norm
-from .spectral import EigenvalueClass, orthogonalize_imaginary, spectral_report
-from .verify import check_nullspace_consistency
+from .verify import _band_offending, check_nullspace_consistency
 
 __all__ = [
     "NormChoice",
@@ -103,8 +105,9 @@ def build_s_prime(
 ) -> np.ndarray:
     """Assemble the dissipation perturbation ``S' = eps H Q Q^T H``.
 
-    ``vectors`` are the real H-orthonormal columns of Q, such as the basis
-    :func:`orthogonalize_imaginary` returns; none gives ``S' = 0``.
+    ``vectors`` are the real H-orthonormal columns of Q, such as the columns
+    of the basis :func:`sbpkit.spectral.orthogonalize_imaginary` returns;
+    none gives ``S' = 0``.
     """
     h = np.asarray(h, dtype=float)
     eps = check_positive(eps, "eps")
@@ -144,44 +147,38 @@ def repair_operator(
 ) -> tuple[SbpOperatorPair, PerturbationPlan]:
     """Return an operator with the positive-spectrum property and the plan.
 
-    The nullspace verdict, the band and m come from one
-    :func:`spectral_report` of ``op``.  An operator that already has the
-    property is returned unchanged with an empty plan, which makes the
-    repair idempotent.  S' is built with eps = 1 on the H-orthonormal
-    basis of the imaginary subspace, whose
-    dimension must be twice the number of imaginary pairs in the band (else
-    ``InternalInconsistencyError``), then scaled linearly so that
+    One D_tilde serves the nullspace verdict and the Hautus test, which
+    gives N and its basis.  With N = {0} ``op`` is returned unchanged with an
+    empty plan, which makes the repair idempotent.  Where the test does not
+    apply, verify's band decides: pass returns ``op`` unchanged, fail raises
+    ``ContractError``.  S' is built with eps = 1 on the basis of N (m =
+    dim N / 2 pairs), then scaled linearly so that
     ``||D_plus' - D_plus|| == target_eps`` in the chosen norm.
     """
     check_positive(target_eps, "target_eps")
-    report = spectral_report(op, tolerance)
-    diagnostics = check_nullspace_consistency(op, report.d_tilde, report.tolerance)
+    d_tilde = spectral.build_d_tilde(op)
+    diagnostics = check_nullspace_consistency(op, d_tilde, tolerance)
     if not diagnostics.consistent:
         raise RepairImpossibleError(
             "operator is not nullspace consistent (rank "
             f"{diagnostics.rank} of expected {op.n}); "
             "a zero eigenvalue cannot be moved by the dissipation construction"
         )
-    negative = report.eigenvalues[
-        report.classifications == EigenvalueClass.NEGATIVE_REAL_PART
-    ]
-    if negative.size:
-        raise ContractError(
-            "penalized matrix has eigenvalues with negative real part "
-            f"({negative.tolist()}); the operator does not satisfy "
-            "the dissipation structure and cannot be repaired"
-        )
-    m = report.m
-    if m == 0:
+    analysis = spectral.orthogonalize_imaginary(op, d_tilde)
+    if analysis is None:
+        offending = _band_offending(op, d_tilde, tolerance)
+        if offending:
+            raise ContractError(
+                "the SBP identity does not hold to rounding and the penalized "
+                "matrix has eigenvalues with zero or negative real part "
+                f"({list(offending)}); the operator cannot be repaired"
+            )
+        return op, _empty_plan(op, norm_choice)
+    q = analysis[1]
+    if q.shape[1] == 0:
         return op, _empty_plan(op, norm_choice)
 
-    vectors = orthogonalize_imaginary(report)
-    if len(vectors) != 2 * m:
-        raise InternalInconsistencyError(
-            f"the band holds {m} imaginary pairs but the unobservable subspace "
-            f"has dimension {len(vectors)}"
-        )
-    unit = build_s_prime(op.h, vectors, 1.0)
+    unit = build_s_prime(op.h, list(q.T), 1.0)
     half_unit = 0.5 * solve_against_norm(op.h, unit)
     delta = _matrix_norm(half_unit, norm_choice)
     if delta <= 0.0:
@@ -199,7 +196,7 @@ def repair_operator(
         name=f"{op.name}+dissipation" if op.name else None,
     )
     plan = PerturbationPlan(
-        epsilons=(eps_k,) * m,
+        epsilons=(eps_k,) * (q.shape[1] // 2),
         s_prime=s_prime,
         norm_bound=_matrix_norm(half_update, norm_choice),
         norm_choice=norm_choice,

@@ -19,11 +19,19 @@ no meaning for these operators and is never asserted.
 :func:`spectral_report` is the one eigen-decomposition of an operator: it
 builds and decomposes the penalized matrix once and classifies the
 eigenvalues by the band ``|Re| <= tau * ||D_tilde||_F``.  The ``spectrum``
-command, the repair and the certification read that report; the repair's
-basis of N (:func:`orthogonalize_imaginary`) uses no eigenvector.  Verify
-decides the eigenvalue property without it, by the Hautus test on the skew
-part of D_tilde in H coordinates (:mod:`sbpkit.verify`), and falls back to
-this band only where the SBP identity does not hold to rounding.
+command and the certification read that report.
+
+:func:`orthogonalize_imaginary` finds N for verify and the repair without
+decomposing D_tilde, by the Hautus test (Hautus 1969) in H coordinates.
+With ``H = L L^T``, ``A = L^T D_tilde L^{-T}`` and
+``B = L^{-1} [p0, pn, S^(1/2)]`` the SBP identity reads ``A + A^T = B B^T``,
+so the skew part K of A is normal, and N is the sum over the eigenspaces
+V_mu of K of ``V_mu intersected with ker B^T``; on it D_tilde has the
+eigenvalues ``i mu``.  One Hermitian ``eigh`` gives mu and V_mu.  The
+clusters of mu and the rank of each ``B^T V_mu`` follow the package's rank
+rule, not the tolerance.  Where the SBP identity does not hold to rounding
+(``max|A + A^T - B B^T| > rank_threshold(max|A|)``) or H has no Cholesky
+factor, the test does not apply, and the band of one ``eig`` decides.
 """
 
 from __future__ import annotations
@@ -34,9 +42,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, DecompositionError, ShapeError
-from .linalg import (DEFAULT_TOLERANCE, check_positive, legendre_basis,
+from .linalg import (DEFAULT_TOLERANCE, check_positive, legendre_basis, max_abs,
                      rank_threshold, relative_residual)
-from .operators import SbpOperatorPair, solve_against_norm
+from .operators import SbpOperatorPair, _is_diagonal, solve_against_norm
 
 __all__ = [
     "EigenvalueClass",
@@ -230,41 +238,90 @@ def spectral_report(
     )
 
 
-def orthogonalize_imaginary(report: SpectralReport) -> list[np.ndarray]:
-    """Real H-orthonormal basis of the imaginary invariant subspace.
-
-    That subspace is the unobservable subspace N of ``(C, D_tilde)`` with
-    ``C = [p0^T; pn^T; S]`` (see the module docstring), and its Euclidean
-    complement is the block Krylov space of ``D_tilde^T`` started from the
-    columns ``[p0, pn, S]`` (the staircase form, Paige 1981).  Each block is
-    reorthogonalized twice against the space so far and deflated by an SVD
-    at the package rank threshold, scaled by ``||C||_F`` for the first block
-    and by ``||D_tilde||_F`` after it.  N is the rest of one complete QR of
-    the Krylov basis, made H-orthonormal by one Cholesky factorization of
-    its H-Gram matrix; no eigenvector is used.  Returns the columns of that
-    basis, none when N = {0}.
-    """
-    op = report.op
+def _h_coordinates(
+    op: SbpOperatorPair, d_tilde: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """``A = L^T D_tilde L^{-T}``, ``B = L^{-1} [p0, pn, S^(1/2)]`` and the
+    factor L of ``H = L L^T`` (its diagonal when H is diagonal), or None when
+    H has no Cholesky factor."""
     size = op.n + 1
-    basis = np.empty((size, size))
-    dim = 0  # the Krylov basis is basis[:, :dim]
-    block = np.column_stack([op.p0, op.pn, op.s])
-    scale = float(np.linalg.norm(block))
-    while dim < size:
-        krylov = basis[:, :dim]
-        for _ in range(2):
-            block = block - krylov @ (krylov.T @ block)
-        u, sv, _ = np.linalg.svd(block, full_matrices=False)
-        rank = int(np.count_nonzero(sv > rank_threshold(scale, size)))
-        if rank == 0:
-            break
-        basis[:, dim:dim + rank] = u[:, :rank]
-        dim += rank
-        block = report.d_tilde.T @ u[:, :rank]
-        scale = report.scale
-    if dim == size:
-        return []
-    complete, _ = np.linalg.qr(basis[:, :dim], mode="complete")
-    z = complete[:, dim:]
-    lower = np.linalg.cholesky(z.T @ (op.h @ z))
-    return list(np.linalg.solve(lower, z.T))
+    columns = [op.p0, op.pn]
+    if np.any(op.s):
+        lam, vec = np.linalg.eigh(0.5 * (op.s + op.s.T))
+        keep = lam > rank_threshold(np.max(np.abs(lam)), size)
+        columns.append(vec[:, keep] * np.sqrt(lam[keep]))
+    c = np.column_stack(columns)
+    if _is_diagonal(op.h):
+        d = np.diagonal(op.h)
+        if not np.all(d > 0.0):
+            return None
+        root = np.sqrt(d)
+        a = d_tilde * root[:, None]
+        a /= root
+        return a, c / root[:, None], root
+    try:
+        lower = np.linalg.cholesky(op.h)
+    except np.linalg.LinAlgError:
+        return None
+    # One solve gives L^{-1} D_tilde^T, whose product with L is A^T, and B.
+    x = np.linalg.solve(lower, np.column_stack([d_tilde.T, c]))
+    return (x[:, :size] @ lower).T, x[:, size:], lower
+
+
+def orthogonalize_imaginary(
+    op: SbpOperatorPair, d_tilde: np.ndarray
+) -> tuple[tuple[complex, ...], np.ndarray] | None:
+    """The unobservable subspace N of ``(C, D_tilde)`` by the Hautus test.
+
+    Returns ``(offending, q)``: the eigenvalues ``i mu`` of ``d_tilde`` on N,
+    one per direction, sorted by mu, and a real H-orthonormal basis of N as
+    the columns of q (none when N = {0}).  Returns None when the SBP identity
+    does not hold to rounding or H has no Cholesky factor, where the test
+    does not apply (see the module docstring).
+    """
+    size = op.n + 1
+    coords = _h_coordinates(op, d_tilde)
+    if coords is None:
+        return None
+    a, b, factor = coords
+    defect = a + a.T
+    defect -= b @ b.T
+    if max_abs(defect) > rank_threshold(1.0, size) * max_abs(a):
+        return None
+    # -iK = i(A^T - A)/2 is Hermitian; -iK v = mu v means K v = i mu v.
+    herm = np.zeros((size, size), dtype=complex)
+    np.subtract(a.T, a, out=herm.imag)
+    herm.imag *= 0.5
+    try:
+        mu, vec = np.linalg.eigh(herm)
+    except np.linalg.LinAlgError as exc:
+        raise DecompositionError(f"eigenvalue iteration failed: {exc}") from exc
+    # Clusters of K's spectrum split where the gap clears the rank rule; a
+    # direction of cluster V_mu is unobservable where B^T V_mu loses rank.
+    bt_v = b.T @ vec
+    zero = rank_threshold(np.linalg.norm(b, 2), size)
+    starts = np.flatnonzero(
+        np.diff(mu, prepend=-np.inf) > rank_threshold(np.max(np.abs(mu)), size))
+    sizes = np.diff(starts, append=size)
+    hidden = np.linalg.norm(bt_v[:, starts], axis=0) <= zero
+    columns = [vec[:, starts[hidden & (sizes == 1)]]]
+    counts = hidden.astype(int)
+    for k in np.flatnonzero(sizes > 1):
+        part = slice(starts[k], starts[k] + sizes[k])
+        _, sv, vh = np.linalg.svd(bt_v[:, part])
+        rank = int(np.count_nonzero(sv > zero))
+        counts[k] = sizes[k] - rank
+        columns.append(vec[:, part] @ vh[rank:].conj().T)
+    centres = np.add.reduceat(mu, starts) / sizes
+    offending = tuple(complex(0.0, m) for m in np.repeat(centres, counts).tolist())
+    # N is real: Re and Im of its complex basis span it twice over.  Their
+    # leading left singular vectors are an orthonormal basis in H
+    # coordinates, and L^{-T} maps it to an H-orthonormal one.
+    w = np.concatenate(columns, axis=1)
+    dim = w.shape[1]
+    if dim == 0:
+        return offending, np.empty((size, 0))
+    u = np.linalg.svd(np.hstack([w.real, w.imag]), full_matrices=False)[0][:, :dim]
+    if factor.ndim == 1:
+        return offending, u / factor[:, None]
+    return offending, np.linalg.solve(factor.T, u)

@@ -19,24 +19,15 @@ eigenvalue solves with bit-identical residuals.
 
 :func:`verify_all` builds D_tilde once and hands it to both spectral checks.
 The eigenvalue property is decided without an eigen-decomposition of
-D_tilde, by the Hautus test (Hautus 1969) on its skew part in H coordinates:
-with ``H = L L^T``, ``A = L^T D_tilde L^{-T}`` and
-``B = L^{-1} [p0, pn, S^(1/2)]`` the SBP identity reads
-``A + A^T = B B^T``, so the skew part ``K = (A - A^T)/2`` is normal and
-``(C, D_tilde)``, with ``C = [p0^T; pn^T; S]``, has the unobservable
-subspace ``N = sum over mu of (V_mu intersected with ker B^T)`` over the
-eigenspaces V_mu of K.  The property holds iff N = {0}; on N, D_tilde has
-the purely imaginary eigenvalues ``i mu``, which are the offending values.
-One Hermitian ``eigh`` of ``-iK`` gives mu and V_mu.  Eigenvalues mu form
-one cluster while the gaps between them stay within ``rank_threshold`` of
-``max |mu|``, and a cluster holds as many unobservable directions as
-``B^T V_mu`` has singular values within ``rank_threshold`` of ``||B||_2``:
-the package's rank rule decides, not the tolerance.  Where the SBP identity
-does not hold to rounding (``max|A + A^T - B B^T|`` above
-``rank_threshold(max|A|)``) or H has no Cholesky factor, the test is
-invalid, and the verdict falls back to the band
-``|Re lambda| <= tolerance * ||D_tilde||_F`` of one ``eig``, the
-classification :func:`sbpkit.spectral.spectral_report` uses.
+D_tilde: it holds iff the unobservable subspace N of ``(C, D_tilde)``, with
+``C = [p0^T; pn^T; S]``, is {0}, and
+:func:`sbpkit.spectral.orthogonalize_imaginary` finds N by the Hautus test
+on the skew part of D_tilde in H coordinates, the same analysis the repair
+reads its basis from.  Where that test does not apply (the SBP identity
+does not hold to rounding, or H has no Cholesky factor), the verdict falls
+back to the band ``|Re lambda| <= tolerance * ||D_tilde||_F`` of one
+``eig``, the classification :func:`sbpkit.spectral.spectral_report` uses;
+the repair takes the same band verdict there.
 """
 
 from __future__ import annotations
@@ -47,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import spectral
-from .errors import DecompositionError, InternalInconsistencyError, ParameterError
+from .errors import InternalInconsistencyError, ParameterError
 from .linalg import (DEFAULT_TOLERANCE, check_positive, legendre_basis, max_abs,
                      rank_threshold, relative_residual, svd_rank)
 from .operators import SbpOperatorPair, _is_diagonal
@@ -306,68 +297,14 @@ def check_nullspace_consistency(
     )
 
 
-def _h_coordinates(
-    op: SbpOperatorPair, d_tilde: np.ndarray
-) -> tuple[np.ndarray, np.ndarray] | None:
-    """``A = L^T D_tilde L^{-T}`` and ``B = L^{-1} [p0, pn, S^(1/2)]`` for
-    ``H = L L^T``, or None when H has no Cholesky factor."""
-    size = op.n + 1
-    columns = [op.p0, op.pn]
-    if np.any(op.s):
-        lam, vec = np.linalg.eigh(0.5 * (op.s + op.s.T))
-        keep = lam > rank_threshold(np.max(np.abs(lam)), size)
-        columns.append(vec[:, keep] * np.sqrt(lam[keep]))
-    c = np.column_stack(columns)
-    if _is_diagonal(op.h):
-        d = np.diagonal(op.h)
-        if not np.all(d > 0.0):
-            return None
-        root = np.sqrt(d)
-        a = d_tilde * root[:, None]
-        a /= root
-        return a, c / root[:, None]
-    try:
-        lower = np.linalg.cholesky(op.h)
-    except np.linalg.LinAlgError:
-        return None
-    # One solve gives L^{-1} D_tilde^T, whose product with L is A^T, and B.
-    x = np.linalg.solve(lower, np.column_stack([d_tilde.T, c]))
-    return (x[:, :size] @ lower).T, x[:, size:]
-
-
-def _hautus(op: SbpOperatorPair, d_tilde: np.ndarray) -> tuple[complex, ...] | None:
-    """The eigenvalues ``i mu`` of the unobservable directions, one per
-    direction, or None when the SBP identity does not hold to rounding."""
-    size = op.n + 1
-    coords = _h_coordinates(op, d_tilde)
-    if coords is None:
-        return None
-    a, b = coords
-    defect = a + a.T
-    defect -= b @ b.T
-    if max_abs(defect) > rank_threshold(1.0, size) * max_abs(a):
-        return None
-    # -iK = i(A^T - A)/2 is Hermitian; -iK v = mu v means K v = i mu v.
-    herm = np.zeros((size, size), dtype=complex)
-    np.subtract(a.T, a, out=herm.imag)
-    herm.imag *= 0.5
-    try:
-        mu, vec = np.linalg.eigh(herm)
-    except np.linalg.LinAlgError as exc:
-        raise DecompositionError(f"eigenvalue iteration failed: {exc}") from exc
-    # Clusters of K's spectrum split where the gap clears the rank rule; a
-    # direction of cluster V_mu is unobservable where B^T V_mu loses rank.
-    bt_v = b.T @ vec
-    zero = rank_threshold(np.linalg.norm(b, 2), size)
-    starts = np.flatnonzero(
-        np.diff(mu, prepend=-np.inf) > rank_threshold(np.max(np.abs(mu)), size))
-    sizes = np.diff(starts, append=size)
-    hidden = (np.linalg.norm(bt_v[:, starts], axis=0) <= zero).astype(int)
-    for k in np.flatnonzero(sizes > 1):
-        sv = np.linalg.svd(bt_v[:, starts[k]:starts[k] + sizes[k]], compute_uv=False)
-        hidden[k] = sizes[k] - np.count_nonzero(sv > zero)
-    centres = np.add.reduceat(mu, starts) / sizes
-    return tuple(complex(0.0, m) for m in np.repeat(centres, hidden).tolist())
+def _band_offending(
+    op: SbpOperatorPair, d_tilde: np.ndarray, tolerance: float
+) -> tuple[complex, ...]:
+    """The eigenvalues of ``d_tilde`` that are not right of the band
+    ``tolerance * ||D_tilde||_F``, from one ``eig``."""
+    lam = spectral.eigen_decompose(d_tilde, op.h)[0]
+    band = tolerance * float(np.linalg.norm(d_tilde, "fro"))
+    return tuple(lam[spectral._band_index(lam, band) != 0].tolist())
 
 
 def check_eigenvalue_property(
@@ -376,17 +313,18 @@ def check_eigenvalue_property(
     """Decide whether every eigenvalue of the penalized matrix ``d_tilde``
     has a positive real part.
 
-    Decided by the Hautus test of the module docstring, which does not read
-    the tolerance.  Where that test is invalid, one ``eig`` of ``d_tilde``
+    Decided by the Hautus test of
+    :func:`sbpkit.spectral.orthogonalize_imaginary`, which does not read the
+    tolerance.  Where that test is invalid, one ``eig`` of ``d_tilde``
     decides instead: every eigenvalue must lie right of the band
     ``tolerance * ||D_tilde||_F``.
     """
     tolerance = check_positive(tolerance)
-    offending = _hautus(op, d_tilde)
-    if offending is None:
-        lam = spectral.eigen_decompose(d_tilde, op.h)[0]
-        band = tolerance * float(np.linalg.norm(d_tilde, "fro"))
-        offending = tuple(lam[spectral._band_index(lam, band) != 0].tolist())
+    analysis = spectral.orthogonalize_imaginary(op, d_tilde)
+    if analysis is None:
+        offending = _band_offending(op, d_tilde, tolerance)
+    else:
+        offending = analysis[0]
     return EigenvalueCheck(has_property=not offending, offending=offending)
 
 

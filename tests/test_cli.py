@@ -13,6 +13,7 @@ from sbpkit import (
     load_operator,
     operator_from_document,
     operator_to_document,
+    repair_operator,
     save_operator,
 )
 from sbpkit.cli import main
@@ -317,6 +318,17 @@ def test_repair_emits_operator_and_plan(capsys, tmp_path):
     report = verify_all(repaired)
     assert report.all_passed()
     assert report.eigenvalue_property
+
+
+def test_an_operator_with_a_band_pair_but_no_unobservable_subspace_passes(capsys, tmp_path):
+    # repaired by 1e-11, the pair sits inside the band but is observable
+    once, _ = repair_operator(build_counterexample(), 1e-11)
+    path = _save(tmp_path, once)
+    code, _, _ = _run(capsys, ["verify", "--input", path, "--require-eigenvalue-property"])
+    assert code == 0
+    code, out, _ = _run(capsys, ["repair", "--input", path, "--target-eps", "1e-3"])
+    assert code == 0
+    assert json.loads(out)["plan"]["m"] == 0
 
 
 def test_repair_output_file_round_trips(capsys, tmp_path):

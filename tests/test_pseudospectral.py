@@ -5,6 +5,7 @@ from sbpkit import (
     Family,
     Interval,
     NodeFamily,
+    build_d_tilde,
     build_interpolatory_h,
     build_pseudospectral_d,
     build_pseudospectral_operator,
@@ -13,7 +14,6 @@ from sbpkit import (
     load_operator,
     orthogonalize_imaginary,
     save_operator,
-    spectral_report,
     verify_all,
 )
 from sbpkit.errors import IndefiniteNormError, InvariantError, ParameterError
@@ -267,8 +267,10 @@ def test_diagonal_norm_only_where_exact_on_shifted_intervals(
     # n; on [100, 101] their identity defect reaches 7.4e-12 at n = 31, from
     # nodes stored to eps * |x| next to spacings near 1e-3.  Every operator
     # built here must also verify after a save/load round trip, exactly of
-    # order n, wherever the interval sits, and its imaginary invariant
-    # subspace must be {0}.
+    # order n, wherever the interval sits, and its unobservable subspace
+    # must be {0} where the Hautus test applies.  On [100, 101] from n = 8
+    # the identity defect mostly exceeds the test's gate, and the band of
+    # verify_all decides.
     make = {
         Family.LEGENDRE_GAUSS_LOBATTO: NodeFamily.legendre_gauss_lobatto,
         Family.CHEBYSHEV_GAUSS_LOBATTO: NodeFamily.chebyshev_gauss_lobatto,
@@ -288,7 +290,8 @@ def test_diagonal_norm_only_where_exact_on_shifted_intervals(
         assert report.all_passed(), (n, report.to_document())
         assert report.observed_order == n
         assert report.nullspace_consistent and report.eigenvalue_property, n
-        assert orthogonalize_imaginary(spectral_report(loaded)) == [], n
+        analysis = orthogonalize_imaginary(loaded, build_d_tilde(loaded))
+        assert analysis is None or analysis[1].shape == (n + 1, 0), n
 
 
 def test_oversized_degree_rejected():

@@ -18,7 +18,6 @@ from sbpkit import (
 )
 from sbpkit.errors import (
     ContractError,
-    InternalInconsistencyError,
     ParameterError,
     RepairImpossibleError,
     ShapeError,
@@ -34,7 +33,7 @@ def _paper_style_eigenvector():
 
 
 def _ortho_vectors(op):
-    return orthogonalize_imaginary(spectral_report(op))
+    return list(orthogonalize_imaginary(op, build_d_tilde(op))[1].T)
 
 
 def _sorted_eigs(matrix):
@@ -333,7 +332,7 @@ def test_repair_is_the_projector_onto_the_planted_subspace(omegas, congruent):
     op, z = _plant(build_classical_fd(40, Interval(0.0, 1.0)), omegas,
                    np.random.default_rng(40), congruent)
     m = len(omegas)
-    assert len(orthogonalize_imaginary(spectral_report(op))) == 2 * m
+    assert orthogonalize_imaginary(op, build_d_tilde(op))[1].shape == (op.n + 1, 2 * m)
 
     repaired, plan = repair_operator(op, 1e-3)
     eps = plan.epsilons[0]
@@ -354,14 +353,17 @@ def test_repair_is_the_projector_onto_the_planted_subspace(omegas, congruent):
 @pytest.mark.parametrize("congruent", [False, True], ids=["plain", "congruent"])
 @pytest.mark.parametrize("omegas", [(3.0,), (9.0, 9.0, 17.0),
                                     (3.0, 7.0, 9.0, 9.0, 17.0, 25.0)], ids=["1", "3", "6"])
-def test_hautus_krylov_and_band_find_the_planted_subspace(omegas, congruent):
+def test_hautus_and_band_find_the_planted_subspace(omegas, congruent):
     op, _ = _plant(build_classical_fd(40, Interval(0.0, 1.0)), omegas,
                    np.random.default_rng(40), congruent)
     report = spectral_report(op)
     offending = check_eigenvalue_property(op, report.d_tilde).offending
     # exact i mu values come from the Hautus test, not from the band's eig
     assert all(value.real == 0.0 for value in offending)
-    assert len(offending) == len(orthogonalize_imaginary(report)) == 2 * report.m
+    q = orthogonalize_imaginary(op, report.d_tilde)[1]
+    assert len(offending) == q.shape[1] == 2 * report.m
+    assert not np.iscomplexobj(q)
+    assert np.max(np.abs(q.T @ op.h @ q - np.eye(q.shape[1]))) <= 1e-12
     assert report.m == len(omegas)
     planted = np.concatenate([-np.array(omegas), omegas])
     np.testing.assert_allclose(sorted(v.imag for v in offending), np.sort(planted),
@@ -452,11 +454,13 @@ def test_any_budget_repairs_a_planted_operator():
     check()
 
 
-def test_repair_rejects_a_band_pair_without_an_unobservable_subspace():
+def test_a_band_pair_without_an_unobservable_subspace_needs_no_repair():
     # After a repair by 1e-11 the moved pair still lies in the band
-    # 1e-10 * ||D_tilde||_F, but S' makes it observable: N = {0}.
+    # 1e-10 * ||D_tilde||_F, but S' makes it observable: N = {0}, so the
+    # operator has the property and a second repair returns it unchanged.
     once, _ = repair_operator(build_counterexample(), 1e-11)
     assert spectral_report(once).m == 1
-    assert orthogonalize_imaginary(spectral_report(once)) == []
-    with pytest.raises(InternalInconsistencyError):
-        repair_operator(once, 1e-3)
+    assert verify_all(once).eigenvalue_property
+    again, plan = repair_operator(once, 1e-3)
+    assert again is once
+    assert plan.m == 0 and plan.norm_bound == 0.0

@@ -265,9 +265,9 @@ def test_spectrum_of_an_operator_that_is_not_nullspace_consistent(capsys, tmp_pa
 
 def test_orthogonalize_counterexample():
     op = build_counterexample()
-    vectors = orthogonalize_imaginary(spectral_report(op))
-    assert len(vectors) == 2
-    q = np.column_stack(vectors)
+    offending, q = orthogonalize_imaginary(op, build_d_tilde(op))
+    np.testing.assert_allclose(offending, [-1j * INV_SQRT5, 1j * INV_SQRT5], rtol=1e-12)
+    assert q.shape == (6, 2)
     assert not np.iscomplexobj(q)
     assert np.max(np.abs(q.T @ op.h @ q - np.eye(2))) <= 1e-14
     # the plane of Re w and Im w of the closed-form eigenvector
@@ -282,7 +282,10 @@ def test_orthogonalize_counterexample():
     lambda: repair_operator(build_counterexample(), 1e-3)[0],
 ], ids=["two_point", "classical_fd_64", "repaired_counterexample"])
 def test_orthogonalize_is_empty_with_the_eigenvalue_property(build):
-    assert orthogonalize_imaginary(spectral_report(build())) == []
+    op = build()
+    offending, q = orthogonalize_imaginary(op, build_d_tilde(op))
+    assert offending == ()
+    assert q.shape == (op.n + 1, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -426,13 +429,16 @@ def calls(monkeypatch):
 
 @pytest.mark.parametrize("build", AGREEMENT_FIXTURES.values(),
                          ids=AGREEMENT_FIXTURES.keys())
-def test_hautus_krylov_and_band_find_the_same_unobservable_subspace(calls, build):
+def test_hautus_and_band_find_the_same_unobservable_subspace(calls, build):
     op = build()
     report = spectral_report(op)
     eigs = calls["eig"]
     offending = check_eigenvalue_property(op, report.d_tilde).offending
     assert calls["eig"] == eigs  # no eig: the Hautus test decided
-    assert len(offending) == len(orthogonalize_imaginary(report)) == 2 * report.m
+    q = orthogonalize_imaginary(op, report.d_tilde)[1]
+    assert len(offending) == q.shape[1] == 2 * report.m
+    assert not np.iscomplexobj(q)
+    assert np.max(np.abs(q.T @ op.h @ q - np.eye(q.shape[1])), initial=0.0) <= 1e-12
 
 
 def test_where_the_sbp_identity_is_off_by_more_than_rounding_one_eig_decides(calls):
@@ -446,6 +452,16 @@ def test_where_the_sbp_identity_is_off_by_more_than_rounding_one_eig_decides(cal
     assert check.has_property and check.offending == ()
 
 
+def test_where_the_hautus_test_does_not_apply_the_repair_takes_the_band(calls):
+    op = build_pseudospectral_operator(
+        NodeFamily.legendre_gauss_lobatto(32, Interval(100.0, 101.0)))
+    repaired, plan = repair_operator(op, 1e-3)
+    assert (calls["build_d_tilde"], calls["eig"], calls["eigh"]) == (1, 1, 0)
+    assert repaired is op
+    assert plan.m == 0 and plan.norm_bound == 0.0
+    assert not np.any(plan.s_prime)
+
+
 LGL_1_TO_4 = [NodeFamily.legendre_gauss_lobatto(n, Interval(-1.0, 1.0))
               for n in range(1, 5)]
 
@@ -453,13 +469,13 @@ LGL_1_TO_4 = [NodeFamily.legendre_gauss_lobatto(n, Interval(-1.0, 1.0))
 @pytest.mark.parametrize("call, counts", [
     (lambda op: verify_all(op), (1, 0, 1, 0)),
     (lambda op: spectral_report(op), (1, 1, 0, 0)),
-    (lambda op: repair_operator(op, 1e-6), (1, 1, 0, 1)),
+    (lambda op: repair_operator(op, 1e-6), (1, 0, 1, 0)),
     (lambda op: certify_families(LGL_1_TO_4), (4, 4, 4, 0)),
 ], ids=["verify_all", "spectral_report", "repair_operator", "certify_families"])
 def test_each_call_builds_and_decomposes_d_tilde_once(calls, call, counts):
-    # verify_all decomposes the skew part in H coordinates (one eigh) instead
-    # of D_tilde, and certification adds that test to its report's eig.
-    # The repair's one Cholesky factor is of the H-Gram matrix of its basis.
+    # verify_all and the repair decompose the skew part in H coordinates (one
+    # eigh) instead of D_tilde, and certification adds that test to its
+    # report's eig.  The counterexample's H is diagonal: no Cholesky factor.
     call(build_counterexample())
     assert calls["eigvals"] == 0
     assert (calls["build_d_tilde"], calls["eig"], calls["eigh"],

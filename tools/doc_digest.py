@@ -1,8 +1,8 @@
-"""Print one SHA-256 over the bytes sbpkit writes for the benchmark's inputs.
+"""Print SHA-256 digests of the bytes sbpkit writes for the benchmark's inputs.
 
     python3 tools/doc_digest.py SRC_DIR
 
-``SRC_DIR`` is the ``src`` directory of an sbpkit checkout.  The digest
+``SRC_DIR`` is the ``src`` directory of an sbpkit checkout.  The total digest
 covers, in this order:
 
 - for seeds 7 and 947, the verification and spectrum documents of every
@@ -15,8 +15,11 @@ covers, in this order:
   operator options, whose stderr adds only whether it starts with
   ``error: ParameterError:``.
 
-Two checkouts that print the same digest write the same bytes on all of
-these.  The inputs and commands come from this checkout's ``perfbench/``,
+One line per section (``diagnose_fd``, ``repair_planted``, ``cli_small``,
+``extra_commands``) gives the section's name and the digest of its own
+bytes; the last line is the total.  Two checkouts that print the same total
+write the same bytes on all of these, and a section digest shows which part
+changed.  The inputs and commands come from this checkout's ``perfbench/``,
 which is only read.  BLAS runs on one thread, as in the benchmark, and the
 temporary directory's path is replaced by ``WORK`` before hashing.
 """
@@ -62,12 +65,16 @@ def main() -> int:
         print(f"sbpkit imported from {sbpkit.__file__}, not from {src}", file=sys.stderr)
         return 2
     digest = hashlib.sha256()
+    sections = {}
     with tempfile.TemporaryDirectory() as work:
 
-        def add(*parts) -> None:
+        def add(section: str, *parts) -> None:
+            part_digest = sections.setdefault(section, hashlib.sha256())
             for part in parts:
                 data = str(part).replace(work, "WORK").encode()
-                digest.update(len(data).to_bytes(8, "little") + data)
+                framed = len(data).to_bytes(8, "little") + data
+                digest.update(framed)
+                part_digest.update(framed)
 
         def read(path: str) -> str:
             with open(path, encoding="utf-8") as fh:
@@ -77,11 +84,11 @@ def main() -> int:
             diagnose = worker.DiagnoseFd(seed, work)
             diagnose.prepare(setup_only=False)
             for item in diagnose.items:
-                add(*diagnose.run(item))
+                add("diagnose_fd", *diagnose.run(item))
             repair = worker.RepairPlanted(seed, work)
             repair.prepare(setup_only=False)
             for item in repair.items:
-                add(repair.run(item)[0], read(item[-1]))
+                add("repair_planted", repair.run(item)[0], read(item[-1]))
 
         cli = worker.CliSmall(CLI_SEED, work)
         cli.prepare(setup_only=False)
@@ -94,11 +101,13 @@ def main() -> int:
         for kind, argv, *spec in (command for task in cli.round() for command in task):
             proc = sbpkit_cli(argv)
             written = read(spec[0]["path"]) if kind == "generate" else ""
-            add(argv, proc.returncode, proc.stdout, written)
+            add("cli_small", argv, proc.returncode, proc.stdout, written)
         for argv in EXTRA_COMMANDS:
             proc = sbpkit_cli(argv)
-            add(argv, proc.returncode, proc.stdout,
+            add("extra_commands", argv, proc.returncode, proc.stdout,
                 proc.stderr.startswith("error: ParameterError:"))
+    for name, part_digest in sections.items():
+        print(name, part_digest.hexdigest())
     print(digest.hexdigest())
     return 0
 
