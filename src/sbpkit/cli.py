@@ -172,7 +172,7 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
 def _cmd_repair(args: argparse.Namespace) -> int:
     op = _load_input(args)
     repaired, plan = repair.repair_operator(
-        op, args.target_eps, NormChoice(args.norm_choice), args.tolerance
+        op, args.target_eps, args.norm_choice, args.tolerance
     )
     doc = {"operator": storage.operator_to_document(repaired), "plan": plan.to_document()}
     _report(args, doc, "\n".join([
@@ -257,9 +257,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         f_samples = _NAMED_FUNCTIONS[args.function](op.x)
     else:
         f_samples = _read_samples(args.f_samples_path)
-    problem = SatProblem(
-        f_samples=f_samples, u0=args.u0, direction=FlowDirection(args.direction)
-    )
+    problem = SatProblem(f_samples=f_samples, u0=args.u0, direction=args.direction)
     u = sat.solve(op, problem)
     doc = {
         "op_ref": op.name or f"operator(n={op.n}, q={op.q})",
@@ -305,7 +303,7 @@ def _cmd_demo(args: argparse.Namespace) -> int:
     before_verify = verify.verify_all(op, args.tolerance)
     before_spectrum = spectral.spectral_report(op, tau_eig=args.tolerance)
     repaired, plan = repair.repair_operator(
-        op, args.target_eps, NormChoice(args.norm_choice), args.tolerance
+        op, args.target_eps, args.norm_choice, args.tolerance
     )
     after_verify = verify.verify_all(repaired, args.tolerance)
     after_spectrum = spectral.spectral_report(repaired, tau_eig=args.tolerance)

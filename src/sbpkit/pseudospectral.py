@@ -33,6 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import spectral
 from .errors import (
     DecompositionError,
     IndefiniteNormError,
@@ -42,7 +43,6 @@ from .errors import (
 from .linalg import (DEFAULT_TOLERANCE, check_positive, legendre_basis, max_abs,
                      rank_threshold)
 from .operators import Interval, SbpOperatorPair
-from .spectral import spectral_report
 from .verify import check_eigenvalue_property, check_nullspace_consistency
 
 __all__ = [
@@ -84,7 +84,8 @@ _LOBATTO = (Family.LEGENDRE_GAUSS_LOBATTO, Family.CHEBYSHEV_GAUSS_LOBATTO)
 class NodeFamily:
     """A named node set: strictly increasing nodes inside the interval.
 
-    Lobatto-type families include both endpoints exactly.
+    ``tag`` is a :class:`Family` or its value.  Lobatto-type families include
+    both endpoints exactly.
     """
 
     tag: Family
@@ -93,6 +94,10 @@ class NodeFamily:
     nodes: np.ndarray
 
     def __post_init__(self) -> None:
+        try:
+            object.__setattr__(self, "tag", Family(self.tag))
+        except ValueError:
+            raise ParameterError(f"unknown node family {self.tag!r}") from None
         nodes = np.array(self.nodes, dtype=float)
         nodes.flags.writeable = False
         object.__setattr__(self, "nodes", nodes)
@@ -409,8 +414,9 @@ def certify_families(
     both verdicts at tolerance ``tau_eig``: the constants must be annihilated
     by the differentiation matrix, its rank must be n, and the penalized
     matrix must have the eigenvalue property (the Hautus test, or the tau
-    band where that test does not apply).  The entry's minimum real part is
-    read from one :func:`spectral_report`.  The uniqueness
+    band where that test does not apply).  The entry's minimum real part
+    explains the verdict and is read from one eigen-decomposition of the
+    penalized matrix, which is built once per family.  The uniqueness
     mechanism is also probed directly: sigma_min(V^T H) must clear the rank
     threshold, i.e. no nonzero vector is H-orthogonal to all grid
     polynomials; V tabulates the Legendre basis mapped to the interval.
@@ -422,10 +428,10 @@ def certify_families(
     failures: list[str] = []
     for family in families:
         op = build_pseudospectral_operator(family)
-        report = spectral_report(op, tau_eig)
-        nullspace = check_nullspace_consistency(op, report.d_tilde, tau_eig)
-        eig = check_eigenvalue_property(op, report.d_tilde, tau_eig)
-        min_real_part = float(report.eigenvalues[0].real)
+        d_tilde = spectral.build_d_tilde(op)
+        nullspace = check_nullspace_consistency(op, d_tilde, tau_eig)
+        eig = check_eigenvalue_property(op, d_tilde, tau_eig)
+        min_real_part = float(spectral.eigen_decompose(d_tilde, op.h)[0][0].real)
 
         v, _ = legendre_basis(op.x, op.interval, op.n)
         msv = np.linalg.svd(v.T @ op.h, compute_uv=False)

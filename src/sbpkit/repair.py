@@ -34,6 +34,7 @@ from . import spectral
 from .errors import (
     ContractError,
     InternalInconsistencyError,
+    ParameterError,
     RepairImpossibleError,
     ShapeError,
 )
@@ -153,9 +154,14 @@ def repair_operator(
     apply, verify's band decides: pass returns ``op`` unchanged, fail raises
     ``ContractError``.  S' is built with eps = 1 on the basis of N (m =
     dim N / 2 pairs), then scaled linearly so that
-    ``||D_plus' - D_plus|| == target_eps`` in the chosen norm.
+    ``||D_plus' - D_plus|| == target_eps`` in the chosen norm, a
+    :class:`NormChoice` or its value.
     """
     check_positive(target_eps, "target_eps")
+    try:
+        norm_choice = NormChoice(norm_choice)
+    except ValueError:
+        raise ParameterError(f"unknown norm choice {norm_choice!r}") from None
     d_tilde = spectral.build_d_tilde(op)
     diagnostics = check_nullspace_consistency(op, d_tilde, tolerance)
     if not diagnostics.consistent:

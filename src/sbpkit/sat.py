@@ -53,7 +53,8 @@ class SatProblem:
 
     The penalty parameter is tied to the direction: sigma = 1 for forward
     flow (datum at a), sigma = -1 for reversed flow (datum at b).  The
-    samples and the datum must be finite (else ``ParameterError``).
+    samples and the datum must be finite, and the direction a
+    :class:`FlowDirection` or its value (else ``ParameterError``).
     """
 
     f_samples: np.ndarray
@@ -67,9 +68,14 @@ class SatProblem:
             raise ParameterError("f_samples must be finite")
         if not np.isfinite(u0):
             raise ParameterError(f"u0 must be finite, got {u0}")
+        try:
+            direction = FlowDirection(self.direction)
+        except ValueError:
+            raise ParameterError(f"unknown flow direction {self.direction!r}") from None
         samples.flags.writeable = False
         object.__setattr__(self, "f_samples", samples)
         object.__setattr__(self, "u0", u0)
+        object.__setattr__(self, "direction", direction)
 
     @property
     def sigma(self) -> float:

@@ -19,7 +19,7 @@ no meaning for these operators and is never asserted.
 :func:`spectral_report` is the one eigen-decomposition of an operator: it
 builds and decomposes the penalized matrix once and classifies the
 eigenvalues by the band ``|Re| <= tau * ||D_tilde||_F``.  The ``spectrum``
-command and the certification read that report.
+command reads that report.
 
 :func:`orthogonalize_imaginary` finds N for verify and the repair without
 decomposing D_tilde, by the Hautus test (Hautus 1969) in H coordinates.
@@ -65,17 +65,16 @@ class EigenvalueClass(enum.Enum):
 
 @dataclass(frozen=True)
 class SpectralReport:
-    """The one analysis of an operator: its penalized matrix, decomposed once.
+    """The spectrum of an operator's penalized matrix, decomposed once.
 
-    ``d_tilde`` is built once and ``scale`` is its Frobenius norm.
     ``eigenvalues`` (complex) are LAPACK's, sorted by (Re, Im), and row k of
     ``eigenvectors`` is the eigenvector of eigenvalue k, C-contiguous and
     real only when every eigenvalue is; for a real matrix complex
     eigenpairs come in exact conjugate pairs, and nothing is synthesized.
     ``h_norms`` are the H-norms of the rows.  ``classifications`` (an
     object array of :class:`EigenvalueClass`) follow the band
-    |Re| <= tolerance * scale around the imaginary axis, and ``m`` counts
-    the imaginary eigenvalues with positive imaginary part, so a zero
+    |Re| <= tolerance * ||D_tilde||_F around the imaginary axis, and ``m``
+    counts the imaginary eigenvalues with positive imaginary part, so a zero
     eigenvalue (of an operator that is not nullspace consistent) is
     classified imaginary but not counted.
 
@@ -92,10 +91,7 @@ class SpectralReport:
     ``json.dumps`` does not accept it.
     """
 
-    op: SbpOperatorPair
     tolerance: float
-    d_tilde: np.ndarray
-    scale: float
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     h_norms: np.ndarray
@@ -105,7 +101,7 @@ class SpectralReport:
     moment_residuals: np.ndarray
 
     def __post_init__(self) -> None:
-        for array in (self.d_tilde, self.eigenvalues, self.eigenvectors, self.h_norms,
+        for array in (self.eigenvalues, self.eigenvectors, self.h_norms,
                       self.classifications, self.boundary_residuals,
                       self.moment_residuals):
             array.flags.writeable = False
@@ -126,7 +122,6 @@ class SpectralReport:
             "eigenvectors": np.asarray(self.eigenvectors, complex).view(float),
             "boundary_residuals": self.boundary_residuals,
             "moment_residuals": self.moment_residuals,
-            "d_tilde": self.d_tilde.ravel(),
         }
 
 
@@ -224,10 +219,7 @@ def spectral_report(
     p_norms = np.sqrt(np.maximum(np.sum(vh * v.T, axis=1), 0.0))
     moments = relative_residual(rows @ vh.T, np.outer(h_norms[imaginary], p_norms))
     return SpectralReport(
-        op=op,
         tolerance=tau_eig,
-        d_tilde=d_tilde,
-        scale=scale,
         eigenvalues=lam,
         eigenvectors=w,
         h_norms=h_norms,

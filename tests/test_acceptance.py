@@ -91,7 +91,7 @@ def test_criterion_2_imaginary_eigenpair_structure():
     start = time.perf_counter()
     op = build_counterexample()
     report = spectral_report(op, tau_eig=1e-10)
-    d_tilde = report.d_tilde
+    d_tilde = build_d_tilde(op)
 
     lam, rows, norms = report.eigenvalues, report.eigenvectors, report.h_norms
     for k, triple, moments in zip(

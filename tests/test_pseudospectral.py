@@ -14,6 +14,7 @@ from sbpkit import (
     load_operator,
     orthogonalize_imaginary,
     save_operator,
+    spectral_report,
     verify_all,
 )
 from sbpkit.errors import IndefiniteNormError, InvariantError, ParameterError
@@ -192,6 +193,16 @@ def test_node_family_validation():
                    np.array([-0.9, 0.0, 1.0]))
 
 
+def test_a_family_given_by_its_value_builds_the_same_operator():
+    family = NodeFamily.legendre_gauss_lobatto(4, REFERENCE)
+    by_value = NodeFamily(family.tag.value, family.n, family.interval, family.nodes)
+    assert by_value.tag is Family.LEGENDRE_GAUSS_LOBATTO
+    np.testing.assert_array_equal(build_pseudospectral_operator(by_value).h,
+                                  build_pseudospectral_operator(family).h)
+    with pytest.raises(ParameterError, match="bogus"):
+        NodeFamily("bogus", family.n, family.interval, family.nodes)
+
+
 def test_lobatto_families_pin_endpoints():
     interval = Interval(0.1, 0.3)
     for maker in (NodeFamily.legendre_gauss_lobatto,
@@ -349,6 +360,20 @@ def test_certify_random_positive_weight_node_sets():
         families.append(NodeFamily.explicit(nodes, interval))
     report = certify_families(families)
     assert report.certified
+
+
+@pytest.mark.parametrize("interval", [REFERENCE, Interval(100.0, 101.0)],
+                         ids=["-1_1", "100_101"])
+def test_certified_min_real_part_is_the_spectrum_reports(interval):
+    # on [100, 101] the LGL families from n = 8 take the band fallback
+    families = [maker(n, interval)
+                for maker in (NodeFamily.legendre_gauss_lobatto,
+                              NodeFamily.chebyshev_gauss_lobatto)
+                for n in range(1, 17)]
+    report = certify_families(families)
+    for family, entry in zip(families, report.entries, strict=True):
+        op = build_pseudospectral_operator(family)
+        assert entry.min_real_part == spectral_report(op).eigenvalues[0].real
 
 
 @pytest.mark.parametrize("tau", [0.0, -1.0, float("nan")])

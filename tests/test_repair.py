@@ -162,6 +162,18 @@ def test_repair_meets_norm_budget_exactly(norm_choice):
     assert plan.norm_bound == pytest.approx(target, rel=1e-13)
 
 
+@pytest.mark.parametrize("norm_choice", list(NormChoice), ids=lambda c: c.value)
+def test_a_norm_choice_given_by_its_value_measures_that_norm(norm_choice):
+    op = build_counterexample()
+    repaired, plan = repair_operator(op, 1e-3, norm_choice.value)
+    expected, _ = repair_operator(op, 1e-3, norm_choice)
+    np.testing.assert_array_equal(repaired.d_plus, expected.d_plus)
+    assert plan.norm_choice is norm_choice
+    assert plan.to_document()["norm_choice"] == norm_choice.value
+    with pytest.raises(ParameterError, match="bogus"):
+        repair_operator(op, 1e-3, "bogus")
+
+
 def test_repair_restores_eigenvalue_property():
     repaired, plan = repair_operator(build_counterexample(), 1e-3)
     assert plan.m == 1
@@ -357,10 +369,11 @@ def test_hautus_and_band_find_the_planted_subspace(omegas, congruent):
     op, _ = _plant(build_classical_fd(40, Interval(0.0, 1.0)), omegas,
                    np.random.default_rng(40), congruent)
     report = spectral_report(op)
-    offending = check_eigenvalue_property(op, report.d_tilde).offending
+    d_tilde = build_d_tilde(op)
+    offending = check_eigenvalue_property(op, d_tilde).offending
     # exact i mu values come from the Hautus test, not from the band's eig
     assert all(value.real == 0.0 for value in offending)
-    q = orthogonalize_imaginary(op, report.d_tilde)[1]
+    q = orthogonalize_imaginary(op, d_tilde)[1]
     assert len(offending) == q.shape[1] == 2 * report.m
     assert not np.iscomplexobj(q)
     assert np.max(np.abs(q.T @ op.h @ q - np.eye(q.shape[1]))) <= 1e-12

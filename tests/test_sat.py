@@ -76,6 +76,20 @@ def test_problem_rejects_non_finite_data(bad):
         SatProblem(f_samples=[0.0, 0.0], u0=bad)
 
 
+@pytest.mark.parametrize("direction", list(FlowDirection), ids=lambda d: d.value)
+def test_a_direction_given_by_its_value_solves_the_same_problem(direction):
+    op = build_classical_fd(32, Interval(0.0, 1.0))
+    u0 = np.sin(op.interval.b if direction is FlowDirection.REVERSED else op.interval.a)
+    by_value = solve(op, SatProblem(np.cos(op.x), u0, direction.value))
+    np.testing.assert_array_equal(by_value, solve(op, SatProblem(np.cos(op.x), u0, direction)))
+    assert np.max(np.abs(by_value - np.sin(op.x))) < 1e-3
+
+
+def test_problem_rejects_an_unknown_direction():
+    with pytest.raises(ParameterError, match="sideways"):
+        SatProblem(f_samples=[0.0, 0.0], u0=0.0, direction="sideways")
+
+
 def test_assembly_rejects_wrong_sample_count():
     with pytest.raises(ShapeError):
         assemble(build_two_point(), SatProblem(f_samples=[1.0, 2.0, 3.0], u0=0.0))

@@ -349,6 +349,8 @@ def test_imaginary_eigenvalues_are_nondefective():
 
 def test_report_document_round_trip_fields():
     doc = spectral_report(build_counterexample()).to_document()
+    assert list(doc) == ["m", "tau_eig", "eigenvalues", "classifications", "h_norms",
+                         "eigenvectors", "boundary_residuals", "moment_residuals"]
     assert doc["m"] == 1
     assert len(doc["eigenvalues"]) == 6
     assert len(doc["eigenvectors"][0]) == 12
@@ -356,7 +358,7 @@ def test_report_document_round_trip_fields():
 
 
 @pytest.mark.parametrize("key", ["eigenvalues", "h_norms", "eigenvectors",
-                                 "boundary_residuals", "moment_residuals", "d_tilde"])
+                                 "boundary_residuals", "moment_residuals"])
 def test_report_document_does_not_write_into_the_report(key):
     report = spectral_report(build_counterexample())
     before = report.to_document()[key].copy()
@@ -401,13 +403,14 @@ def test_verify_and_report_decide_from_the_same_eigenvalues(build):
     op = build()
     check = verify_all(op).eigenvalue_check
     report = spectral_report(op)
+    scale = np.linalg.norm(build_d_tilde(op), "fro")
     band = report.eigenvalues[report.classifications != EigenvalueClass.POSITIVE_REAL_PART]
     assert check.has_property is (band.size == 0)
     assert len(check.offending) == band.size
     by_imag = sorted(band.tolist(), key=lambda z: z.imag)
     for value, lam in zip(sorted(check.offending, key=lambda z: z.imag), by_imag):
         assert value.real == 0.0
-        assert abs(value - lam) <= 1e-10 * report.scale
+        assert abs(value - lam) <= 1e-10 * scale
 
 
 @pytest.fixture
@@ -432,10 +435,11 @@ def calls(monkeypatch):
 def test_hautus_and_band_find_the_same_unobservable_subspace(calls, build):
     op = build()
     report = spectral_report(op)
+    d_tilde = build_d_tilde(op)
     eigs = calls["eig"]
-    offending = check_eigenvalue_property(op, report.d_tilde).offending
+    offending = check_eigenvalue_property(op, d_tilde).offending
     assert calls["eig"] == eigs  # no eig: the Hautus test decided
-    q = orthogonalize_imaginary(op, report.d_tilde)[1]
+    q = orthogonalize_imaginary(op, d_tilde)[1]
     assert len(offending) == q.shape[1] == 2 * report.m
     assert not np.iscomplexobj(q)
     assert np.max(np.abs(q.T @ op.h @ q - np.eye(q.shape[1])), initial=0.0) <= 1e-12
@@ -474,8 +478,9 @@ LGL_1_TO_4 = [NodeFamily.legendre_gauss_lobatto(n, Interval(-1.0, 1.0))
 ], ids=["verify_all", "spectral_report", "repair_operator", "certify_families"])
 def test_each_call_builds_and_decomposes_d_tilde_once(calls, call, counts):
     # verify_all and the repair decompose the skew part in H coordinates (one
-    # eigh) instead of D_tilde, and certification adds that test to its
-    # report's eig.  The counterexample's H is diagonal: no Cholesky factor.
+    # eigh) instead of D_tilde.  Certification builds D_tilde once per family,
+    # hands it to that test and runs one eig for the entry's min_real_part.
+    # The counterexample's H is diagonal: no Cholesky factor.
     call(build_counterexample())
     assert calls["eigvals"] == 0
     assert (calls["build_d_tilde"], calls["eig"], calls["eigh"],
