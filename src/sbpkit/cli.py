@@ -10,7 +10,8 @@ inputs) or text, so the two formats can never disagree on a verdict.
 argparse checks every option it can declare (required and mutually
 exclusive options, choices, finite positive ``--tolerance`` and
 ``--target-eps``); the handlers check only ``classical_fd_<n>``,
-``--nodes``, the input file and the ``--f-samples`` file.
+``--nodes``, the ``--input``, ``--output`` and ``--f-samples`` paths and
+the input document.
 
 Exit status: 0 on success/pass, 1 on a verification or certification
 failure, 2 on usage or input errors (an ``error:`` line on stderr), an
@@ -64,8 +65,11 @@ def _emit(text: str, output_path: str | None) -> None:
     if not text.endswith("\n"):
         text += "\n"
     if output_path:
-        with open(output_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(output_path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ParameterError(f"--output {output_path!r}: {exc.strerror}") from None
     else:
         sys.stdout.write(text)
 
@@ -78,9 +82,10 @@ def _report(args: argparse.Namespace, document: dict, text: str) -> None:
 def _load_input(args: argparse.Namespace) -> SbpOperatorPair:
     # argparse gives exactly one of the two, possibly as an empty string.
     if args.input_path is not None:
-        if not os.path.exists(args.input_path):
-            raise ParameterError(f"input file not found: {args.input_path}")
-        return storage.load_operator(args.input_path)
+        try:
+            return storage.load_operator(args.input_path)
+        except OSError as exc:
+            raise ParameterError(f"--input {args.input_path!r}: {exc.strerror}") from None
     if args.builtin in BUILTIN_OPERATORS:
         return BUILTIN_OPERATORS[args.builtin]()
     if args.builtin.startswith("classical_fd_"):

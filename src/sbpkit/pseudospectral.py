@@ -421,9 +421,13 @@ def certify_families(
     threshold, i.e. no nonzero vector is H-orthogonal to all grid
     polynomials; V tabulates the Legendre basis mapped to the interval.
     ``tau_eig`` scales the band ``tau_eig * ||D_tilde||_F`` and the kernel
-    residual's bound ``tau_eig * sigma_max(D_plus)``.
+    residual's bound ``tau_eig * sigma_max(D_plus)``.  No family raises
+    ``ParameterError``: an empty sweep certifies nothing.
     """
     tau_eig = check_positive(tau_eig, "tau_eig")
+    families = list(families)
+    if not families:
+        raise ParameterError("no family to certify")
     entries: list[CertificationEntry] = []
     failures: list[str] = []
     for family in families:

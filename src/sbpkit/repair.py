@@ -7,9 +7,10 @@ eigenvalues, an arbitrarily small symmetric positive semi-definite matrix
 
 is assembled in real arithmetic.  The columns of Q are a real H-orthonormal
 basis of the invariant subspace N of the imaginary eigenvalues, two per
-conjugate pair, from the Hautus test that verify decides by
-(:func:`sbpkit.spectral.orthogonalize_imaginary`); one eps serves every
-pair.  The repair builds no spectral report and runs no ``eig`` unless that
+conjugate pair: the ``basis`` of the verdict
+:func:`sbpkit.verify.check_eigenvalue_property` returns, so the repair acts
+on exactly the values that verdict finds; one eps serves every pair.  The
+repair builds no spectral report and runs no ``eig`` unless the Hautus
 test does not apply.  Because N is H-orthogonal to x^j for j = 0..q, S'
 annihilates the grid polynomials, so
 ``D_plus' = D_plus + 1/2 H^{-1} S'`` is again an operator of the same order
@@ -40,7 +41,7 @@ from .errors import (
 )
 from .linalg import DEFAULT_TOLERANCE, check_positive, max_abs
 from .operators import SbpOperatorPair, derive_d_minus, solve_against_norm
-from .verify import _band_offending, check_nullspace_consistency
+from .verify import check_eigenvalue_property, check_nullspace_consistency
 
 __all__ = [
     "NormChoice",
@@ -107,7 +108,7 @@ def build_s_prime(
     """Assemble the dissipation perturbation ``S' = eps H Q Q^T H``.
 
     ``vectors`` are the real H-orthonormal columns of Q, such as the columns
-    of the basis :func:`sbpkit.spectral.orthogonalize_imaginary` returns;
+    of the ``basis`` of :func:`sbpkit.verify.check_eigenvalue_property`;
     none gives ``S' = 0``.
     """
     h = np.asarray(h, dtype=float)
@@ -131,15 +132,6 @@ def build_s_prime(
     return (u * eps) @ u.T
 
 
-def _empty_plan(op: SbpOperatorPair, norm_choice: NormChoice) -> PerturbationPlan:
-    return PerturbationPlan(
-        epsilons=(),
-        s_prime=np.zeros_like(op.h),
-        norm_bound=0.0,
-        norm_choice=norm_choice,
-    )
-
-
 def repair_operator(
     op: SbpOperatorPair,
     target_eps: float,
@@ -148,12 +140,13 @@ def repair_operator(
 ) -> tuple[SbpOperatorPair, PerturbationPlan]:
     """Return an operator with the positive-spectrum property and the plan.
 
-    One D_tilde serves the nullspace verdict and the Hautus test, which
-    gives N and its basis.  With N = {0} ``op`` is returned unchanged with an
-    empty plan, which makes the repair idempotent.  Where the test does not
-    apply, verify's band decides: pass returns ``op`` unchanged, fail raises
-    ``ContractError``.  S' is built with eps = 1 on the basis of N (m =
-    dim N / 2 pairs), then scaled linearly so that
+    One D_tilde serves the nullspace verdict and
+    :func:`sbpkit.verify.check_eigenvalue_property`, whose verdict the
+    repair takes as it is.  Where the property holds, ``op`` is returned
+    unchanged with an empty plan, which makes the repair idempotent.  Where
+    it fails on the band route, which has no basis of N, ``ContractError``
+    is raised.  Otherwise S' is built with eps = 1 on the check's basis of N
+    (m = dim N / 2 pairs), then scaled linearly so that
     ``||D_plus' - D_plus|| == target_eps`` in the chosen norm, a
     :class:`NormChoice` or its value.
     """
@@ -170,21 +163,18 @@ def repair_operator(
             f"{diagnostics.rank} of expected {op.n}); "
             "a zero eigenvalue cannot be moved by the dissipation construction"
         )
-    analysis = spectral.orthogonalize_imaginary(op, d_tilde)
-    if analysis is None:
-        offending = _band_offending(op, d_tilde, tolerance)
-        if offending:
-            raise ContractError(
-                "the SBP identity does not hold to rounding and the penalized "
-                "matrix has eigenvalues with zero or negative real part "
-                f"({list(offending)}); the operator cannot be repaired"
-            )
-        return op, _empty_plan(op, norm_choice)
-    q = analysis[1]
-    if q.shape[1] == 0:
-        return op, _empty_plan(op, norm_choice)
+    check = check_eigenvalue_property(op, d_tilde, tolerance)
+    if check.has_property:
+        return op, PerturbationPlan(epsilons=(), s_prime=np.zeros_like(op.h),
+                                    norm_bound=0.0, norm_choice=norm_choice)
+    if check.basis is None:
+        raise ContractError(
+            "the SBP identity does not hold to rounding and the penalized "
+            "matrix has eigenvalues with zero or negative real part "
+            f"({list(check.offending)}); the operator cannot be repaired"
+        )
 
-    unit = build_s_prime(op.h, list(q.T), 1.0)
+    unit = build_s_prime(op.h, list(check.basis.T), 1.0)
     half_unit = 0.5 * solve_against_norm(op.h, unit)
     delta = _matrix_norm(half_unit, norm_choice)
     if delta <= 0.0:
@@ -202,7 +192,7 @@ def repair_operator(
         name=f"{op.name}+dissipation" if op.name else None,
     )
     plan = PerturbationPlan(
-        epsilons=(eps_k,) * (q.shape[1] // 2),
+        epsilons=(eps_k,) * (check.basis.shape[1] // 2),
         s_prime=s_prime,
         norm_bound=_matrix_norm(half_update, norm_choice),
         norm_choice=norm_choice,

@@ -21,8 +21,10 @@ builds and decomposes the penalized matrix once and classifies the
 eigenvalues by the band ``|Re| <= tau * ||D_tilde||_F``.  The ``spectrum``
 command reads that report.
 
-:func:`orthogonalize_imaginary` finds N for verify and the repair without
-decomposing D_tilde, by the Hautus test (Hautus 1969) in H coordinates.
+:func:`orthogonalize_imaginary` finds N without decomposing D_tilde, by the
+Hautus test (Hautus 1969) in H coordinates, for
+:func:`sbpkit.verify.check_eigenvalue_property`, its one caller, whose
+verdict and basis the repair reads.
 With ``H = L L^T``, ``A = L^T D_tilde L^{-T}`` and
 ``B = L^{-1} [p0, pn, S^(1/2)]`` the SBP identity reads ``A + A^T = B B^T``,
 so the skew part K of A is normal, and N is the sum over the eigenspaces

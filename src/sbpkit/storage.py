@@ -157,15 +157,15 @@ def save_operator(op: SbpOperatorPair, destination: str | os.PathLike | IO[str])
 
 def load_operator(source: str | os.PathLike | IO[str]) -> SbpOperatorPair:
     """Read, validate and rebuild an operator document."""
-    if hasattr(source, "read"):
-        text = source.read()
-    else:
-        with open(source, "r", encoding="utf-8") as fh:
-            text = fh.read()
     try:
+        if hasattr(source, "read"):
+            text = source.read()
+        else:
+            with open(source, "r", encoding="utf-8") as fh:
+                text = fh.read()
         doc = json.loads(text, parse_int=_parse_int)
     except ValueError as exc:
-        # A JSONDecodeError, or an integer literal longer than Python's
-        # limit on int digits.
+        # Text that is not UTF-8 (a UnicodeDecodeError), a JSONDecodeError,
+        # or an integer literal longer than Python's limit on int digits.
         raise ParseError(f"cannot parse the document: {exc}") from exc
     return operator_from_document(doc)

@@ -22,18 +22,20 @@ The eigenvalue property is decided without an eigen-decomposition of
 D_tilde: it holds iff the unobservable subspace N of ``(C, D_tilde)``, with
 ``C = [p0^T; pn^T; S]``, is {0}, and
 :func:`sbpkit.spectral.orthogonalize_imaginary` finds N by the Hautus test
-on the skew part of D_tilde in H coordinates, the same analysis the repair
-reads its basis from.  Where that test does not apply (the SBP identity
-does not hold to rounding, or H has no Cholesky factor), the verdict falls
-back to the band ``|Re lambda| <= tolerance * ||D_tilde||_F`` of one
-``eig``, the classification :func:`sbpkit.spectral.spectral_report` uses;
-the repair takes the same band verdict there.
+on the skew part of D_tilde in H coordinates.  Where that test does not
+apply (the SBP identity does not hold to rounding, or H has no Cholesky
+factor), the verdict falls back to the band
+``|Re lambda| <= tolerance * ||D_tilde||_F`` of one ``eig``, the
+classification :func:`sbpkit.spectral.spectral_report` uses.
+:func:`check_eigenvalue_property` is the only place that picks the route.
+Its :class:`EigenvalueCheck` carries the basis of N the Hautus test found,
+and :func:`sbpkit.repair.repair_operator` acts on that check.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -104,11 +106,19 @@ class EigenvalueCheck:
 
     ``offending`` holds the eigenvalues of D_tilde with real part zero, one
     per unobservable direction, sorted by (Re, Im); on the fallback route,
-    every eigenvalue that is not right of the band.
+    every eigenvalue that is not right of the band.  ``basis`` is the
+    Hautus test's real H-orthonormal basis of N, one column per offending
+    value and read-only, which the repair reads; None where the band
+    decided.  It takes no part in ``==``.
     """
 
     has_property: bool
     offending: tuple[complex, ...]
+    basis: np.ndarray | None = field(compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        if self.basis is not None:
+            self.basis.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -297,16 +307,6 @@ def check_nullspace_consistency(
     )
 
 
-def _band_offending(
-    op: SbpOperatorPair, d_tilde: np.ndarray, tolerance: float
-) -> tuple[complex, ...]:
-    """The eigenvalues of ``d_tilde`` that are not right of the band
-    ``tolerance * ||D_tilde||_F``, from one ``eig``."""
-    lam = spectral.eigen_decompose(d_tilde, op.h)[0]
-    band = tolerance * float(np.linalg.norm(d_tilde, "fro"))
-    return tuple(lam[spectral._band_index(lam, band) != 0].tolist())
-
-
 def check_eigenvalue_property(
     op: SbpOperatorPair, d_tilde: np.ndarray, tolerance: float = DEFAULT_TOLERANCE
 ) -> EigenvalueCheck:
@@ -315,17 +315,18 @@ def check_eigenvalue_property(
 
     Decided by the Hautus test of
     :func:`sbpkit.spectral.orthogonalize_imaginary`, which does not read the
-    tolerance.  Where that test is invalid, one ``eig`` of ``d_tilde``
-    decides instead: every eigenvalue must lie right of the band
-    ``tolerance * ||D_tilde||_F``.
+    tolerance and gives the basis of N.  Where that test is invalid, one
+    ``eig`` of ``d_tilde`` decides instead: every eigenvalue must lie right
+    of the band ``tolerance * ||D_tilde||_F``, and there is no basis.
     """
     tolerance = check_positive(tolerance)
     analysis = spectral.orthogonalize_imaginary(op, d_tilde)
     if analysis is None:
-        offending = _band_offending(op, d_tilde, tolerance)
-    else:
-        offending = analysis[0]
-    return EigenvalueCheck(has_property=not offending, offending=offending)
+        lam = spectral.eigen_decompose(d_tilde, op.h)[0]
+        band = tolerance * float(np.linalg.norm(d_tilde, "fro"))
+        analysis = tuple(lam[spectral._band_index(lam, band) != 0].tolist()), None
+    offending, basis = analysis
+    return EigenvalueCheck(has_property=not offending, offending=offending, basis=basis)
 
 
 def verify_all(

@@ -176,6 +176,13 @@ def test_verify_classical_fd_builtin(capsys):
           for text in ('{"a": 1}', '["a", 1]', "[1, 2", "[NaN, 1]", "[[1], [2]]")),
         ["solve", "--builtin", "two_point", "--f-samples", "/nonexistent/f.json"],
         ["solve", "--builtin", "two_point", "--f-samples", ""],
+        # --input must name a readable file and --output a writable one
+        ["verify", "--input", "."],
+        ["verify", "--builtin", "two_point", "--output", "/nonexistent/x.json"],
+        ["verify", "--builtin", "two_point", "--output", "."],
+        # a certification needs at least one family
+        ["pseudospectral", "--family", "legendre_gauss_lobatto", "--certify", "--n", "0"],
+        ["pseudospectral", "--family", "legendre_gauss_lobatto", "--certify", "--n", "-3"],
     ],
 )
 def test_errors_exit_2(capsys, tmp_path, argv):
@@ -223,6 +230,16 @@ def test_malformed_document_exit_2(capsys, tmp_path):
     code, _, err = _run(capsys, ["verify", "--input", str(path)])
     assert code == 2
     assert "ParseError" in err
+
+
+def test_an_input_that_is_not_utf8_exits_2(capsys, tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"name": "\xff"}')
+    code, out, err = _run(capsys, ["verify", "--input", str(path)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ParseError:") and err.count("\n") == 1
+    assert "can't decode byte 0xff" in err
 
 
 def test_unwritable_output_exit_2(capsys):

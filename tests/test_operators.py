@@ -429,6 +429,15 @@ def test_malformed_json_is_parse_error():
         load_operator(io.StringIO("{not json"))
 
 
+def test_text_that_is_not_utf8_is_parse_error(tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"name": "\xff"}')
+    with pytest.raises(ParseError, match="decode"):
+        load_operator(path)
+    with pytest.raises(ParseError, match="decode"):
+        load_operator(io.TextIOWrapper(io.BytesIO(b"\xff"), encoding="utf-8"))
+
+
 def test_integer_beyond_the_digit_limit_is_parse_error():
     # json.loads raises a plain ValueError for it, not a JSONDecodeError.
     doc = _parsed_document(build_two_point())

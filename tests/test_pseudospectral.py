@@ -382,6 +382,12 @@ def test_certify_rejects_a_nonpositive_band(tau):
         certify_families([NodeFamily.legendre_gauss_lobatto(3, REFERENCE)], tau_eig=tau)
 
 
+@pytest.mark.parametrize("families", [[], (), iter([])], ids=["list", "tuple", "iterator"])
+def test_certify_rejects_an_empty_sweep(families):
+    with pytest.raises(ParameterError, match="no family"):
+        certify_families(families)
+
+
 def test_certification_document():
     report = certify_families([NodeFamily.legendre_gauss_lobatto(3, REFERENCE)])
     doc = report.to_document()

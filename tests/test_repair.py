@@ -383,6 +383,25 @@ def test_hautus_and_band_find_the_planted_subspace(omegas, congruent):
                                rtol=1e-10)
 
 
+@pytest.mark.parametrize("congruent", [False, True], ids=["plain", "congruent"])
+@pytest.mark.parametrize("omegas", [(3.0,), (9.0, 9.0, 17.0),
+                                    (3.0, 7.0, 9.0, 9.0, 17.0, 25.0)], ids=["1", "3", "6"])
+def test_the_repair_acts_on_the_checks_basis_of_the_planted_subspace(omegas, congruent):
+    op, _ = _plant(build_classical_fd(40, Interval(0.0, 1.0)), omegas,
+                   np.random.default_rng(40), congruent)
+    d_tilde = build_d_tilde(op)
+    check = check_eigenvalue_property(op, d_tilde)
+    q = orthogonalize_imaginary(op, d_tilde)[1]
+    assert check.basis.shape == q.shape == (op.n + 1, 2 * len(omegas))
+    assert check.basis.tobytes() == q.tobytes()
+    assert not verify_all(op).eigenvalue_property
+    repaired, plan = repair_operator(op, 1e-3)
+    assert repaired is not op and plan.m == len(omegas)
+    expected = build_s_prime(op.h, list(check.basis.T), plan.epsilons[0])
+    np.testing.assert_allclose(plan.s_prime, expected, rtol=0.0,
+                               atol=1e-12 * np.max(np.abs(expected)))
+
+
 def test_a_congruence_keeps_the_eigenvalue_verdict():
     # T = I + U V^T with V^T x^j = 0 maps D_tilde to T^-1 D_tilde T: the
     # spectrum, and so the verdict and the offending values, stay.

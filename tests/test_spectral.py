@@ -466,6 +466,68 @@ def test_where_the_hautus_test_does_not_apply_the_repair_takes_the_band(calls):
     assert not np.any(plan.s_prime)
 
 
+def _lgl_32_far_from_the_origin():
+    return build_pseudospectral_operator(
+        NodeFamily.legendre_gauss_lobatto(32, Interval(100.0, 101.0)))
+
+
+def _flipped_two_point():
+    # off the SBP identity, with an eigenvalue left of the imaginary axis
+    op = build_two_point()
+    return op.with_fields(d_plus=-op.d_plus, d_minus=-op.d_minus)
+
+
+@pytest.mark.parametrize("build", AGREEMENT_FIXTURES.values(),
+                         ids=AGREEMENT_FIXTURES.keys())
+def test_the_check_carries_the_hautus_basis(build):
+    op = build()
+    d_tilde = build_d_tilde(op)
+    basis = check_eigenvalue_property(op, d_tilde).basis
+    q = orthogonalize_imaginary(op, d_tilde)[1]
+    assert basis.shape == q.shape and basis.dtype == q.dtype
+    assert basis.tobytes() == q.tobytes()
+
+
+def test_where_the_band_decides_the_check_has_no_basis():
+    op = _lgl_32_far_from_the_origin()
+    d_tilde = build_d_tilde(op)
+    assert orthogonalize_imaginary(op, d_tilde) is None
+    check = check_eigenvalue_property(op, d_tilde)
+    assert check.has_property and check.basis is None
+
+
+def test_the_checks_basis_is_read_only():
+    op = build_counterexample()
+    basis = check_eigenvalue_property(op, build_d_tilde(op)).basis
+    assert basis.shape == (6, 2)
+    with pytest.raises(ValueError, match="read-only"):
+        basis[0, 0] = 7.0
+
+
+REPAIR_FIXTURES = {
+    **AGREEMENT_FIXTURES,
+    "lgl_32_100_101": _lgl_32_far_from_the_origin,
+    "flipped_two_point": _flipped_two_point,
+}
+
+
+@pytest.mark.parametrize("build", REPAIR_FIXTURES.values(), ids=REPAIR_FIXTURES.keys())
+def test_the_repair_follows_the_checks_verdict(build):
+    # op comes back itself exactly where verify passes it, and the repair
+    # refuses exactly where the band failed it and no basis of N exists.
+    op = build()
+    check = verify_all(op).eigenvalue_check
+    refused = check.basis is None and bool(check.offending)
+    try:
+        repaired, _ = repair_operator(op, 1e-3)
+    except ContractError as exc:
+        assert refused, exc
+        assert "cannot be repaired" in str(exc)
+    else:
+        assert not refused
+        assert (repaired is op) is check.has_property
+
+
 LGL_1_TO_4 = [NodeFamily.legendre_gauss_lobatto(n, Interval(-1.0, 1.0))
               for n in range(1, 5)]
 

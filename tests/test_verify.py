@@ -334,6 +334,7 @@ def test_report_keeps_the_diagnostics_behind_its_verdicts():
     report = verify_all(op)
     assert report.nullspace == _nullspace(op)
     assert report.eigenvalue_check == _eigenvalue_check(op)
+    assert np.array_equal(report.eigenvalue_check.basis, _eigenvalue_check(op).basis)
     assert report.nullspace_consistent is report.nullspace.consistent
     assert report.eigenvalue_property is report.eigenvalue_check.has_property
 
