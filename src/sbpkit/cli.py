@@ -9,9 +9,10 @@ inputs) or text, so the two formats can never disagree on a verdict.
 
 argparse checks every option it can declare (required and mutually
 exclusive options, choices, finite positive ``--tolerance`` and
-``--target-eps``); the handlers check only ``classical_fd_<n>``,
-``--nodes``, the ``--input``, ``--output`` and ``--f-samples`` paths and
-the input document.
+``--target-eps``); ``main`` refuses an ``--output`` path that cannot be
+written before any handler runs, and the handlers check only
+``classical_fd_<n>``, ``--nodes``, the ``--input`` and ``--f-samples``
+paths and the input document.
 
 Exit status: 0 on success/pass, 1 on a verification or certification
 failure, 2 on usage or input errors (an ``error:`` line on stderr), an
@@ -22,6 +23,7 @@ operator too large for memory included.  The environment variable
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import sys
@@ -72,6 +74,25 @@ def _emit(text: str, output_path: str | None) -> None:
             raise ParameterError(f"--output {output_path!r}: {exc.strerror}") from None
     else:
         sys.stdout.write(text)
+
+
+def _check_output(path: str | None) -> None:
+    """Refuse an ``--output`` path ``_emit`` could not write, touching nothing:
+    a directory, a file that is not writable, or a missing or unwritable
+    directory for a new file."""
+    if not path:
+        return
+    directory = os.path.dirname(os.path.abspath(path))
+    if os.path.isdir(path):
+        reason = errno.EISDIR
+    elif os.path.exists(path):
+        reason = None if os.access(path, os.W_OK) else errno.EACCES
+    elif not os.path.isdir(directory):
+        reason = errno.ENOENT
+    else:
+        reason = None if os.access(directory, os.W_OK) else errno.EACCES
+    if reason is not None:
+        raise ParameterError(f"--output {path!r}: {os.strerror(reason)}")
 
 
 def _report(args: argparse.Namespace, document: dict, text: str) -> None:
@@ -521,6 +542,7 @@ def _build_parser(default_tol: float) -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     try:
         args = _build_parser(_default_tolerance()).parse_args(argv)
+        _check_output(args.output_path)
         return args.handler(args)
     except SbpError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

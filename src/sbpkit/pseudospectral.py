@@ -13,7 +13,9 @@ quadrature weights (the integrals of the Lagrange cardinal functions) only
 reach that exactness on Gauss-type nodes and for n <= 2, so the bundle uses
 
 * the diagonal interpolatory norm whenever its moments are exact through
-  degree 2n - 1 (Gauss-Lobatto weights for the Legendre family), and
+  degree 2n - 1 (Gauss-Lobatto weights for the Legendre family, whose D and
+  H are both built on the reference nodes of [-1, 1] and then scaled to the
+  interval, so that rounded mapped nodes cannot put them out of step), and
 * the dense modal norm ``H = V^-T G V^-1`` otherwise, where V tabulates a
   mapped Legendre basis on the nodes and G is that basis's exact Gram
   matrix; this is the standard spectral-element mass matrix and is exact
@@ -308,7 +310,9 @@ def _moments_exact_through(
 def build_pseudospectral_operator(family: NodeFamily) -> SbpOperatorPair:
     """Assemble the full bundle for a node family, with q = n and S = 0.
 
-    Gauss-Lobatto weights are used directly for the Legendre family.  Every
+    For the Legendre family, D is built on the reference Gauss-Lobatto nodes
+    of [-1, 1] and scaled by 2/L, and H holds their weights scaled by L/2,
+    where L is the interval length; x keeps the mapped nodes.  Every
     other family first computes interpolatory weights and refuses the node
     set if any weight is non-positive; the diagonal norm is kept when its
     moments are exact through degree 2n - 1 (Gauss-type nodes, n <= 2) and
@@ -324,15 +328,16 @@ def build_pseudospectral_operator(family: NodeFamily) -> SbpOperatorPair:
             RuntimeWarning,
             stacklevel=2,
         )
-    d = build_pseudospectral_d(family.nodes)
     if family.tag is Family.LEGENDRE_GAUSS_LOBATTO:
-        _, w = legendre_gauss_lobatto(n)
+        t, w = legendre_gauss_lobatto(n)
+        d = build_pseudospectral_d(t) * (2.0 / family.interval.length)
         h = np.diag(0.5 * family.interval.length * w)
         p0 = np.zeros(n + 1)
         p0[0] = 1.0
         pn = np.zeros(n + 1)
         pn[-1] = 1.0
     else:
+        d = build_pseudospectral_d(family.nodes)
         h, p0, pn = build_interpolatory_h(family.nodes, family.interval)
         diag = np.diagonal(h)
         if not _moments_exact_through(
@@ -421,8 +426,8 @@ def certify_families(
     threshold, i.e. no nonzero vector is H-orthogonal to all grid
     polynomials; V tabulates the Legendre basis mapped to the interval.
     ``tau_eig`` scales the band ``tau_eig * ||D_tilde||_F`` and the kernel
-    residual's bound ``tau_eig * sigma_max(D_plus)``.  No family raises
-    ``ParameterError``: an empty sweep certifies nothing.
+    residual's bound ``tau_eig * sigma_max(D_plus)``.  An empty sweep raises
+    ``ParameterError``.
     """
     tau_eig = check_positive(tau_eig, "tau_eig")
     families = list(families)

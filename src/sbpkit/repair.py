@@ -12,10 +12,10 @@ conjugate pair: the ``basis`` of the verdict
 on exactly the values that verdict finds; one eps serves every pair.  The
 repair builds no spectral report and runs no ``eig`` unless the Hautus
 test does not apply.  Because N is H-orthogonal to x^j for j = 0..q, S'
-annihilates the grid polynomials, so
-``D_plus' = D_plus + 1/2 H^{-1} S'`` is again an operator of the same order
-with S replaced by S + S', and ``1/2 H^{-1} S' = (eps/2) P_N`` with
-``P_N = Q Q^T H`` the H-orthogonal projector onto N.  N and its
+annihilates the grid polynomials, so ``D_plus' = D_plus + 1/2 H^{-1} S'``
+and ``D_minus' = D_minus - 1/2 H^{-1} S'`` are an operator pair of the same
+order with S replaced by S + S'.  ``1/2 H^{-1} S' = (eps/2) Q (H Q)^T`` needs no
+solve against H; ``Q (H Q)^T`` is the H-orthogonal projector onto N.  N and its
 H-orthogonal complement are both invariant under the penalized matrix, so
 each imaginary eigenvalue moves right by exactly eps/2 while every other
 eigenpair is untouched, and the perturbation size ``||D_plus' - D_plus||``
@@ -40,7 +40,7 @@ from .errors import (
     ShapeError,
 )
 from .linalg import DEFAULT_TOLERANCE, check_positive, max_abs
-from .operators import SbpOperatorPair, derive_d_minus, solve_against_norm
+from .operators import SbpOperatorPair
 from .verify import check_eigenvalue_property, check_nullspace_consistency
 
 __all__ = [
@@ -148,7 +148,8 @@ def repair_operator(
     is raised.  Otherwise S' is built with eps = 1 on the check's basis of N
     (m = dim N / 2 pairs), then scaled linearly so that
     ``||D_plus' - D_plus|| == target_eps`` in the chosen norm, a
-    :class:`NormChoice` or its value.
+    :class:`NormChoice` or its value.  ``D_minus' = D_minus - 1/2 H^{-1} S'``,
+    so an identity ``op`` misses stays missed by as much.
     """
     check_positive(target_eps, "target_eps")
     try:
@@ -175,7 +176,7 @@ def repair_operator(
         )
 
     unit = build_s_prime(op.h, list(check.basis.T), 1.0)
-    half_unit = 0.5 * solve_against_norm(op.h, unit)
+    half_unit = 0.5 * check.basis @ (op.h @ check.basis).T
     delta = _matrix_norm(half_unit, norm_choice)
     if delta <= 0.0:
         raise InternalInconsistencyError("perturbation with unit weights is zero")
@@ -183,12 +184,10 @@ def repair_operator(
     s_prime = eps_k * unit
 
     half_update = eps_k * half_unit
-    d_plus = op.d_plus + half_update
-    s_total = op.s + s_prime
     repaired = op.with_fields(
-        d_plus=d_plus,
-        d_minus=derive_d_minus(d_plus, op.h, s_total),
-        s=s_total,
+        d_plus=op.d_plus + half_update,
+        d_minus=op.d_minus - half_update,
+        s=op.s + s_prime,
         name=f"{op.name}+dissipation" if op.name else None,
     )
     plan = PerturbationPlan(

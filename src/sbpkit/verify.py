@@ -12,9 +12,9 @@ are tested on the Legendre polynomials P_j mapped to the interval, as
 relative residuals ``|A V - T| / (|A||V| + |T|)`` (0/0 = 0), so they do not
 depend on where the interval sits; identity and symmetry residuals are
 absolute; the eigenvalue band of the fallback below scales with the
-Frobenius norm.  Definiteness of H and the ranks of both nullspace routes
-follow the package's one rank rule (:func:`sbpkit.linalg.rank_threshold`),
-whatever the tolerance.  A diagonal H (or S) skips the dense products and
+Frobenius norm.  Definiteness of H and of S and the ranks of both
+nullspace routes follow the package's one rank rule
+(:func:`sbpkit.linalg.rank_threshold`), whatever the tolerance.  A diagonal H (or S) skips the dense products and
 eigenvalue solves with bit-identical residuals.
 
 :func:`verify_all` builds D_tilde once and hands it to both spectral checks.
@@ -60,10 +60,6 @@ __all__ = [
     "check_eigenvalue_property",
     "verify_all",
 ]
-
-#: Relative floor for the smallest eigenvalue of the symmetrized S.
-PSD_FLOOR = 1e-12
-
 
 class Property(enum.Enum):
     """Identifiers for the individually verified operator conditions."""
@@ -249,18 +245,18 @@ def check_sbp_identities(
 def check_s_conditions(
     op: SbpOperatorPair, tolerance: float = DEFAULT_TOLERANCE
 ) -> tuple[PropertyResidual, PropertyResidual, PropertyResidual]:
-    """Check S = S^T >= 0 and S P_j = 0 for j = 0..q (relative to |S||P_j|)."""
+    """Check S = S^T >= 0 and S P_j = 0 for j = 0..q (relative to |S||P_j|).
+
+    Semi-definiteness follows the package's one rank rule, as in
+    :func:`check_spd`: the smallest eigenvalue of the symmetrized S may fall
+    below zero by at most ``rank_threshold`` of the largest magnitude.
+    """
     tolerance = check_positive(tolerance)
     s = op.s
     sym_defect = max_abs(s - s.T)
-    if _is_diagonal(s):
-        lam_min = float(np.min(np.diagonal(s)))
-    else:
-        lam_min = float(np.linalg.eigvalsh(0.5 * (s + s.T))[0])
-    psd_defect = max(0.0, -lam_min)
-    # Roundoff floor scaled to the matrix itself (rank-one sums in repaired
-    # operators are slightly indefinite at machine precision).
-    psd_pass = psd_defect <= PSD_FLOOR * float(np.linalg.norm(s, "fro"))
+    lam = np.diagonal(s) if _is_diagonal(s) else np.linalg.eigvalsh(0.5 * (s + s.T))
+    psd_defect = max(0.0, -float(np.min(lam)))
+    psd_pass = psd_defect <= rank_threshold(max_abs(lam), s.shape[0])
     v, _ = legendre_basis(op.x, op.interval, op.q)
     ann = max_abs(_exactness(s, v, 0.0))
     return (

@@ -15,6 +15,7 @@ from sbpkit import (
     operator_to_document,
     repair_operator,
     save_operator,
+    spectral,
 )
 from sbpkit.cli import main
 
@@ -249,6 +250,29 @@ def test_unwritable_output_exit_2(capsys):
     )
     assert code == 2
     assert "error:" in err
+
+
+def test_an_unwritable_output_is_refused_before_any_work(capsys, monkeypatch):
+    def no_report(*args, **kwargs):
+        raise AssertionError("the report was computed")
+
+    monkeypatch.setattr(spectral, "spectral_report", no_report)
+    code, out, err = _run(capsys, ["spectrum", "--builtin", "classical_fd_600",
+                                   "--output", "/nonexistent/x.json"])
+    assert code == 2
+    assert out == ""
+    assert err == ("error: ParameterError: --output '/nonexistent/x.json': "
+                   "No such file or directory\n")
+
+
+def test_an_existing_output_keeps_its_bytes_when_the_command_fails(capsys, tmp_path):
+    path = tmp_path / "report.json"
+    path.write_bytes(b"earlier report\n")
+    code, _, err = _run(capsys, ["verify", "--input", "/nonexistent/op.json",
+                                 "--output", str(path)])
+    assert code == 2
+    assert "--input '/nonexistent/op.json'" in err
+    assert path.read_bytes() == b"earlier report\n"
 
 
 def test_usage_error_exits_2(capsys):

@@ -305,6 +305,39 @@ def test_diagonal_norm_only_where_exact_on_shifted_intervals(
         assert analysis is None or analysis[1].shape == (n + 1, 0), n
 
 
+@pytest.mark.parametrize("make", [NodeFamily.legendre_gauss_lobatto,
+                                  NodeFamily.chebyshev_gauss_lobatto],
+                         ids=["lgl", "cgl"])
+def test_every_lobatto_operator_passes_its_own_verify_on_the_hautus_route(
+        make, monkeypatch):
+    # D and H of one node set, wherever the interval sits: both identities
+    # hold to rounding, so the Hautus test decides both spectral verdicts
+    # and no eig runs.
+    def no_eig(*args, **kwargs):
+        raise AssertionError("eig called")
+
+    monkeypatch.setattr(np.linalg, "eig", no_eig)
+    intervals = [(-1.0, 1.0), (0.0, 10.0), (100.0, 101.0), (-1000.0, 1000.0),
+                 (5e3, 5e3 + 1.0), (1e4, 1e4 + 1.0)]
+    for a, b in intervals:
+        for n in range(1, 33):
+            op = build_pseudospectral_operator(make(n, Interval(a, b)))
+            report = verify_all(op)
+            verdicts = {r.property.value: r.passed for r in report.residuals}
+            assert verdicts["C_identity"] and verdicts["D_identity"], (a, n)
+            assert report.nullspace_consistent and report.eigenvalue_property, (a, n)
+            assert report.eigenvalue_check.basis.shape == (n + 1, 0), (a, n)
+
+
+def test_lgl_differentiates_on_the_reference_nodes_and_scales():
+    family = NodeFamily.legendre_gauss_lobatto(12, Interval(100.0, 104.0))
+    op = build_pseudospectral_operator(family)
+    t, w = legendre_gauss_lobatto(12)
+    assert op.d_plus.tobytes() == (build_pseudospectral_d(t) * 0.5).tobytes()
+    assert np.diagonal(op.h).tobytes() == (2.0 * w).tobytes()
+    assert op.x.tobytes() == family.nodes.tobytes()
+
+
 def test_oversized_degree_rejected():
     with pytest.raises(ParameterError):
         build_pseudospectral_operator(NodeFamily.legendre_gauss_lobatto(33, REFERENCE))

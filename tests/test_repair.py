@@ -4,6 +4,7 @@ import pytest
 from sbpkit import (
     Interval,
     NormChoice,
+    Property,
     build_classical_fd,
     build_counterexample,
     build_d_tilde,
@@ -225,6 +226,21 @@ def test_repair_returns_conforming_operator_unchanged():
     assert plan.m == 0
 
 
+def test_the_repair_leaves_an_identity_the_input_misses_missed():
+    # D_minus moves by -1/2 H^-1 S' and keeps the D identity's defect.
+    op = build_counterexample()
+    d_minus = np.array(op.d_minus)
+    d_minus[2, 3] += 1e-3
+    off = op.with_fields(d_minus=d_minus)
+    before = {r.property: r for r in verify_all(off).residuals}[Property.D_IDENTITY]
+    repaired, _ = repair_operator(off, 1e-6)
+    after = {r.property: r for r in verify_all(repaired).residuals}[Property.D_IDENTITY]
+    assert not before.passed and not after.passed
+    assert after.residual == pytest.approx(before.residual, rel=1e-6)
+    assert after.residual == pytest.approx(1e-3, rel=1e-6)
+    assert np.max(np.abs(repaired.d_minus - off.d_minus)) <= 1e-6
+
+
 def test_repair_requires_nullspace_consistency():
     op = build_counterexample()
     d = np.array(op.d_plus)
@@ -400,6 +416,50 @@ def test_the_repair_acts_on_the_checks_basis_of_the_planted_subspace(omegas, con
     expected = build_s_prime(op.h, list(check.basis.T), plan.epsilons[0])
     np.testing.assert_allclose(plan.s_prime, expected, rtol=0.0,
                                atol=1e-12 * np.max(np.abs(expected)))
+
+
+def _repairs():
+    """(op, repaired, plan) for the counterexample and the planted operators."""
+    op = build_counterexample()
+    for eps in (1e-2, 1e-6, 1e-11):
+        for norm in NormChoice:
+            yield op, *repair_operator(op, eps, norm)
+    for omegas in ((3.0,), (9.0, 9.0, 17.0), (3.0, 7.0, 9.0, 9.0, 17.0, 25.0)):
+        for congruent in (False, True):
+            op, _ = _plant(build_classical_fd(40, Interval(0.0, 1.0)), omegas,
+                           np.random.default_rng(40), congruent)
+            yield op, *repair_operator(op, 1e-3)
+
+
+def test_the_repair_moves_d_minus_opposite_to_d_plus():
+    # D_plus' - D_plus = 1/2 H^-1 S' = D_minus - D_minus', to the rounding of
+    # the sums with D_plus and D_minus.
+    cases = list(_repairs())
+    assert len(cases) == 12
+    for op, repaired, plan in cases:
+        assert plan.m > 0
+        step_plus = repaired.d_plus - op.d_plus
+        step_minus = repaired.d_minus - op.d_minus
+        rounding = 4 * np.finfo(float).eps * max(np.max(np.abs(op.d_plus)),
+                                                 np.max(np.abs(op.d_minus)))
+        assert np.max(np.abs(step_minus + step_plus)) <= rounding
+        np.testing.assert_allclose(step_plus, 0.5 * np.linalg.solve(op.h, plan.s_prime),
+                                   rtol=0.0, atol=rounding + 1e-12 * np.max(np.abs(step_plus)))
+
+
+def test_the_repair_makes_no_solve_of_its_own(monkeypatch):
+    # With a dense H, the solves of a repair are those of D_tilde and of the
+    # Hautus test; the update (eps/2) Q (H Q)^T needs none.
+    op, _ = _plant(build_classical_fd(40, Interval(0.0, 1.0)), (9.0, 9.0, 17.0),
+                   np.random.default_rng(40), congruent=True)
+    solves = []
+    solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda *a: solves.append(1) or solve(*a))
+    check_eigenvalue_property(op, build_d_tilde(op))
+    analysis = len(solves)
+    _, plan = repair_operator(op, 1e-3)
+    assert plan.m == 3
+    assert len(solves) - analysis == analysis == 3
 
 
 def test_a_congruence_keeps_the_eigenvalue_verdict():

@@ -445,20 +445,28 @@ def test_hautus_and_band_find_the_same_unobservable_subspace(calls, build):
     assert np.max(np.abs(q.T @ op.h @ q - np.eye(q.shape[1])), initial=0.0) <= 1e-12
 
 
+def _fd_32_off_the_identity():
+    # classical FD n = 32 with one entry of D_plus (and D_minus) moved by
+    # 1e-9, row sum kept: every check passes at 1e-10, but the SBP identity
+    # misses by 6.25e-11, far above rounding.
+    op = build_classical_fd(32, Interval(0.0, 1.0))
+    d = op.d_plus.copy()
+    d[5, 6] += 1e-9
+    d[5, 5] -= 1e-9
+    return op.with_fields(d_plus=d, d_minus=d)
+
+
 def test_where_the_sbp_identity_is_off_by_more_than_rounding_one_eig_decides(calls):
-    # LGL on [100, 101] loses digits to the distance from the origin: the
-    # identity defect of A + A^T = B B^T in H coordinates is 2.2e-12 of
-    # max|A| against the gate's 4.7e-13.  The band of one eig decides.
-    op = build_pseudospectral_operator(
-        NodeFamily.legendre_gauss_lobatto(32, Interval(100.0, 101.0)))
+    # The identity defect of A + A^T = B B^T in H coordinates is far above
+    # the gate's rounding-level bound.  The band of one eig decides.
+    op = _fd_32_off_the_identity()
     check = verify_all(op).eigenvalue_check
     assert (calls["build_d_tilde"], calls["eig"], calls["eigh"]) == (1, 1, 0)
     assert check.has_property and check.offending == ()
 
 
 def test_where_the_hautus_test_does_not_apply_the_repair_takes_the_band(calls):
-    op = build_pseudospectral_operator(
-        NodeFamily.legendre_gauss_lobatto(32, Interval(100.0, 101.0)))
+    op = _fd_32_off_the_identity()
     repaired, plan = repair_operator(op, 1e-3)
     assert (calls["build_d_tilde"], calls["eig"], calls["eigh"]) == (1, 1, 0)
     assert repaired is op
@@ -489,7 +497,7 @@ def test_the_check_carries_the_hautus_basis(build):
 
 
 def test_where_the_band_decides_the_check_has_no_basis():
-    op = _lgl_32_far_from_the_origin()
+    op = _fd_32_off_the_identity()
     d_tilde = build_d_tilde(op)
     assert orthogonalize_imaginary(op, d_tilde) is None
     check = check_eigenvalue_property(op, d_tilde)

@@ -26,6 +26,7 @@ from sbpkit import (
     verify_all,
 )
 from sbpkit.errors import InternalInconsistencyError, ParameterError
+from sbpkit.linalg import rank_threshold
 
 
 def _residuals(report):
@@ -146,6 +147,16 @@ def test_s_conditions_zero_matrix():
 def test_s_conditions_after_repair():
     repaired, _ = repair_operator(build_counterexample(), 1e-3)
     assert all(r.passed for r in check_s_conditions(repaired))
+
+
+@pytest.mark.parametrize("factor, passed", [(2.0, False), (0.5, True)])
+def test_s_psd_follows_the_rank_rule(factor, passed):
+    # S >= 0 up to rank_threshold of its largest eigenvalue, as H > 0 is decided
+    op = build_two_point()
+    s = np.diag([1.0, -factor * rank_threshold(1.0, 2)])
+    psd = check_s_conditions(op.with_fields(s=s))[1]
+    assert psd.passed is passed
+    assert psd.residual == factor * rank_threshold(1.0, 2)
 
 
 def test_s_annihilation_fails_for_boundary_projector():

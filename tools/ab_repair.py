@@ -15,8 +15,9 @@ as in the benchmark.
 
 One line per input gives its size, the median CPU ms of each side and the
 ratio B/A; the last lines give the median of the per-input ratios, how many
-inputs B is faster on, and whether both sides wrote the same bytes for
-every plan's S'.
+inputs B is faster on, whether both sides wrote the same bytes for every
+plan's S', and the largest ``max|S'_B - S'_A| / max|S'_A|`` over the inputs,
+so that a move at the level of rounding shows.
 """
 
 from __future__ import annotations
@@ -58,6 +59,7 @@ def main() -> int:
 
     os.environ.update(run.BLAS_PINS)  # before numpy starts its BLAS
     import gen
+    import numpy as np
 
     sides = [_load(sys.argv[1], "sbpkit_a"), _load(sys.argv[2], "sbpkit_b")]
     inputs = [gen.repair_input(seed, slot) for slot in range(len(gen.REPAIR_SLOTS))]
@@ -70,8 +72,9 @@ def main() -> int:
         plan = sides[side].repair_operator(op, budget, norm)[1]
         return time.process_time() - start, plan
 
-    same = all(repair(0, k)[1].s_prime.tobytes() == repair(1, k)[1].s_prime.tobytes()
-               for k in range(len(inputs)))
+    plans = [(repair(0, k)[1].s_prime, repair(1, k)[1].s_prime) for k in range(len(inputs))]
+    same = all(a.tobytes() == b.tobytes() for a, b in plans)
+    moved = max(float(np.max(np.abs(b - a)) / np.max(np.abs(a))) for a, b in plans)
     times = [[[] for _ in inputs] for _ in sides]
     for r in range(rounds):
         for slot in range(len(inputs)):
@@ -85,7 +88,7 @@ def main() -> int:
         print(f"slot {slot} n={pair.size - 1:<4} A {a:8.3f} ms  B {b:8.3f} ms  B/A {b / a:.3f}")
     wins = sum(ratio < 1.0 for ratio in ratios)
     print(f"median B/A {statistics.median(ratios):.3f}; B faster on {wins} of {len(ratios)}")
-    print(f"identical S' on every input: {same}")
+    print(f"identical S' on every input: {same}; largest relative difference {moved:.1e}")
     return 0
 
 
