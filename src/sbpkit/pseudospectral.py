@@ -65,9 +65,6 @@ __all__ = [
 #: through degree 2n - 1 and therefore usable in the bundle.
 MOMENT_EXACTNESS_RTOL = 1e-10
 
-#: Largest supported polynomial degree.
-MAX_N = 32
-
 #: Above this degree, non-Lobatto node sets get a conditioning warning.
 CONDITIONING_WARNING_N = 12
 
@@ -210,7 +207,11 @@ def _check_nodes(nodes) -> np.ndarray:
 
 
 def _barycentric_weights(nodes: np.ndarray) -> np.ndarray:
-    diff = nodes[:, None] - nodes[None, :]
+    """Barycentric weights scaled to max 1.  The node differences are first
+    scaled by the power of two nearest 4 / (max - min) (Berrut & Trefethen
+    2004), so products stay finite; a power of two scales them exactly."""
+    scale = 2.0 ** np.round(np.log2(4.0 / (np.max(nodes) - np.min(nodes))))
+    diff = (nodes[:, None] - nodes[None, :]) * scale
     np.fill_diagonal(diff, 1.0)
     beta = 1.0 / np.prod(diff, axis=1)
     return beta / max_abs(beta)
@@ -316,11 +317,9 @@ def build_pseudospectral_operator(family: NodeFamily) -> SbpOperatorPair:
     other family first computes interpolatory weights and refuses the node
     set if any weight is non-positive; the diagonal norm is kept when its
     moments are exact through degree 2n - 1 (Gauss-type nodes, n <= 2) and
-    replaced by the dense modal norm otherwise.
+    replaced by the dense modal norm otherwise.  No degree cap applies.
     """
     n = family.n
-    if n > MAX_N:
-        raise ParameterError(f"n={n} exceeds the supported maximum {MAX_N}")
     if n > CONDITIONING_WARNING_N and family.tag not in _LOBATTO:
         warnings.warn(
             f"interpolatory weights on {family.tag.value} nodes are "

@@ -23,7 +23,6 @@ import numpy as np
 from .errors import ParameterError, ShapeError, SingularSystemError
 from .linalg import max_abs
 from .operators import SbpOperatorPair, solve_against_norm
-from .spectral import build_d_tilde
 
 __all__ = [
     "FlowDirection",
@@ -91,11 +90,11 @@ def assemble(op: SbpOperatorPair, problem: SatProblem) -> tuple[np.ndarray, np.n
         )
     sigma = problem.sigma
     if problem.direction is FlowDirection.FORWARD:
-        matrix = build_d_tilde(op)
-        penalty = solve_against_norm(op.h, op.p0)
+        d, boundary = op.d_plus, op.p0
     else:
-        penalty = solve_against_norm(op.h, op.pn)
-        matrix = op.d_minus + sigma * np.outer(penalty, op.pn)
+        d, boundary = op.d_minus, op.pn
+    penalty = solve_against_norm(op.h, boundary)
+    matrix = d + sigma * np.outer(penalty, boundary)
     return matrix, problem.f_samples + sigma * penalty * problem.u0
 
 

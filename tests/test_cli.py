@@ -18,6 +18,7 @@ from sbpkit import (
     spectral,
 )
 from sbpkit.cli import main
+from sbpkit.verify import EigenvalueCheck
 
 INV_SQRT5 = 0.4472135954999579
 
@@ -426,6 +427,19 @@ def test_pseudospectral_certify_far_from_the_origin(capsys, family):
     doc = json.loads(out)
     assert doc["certified"] is True
     assert all(e["moment_ok"] is True for e in doc["entries"])
+
+
+def test_pseudospectral_certify_failure_exits_1(capsys, monkeypatch):
+    monkeypatch.setattr(
+        "sbpkit.pseudospectral.check_eigenvalue_property",
+        lambda *args: EigenvalueCheck(has_property=False, offending=(0.5j,), basis=None))
+    code, out, _ = _run(
+        capsys, ["pseudospectral", "--certify", "--n", "2", "--format", "text"])
+    assert code == 1
+    assert "certified: False" in out
+    failures = [line for line in out.splitlines() if line.startswith("  failure: ")]
+    assert len(failures) == 2
+    assert all("offending eigenvalues 0.5j" in line for line in failures)
 
 
 def test_pseudospectral_certify_explicit_nodes(capsys):

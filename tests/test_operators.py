@@ -449,3 +449,16 @@ def test_integer_beyond_the_digit_limit_is_parse_error():
 def test_non_object_document_rejected():
     with pytest.raises(SchemaError):
         operator_from_document([1, 2, 3])
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("n", True, "expected an integer"),
+    ("n", 0, "n must be >= 1"),
+    ("name", 7, "expected a string"),
+], ids=["n_bool", "n_zero", "name_not_a_string"])
+def test_bad_scalar_field_is_schema_error_with_its_path(field, value, message):
+    doc = _parsed_document(build_two_point())
+    doc[field] = value
+    with pytest.raises(SchemaError, match=message) as excinfo:
+        operator_from_document(doc)
+    assert excinfo.value.path == field

@@ -18,7 +18,9 @@ from sbpkit import (
     verify_all,
 )
 from sbpkit.errors import IndefiniteNormError, InvariantError, ParameterError
-from sbpkit.pseudospectral import build_modal_h, chebyshev_gauss_lobatto_nodes
+from sbpkit.pseudospectral import (_barycentric_weights, build_modal_h,
+                                   chebyshev_gauss_lobatto_nodes)
+from sbpkit.verify import EigenvalueCheck
 
 from oracles import loop_pseudospectral_d, vandermonde_d
 
@@ -191,6 +193,10 @@ def test_node_family_validation():
     with pytest.raises(InvariantError):
         NodeFamily(Family.CHEBYSHEV_GAUSS_LOBATTO, 2, REFERENCE,
                    np.array([-0.9, 0.0, 1.0]))
+    with pytest.raises(InvariantError, match="n >= 1"):
+        NodeFamily.explicit([0.5], REFERENCE)
+    with pytest.raises(InvariantError, match="expected 4 nodes, got 3"):
+        NodeFamily(Family.EXPLICIT, 3, REFERENCE, np.array([-1.0, 0.0, 1.0]))
 
 
 def test_a_family_given_by_its_value_builds_the_same_operator():
@@ -338,9 +344,68 @@ def test_lgl_differentiates_on_the_reference_nodes_and_scales():
     assert op.x.tobytes() == family.nodes.tobytes()
 
 
-def test_oversized_degree_rejected():
-    with pytest.raises(ParameterError):
-        build_pseudospectral_operator(NodeFamily.legendre_gauss_lobatto(33, REFERENCE))
+def test_degree_33_builds_where_its_nodes_allow():
+    # No degree cap: LGL builds and verifies past n = 32, while uniform
+    # nodes are refused by their negative weights.
+    report = verify_all(
+        build_pseudospectral_operator(NodeFamily.legendre_gauss_lobatto(33, REFERENCE)))
+    assert report.all_passed()
+    assert report.nullspace_consistent and report.eigenvalue_property
+    with pytest.warns(RuntimeWarning, match="ill-conditioned"):
+        with pytest.raises(IndefiniteNormError):
+            build_pseudospectral_operator(NodeFamily.uniform(33, REFERENCE))
+
+
+@pytest.mark.parametrize("interval, degrees", [((0.0, 1e-12), range(25, 33)),
+                                               ((0.0, 1e12), range(27, 33))],
+                         ids=["1e-12", "1e12"])
+def test_cgl_on_tiny_and_huge_intervals_builds_and_verifies(interval, degrees):
+    # Unscaled node differences make the barycentric products overflow here.
+    for n in degrees:
+        op = build_pseudospectral_operator(
+            NodeFamily.chebyshev_gauss_lobatto(n, Interval(*interval)))
+        report = verify_all(op)
+        assert report.all_passed(), n
+        assert report.nullspace_consistent and report.eigenvalue_property, n
+
+
+def test_barycentric_scaling_keeps_the_bits_of_the_unscaled_weights():
+    # The scale is a power of two, so it cancels exactly in the normalized
+    # weights wherever the unscaled products are finite and normal.
+    for a, b in [(-1.0, 1.0), (0.0, 10.0), (100.0, 101.0), (-1000.0, 1000.0)]:
+        for n in range(1, 33):
+            nodes = NodeFamily.chebyshev_gauss_lobatto(n, Interval(a, b)).nodes
+            diff = nodes[:, None] - nodes[None, :]
+            np.fill_diagonal(diff, 1.0)
+            beta = 1.0 / np.prod(diff, axis=1)
+            expected = beta / np.max(np.abs(beta))
+            assert _barycentric_weights(nodes).tobytes() == expected.tobytes(), (a, n)
+
+
+@pytest.mark.parametrize("make", [NodeFamily.legendre_gauss_lobatto,
+                                  NodeFamily.chebyshev_gauss_lobatto],
+                         ids=["lgl", "cgl"])
+def test_high_degree_lobatto_operators_pass_verify_on_the_hautus_route(
+        make, monkeypatch):
+    def no_eig(*args, **kwargs):
+        raise AssertionError("eig called")
+
+    monkeypatch.setattr(np.linalg, "eig", no_eig)
+    for a, b in [(0.0, 1e-2), (100.0, 101.0), (-1000.0, 1000.0), (0.0, 1e6)]:
+        for n in (48, 128):
+            report = verify_all(build_pseudospectral_operator(make(n, Interval(a, b))))
+            assert report.all_passed(), (a, n)
+            assert report.nullspace_consistent and report.eigenvalue_property, (a, n)
+            assert report.eigenvalue_check.basis.shape == (n + 1, 0), (a, n)
+
+
+@pytest.mark.parametrize("make", [NodeFamily.legendre_gauss_lobatto,
+                                  NodeFamily.chebyshev_gauss_lobatto],
+                         ids=["lgl", "cgl"])
+def test_certify_lobatto_sweep_past_degree_32(make):
+    report = certify_families([make(n, Interval(100.0, 101.0)) for n in range(1, 65)])
+    assert report.certified
+    assert len(report.entries) == 64
 
 
 def test_conditioning_warning_above_threshold():
@@ -398,7 +463,6 @@ def test_certify_random_positive_weight_node_sets():
 @pytest.mark.parametrize("interval", [REFERENCE, Interval(100.0, 101.0)],
                          ids=["-1_1", "100_101"])
 def test_certified_min_real_part_is_the_spectrum_reports(interval):
-    # on [100, 101] the LGL families from n = 8 take the band fallback
     families = [maker(n, interval)
                 for maker in (NodeFamily.legendre_gauss_lobatto,
                               NodeFamily.chebyshev_gauss_lobatto)
@@ -419,6 +483,20 @@ def test_certify_rejects_a_nonpositive_band(tau):
 def test_certify_rejects_an_empty_sweep(families):
     with pytest.raises(ParameterError, match="no family"):
         certify_families(families)
+
+
+def test_a_failed_eigenvalue_check_fails_the_certification(monkeypatch):
+    offending = (1e-3 + 0.5j, 1e-3 - 0.5j)
+    monkeypatch.setattr(
+        "sbpkit.pseudospectral.check_eigenvalue_property",
+        lambda *args: EigenvalueCheck(has_property=False, offending=offending, basis=None))
+    report = certify_families([NodeFamily.legendre_gauss_lobatto(2, REFERENCE)])
+    assert not report.certified
+    assert not report.entries[0].eigenvalue_ok and not report.entries[0].passed
+    (failure,) = report.failures
+    assert failure.startswith("legendre_gauss_lobatto(n=2, [-1, 1]):")
+    assert f"offending eigenvalues {offending[0]}, {offending[1]}" in failure
+    assert report.to_document()["failures"] == [failure]
 
 
 def test_certification_document():

@@ -51,6 +51,18 @@ def test_forward_datum_enters_through_the_norm():
     np.testing.assert_array_equal(rhs, [6.0, 0.0])
 
 
+@pytest.mark.parametrize("direction", list(FlowDirection), ids=lambda d: d.value)
+def test_assembly_solves_against_a_dense_norm_once(direction, monkeypatch):
+    op = build_pseudospectral_operator(
+        NodeFamily.chebyshev_gauss_lobatto(6, Interval(0.0, 1.0)))
+    assert np.count_nonzero(op.h - np.diag(np.diagonal(op.h))) > 0
+    solves = []
+    solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda *a: solves.append(1) or solve(*a))
+    assemble(op, SatProblem(f_samples=np.zeros(7), u0=1.0, direction=direction))
+    assert len(solves) == 1
+
+
 def test_reversed_assembly_two_point():
     op = build_two_point()
     matrix, rhs = assemble(

@@ -540,6 +540,21 @@ LGL_1_TO_4 = [NodeFamily.legendre_gauss_lobatto(n, Interval(-1.0, 1.0))
               for n in range(1, 5)]
 
 
+@pytest.mark.parametrize("build", [build_two_point, build_counterexample],
+                         ids=["two_point", "counterexample"])
+def test_where_h_has_no_cholesky_factor_one_eig_decides(calls, build):
+    # A dense, indefinite H: the Hautus test cannot take H coordinates, so
+    # the band decides the eigenvalue verdict and there is no basis.
+    op = build()
+    h = np.array(op.h)
+    h[0, 1] = h[1, 0] = 0.9 * (h[0, 0] + h[1, 1])
+    report = verify_all(op.with_fields(h=h))
+    verdicts = {r.property.value: r.passed for r in report.residuals}
+    assert verdicts["B_spd"] is False
+    assert (calls["cholesky"], calls["eig"]) == (1, 1)
+    assert report.eigenvalue_check.basis is None
+
+
 @pytest.mark.parametrize("call, counts", [
     (lambda op: verify_all(op), (1, 0, 1, 0)),
     (lambda op: spectral_report(op), (1, 1, 0, 0)),

@@ -11,9 +11,9 @@ covers, in this order:
 - the argv, exit status, stdout and written file of each of the 60 seed-7
   ``cli_small`` commands, one ``python3 -m sbpkit.cli`` child process each;
 - the argv, exit status and stdout of each command in ``EXTRA_COMMANDS``:
-  the text rendering of every subcommand that has one, and two empty
-  operator options, whose stderr adds only whether it starts with
-  ``error: ParameterError:``.
+  the text rendering of every subcommand that has one, a certification of
+  degrees 1..48, and two empty operator options, whose stderr adds only
+  whether it starts with ``error: ParameterError:``.
 
 One line per section (``diagnose_fd``, ``repair_planted``, ``cli_small``,
 ``extra_commands``) gives the section's name and the digest of its own
@@ -44,6 +44,8 @@ EXTRA_COMMANDS = (
     ["converge", "--grids", "8,16,32", "--function", "exp", "--format", "text"],
     ["pseudospectral", "--family", "legendre_gauss_lobatto", "--n", "6", "--certify",
      "--format", "text"],
+    ["pseudospectral", "--family", "chebyshev_gauss_lobatto", "--n", "48", "--interval",
+     "-1000", "1000", "--certify", "--format", "text"],
     ["verify", "--builtin", ""],
     ["verify", "--input", ""],
 )
