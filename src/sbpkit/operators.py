@@ -58,18 +58,37 @@ class Interval:
         return self.b - self.a
 
 
-def _locked(arr: np.ndarray) -> np.ndarray:
-    out = np.array(arr, dtype=float, order="C", copy=True)
-    out.flags.writeable = False
-    return out
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    """``arr`` itself, locked: for arrays a builder has made and hands over."""
+    arr.flags.writeable = False
+    return arr
+
+
+def _adopted(value, vector: bool) -> np.ndarray:
+    """``value`` itself when it is a read-only float64 ndarray that owns its
+    C-contiguous memory (1-D for a vector), else a locked float64 copy."""
+    if (type(value) is np.ndarray and value.dtype == np.float64
+            and value.base is None and value.flags.c_contiguous
+            and not value.flags.writeable and (value.ndim == 1 or not vector)):
+        return value
+    return _read_only(np.array(np.ravel(value) if vector else value,
+                               dtype=float, order="C", copy=True))
 
 
 @dataclass(frozen=True)
 class SbpOperatorPair:
     """The full SBP bundle on ``n + 1`` grid nodes.
 
-    Instances are immutable; the arrays are copied and locked at
-    construction, so values may be shared freely across threads.
+    Instances are immutable and hold each array once.  An input that is a
+    float64 ndarray, C-contiguous, read-only and the owner of its memory
+    (``base is None``) is kept as it is; any other input, a read-only view
+    of writable memory included, is copied and the copy locked.  One object
+    given for several fields is stored once, so ``d_minus=d_plus`` gives
+    ``op.d_minus is op.d_plus``, and :meth:`with_fields` shares every field
+    it does not replace.  The lock is advisory, as numpy's always is: the
+    owner of an array may turn ``writeable`` back on, and an operator that
+    adopted the array would see what is then written.  Values may be shared
+    freely across threads.
     """
 
     d_plus: np.ndarray
@@ -84,7 +103,17 @@ class SbpOperatorPair:
     name: str | None = None
 
     def __post_init__(self) -> None:
-        x = _locked(np.ravel(self.x))
+        stored: dict[tuple[int, bool], np.ndarray] = {}
+
+        def adopt(attr: str, vector: bool) -> np.ndarray:
+            # Keyed by the input object, which stays alive until this returns.
+            value = getattr(self, attr)
+            key = (id(value), vector)
+            if key not in stored:
+                stored[key] = _adopted(value, vector)
+            return stored[key]
+
+        x = adopt("x", vector=True)
         m = x.size
         if m < 2:
             raise InvariantError("an operator needs at least two grid nodes")
@@ -98,14 +127,14 @@ class SbpOperatorPair:
         object.__setattr__(self, "q", int(self.q))
         object.__setattr__(self, "x", x)
         for attr in ("d_plus", "d_minus", "h", "s"):
-            mat = _locked(getattr(self, attr))
+            mat = adopt(attr, vector=False)
             if mat.shape != (m, m):
                 raise InvariantError(
                     f"{attr} must have shape {(m, m)}, got {mat.shape}"
                 )
             object.__setattr__(self, attr, mat)
         for attr in ("p0", "pn"):
-            vec = _locked(np.ravel(getattr(self, attr)))
+            vec = adopt(attr, vector=True)
             if vec.size != m:
                 raise InvariantError(f"{attr} must have length {m}, got {vec.size}")
             object.__setattr__(self, attr, vec)
@@ -122,12 +151,18 @@ class SbpOperatorPair:
         return self.x.size - 1
 
     def with_fields(self, **changes) -> "SbpOperatorPair":
-        """Copy with the given fields replaced (re-runs structural checks)."""
+        """Copy with the given fields replaced (re-runs structural checks);
+        the fields not replaced are shared, not copied."""
         return replace(self, **changes)
 
 
 def _is_diagonal(a: np.ndarray) -> bool:
-    return np.count_nonzero(a - np.diag(np.diagonal(a))) == 0
+    """Whether every off-diagonal entry is zero and every diagonal entry is
+    finite (a nan anywhere, or an inf on the diagonal, is not diagonal).
+    Counts in place: no array of the size of ``a`` is made."""
+    diagonal = np.diagonal(a)
+    return (np.count_nonzero(a) == np.count_nonzero(diagonal)
+            and bool(np.isfinite(diagonal).all()))
 
 
 def solve_against_norm(h: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -165,6 +200,26 @@ def derive_d_minus(d_plus: np.ndarray, h: np.ndarray, s: np.ndarray) -> np.ndarr
     return d_plus - solve_against_norm(h, s)
 
 
+def _builder_pair(d, h, p0, pn, x, q: int, interval: Interval,
+                  name: str) -> SbpOperatorPair:
+    """A builder's operator with ``D_minus = D_plus = d`` and S = 0.  The
+    arrays are the builder's own: they are locked here and adopted, not
+    copied."""
+    m = d.shape[0]
+    return SbpOperatorPair(
+        d_plus=_read_only(d),
+        d_minus=d,
+        h=_read_only(h),
+        s=_read_only(np.zeros((m, m))),
+        p0=_read_only(p0),
+        pn=_read_only(pn),
+        x=_read_only(x),
+        q=q,
+        interval=interval,
+        name=name,
+    )
+
+
 def build_counterexample() -> SbpOperatorPair:
     """The 6-node order-1 operator whose penalized matrix has a purely
     imaginary conjugate eigenvalue pair.
@@ -189,33 +244,19 @@ def build_counterexample() -> SbpOperatorPair:
     )
     x = np.array([-5, -3, -1, 1, 3, 5], dtype=float) / 2.0
     h = np.diag([0.5, 1.0, 1.0, 1.0, 1.0, 0.5])
-    s = np.zeros((6, 6))
     p0 = np.zeros(6)
     p0[0] = 1.0
     pn = np.zeros(6)
     pn[5] = 1.0
-    return SbpOperatorPair(
-        d_plus=d_plus,
-        d_minus=d_plus,
-        h=h,
-        s=s,
-        p0=p0,
-        pn=pn,
-        x=x,
-        q=1,
-        interval=Interval(-2.5, 2.5),
-        name="counterexample",
-    )
+    return _builder_pair(d=d_plus, h=h, p0=p0, pn=pn, x=x, q=1,
+                         interval=Interval(-2.5, 2.5), name="counterexample")
 
 
 def build_two_point() -> SbpOperatorPair:
     """The minimal 2-node operator on [0, 1] (exact for linears)."""
-    d_plus = np.array([[-1.0, 1.0], [-1.0, 1.0]])
-    return SbpOperatorPair(
-        d_plus=d_plus,
-        d_minus=d_plus,
+    return _builder_pair(
+        d=np.array([[-1.0, 1.0], [-1.0, 1.0]]),
         h=np.diag([0.5, 0.5]),
-        s=np.zeros((2, 2)),
         p0=np.array([1.0, 0.0]),
         pn=np.array([0.0, 1.0]),
         x=np.array([0.0, 1.0]),
@@ -241,27 +282,19 @@ def build_classical_fd(n: int, interval: Interval) -> SbpOperatorPair:
     d_plus[0, 1] = 1.0 / dx
     d_plus[m - 1, m - 2] = -1.0 / dx
     d_plus[m - 1, m - 1] = 1.0 / dx
-    for i in range(1, m - 1):
-        d_plus[i, i - 1] = -1.0 / (2.0 * dx)
-        d_plus[i, i + 1] = 1.0 / (2.0 * dx)
+    # The diagonals of these views are the entries (i, i - 1) and (i, i + 1)
+    # of the interior rows i = 1..n-1.
+    np.fill_diagonal(d_plus[1:-1, :-2], -1.0 / (2.0 * dx))
+    np.fill_diagonal(d_plus[1:-1, 2:], 1.0 / (2.0 * dx))
     weights = np.full(m, dx)
     weights[0] = weights[-1] = dx / 2.0
     p0 = np.zeros(m)
     p0[0] = 1.0
     pn = np.zeros(m)
     pn[-1] = 1.0
-    return SbpOperatorPair(
-        d_plus=d_plus,
-        d_minus=d_plus,
-        h=np.diag(weights),
-        s=np.zeros((m, m)),
-        p0=p0,
-        pn=pn,
-        x=np.linspace(interval.a, interval.b, m),
-        q=1,
-        interval=interval,
-        name=f"classical_fd_{n}",
-    )
+    return _builder_pair(d=d_plus, h=np.diag(weights), p0=p0, pn=pn,
+                         x=np.linspace(interval.a, interval.b, m), q=1,
+                         interval=interval, name=f"classical_fd_{n}")
 
 
 BUILTIN_OPERATORS = {

@@ -44,7 +44,7 @@ from .errors import (
 )
 from .linalg import (DEFAULT_TOLERANCE, check_positive, legendre_basis, max_abs,
                      rank_threshold)
-from .operators import Interval, SbpOperatorPair
+from .operators import Interval, SbpOperatorPair, _builder_pair
 from .verify import check_eigenvalue_property, check_nullspace_consistency
 
 __all__ = [
@@ -343,11 +343,9 @@ def build_pseudospectral_operator(family: NodeFamily) -> SbpOperatorPair:
             family.nodes, family.interval, diag, 2 * n - 1
         ):
             h = build_modal_h(family.nodes, family.interval)
-    return SbpOperatorPair(
-        d_plus=d,
-        d_minus=d,
+    return _builder_pair(
+        d=d,
         h=h,
-        s=np.zeros((n + 1, n + 1)),
         p0=p0,
         pn=pn,
         x=family.nodes,

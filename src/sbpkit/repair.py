@@ -40,7 +40,7 @@ from .errors import (
     ShapeError,
 )
 from .linalg import DEFAULT_TOLERANCE, check_positive, max_abs
-from .operators import SbpOperatorPair
+from .operators import SbpOperatorPair, _read_only
 from .verify import check_eigenvalue_property, check_nullspace_consistency
 
 __all__ = [
@@ -185,9 +185,9 @@ def repair_operator(
 
     half_update = eps_k * half_unit
     repaired = op.with_fields(
-        d_plus=op.d_plus + half_update,
-        d_minus=op.d_minus - half_update,
-        s=op.s + s_prime,
+        d_plus=_read_only(op.d_plus + half_update),
+        d_minus=_read_only(op.d_minus - half_update),
+        s=_read_only(op.s + s_prime),
         name=f"{op.name}+dissipation" if op.name else None,
     )
     plan = PerturbationPlan(

@@ -94,7 +94,10 @@ def assemble(op: SbpOperatorPair, problem: SatProblem) -> tuple[np.ndarray, np.n
     else:
         d, boundary = op.d_minus, op.pn
     penalty = solve_against_norm(op.h, boundary)
-    matrix = d + sigma * np.outer(penalty, boundary)
+    # The one array of the system's size.  sigma is +-1, so scaling the
+    # penalty first is exact, and adding d last gives d + sigma * outer's bits.
+    matrix = np.outer(sigma * penalty, boundary)
+    matrix += d
     return matrix, problem.f_samples + sigma * penalty * problem.u0
 
 

@@ -160,7 +160,7 @@ def eigen_decompose(
     a = np.asarray(a)
     if np.iscomplexobj(a):
         raise ContractError("expected a real matrix")
-    a = a.astype(float)
+    a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ShapeError(f"expected a square matrix, got shape {a.shape}")
     m = a.shape[0]
@@ -176,11 +176,17 @@ def eigen_decompose(
     order = np.lexsort((lam.imag, lam.real))
     w = vec.T[order]
 
-    # All H-norms from one real product, one eigenvector per row: each sum
-    # then runs along the contiguous axis, which numpy adds pairwise (a
-    # column sum drifts by a few ulp from the per-vector w* H w).
+    # All H-norms from one real product, re * (re @ h.T) + im * (im @ h.T)
+    # formed in place, one eigenvector per row: each sum then runs along the
+    # contiguous axis, which numpy adds pairwise (a column sum drifts by a
+    # few ulp from the per-vector w* H w).
     re, im = w.real, w.imag
-    squares = np.sum(re * (re @ h.T) + im * (im @ h.T), axis=1)
+    products = re @ h.T
+    products *= re
+    part = im @ h.T
+    part *= im
+    products += part
+    squares = np.sum(products, axis=1)
     # Keep LAPACK's array, allocated first, and free the copy above it: a
     # freed hole below a kept block made peak RSS jump by 5 MB more often.
     vec[...] = w

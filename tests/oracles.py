@@ -1,12 +1,29 @@
-"""Reference constructions that the tests compare sbpkit against."""
+"""Reference constructions that the tests compare sbpkit against, and the
+memory measure its budgets are stated in."""
 
 import json
+import tracemalloc
 
 import numpy as np
 
 from sbpkit.errors import ParameterError
 from sbpkit.linalg import legendre_basis, max_abs
 from sbpkit.sat import FlowDirection, SatProblem, solve
+
+
+#: Bytes of one 513 x 513 float64 array, the unit of the memory budgets.
+N2_BYTES = 513 * 513 * 8
+
+
+def peak_n2(fn) -> float:
+    """Peak traced allocation while ``fn()`` runs, in 513 x 513 float64
+    arrays; memory LAPACK allocates for itself is not traced."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / N2_BYTES
+    finally:
+        tracemalloc.stop()
 
 
 def vandermonde_d(nodes) -> np.ndarray:

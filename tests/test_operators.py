@@ -6,8 +6,10 @@ import pytest
 
 from sbpkit import (
     Interval,
+    NodeFamily,
     build_classical_fd,
     build_counterexample,
+    build_pseudospectral_operator,
     build_two_point,
     derive_d_minus,
     jsonio,
@@ -26,9 +28,9 @@ from sbpkit.errors import (
     ShapeError,
     SingularNormError,
 )
-from sbpkit.operators import SbpOperatorPair, solve_against_norm
+from sbpkit.operators import SbpOperatorPair, _is_diagonal, solve_against_norm
 
-from oracles import reference_dumps
+from oracles import N2_BYTES, peak_n2, reference_dumps
 
 
 # ---------------------------------------------------------------------------
@@ -107,6 +109,19 @@ def test_every_builtin_has_tiny_residuals():
         assert max(r.residual for r in report.residuals) < 1e-12, op.name
 
 
+@pytest.mark.parametrize("n, interval", [(3, (0.0, 1.0)), (8, (-1.0, 2.0)), (97, (0.0, 0.3))])
+def test_classical_fd_interior_rows_are_central_differences(n, interval):
+    op = build_classical_fd(n, Interval(*interval))
+    dx = (interval[1] - interval[0]) / n
+    expected = np.zeros((n + 1, n + 1))
+    expected[0, :2] = -1.0 / dx, 1.0 / dx
+    expected[n, n - 1:] = -1.0 / dx, 1.0 / dx
+    for i in range(1, n):
+        expected[i, i - 1] = -1.0 / (2.0 * dx)
+        expected[i, i + 1] = 1.0 / (2.0 * dx)
+    assert op.d_plus.tobytes() == expected.tobytes()
+
+
 def test_classical_fd_rejects_tiny_n():
     with pytest.raises(ParameterError):
         build_classical_fd(1, Interval(0.0, 1.0))
@@ -165,10 +180,107 @@ def test_interval_requires_b_greater_than_a():
         Interval(1.0, 1.0)
 
 
-def test_arrays_are_locked():
-    op = build_two_point()
-    with pytest.raises(ValueError):
-        op.d_plus[0, 0] = 7.0
+BUILDERS = {
+    "counterexample": build_counterexample,
+    "two_point": build_two_point,
+    "classical_fd": lambda: build_classical_fd(9, Interval(-1.0, 2.0)),
+    "lgl": lambda: build_pseudospectral_operator(
+        NodeFamily.legendre_gauss_lobatto(6, Interval(0.0, 1.0))),
+    "cgl": lambda: build_pseudospectral_operator(
+        NodeFamily.chebyshev_gauss_lobatto(6, Interval(0.0, 1.0))),
+}
+SOURCES = {
+    **BUILDERS,
+    "repaired": lambda: repair_operator(build_counterexample(), 1e-3)[0],
+    "loaded": lambda: load_operator(io.StringIO(jsonio.dumps(
+        operator_to_document(build_counterexample())))),
+}
+ARRAY_FIELDS = ("d_plus", "d_minus", "h", "s", "p0", "pn", "x")
+
+
+@pytest.mark.parametrize("build", SOURCES.values(), ids=SOURCES.keys())
+def test_arrays_are_locked(build):
+    op = build()
+    for attr in ARRAY_FIELDS:
+        array = getattr(op, attr)
+        # Each field owns its block or is the same array as another field.
+        assert array.dtype == np.float64 and array.flags.c_contiguous, attr
+        assert array.base is None, attr
+        with pytest.raises(ValueError):
+            array[0] = 7.0
+
+
+@pytest.mark.parametrize("build", BUILDERS.values(), ids=BUILDERS.keys())
+def test_builders_hold_d_plus_once(build):
+    op = build()
+    assert op.d_minus is op.d_plus
+
+
+def test_a_read_only_array_that_owns_its_memory_is_adopted():
+    op = build_classical_fd(8, Interval(0.0, 1.0))
+    h = np.array(op.h)
+    h.flags.writeable = False
+    adopted = op.with_fields(h=h)
+    assert adopted.h is h
+    assert adopted.d_plus is op.d_plus and adopted.s is op.s
+
+
+def _locked(a):
+    a.flags.writeable = False
+    return a
+
+
+@pytest.mark.parametrize("make", [
+    lambda a: a,
+    lambda a: _locked(a.view()),
+    lambda a: _locked(a[:, :]),
+    lambda a: _locked(np.asfortranarray(a)),
+    lambda a: _locked(a.astype(np.float32)),
+    lambda a: a.tolist(),
+], ids=["writable", "read_only_view", "read_only_slice", "fortran", "float32", "list"])
+def test_other_inputs_are_copied_and_locked(make):
+    op = build_classical_fd(8, Interval(0.0, 1.0))
+    source = np.array(op.d_plus)
+    given = make(source)
+    stored = op.with_fields(d_plus=given).d_plus
+    assert stored is not given and not np.shares_memory(stored, source)
+    assert not stored.flags.writeable and stored.base is None
+    source[1, 1] = 7.0
+    np.testing.assert_array_equal(stored, op.d_plus)
+
+
+def test_one_read_only_view_for_two_vectors_is_copied_once():
+    source = np.zeros(3)
+    view = source[:]
+    view.flags.writeable = False
+    op = SbpOperatorPair(d_plus=np.eye(3), d_minus=np.eye(3), h=np.eye(3),
+                         s=np.zeros((3, 3)), p0=view, pn=view, x=[0.0, 1.0, 2.0],
+                         q=1, interval=Interval(0.0, 2.0))
+    source[0] = 7.0
+    assert op.p0[0] == 0.0 and op.pn is op.p0
+
+
+def test_one_array_for_both_derivatives_is_stored_once():
+    d = np.array([[-1.0, 1.0], [-1.0, 1.0]])
+    op = SbpOperatorPair(d_plus=d, d_minus=d, h=np.diag([0.5, 0.5]), s=np.zeros((2, 2)),
+                         p0=[1.0, 0.0], pn=[0.0, 1.0], x=[0.0, 1.0], q=1,
+                         interval=Interval(0.0, 1.0))
+    assert op.d_minus is op.d_plus and op.d_plus is not d
+    # Equal arrays that are two objects stay two arrays.
+    two = op.with_fields(d_minus=np.array(d))
+    assert two.d_minus is not two.d_plus
+
+
+def test_a_repaired_operator_shares_the_fields_the_repair_keeps():
+    op = build_counterexample()
+    repaired, _ = repair_operator(op, 1e-3)
+    for attr in ("h", "x", "p0", "pn"):
+        assert getattr(repaired, attr) is getattr(op, attr), attr
+    for attr in ("d_plus", "d_minus", "s"):
+        assert not np.shares_memory(getattr(repaired, attr), getattr(op, attr)), attr
+    renamed = repaired.with_fields(name="renamed")
+    for attr in ARRAY_FIELDS:
+        assert getattr(renamed, attr) is getattr(repaired, attr), attr
 
 
 # ---------------------------------------------------------------------------
@@ -212,6 +324,76 @@ def test_solve_against_norm_matches_dense_solve():
     np.testing.assert_allclose(
         solve_against_norm(dense, rhs), np.linalg.solve(dense, rhs), atol=1e-12
     )
+
+
+def _old_is_diagonal(a):
+    # The reference: subtract the diagonal and count what is left.
+    with np.errstate(invalid="ignore"):
+        return np.count_nonzero(a - np.diag(np.diagonal(a))) == 0
+
+
+NON_FINITE_NORMS = {
+    "nan_diagonal": np.diag([1.0, np.nan, 2.0]),
+    "inf_diagonal": np.diag([1.0, np.inf, 2.0]),
+    "minus_inf_diagonal": np.diag([1.0, -np.inf, 2.0]),
+    "nan_off_diagonal": np.array([[1.0, np.nan, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 2.0]]),
+    "inf_off_diagonal": np.array([[1.0, 0.0, 0.0], [np.inf, 1.0, 0.0], [0.0, 0.0, 2.0]]),
+}
+
+
+@pytest.mark.parametrize("a", [
+    np.diag([1.0, 2.0, 3.0]), np.zeros((3, 3)), np.diag([0.0, -0.0, 1.0]),
+    np.array([[1.0, -0.0], [-0.0, 1.0]]), np.array([[1.0, 1e-300], [0.0, 1.0]]),
+    np.eye(4)[:, ::-1], np.diag([1.0, 2.0, 3.0])[::2, ::2], np.asfortranarray(np.eye(3)),
+    *NON_FINITE_NORMS.values(),
+], ids=["diag", "zero", "signed_zero_diagonal", "signed_zero_off", "tiny_off", "antidiag",
+        "strided", "fortran", *NON_FINITE_NORMS])
+def test_is_diagonal_decides_as_the_subtraction_did(a):
+    assert _is_diagonal(a) == _old_is_diagonal(a)
+
+
+def test_is_diagonal_makes_no_array_of_its_input_size():
+    a = np.diag(np.arange(1.0, 514.0))
+    assert a.nbytes == N2_BYTES
+    assert peak_n2(lambda: _is_diagonal(a)) < 0.01
+    assert _is_diagonal(a)
+
+
+@pytest.mark.parametrize("h", NON_FINITE_NORMS.values(), ids=NON_FINITE_NORMS.keys())
+def test_a_non_finite_norm_takes_the_lu_route(h, monkeypatch):
+    # A nan anywhere, or an inf on the diagonal, makes H "not diagonal", so
+    # H^{-1} rhs goes through LAPACK's LU, which decides what comes back.
+    calls = []
+    lu_solve = np.linalg.solve
+
+    def recording_solve(a, b):
+        calls.append(a)
+        return lu_solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", recording_solve)
+    rhs = np.ones(3)
+    try:
+        expected = lu_solve(h, rhs)
+    except np.linalg.LinAlgError:
+        with pytest.raises(SingularNormError):
+            solve_against_norm(h, rhs)
+    else:
+        np.testing.assert_array_equal(solve_against_norm(h, rhs), expected)
+    assert len(calls) == 1 and calls[0] is h
+
+
+# ---------------------------------------------------------------------------
+# memory: n^2 arrays held once
+
+
+def test_classical_fd_build_holds_d_h_and_s_once():
+    # D_plus (also D_minus), H and S, plus the mask of the finiteness check.
+    assert peak_n2(lambda: build_classical_fd(512, Interval(0.0, 1.0))) <= 3.2
+
+
+def test_with_fields_copies_no_matrix():
+    op = build_classical_fd(512, Interval(0.0, 1.0))
+    assert peak_n2(lambda: op.with_fields(name="renamed")) <= 0.2
 
 
 # ---------------------------------------------------------------------------

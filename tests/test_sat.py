@@ -1,3 +1,4 @@
+
 import numpy as np
 import pytest
 
@@ -13,11 +14,13 @@ from sbpkit import (
     build_pseudospectral_operator,
     build_two_point,
     convergence_study,
+    repair_operator,
     solve,
 )
 from sbpkit.errors import ParameterError, ShapeError, SingularSystemError
+from sbpkit.operators import solve_against_norm
 
-from oracles import polynomial_exactness_check
+from oracles import peak_n2, polynomial_exactness_check
 
 
 def _crippled_counterexample():
@@ -61,6 +64,23 @@ def test_assembly_solves_against_a_dense_norm_once(direction, monkeypatch):
     monkeypatch.setattr(np.linalg, "solve", lambda *a: solves.append(1) or solve(*a))
     assemble(op, SatProblem(f_samples=np.zeros(7), u0=1.0, direction=direction))
     assert len(solves) == 1
+
+
+@pytest.mark.parametrize("direction", list(FlowDirection), ids=lambda d: d.value)
+@pytest.mark.parametrize("build", [
+    lambda: build_pseudospectral_operator(
+        NodeFamily.chebyshev_gauss_lobatto(9, Interval(-1.0, 3.0))),
+    lambda: repair_operator(build_counterexample(), 1e-3)[0],
+    lambda: build_classical_fd(31, Interval(0.0, 0.7)),
+], ids=["cgl", "repaired", "classical_fd"])
+def test_assembly_keeps_the_bits_of_d_plus_sigma_times_the_outer_product(build, direction):
+    op = build()
+    problem = SatProblem(f_samples=np.zeros(op.n + 1), u0=1.0, direction=direction)
+    d, boundary = ((op.d_plus, op.p0) if direction is FlowDirection.FORWARD
+                   else (op.d_minus, op.pn))
+    penalty = solve_against_norm(op.h, boundary)
+    expected = d + problem.sigma * np.outer(penalty, boundary)
+    assert assemble(op, problem)[0].tobytes() == expected.tobytes()
 
 
 def test_reversed_assembly_two_point():
@@ -270,6 +290,21 @@ def test_constant_data_saturates():
     )
     assert study.saturated
     assert max(study.errors_h) <= 1e-12
+
+
+def test_a_solve_holds_one_system_matrix():
+    # The assembled matrix; LAPACK's own copy of it is not traced.
+    op = build_classical_fd(512, Interval(0.0, 1.0))
+    problem = SatProblem(f_samples=np.cos(op.x), u0=0.5)
+    assert peak_n2(lambda: solve(op, problem)) <= 1.1
+
+
+def test_a_convergence_study_holds_one_operator_and_one_system():
+    # D_plus (also D_minus), H, S and the system at the finest grid.
+    interval = Interval(0.0, 1.0)
+    assert peak_n2(lambda: convergence_study(
+        lambda n: build_classical_fd(n, interval), np.cos, np.sin, [64, 128, 256, 512],
+    )) <= 4.2
 
 
 def test_solution_residual_bound_is_enforced():

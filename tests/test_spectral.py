@@ -32,7 +32,7 @@ from sbpkit.errors import (
     ShapeError,
 )
 
-from oracles import eigenspace_basis, h_norm
+from oracles import eigenspace_basis, h_norm, peak_n2
 
 INV_SQRT5 = 0.4472135954999579
 
@@ -144,6 +144,26 @@ def test_eigen_decompose_h_norms_match_the_per_vector_norm(op):
     _, rows, h_norms = eigen_decompose(build_d_tilde(op), h=op.h)
     for w, norm in zip(rows, h_norms):
         assert norm == pytest.approx(h_norm(w, op.h), rel=8 * np.finfo(float).eps)
+
+
+@pytest.mark.parametrize("op", [
+    build_counterexample(),
+    build_two_point(),
+    build_pseudospectral_operator(
+        NodeFamily.chebyshev_gauss_lobatto(16, Interval(0.0, 10.0))),  # dense H
+], ids=["counterexample", "two_point", "cgl_16"])
+def test_eigen_decompose_h_norms_keep_the_bits_of_the_one_product(op):
+    _, rows, h_norms = eigen_decompose(build_d_tilde(op), h=op.h)
+    re, im = rows.real, rows.imag
+    squares = np.sum(re * (re @ op.h.T) + im * (im @ op.h.T), axis=1)
+    assert h_norms.tobytes() == np.sqrt(np.maximum(squares, 0.0)).tobytes()
+
+
+def test_spectral_report_memory_at_n_512():
+    # In 513 x 513 float64 units: D_tilde 1, the complex eigenvectors twice
+    # (LAPACK's and the sorted rows) 4, the two H-norm products 2.
+    op = build_classical_fd(512, Interval(0.0, 1.0))
+    assert peak_n2(lambda: spectral_report(op)) <= 7.1
 
 
 # ---------------------------------------------------------------------------

@@ -112,6 +112,34 @@ def test_spd_rejects_asymmetric():
     assert result.residual == pytest.approx(2.0)
 
 
+@pytest.mark.parametrize("h", [
+    np.diag([1.0, np.nan, 2.0]), np.diag([1.0, np.inf, 2.0]), np.diag([1.0, -np.inf, 2.0]),
+    np.array([[1.0, np.nan, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 2.0]]),
+    np.array([[1.0, 0.0, 0.0], [np.inf, 1.0, 0.0], [0.0, 0.0, 2.0]]),
+], ids=["nan_diagonal", "inf_diagonal", "minus_inf_diagonal", "nan_off_diagonal",
+        "inf_off_diagonal"])
+def test_spd_of_a_non_finite_norm_takes_the_dense_route(h, monkeypatch):
+    # Not diagonal, so LAPACK's eigvalsh decides: it fails to converge (its
+    # LinAlgError comes through) or the check fails.
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def recording_eigvalsh(a):
+        calls.append(a)
+        return eigvalsh(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording_eigvalsh)
+    with np.errstate(invalid="ignore"):
+        try:
+            eigvalsh(0.5 * (h + h.T))
+        except np.linalg.LinAlgError:
+            with pytest.raises(np.linalg.LinAlgError):
+                check_spd(h)
+        else:
+            assert not check_spd(h).passed
+    assert len(calls) == 1
+
+
 # ---------------------------------------------------------------------------
 # SBP identities
 
