@@ -7,17 +7,17 @@ a text rendering of the same data, and ``_report`` writes the one that
 inputs) or text, so the two formats can never disagree on a verdict.
 ``pseudospectral`` without ``--certify`` always writes the operator document.
 
-argparse checks every option it can declare (required and mutually
-exclusive options, choices, finite positive ``--tolerance`` and
-``--target-eps``); ``main`` refuses an ``--output`` path that cannot be
-written before any handler runs, and the handlers check only
-``classical_fd_<n>``, ``--nodes``, the ``--input`` and ``--f-samples``
-paths and the input document.
+A command takes only the options its handler reads.  argparse checks
+every option it can declare (required and mutually exclusive options,
+choices, finite positive ``--tolerance`` and ``--target-eps``); ``main``
+refuses any other option and an unwritable ``--output`` before any handler
+runs, and the handlers check only ``classical_fd_<n>``, ``--nodes``, the
+``--input`` and ``--f-samples`` paths and the input document.
 
 Exit status: 0 on success/pass, 1 on a verification or certification
 failure, 2 on usage or input errors (an ``error:`` line on stderr), an
-operator too large for memory included.  The environment variable
-``SBP_TOLERANCE`` overrides the default tolerance.
+operator too large for memory included.  A command that takes
+``--tolerance`` without one reads ``SBP_TOLERANCE``, else 1e-10.
 """
 
 from __future__ import annotations
@@ -367,9 +367,7 @@ def _cmd_demo(args: argparse.Namespace) -> int:
 
 
 def _default_tolerance() -> float:
-    raw = os.environ.get("SBP_TOLERANCE")
-    if raw is None:
-        return DEFAULT_TOLERANCE
+    raw = os.environ.get("SBP_TOLERANCE", repr(DEFAULT_TOLERANCE))
     try:
         value = float(raw)
     except ValueError:
@@ -402,7 +400,7 @@ class _SubcommandParser(argparse.ArgumentParser):
         raise ParameterError(message)
 
 
-def _build_parser(default_tol: float) -> argparse.ArgumentParser:
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sbpkit",
         description="Construct, verify, diagnose and repair summation-by-parts "
@@ -425,19 +423,16 @@ def _build_parser(default_tol: float) -> argparse.ArgumentParser:
             )
         p.add_argument("--output", dest="output_path", help="write the report here")
         p.add_argument(
-            "--tolerance",
-            type=_positive,
-            default=default_tol,
-            help=f"verification tolerance (default {default_tol:g}; "
-            "env SBP_TOLERANCE overrides the default)",
-        )
-        p.add_argument(
             "--format",
             choices=("json", "text"),
             default="json",
             help="report format (default json)",
         )
         return p
+
+    def tolerance(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--tolerance", type=_positive, help="verification tolerance "
+                       f"(default: env SBP_TOLERANCE, else {DEFAULT_TOLERANCE:g})")
 
     def budget(p: argparse.ArgumentParser) -> None:
         p.add_argument(
@@ -461,6 +456,7 @@ def _build_parser(default_tol: float) -> argparse.ArgumentParser:
         )
 
     p = command("verify", _cmd_verify, "check every algebraic property")
+    tolerance(p)
     p.add_argument(
         "--require-eigenvalue-property",
         action="store_true",
@@ -468,9 +464,11 @@ def _build_parser(default_tol: float) -> argparse.ArgumentParser:
         "imaginary axis",
     )
 
-    command("spectrum", _cmd_spectrum, "classified spectrum of the penalized matrix")
+    p = command("spectrum", _cmd_spectrum, "classified spectrum of the penalized matrix")
+    tolerance(p)
 
     p = command("repair", _cmd_repair, "add minimal dissipation to fix the spectrum")
+    tolerance(p)
     budget(p)
 
     p = command(
@@ -479,6 +477,7 @@ def _build_parser(default_tol: float) -> argparse.ArgumentParser:
         "generate or certify nodal operators",
         with_input=False,
     )
+    tolerance(p)
     p.add_argument(
         "--family",
         choices=tuple(f.value for f in pseudospectral.Family),
@@ -512,7 +511,6 @@ def _build_parser(default_tol: float) -> argparse.ArgumentParser:
     p = command(
         "converge", _cmd_converge, "grid-refinement convergence study", with_input=False
     )
-    p.add_argument("--family", choices=("classical_fd",), default="classical_fd")
     p.add_argument(
         "--grids",
         type=_grids,
@@ -534,6 +532,7 @@ def _build_parser(default_tol: float) -> argparse.ArgumentParser:
         "spectra before and after",
         with_input=False,
     )
+    tolerance(p)
     budget(p)
     p.set_defaults(format="text")
     return parser
@@ -541,7 +540,11 @@ def _build_parser(default_tol: float) -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = _build_parser(_default_tolerance()).parse_args(argv)
+        args, unknown = _build_parser().parse_known_args(argv)
+        if unknown:
+            raise ParameterError(f"{args.subcommand} does not take: {' '.join(unknown)}")
+        if "tolerance" in vars(args) and args.tolerance is None:
+            args.tolerance = _default_tolerance()
         _check_output(args.output_path)
         return args.handler(args)
     except SbpError as exc:

@@ -165,14 +165,24 @@ def _is_diagonal(a: np.ndarray) -> bool:
             and bool(np.isfinite(diagonal).all()))
 
 
+def _check_finite_norm(h: np.ndarray) -> None:
+    """Raise ``InvariantError`` unless every entry of H is finite.  A nan makes
+    the minimum and the maximum nan and an inf makes one of them infinite, so
+    no array of the size of H is made."""
+    if h.size and not (np.isfinite(np.min(h)) and np.isfinite(np.max(h))):
+        raise InvariantError("norm matrix contains non-finite entries")
+
+
 def solve_against_norm(h: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Compute ``H^{-1} rhs`` without densely inverting H.
 
     Diagonal H is solved entrywise; anything else goes through an LU solve.
+    An H with a non-finite entry raises ``InvariantError``.
     """
     h = np.asarray(h, dtype=float)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ShapeError(f"norm matrix must be square, got shape {h.shape}")
+    _check_finite_norm(h)
     rhs = np.asarray(rhs, dtype=float)
     if rhs.shape[0] != h.shape[0]:
         raise ShapeError(

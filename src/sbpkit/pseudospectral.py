@@ -42,8 +42,7 @@ from .errors import (
     InvariantError,
     ParameterError,
 )
-from .linalg import (DEFAULT_TOLERANCE, check_positive, legendre_basis, max_abs,
-                     rank_threshold)
+from .linalg import DEFAULT_TOLERANCE, check_positive, legendre_basis, max_abs, svd_rank
 from .operators import Interval, SbpOperatorPair, _builder_pair
 from .verify import check_eigenvalue_property, check_nullspace_consistency
 
@@ -417,11 +416,11 @@ def certify_families(
     by the differentiation matrix, its rank must be n, and the penalized
     matrix must have the eigenvalue property (the Hautus test, or the tau
     band where that test does not apply).  The entry's minimum real part
-    explains the verdict and is read from one eigen-decomposition of the
+    explains the verdict: the smallest real part of one ``eigvals`` of the
     penalized matrix, which is built once per family.  The uniqueness
-    mechanism is also probed directly: sigma_min(V^T H) must clear the rank
-    threshold, i.e. no nonzero vector is H-orthogonal to all grid
-    polynomials; V tabulates the Legendre basis mapped to the interval.
+    mechanism is also probed directly: V^T H must have full ``svd_rank``,
+    i.e. no nonzero vector is H-orthogonal to all grid polynomials; V
+    tabulates the Legendre basis mapped to the interval.
     ``tau_eig`` scales the band ``tau_eig * ||D_tilde||_F`` and the kernel
     residual's bound ``tau_eig * sigma_max(D_plus)``.  An empty sweep raises
     ``ParameterError``.
@@ -437,12 +436,12 @@ def certify_families(
         d_tilde = spectral.build_d_tilde(op)
         nullspace = check_nullspace_consistency(op, d_tilde, tau_eig)
         eig = check_eigenvalue_property(op, d_tilde, tau_eig)
-        min_real_part = float(spectral.eigen_decompose(d_tilde, op.h)[0][0].real)
+        min_real_part = float(np.min(np.linalg.eigvals(d_tilde).real))
 
         v, _ = legendre_basis(op.x, op.interval, op.n)
-        msv = np.linalg.svd(v.T @ op.h, compute_uv=False)
+        rank, msv = svd_rank(v.T @ op.h)
         moment_sigma_min = float(msv[-1])
-        moment_ok = moment_sigma_min > rank_threshold(float(msv[0]), v.shape[0])
+        moment_ok = rank == v.shape[1]
 
         entry = CertificationEntry(
             label=family.label(),

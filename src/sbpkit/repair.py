@@ -10,8 +10,8 @@ basis of the invariant subspace N of the imaginary eigenvalues, two per
 conjugate pair: the ``basis`` of the verdict
 :func:`sbpkit.verify.check_eigenvalue_property` returns, so the repair acts
 on exactly the values that verdict finds; one eps serves every pair.  The
-repair builds no spectral report and runs no ``eig`` unless the Hautus
-test does not apply.  Because N is H-orthogonal to x^j for j = 0..q, S'
+repair builds no spectral report and runs no ``eig``; where the Hautus
+test does not apply, the band of one ``eigvals`` decides.  Because N is H-orthogonal to x^j for j = 0..q, S'
 annihilates the grid polynomials, so ``D_plus' = D_plus + 1/2 H^{-1} S'``
 and ``D_minus' = D_minus - 1/2 H^{-1} S'`` are an operator pair of the same
 order with S replaced by S + S'.  ``1/2 H^{-1} S' = (eps/2) Q (H Q)^T`` needs no

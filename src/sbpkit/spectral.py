@@ -16,10 +16,11 @@ largest D_tilde-invariant subspace inside ker C; it is H-orthogonal to
 All inner products here are ``<f, g> = f* H g``; Euclidean orthogonality has
 no meaning for these operators and is never asserted.
 
-:func:`spectral_report` is the one eigen-decomposition of an operator: it
-builds and decomposes the penalized matrix once and classifies the
-eigenvalues by the band ``|Re| <= tau * ||D_tilde||_F``.  The ``spectrum``
-command reads that report.
+:func:`spectral_report` is the one eigen-decomposition of an operator, and
+the one caller of :func:`eigen_decompose`: it builds and decomposes the
+penalized matrix once and classifies the eigenvalues by the band
+``|Re| <= tau * ||D_tilde||_F``.  The ``spectrum`` and ``demo`` commands
+print that report; a verdict reads eigenvalues only and runs no ``eig``.
 
 :func:`orthogonalize_imaginary` finds N without decomposing D_tilde, by the
 Hautus test (Hautus 1969) in H coordinates, for
@@ -33,7 +34,7 @@ eigenvalues ``i mu``.  One Hermitian ``eigh`` gives mu and V_mu.  The
 clusters of mu and the rank of each ``B^T V_mu`` follow the package's rank
 rule, not the tolerance.  Where the SBP identity does not hold to rounding
 (``max|A + A^T - B B^T| > rank_threshold(max|A|)``) or H has no Cholesky
-factor, the test does not apply, and the band of one ``eig`` decides.
+factor, the test does not apply, and the band of one ``eigvals`` decides.
 """
 
 from __future__ import annotations
@@ -194,12 +195,6 @@ def eigen_decompose(
             np.sqrt(np.maximum(squares, 0.0)))
 
 
-def _band_index(lam: np.ndarray, band: float) -> np.ndarray:
-    """Index into ``EigenvalueClass`` (positive, imaginary, negative) of each
-    eigenvalue by the band ``|Re| <= band``."""
-    return 1 + (lam.real < -band).astype(int) - (lam.real > band)
-
-
 def spectral_report(
     op: SbpOperatorPair, tau_eig: float = DEFAULT_TOLERANCE
 ) -> SpectralReport:
@@ -208,9 +203,10 @@ def spectral_report(
     imaginary eigenvectors."""
     tau_eig = check_positive(tau_eig)
     d_tilde = build_d_tilde(op)
-    scale = float(np.linalg.norm(d_tilde, "fro"))
+    band = tau_eig * float(np.linalg.norm(d_tilde, "fro"))
     lam, w, h_norms = eigen_decompose(d_tilde, op.h)
-    index = _band_index(lam, tau_eig * scale)
+    # Index into EigenvalueClass: positive, imaginary (|Re| <= band), negative.
+    index = 1 + (lam.real < -band).astype(int) - (lam.real > band)
     classifications = np.array(list(EigenvalueClass), dtype=object)[index]
     imaginary = index == 1
 

@@ -4,10 +4,10 @@ The on-disk format is a JSON object with keys ``n``, ``q``, ``interval``
 (two numbers), ``x`` (n+1 numbers), ``D_plus``, ``D_minus``, ``H``, ``S``
 (row-major arrays of (n+1)^2 numbers each), ``p0``, ``pn`` (n+1 numbers)
 and an optional ``name``.  ``D_minus`` and ``S`` may be omitted on input;
-S then defaults to zero and D_minus is derived.  Floats are written with
-full round-trip precision, so save/load is bit-exact.  ``-0.0`` is written
-as ``-0``, which JSON readers take for the integer 0; :func:`load_operator`
-reads that literal back as ``-0.0``.
+S then defaults to zero and D_minus is derived (D_plus itself without S).
+Floats are written with full round-trip precision, so save/load is
+bit-exact.  ``-0.0`` is written as ``-0``, which JSON readers take for the
+integer 0; :func:`load_operator` reads that literal back as ``-0.0``.
 
 There is one document shape: :func:`operator_to_document` holds each matrix
 or vector as a flat float64 array, a read-only view of the operator's own,
@@ -32,7 +32,7 @@ import numpy as np
 
 from . import jsonio
 from .errors import ParseError, SchemaError
-from .operators import Interval, SbpOperatorPair, derive_d_minus
+from .operators import Interval, SbpOperatorPair, _read_only, derive_d_minus
 
 __all__ = [
     "operator_to_document",
@@ -96,11 +96,25 @@ def _as_float_array(value: Any, length: int, path: str) -> np.ndarray:
     return out
 
 
+def _as_matrix(value: Any, m: int, path: str) -> np.ndarray:
+    """The m x m matrix of a flat field.  An array made here is reshaped in
+    place and locked, so the operator adopts it; a caller's array is viewed,
+    and the operator copies it."""
+    flat = _as_float_array(value, m * m, path)
+    if flat is value:
+        return flat.reshape(m, m)
+    flat.shape = (m, m)
+    flat.flags.writeable = False
+    return flat
+
+
 def operator_from_document(doc: Any) -> SbpOperatorPair:
     """Validate a parsed document and rebuild the operator.
 
     Structural invariants (shapes, distinct nodes) are re-checked by the
-    operator constructor; violations surface as ``InvariantError``.
+    operator constructor; violations surface as ``InvariantError``.  The
+    matrices read from lists are held once, by the operator; without
+    ``D_minus`` and ``S``, S = 0 and ``D_minus`` is ``D_plus`` itself.
     """
     if not isinstance(doc, dict):
         raise SchemaError(f"expected a JSON object, got {type(doc).__name__}", path="")
@@ -111,18 +125,17 @@ def operator_from_document(doc: Any) -> SbpOperatorPair:
     m = n + 1
     interval_raw = _as_float_array(_require(doc, "interval"), 2, "interval")
     x = _as_float_array(_require(doc, "x"), m, "x")
-    d_plus = _as_float_array(_require(doc, "D_plus"), m * m, "D_plus").reshape(m, m)
-    h = _as_float_array(_require(doc, "H"), m * m, "H").reshape(m, m)
+    d_plus = _as_matrix(_require(doc, "D_plus"), m, "D_plus")
+    h = _as_matrix(_require(doc, "H"), m, "H")
     p0 = _as_float_array(_require(doc, "p0"), m, "p0")
     pn = _as_float_array(_require(doc, "pn"), m, "pn")
-    if "S" in doc:
-        s = _as_float_array(doc["S"], m * m, "S").reshape(m, m)
-    else:
-        s = np.zeros((m, m))
+    s = _as_matrix(doc["S"], m, "S") if "S" in doc else _read_only(np.zeros((m, m)))
     if "D_minus" in doc:
-        d_minus = _as_float_array(doc["D_minus"], m * m, "D_minus").reshape(m, m)
+        d_minus = _as_matrix(doc["D_minus"], m, "D_minus")
+    elif "S" in doc:
+        d_minus = _read_only(derive_d_minus(d_plus, h, s))
     else:
-        d_minus = derive_d_minus(d_plus, h, s)
+        d_minus = d_plus  # D_plus - H^{-1} 0
     name = doc.get("name")
     if name is not None and not isinstance(name, str):
         raise SchemaError(f"expected a string, got {name!r}", path="name")

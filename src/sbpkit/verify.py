@@ -25,7 +25,7 @@ D_tilde: it holds iff the unobservable subspace N of ``(C, D_tilde)``, with
 on the skew part of D_tilde in H coordinates.  Where that test does not
 apply (the SBP identity does not hold to rounding, or H has no Cholesky
 factor), the verdict falls back to the band
-``|Re lambda| <= tolerance * ||D_tilde||_F`` of one ``eig``, the
+``|Re lambda| <= tolerance * ||D_tilde||_F`` of one ``eigvals``, the
 classification :func:`sbpkit.spectral.spectral_report` uses.
 :func:`check_eigenvalue_property` is the only place that picks the route.
 Its :class:`EigenvalueCheck` carries the basis of N the Hautus test found,
@@ -43,7 +43,7 @@ from . import spectral
 from .errors import InternalInconsistencyError, ParameterError
 from .linalg import (DEFAULT_TOLERANCE, check_positive, legendre_basis, max_abs,
                      rank_threshold, relative_residual, svd_rank)
-from .operators import SbpOperatorPair, _is_diagonal
+from .operators import SbpOperatorPair, _check_finite_norm, _is_diagonal
 
 __all__ = [
     "DEFAULT_TOLERANCE",
@@ -206,9 +206,11 @@ def check_spd(h: np.ndarray, tolerance: float = DEFAULT_TOLERANCE) -> PropertyRe
     smallest eigenvalue of the symmetrized matrix.  The tolerance bounds the
     symmetry defect only; definiteness is decided by the package's one rank
     rule, the smallest eigenvalue clearing ``rank_threshold`` of the largest.
+    An H with a non-finite entry raises ``InvariantError``.
     """
     tolerance = check_positive(tolerance)
     h = np.asarray(h, dtype=float)
+    _check_finite_norm(h)
     sym_defect = max_abs(h - h.T)
     if _is_diagonal(h):
         lam = np.sort(np.diagonal(h))
@@ -312,15 +314,15 @@ def check_eigenvalue_property(
     Decided by the Hautus test of
     :func:`sbpkit.spectral.orthogonalize_imaginary`, which does not read the
     tolerance and gives the basis of N.  Where that test is invalid, one
-    ``eig`` of ``d_tilde`` decides instead: every eigenvalue must lie right
-    of the band ``tolerance * ||D_tilde||_F``, and there is no basis.
+    ``eigvals`` of ``d_tilde`` decides instead: every eigenvalue must lie
+    right of the band ``tolerance * ||D_tilde||_F``, and there is no basis.
     """
     tolerance = check_positive(tolerance)
     analysis = spectral.orthogonalize_imaginary(op, d_tilde)
     if analysis is None:
-        lam = spectral.eigen_decompose(d_tilde, op.h)[0]
+        lam = np.sort_complex(np.linalg.eigvals(d_tilde))
         band = tolerance * float(np.linalg.norm(d_tilde, "fro"))
-        analysis = tuple(lam[spectral._band_index(lam, band) != 0].tolist()), None
+        analysis = tuple(lam[lam.real <= band].tolist()), None
     offending, basis = analysis
     return EigenvalueCheck(has_property=not offending, offending=offending, basis=basis)
 

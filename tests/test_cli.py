@@ -287,12 +287,37 @@ def test_help_is_available(capsys):
         main(["--help"])
     assert excinfo.value.code == 0
     capsys.readouterr()
-    for command in ("verify", "spectrum", "repair", "pseudospectral", "solve",
-                    "converge", "demo"):
+    # --tolerance only where the handler reads it
+    for command, tolerance in (("verify", True), ("spectrum", True), ("repair", True),
+                               ("pseudospectral", True), ("solve", False),
+                               ("converge", False), ("demo", True)):
         with pytest.raises(SystemExit) as excinfo:
             main([command, "--help"])
         assert excinfo.value.code == 0
-        assert "--tolerance" in capsys.readouterr().out, command
+        assert ("--tolerance" in capsys.readouterr().out) is tolerance, command
+
+
+def test_an_option_the_command_does_not_take_exits_2(capsys):
+    code, out, err = _run(capsys, ["converge", "--grids", "8,16,32", "--tolerance", "1e-3"])
+    assert code == 2
+    assert out == ""
+    assert err == "error: ParameterError: converge does not take: --tolerance 1e-3\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["--help"],
+    ["solve", "--builtin", "two_point", "--f", "one"],
+    ["converge", "--grids", "8,16,32"],
+], ids=["help", "solve", "converge"])
+def test_a_command_without_tolerance_does_not_read_the_environment(capsys, monkeypatch,
+                                                                   argv):
+    monkeypatch.setenv("SBP_TOLERANCE", "abc")
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_tolerance_environment_override(capsys, monkeypatch):
@@ -521,8 +546,7 @@ def test_solve_engineered_singular_system(capsys, tmp_path):
 def test_converge_json(capsys):
     code, out, _ = _run(
         capsys,
-        ["converge", "--family", "classical_fd", "--grids", "32,64,128",
-         "--function", "sin", "--interval", "0", "1"],
+        ["converge", "--grids", "32,64,128", "--function", "sin", "--interval", "0", "1"],
     )
     assert code == 0
     doc = json.loads(out)
@@ -541,6 +565,37 @@ def test_converge_csv(capsys):
     assert lines[0] == "n,spacing,error_h,error_max,order"
     assert lines[-1].startswith("fit,")
     assert len(lines) == 5
+
+
+# ---------------------------------------------------------------------------
+# eig runs only for a spectrum a command prints
+
+
+def test_eig_runs_only_for_the_spectra_a_command_prints(capsys, tmp_path, monkeypatch):
+    # The benchmark's command kinds: demo prints two spectra and spectrum one;
+    # every verdict and certification reads eigenvalues only.
+    path = str(tmp_path / "lgl16.json")
+    commands = [
+        (["demo"], 2),
+        (["demo", "--format", "json"], 2),
+        (["pseudospectral", "--family", "legendre_gauss_lobatto", "--n", "16",
+          "--interval", "100.0", "101.0", "--output", path], 0),
+        (["verify", "--input", path], 0),
+        (["pseudospectral", "--family", "chebyshev_gauss_lobatto", "--certify", "--n", "16",
+          "--interval", "0.0", "10.0"], 0),
+        (["spectrum", "--builtin", "counterexample"], 1),
+        (["repair", "--builtin", "counterexample"], 0),
+        (["solve", "--builtin", "classical_fd_128", "--f", "cos", "--u0", "0.5"], 0),
+        (["converge", "--grids", "64,128,256,512"], 0),
+    ]
+    calls = []
+    eig = np.linalg.eig
+    monkeypatch.setattr(np.linalg, "eig", lambda *a: calls.append(1) or eig(*a))
+    for argv, expected in commands:
+        calls.clear()
+        code, _, _ = _run(capsys, argv)
+        assert code == 0, argv
+        assert len(calls) == expected, argv
 
 
 # ---------------------------------------------------------------------------

@@ -360,26 +360,15 @@ def test_is_diagonal_makes_no_array_of_its_input_size():
 
 
 @pytest.mark.parametrize("h", NON_FINITE_NORMS.values(), ids=NON_FINITE_NORMS.keys())
-def test_a_non_finite_norm_takes_the_lu_route(h, monkeypatch):
-    # A nan anywhere, or an inf on the diagonal, makes H "not diagonal", so
-    # H^{-1} rhs goes through LAPACK's LU, which decides what comes back.
-    calls = []
-    lu_solve = np.linalg.solve
+def test_a_non_finite_norm_is_refused_before_any_solve(h, monkeypatch):
+    # Unchecked, LAPACK's LU returns [nan, nan, 0.5] for the nan diagonal
+    # and [0, 0, 1] for the inf off the diagonal, without a word.
+    def no_solve(*args):
+        raise AssertionError("LAPACK solve called")
 
-    def recording_solve(a, b):
-        calls.append(a)
-        return lu_solve(a, b)
-
-    monkeypatch.setattr(np.linalg, "solve", recording_solve)
-    rhs = np.ones(3)
-    try:
-        expected = lu_solve(h, rhs)
-    except np.linalg.LinAlgError:
-        with pytest.raises(SingularNormError):
-            solve_against_norm(h, rhs)
-    else:
-        np.testing.assert_array_equal(solve_against_norm(h, rhs), expected)
-    assert len(calls) == 1 and calls[0] is h
+    monkeypatch.setattr(np.linalg, "solve", no_solve)
+    with pytest.raises(InvariantError, match="non-finite"):
+        solve_against_norm(h, np.ones(3))
 
 
 # ---------------------------------------------------------------------------
@@ -520,6 +509,35 @@ def test_optional_fields_default():
     np.testing.assert_array_equal(loaded.s, np.zeros((2, 2)))
     np.testing.assert_array_equal(loaded.d_minus, op.d_plus)
     assert loaded.name is None
+
+
+def test_a_document_without_d_minus_and_s_holds_d_plus_once():
+    doc = _parsed_document(build_classical_fd(6, Interval(0.0, 1.0)))
+    del doc["D_minus"], doc["S"]
+    loaded = operator_from_document(doc)
+    assert loaded.d_minus is loaded.d_plus
+    assert not np.any(loaded.s)
+
+
+def test_a_document_given_as_arrays_keeps_them_as_they_are():
+    # The caller's arrays are copied, not reshaped or locked in place.
+    doc = operator_to_document(build_classical_fd(6, Interval(0.0, 1.0)))
+    doc["H"] = np.array(doc["H"])
+    loaded = operator_from_document(doc)
+    assert doc["H"].shape == (49,) and doc["H"].flags.writeable
+    assert not np.shares_memory(loaded.h, doc["H"])
+    assert loaded.h.tobytes() == doc["H"].tobytes()
+
+
+def test_loading_a_document_holds_each_matrix_once():
+    # D_plus, D_minus, H and S, each read from its list into the array the
+    # operator keeps.
+    op = build_classical_fd(512, Interval(0.0, 1.0))
+    doc = _parsed_document(op)
+    assert peak_n2(lambda: operator_from_document(doc)) <= 4.2
+    loaded = operator_from_document(doc)
+    for attr in ("d_plus", "d_minus", "h", "s"):
+        assert getattr(loaded, attr).tobytes() == getattr(op, attr).tobytes(), attr
 
 
 def test_duplicate_nodes_in_document():

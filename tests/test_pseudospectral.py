@@ -318,11 +318,12 @@ def test_every_lobatto_operator_passes_its_own_verify_on_the_hautus_route(
         make, monkeypatch):
     # D and H of one node set, wherever the interval sits: both identities
     # hold to rounding, so the Hautus test decides both spectral verdicts
-    # and no eig runs.
+    # and neither eig nor eigvals runs.
     def no_eig(*args, **kwargs):
-        raise AssertionError("eig called")
+        raise AssertionError("eig or eigvals called")
 
     monkeypatch.setattr(np.linalg, "eig", no_eig)
+    monkeypatch.setattr(np.linalg, "eigvals", no_eig)
     intervals = [(-1.0, 1.0), (0.0, 10.0), (100.0, 101.0), (-1000.0, 1000.0),
                  (5e3, 5e3 + 1.0), (1e4, 1e4 + 1.0)]
     for a, b in intervals:
@@ -388,9 +389,10 @@ def test_barycentric_scaling_keeps_the_bits_of_the_unscaled_weights():
 def test_high_degree_lobatto_operators_pass_verify_on_the_hautus_route(
         make, monkeypatch):
     def no_eig(*args, **kwargs):
-        raise AssertionError("eig called")
+        raise AssertionError("eig or eigvals called")
 
     monkeypatch.setattr(np.linalg, "eig", no_eig)
+    monkeypatch.setattr(np.linalg, "eigvals", no_eig)
     for a, b in [(0.0, 1e-2), (100.0, 101.0), (-1000.0, 1000.0), (0.0, 1e6)]:
         for n in (48, 128):
             report = verify_all(build_pseudospectral_operator(make(n, Interval(a, b))))

@@ -476,19 +476,21 @@ def _fd_32_off_the_identity():
     return op.with_fields(d_plus=d, d_minus=d)
 
 
-def test_where_the_sbp_identity_is_off_by_more_than_rounding_one_eig_decides(calls):
+def test_where_the_sbp_identity_is_off_by_more_than_rounding_one_eigvals_decides(calls):
     # The identity defect of A + A^T = B B^T in H coordinates is far above
-    # the gate's rounding-level bound.  The band of one eig decides.
+    # the gate's rounding-level bound.  The band of one eigvals decides.
     op = _fd_32_off_the_identity()
     check = verify_all(op).eigenvalue_check
-    assert (calls["build_d_tilde"], calls["eig"], calls["eigh"]) == (1, 1, 0)
+    assert (calls["build_d_tilde"], calls["eig"], calls["eigvals"],
+            calls["eigh"]) == (1, 0, 1, 0)
     assert check.has_property and check.offending == ()
 
 
 def test_where_the_hautus_test_does_not_apply_the_repair_takes_the_band(calls):
     op = _fd_32_off_the_identity()
     repaired, plan = repair_operator(op, 1e-3)
-    assert (calls["build_d_tilde"], calls["eig"], calls["eigh"]) == (1, 1, 0)
+    assert (calls["build_d_tilde"], calls["eig"], calls["eigvals"],
+            calls["eigh"]) == (1, 0, 1, 0)
     assert repaired is op
     assert plan.m == 0 and plan.norm_bound == 0.0
     assert not np.any(plan.s_prime)
@@ -522,6 +524,25 @@ def test_where_the_band_decides_the_check_has_no_basis():
     assert orthogonalize_imaginary(op, d_tilde) is None
     check = check_eigenvalue_property(op, d_tilde)
     assert check.has_property and check.basis is None
+
+
+def test_on_the_band_route_the_values_inside_the_band_offend():
+    # An indefinite H that solves H x = p0 as the counterexample's does, so
+    # D_tilde and its pair +-i/sqrt(5) stay, but the Hautus test cannot
+    # take H coordinates: the band decides, as the spectrum report does.
+    op = build_counterexample()
+    h = np.array(op.h)
+    h[1, 2] = h[2, 1] = 5.0
+    op = op.with_fields(h=h)
+    d_tilde = build_d_tilde(op)
+    assert orthogonalize_imaginary(op, d_tilde) is None
+    check = check_eigenvalue_property(op, d_tilde)
+    report = spectral_report(op)
+    inside = report.eigenvalues[report.classifications != EigenvalueClass.POSITIVE_REAL_PART]
+    assert not check.has_property and check.basis is None
+    assert len(check.offending) == inside.size == 2
+    np.testing.assert_allclose(check.offending, inside, atol=1e-12)
+    np.testing.assert_allclose(np.abs(np.imag(check.offending)), 1 / np.sqrt(5), atol=1e-12)
 
 
 def test_the_checks_basis_is_read_only():
@@ -562,7 +583,7 @@ LGL_1_TO_4 = [NodeFamily.legendre_gauss_lobatto(n, Interval(-1.0, 1.0))
 
 @pytest.mark.parametrize("build", [build_two_point, build_counterexample],
                          ids=["two_point", "counterexample"])
-def test_where_h_has_no_cholesky_factor_one_eig_decides(calls, build):
+def test_where_h_has_no_cholesky_factor_one_eigvals_decides(calls, build):
     # A dense, indefinite H: the Hautus test cannot take H coordinates, so
     # the band decides the eigenvalue verdict and there is no basis.
     op = build()
@@ -571,22 +592,22 @@ def test_where_h_has_no_cholesky_factor_one_eig_decides(calls, build):
     report = verify_all(op.with_fields(h=h))
     verdicts = {r.property.value: r.passed for r in report.residuals}
     assert verdicts["B_spd"] is False
-    assert (calls["cholesky"], calls["eig"]) == (1, 1)
+    assert (calls["cholesky"], calls["eig"], calls["eigvals"]) == (1, 0, 1)
     assert report.eigenvalue_check.basis is None
 
 
 @pytest.mark.parametrize("call, counts", [
-    (lambda op: verify_all(op), (1, 0, 1, 0)),
-    (lambda op: spectral_report(op), (1, 1, 0, 0)),
-    (lambda op: repair_operator(op, 1e-6), (1, 0, 1, 0)),
-    (lambda op: certify_families(LGL_1_TO_4), (4, 4, 4, 0)),
+    (lambda op: verify_all(op), (1, 0, 0, 1, 0)),
+    (lambda op: spectral_report(op), (1, 1, 0, 0, 0)),
+    (lambda op: repair_operator(op, 1e-6), (1, 0, 0, 1, 0)),
+    (lambda op: certify_families(LGL_1_TO_4), (4, 0, 4, 4, 0)),
 ], ids=["verify_all", "spectral_report", "repair_operator", "certify_families"])
 def test_each_call_builds_and_decomposes_d_tilde_once(calls, call, counts):
     # verify_all and the repair decompose the skew part in H coordinates (one
     # eigh) instead of D_tilde.  Certification builds D_tilde once per family,
-    # hands it to that test and runs one eig for the entry's min_real_part.
-    # The counterexample's H is diagonal: no Cholesky factor.
+    # hands it to that test and runs one eigvals for the entry's
+    # min_real_part; only the spectrum report runs eig.  The counterexample's
+    # H is diagonal: no Cholesky factor.
     call(build_counterexample())
-    assert calls["eigvals"] == 0
-    assert (calls["build_d_tilde"], calls["eig"], calls["eigh"],
+    assert (calls["build_d_tilde"], calls["eig"], calls["eigvals"], calls["eigh"],
             calls["cholesky"]) == counts

@@ -25,7 +25,7 @@ from sbpkit import (
     spectral_report,
     verify_all,
 )
-from sbpkit.errors import InternalInconsistencyError, ParameterError
+from sbpkit.errors import InternalInconsistencyError, InvariantError, ParameterError
 from sbpkit.linalg import rank_threshold
 
 
@@ -118,26 +118,15 @@ def test_spd_rejects_asymmetric():
     np.array([[1.0, 0.0, 0.0], [np.inf, 1.0, 0.0], [0.0, 0.0, 2.0]]),
 ], ids=["nan_diagonal", "inf_diagonal", "minus_inf_diagonal", "nan_off_diagonal",
         "inf_off_diagonal"])
-def test_spd_of_a_non_finite_norm_takes_the_dense_route(h, monkeypatch):
-    # Not diagonal, so LAPACK's eigvalsh decides: it fails to converge (its
-    # LinAlgError comes through) or the check fails.
-    calls = []
-    eigvalsh = np.linalg.eigvalsh
+def test_spd_of_a_non_finite_norm_is_refused_before_any_decomposition(h, monkeypatch):
+    # Unchecked, LAPACK's eigvalsh fails to converge with an untyped
+    # LinAlgError, and h - h.T warns of an invalid value first for an inf.
+    def no_eigvalsh(*args):
+        raise AssertionError("eigvalsh called")
 
-    def recording_eigvalsh(a):
-        calls.append(a)
-        return eigvalsh(a)
-
-    monkeypatch.setattr(np.linalg, "eigvalsh", recording_eigvalsh)
-    with np.errstate(invalid="ignore"):
-        try:
-            eigvalsh(0.5 * (h + h.T))
-        except np.linalg.LinAlgError:
-            with pytest.raises(np.linalg.LinAlgError):
-                check_spd(h)
-        else:
-            assert not check_spd(h).passed
-    assert len(calls) == 1
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_eigvalsh)
+    with pytest.raises(InvariantError, match="non-finite"):
+        check_spd(h)
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,10 @@ covers, in this order:
   ``cli_small`` commands, one ``python3 -m sbpkit.cli`` child process each;
 - the argv, exit status and stdout of each command in ``EXTRA_COMMANDS``:
   the text rendering of every subcommand that has one, a certification of
-  degrees 1..48, and two empty operator options, whose stderr adds only
-  whether it starts with ``error: ParameterError:``.
+  degrees 1..48, an operator whose eigenvalue verdict is decided by the
+  band (generated, verified and certified), and two empty operator
+  options, whose stderr adds only whether it starts with
+  ``error: ParameterError:``.
 
 One line per section (``diagnose_fd``, ``repair_planted``, ``cli_small``,
 ``extra_commands``) gives the section's name and the digest of its own
@@ -35,6 +37,14 @@ import tempfile
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
 SEEDS = (7, 947)
 CLI_SEED = 7
+#: Gauss-Legendre nodes, n = 12, on [100, 101]: D and H built on these
+#: rounded nodes miss the SBP identity by more than rounding, so verify and
+#: certification take the band route.
+GAUSS12 = ["--family", "explicit", "--interval", "100", "101", "--nodes",
+           "100.00790847264071,100.04120080038851,100.09921095463335,100.17882533027984,"
+           "100.27575362448178,100.38477084202243,100.5,100.61522915797757,"
+           "100.72424637551822,100.82117466972016,100.90078904536665,100.95879919961149,"
+           "100.99209152735929"]
 EXTRA_COMMANDS = (
     ["verify", "--builtin", "classical_fd_16", "--format", "text"],
     ["verify", "--builtin", "counterexample", "--format", "text"],
@@ -46,6 +56,9 @@ EXTRA_COMMANDS = (
      "--format", "text"],
     ["pseudospectral", "--family", "chebyshev_gauss_lobatto", "--n", "48", "--interval",
      "-1000", "1000", "--certify", "--format", "text"],
+    ["pseudospectral", *GAUSS12, "--output", "gauss12.json"],
+    ["verify", "--input", "gauss12.json", "--require-eigenvalue-property", "--format", "text"],
+    ["pseudospectral", *GAUSS12, "--certify"],
     ["verify", "--builtin", ""],
     ["verify", "--input", ""],
 )
