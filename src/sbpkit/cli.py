@@ -5,7 +5,8 @@ Subcommands: ``verify``, ``spectrum``, ``repair``, ``pseudospectral``,
 a text rendering of the same data, and ``_report`` writes the one that
 ``--format`` asks for: JSON (deterministic: byte-identical for identical
 inputs) or text, so the two formats can never disagree on a verdict.
-``pseudospectral`` without ``--certify`` always writes the operator document.
+``pseudospectral`` without ``--certify`` always writes the operator document,
+so it takes neither ``--tolerance`` nor ``--format``.
 
 A command takes only the options its handler reads.  argparse checks
 every option it can declare (required and mutually exclusive options,
@@ -96,8 +97,9 @@ def _check_output(path: str | None) -> None:
 
 
 def _report(args: argparse.Namespace, document: dict, text: str) -> None:
-    """Write ``document`` as JSON or ``text``, as ``--format`` asks."""
-    _emit(jsonio.dumps(document) if args.format == "json" else text, args.output_path)
+    """Write ``document`` as JSON or ``text``, as ``--format`` asks (JSON
+    where it is not given)."""
+    _emit(text if args.format == "text" else jsonio.dumps(document), args.output_path)
 
 
 def _load_input(args: argparse.Namespace) -> SbpOperatorPair:
@@ -489,8 +491,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--certify",
         action="store_true",
-        help="certify the family for degrees 1..n instead of emitting an operator",
+        help="certify the family for degrees 1..n instead of emitting an operator "
+        "(--tolerance and --format apply only here)",
     )
+    p.set_defaults(format=None)  # so that main sees whether it was given
 
     p = command("solve", _cmd_solve, "boundary-penalized solve of u' = f")
     rhs = p.add_mutually_exclusive_group(required=True)
@@ -541,6 +545,11 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     try:
         args, unknown = _build_parser().parse_known_args(argv)
+        if getattr(args, "certify", True) is False:
+            # Generation writes the operator document: it reads neither option.
+            given = {name: vars(args).pop(name) for name in ("tolerance", "format")}
+            unknown += [f"--{name} {value}" for name, value in given.items()
+                        if value is not None]
         if unknown:
             raise ParameterError(f"{args.subcommand} does not take: {' '.join(unknown)}")
         if "tolerance" in vars(args) and args.tolerance is None:

@@ -157,12 +157,10 @@ class SbpOperatorPair:
 
 
 def _is_diagonal(a: np.ndarray) -> bool:
-    """Whether every off-diagonal entry is zero and every diagonal entry is
-    finite (a nan anywhere, or an inf on the diagonal, is not diagonal).
-    Counts in place: no array of the size of ``a`` is made."""
-    diagonal = np.diagonal(a)
-    return (np.count_nonzero(a) == np.count_nonzero(diagonal)
-            and bool(np.isfinite(diagonal).all()))
+    """Whether every off-diagonal entry is zero.  Counts in place: no array
+    of the size of ``a`` is made.  Its inputs are finite: an operator's own
+    arrays, or an H that ``_check_finite_norm`` has passed."""
+    return np.count_nonzero(a) == np.count_nonzero(np.diagonal(a))
 
 
 def _check_finite_norm(h: np.ndarray) -> None:
@@ -200,14 +198,16 @@ def solve_against_norm(h: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 
 def derive_d_minus(d_plus: np.ndarray, h: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Return ``D_minus = D_plus - H^{-1} S``."""
+    """Return ``D_minus = D_plus - H^{-1} S``, subtracted into the array of
+    ``H^{-1} S``: one n x n array besides the inputs."""
     d_plus = np.asarray(d_plus, dtype=float)
     s = np.asarray(s, dtype=float)
     if d_plus.shape != s.shape:
         raise ShapeError(
             f"d_plus shape {d_plus.shape} does not match s shape {s.shape}"
         )
-    return d_plus - solve_against_norm(h, s)
+    t = solve_against_norm(h, s)
+    return np.subtract(d_plus, t, out=t)
 
 
 def _builder_pair(d, h, p0, pn, x, q: int, interval: Interval,

@@ -434,8 +434,8 @@ def certify_families(
     for family in families:
         op = build_pseudospectral_operator(family)
         d_tilde = spectral.build_d_tilde(op)
-        nullspace = check_nullspace_consistency(op, d_tilde, tau_eig)
         eig = check_eigenvalue_property(op, d_tilde, tau_eig)
+        nullspace = check_nullspace_consistency(op, eig, tau_eig)
         min_real_part = float(np.min(np.linalg.eigvals(d_tilde).real))
 
         v, _ = legendre_basis(op.x, op.interval, op.n)

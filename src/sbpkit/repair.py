@@ -140,9 +140,10 @@ def repair_operator(
 ) -> tuple[SbpOperatorPair, PerturbationPlan]:
     """Return an operator with the positive-spectrum property and the plan.
 
-    One D_tilde serves the nullspace verdict and
-    :func:`sbpkit.verify.check_eigenvalue_property`, whose verdict the
-    repair takes as it is.  Where the property holds, ``op`` is returned
+    One analysis of D_tilde, by
+    :func:`sbpkit.verify.check_eigenvalue_property`, serves the nullspace
+    verdict and the eigenvalue verdict, which the repair takes as it is.
+    Where the property holds, ``op`` is returned
     unchanged with an empty plan, which makes the repair idempotent.  Where
     it fails on the band route, which has no basis of N, ``ContractError``
     is raised.  Otherwise S' is built with eps = 1 on the check's basis of N
@@ -156,15 +157,14 @@ def repair_operator(
         norm_choice = NormChoice(norm_choice)
     except ValueError:
         raise ParameterError(f"unknown norm choice {norm_choice!r}") from None
-    d_tilde = spectral.build_d_tilde(op)
-    diagnostics = check_nullspace_consistency(op, d_tilde, tolerance)
+    check = check_eigenvalue_property(op, spectral.build_d_tilde(op), tolerance)
+    diagnostics = check_nullspace_consistency(op, check, tolerance)
     if not diagnostics.consistent:
         raise RepairImpossibleError(
             "operator is not nullspace consistent (rank "
             f"{diagnostics.rank} of expected {op.n}); "
             "a zero eigenvalue cannot be moved by the dissipation construction"
         )
-    check = check_eigenvalue_property(op, d_tilde, tolerance)
     if check.has_property:
         return op, PerturbationPlan(epsilons=(), s_prime=np.zeros_like(op.h),
                                     norm_bound=0.0, norm_choice=norm_choice)

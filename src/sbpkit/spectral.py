@@ -25,7 +25,8 @@ print that report; a verdict reads eigenvalues only and runs no ``eig``.
 :func:`orthogonalize_imaginary` finds N without decomposing D_tilde, by the
 Hautus test (Hautus 1969) in H coordinates, for
 :func:`sbpkit.verify.check_eigenvalue_property`, its one caller, whose
-verdict and basis the repair reads.
+verdict and basis the repair reads and whose word on a zero eigenvalue
+decides whether D_tilde is invertible.
 With ``H = L L^T``, ``A = L^T D_tilde L^{-T}`` and
 ``B = L^{-1} [p0, pn, S^(1/2)]`` the SBP identity reads ``A + A^T = B B^T``,
 so the skew part K of A is normal, and N is the sum over the eigenspaces
@@ -266,14 +267,18 @@ def _h_coordinates(
 
 def orthogonalize_imaginary(
     op: SbpOperatorPair, d_tilde: np.ndarray
-) -> tuple[tuple[complex, ...], np.ndarray] | None:
+) -> tuple[tuple[complex, ...], np.ndarray, bool] | None:
     """The unobservable subspace N of ``(C, D_tilde)`` by the Hautus test.
 
-    Returns ``(offending, q)``: the eigenvalues ``i mu`` of ``d_tilde`` on N,
-    one per direction, sorted by mu, and a real H-orthonormal basis of N as
-    the columns of q (none when N = {0}).  Returns None when the SBP identity
-    does not hold to rounding or H has no Cholesky factor, where the test
-    does not apply (see the module docstring).
+    Returns ``(offending, q, singular)``: the eigenvalues ``i mu`` of
+    ``d_tilde`` on N, one per direction, sorted by mu, a real H-orthonormal
+    basis of N as the columns of q (none when N = {0}), and whether
+    ``d_tilde`` is singular.  By the energy identity a kernel vector of
+    ``d_tilde`` is unobservable, so it is singular exactly when the mu = 0
+    cluster has a hidden direction: the cluster of the mu of least
+    magnitude, where that mu is zero by the clustering rule.  Returns None
+    when the SBP identity does not hold to rounding or H has no Cholesky
+    factor, where the test does not apply (see the module docstring).
     """
     size = op.n + 1
     coords = _h_coordinates(op, d_tilde)
@@ -296,8 +301,8 @@ def orthogonalize_imaginary(
     # direction of cluster V_mu is unobservable where B^T V_mu loses rank.
     bt_v = b.T @ vec
     zero = rank_threshold(np.linalg.norm(b, 2), size)
-    starts = np.flatnonzero(
-        np.diff(mu, prepend=-np.inf) > rank_threshold(np.max(np.abs(mu)), size))
+    gap = rank_threshold(np.max(np.abs(mu)), size)
+    starts = np.flatnonzero(np.diff(mu, prepend=-np.inf) > gap)
     sizes = np.diff(starts, append=size)
     hidden = np.linalg.norm(bt_v[:, starts], axis=0) <= zero
     columns = [vec[:, starts[hidden & (sizes == 1)]]]
@@ -310,14 +315,17 @@ def orthogonalize_imaginary(
         columns.append(vec[:, part] @ vh[rank:].conj().T)
     centres = np.add.reduceat(mu, starts) / sizes
     offending = tuple(complex(0.0, m) for m in np.repeat(centres, counts).tolist())
+    least = int(np.argmin(np.abs(mu)))
+    singular = bool(abs(mu[least]) <= gap
+                    and counts[np.searchsorted(starts, least, side="right") - 1] > 0)
     # N is real: Re and Im of its complex basis span it twice over.  Their
     # leading left singular vectors are an orthonormal basis in H
     # coordinates, and L^{-T} maps it to an H-orthonormal one.
     w = np.concatenate(columns, axis=1)
     dim = w.shape[1]
     if dim == 0:
-        return offending, np.empty((size, 0))
+        return offending, np.empty((size, 0)), singular
     u = np.linalg.svd(np.hstack([w.real, w.imag]), full_matrices=False)[0][:, :dim]
     if factor.ndim == 1:
-        return offending, u / factor[:, None]
-    return offending, np.linalg.solve(factor.T, u)
+        return offending, u / factor[:, None], singular
+    return offending, np.linalg.solve(factor.T, u), singular

@@ -17,7 +17,13 @@ nullspace routes follow the package's one rank rule
 (:func:`sbpkit.linalg.rank_threshold`), whatever the tolerance.  A diagonal H (or S) skips the dense products and
 eigenvalue solves with bit-identical residuals.
 
-:func:`verify_all` builds D_tilde once and hands it to both spectral checks.
+:func:`verify_all` builds D_tilde once and analyses it once, in
+:func:`check_eigenvalue_property`; that check also answers the first
+nullspace route.  By the energy identity a kernel vector of D_tilde is
+unobservable, so D_tilde is invertible exactly where the check finds no
+eigenvalue at 0 (:attr:`EigenvalueCheck.singular`).  The second route, rank
+n of D_plus with the constants in its kernel, takes the one SVD, of D_plus;
+nothing takes an SVD of D_tilde.
 The eigenvalue property is decided without an eigen-decomposition of
 D_tilde: it holds iff the unobservable subspace N of ``(C, D_tilde)``, with
 ``C = [p0^T; pn^T; S]``, is {0}, and
@@ -87,7 +93,13 @@ class PropertyResidual:
 
 @dataclass(frozen=True)
 class NullspaceDiagnostics:
-    """Outcome of the two independent nullspace-consistency routes."""
+    """Outcome of the two independent nullspace-consistency routes.
+
+    ``rank`` and ``kernel_residual`` (``max|D_plus 1|``) are what the kernel
+    route decides from; ``sigma_min`` and ``sigma_max`` are sigma_n and
+    sigma_1 of D_plus, so ``sigma_min / sigma_max`` is the gap the rank n
+    clears.  The other route reads the eigenvalue check and adds no number.
+    """
 
     consistent: bool
     sigma_min: float
@@ -105,12 +117,17 @@ class EigenvalueCheck:
     every eigenvalue that is not right of the band.  ``basis`` is the
     Hautus test's real H-orthonormal basis of N, one column per offending
     value and read-only, which the repair reads; None where the band
-    decided.  It takes no part in ``==``.
+    decided.  It takes no part in ``==``.  ``singular`` says whether D_tilde
+    has an eigenvalue at 0: on the Hautus route, whether the mu = 0 cluster
+    has a hidden direction; on the band route, whether an eigenvalue lies
+    within ``rank_threshold(||D_tilde||_F, n + 1)`` of 0.  It is the first
+    route of :func:`check_nullspace_consistency`.
     """
 
     has_property: bool
     offending: tuple[complex, ...]
     basis: np.ndarray | None = field(compare=False, repr=False)
+    singular: bool = False
 
     def __post_init__(self) -> None:
         if self.basis is not None:
@@ -269,32 +286,32 @@ def check_s_conditions(
 
 
 def check_nullspace_consistency(
-    op: SbpOperatorPair, d_tilde: np.ndarray, tolerance: float = DEFAULT_TOLERANCE
+    op: SbpOperatorPair, check: EigenvalueCheck, tolerance: float = DEFAULT_TOLERANCE
 ) -> NullspaceDiagnostics:
     """Decide whether the kernel of D_plus is exactly the constants.
 
-    Two independent routes must agree: invertibility of the penalized matrix
-    ``d_tilde`` (full rank n + 1) and a direct kernel test on D_plus
-    (constants annihilated, rank equal to n).  Both ranks come from
-    ``svd_rank``, the package's one rank rule, whatever the tolerance.
-    Disagreement raises ``InternalInconsistencyError``, signalling a
-    borderline operator.
+    Two independent routes must agree.  The first is invertibility of the
+    penalized matrix, read from ``check``, the :class:`EigenvalueCheck` of
+    ``op``: D_tilde is invertible where the check found no eigenvalue at 0.
+    The second is a direct kernel test on D_plus: the constants annihilated
+    and rank n by ``svd_rank``, the package's one rank rule, whatever the
+    tolerance.  Disagreement raises ``InternalInconsistencyError``,
+    signalling a borderline operator.
     """
     tolerance = check_positive(tolerance)
-    rank_tilde, sv = svd_rank(d_tilde)
-    sigma_max, sigma_min = float(sv[0]), float(sv[-1])
-    via_penalized = rank_tilde == op.n + 1
+    via_penalized = not check.singular
 
-    rank, sv_d = svd_rank(op.d_plus)
+    rank, sv = svd_rank(op.d_plus)
+    sigma_min, sigma_max = float(sv[op.n - 1]), float(sv[0])
     kernel_residual = max_abs(op.d_plus @ np.ones(op.n + 1))
-    via_kernel = rank == op.n and kernel_residual <= tolerance * float(sv_d[0])
+    via_kernel = rank == op.n and kernel_residual <= tolerance * sigma_max
 
     if via_penalized != via_kernel:
         raise InternalInconsistencyError(
             "nullspace routes disagree: penalized-matrix test says "
-            f"{via_penalized} (sigma_min={sigma_min:.3e}) but kernel test says "
-            f"{via_kernel} (rank={rank}, expected {op.n}, "
-            f"||D_plus 1||={kernel_residual:.3e})"
+            f"{via_penalized} (eigenvalue 0 of D_tilde: {check.singular}) but "
+            f"kernel test says {via_kernel} (rank={rank}, expected {op.n}, "
+            f"sigma_n={sigma_min:.3e}, ||D_plus 1||={kernel_residual:.3e})"
         )
     return NullspaceDiagnostics(
         consistent=via_penalized,
@@ -315,16 +332,20 @@ def check_eigenvalue_property(
     :func:`sbpkit.spectral.orthogonalize_imaginary`, which does not read the
     tolerance and gives the basis of N.  Where that test is invalid, one
     ``eigvals`` of ``d_tilde`` decides instead: every eigenvalue must lie
-    right of the band ``tolerance * ||D_tilde||_F``, and there is no basis.
+    right of the band ``tolerance * ||D_tilde||_F``, there is no basis, and
+    D_tilde is singular where an eigenvalue lies within
+    ``rank_threshold(||D_tilde||_F, n + 1)`` of 0.
     """
     tolerance = check_positive(tolerance)
     analysis = spectral.orthogonalize_imaginary(op, d_tilde)
     if analysis is None:
         lam = np.sort_complex(np.linalg.eigvals(d_tilde))
-        band = tolerance * float(np.linalg.norm(d_tilde, "fro"))
-        analysis = tuple(lam[lam.real <= band].tolist()), None
-    offending, basis = analysis
-    return EigenvalueCheck(has_property=not offending, offending=offending, basis=basis)
+        scale = float(np.linalg.norm(d_tilde, "fro"))
+        analysis = (tuple(lam[lam.real <= tolerance * scale].tolist()), None,
+                    bool(np.any(np.abs(lam) <= rank_threshold(scale, op.n + 1))))
+    offending, basis, singular = analysis
+    return EigenvalueCheck(has_property=not offending, offending=offending,
+                           basis=basis, singular=singular)
 
 
 def verify_all(
@@ -334,18 +355,19 @@ def verify_all(
 
     Accuracy is swept one degree past q so the report can distinguish an
     operator that is exactly of its claimed order from a better one.  The
-    penalized matrix is built once for both spectral checks.
+    penalized matrix is built and analysed once, by the eigenvalue check,
+    whose verdict on its invertibility is the first nullspace route.
     """
     tolerance = check_positive(tolerance)
     accuracy, observed_order = check_accuracy(op, j_max=op.q + 1, tolerance=tolerance)
     spd = check_spd(op.h, tolerance)
     res_c, res_d = check_sbp_identities(op, tolerance)
     s_sym, s_psd, s_ann = check_s_conditions(op, tolerance)
-    d_tilde = spectral.build_d_tilde(op)
+    check = check_eigenvalue_property(op, spectral.build_d_tilde(op), tolerance)
     return VerificationReport(
         residuals=(*accuracy, spd, res_c, res_d, s_sym, s_psd, s_ann),
         observed_order=observed_order,
-        nullspace=check_nullspace_consistency(op, d_tilde, tolerance),
-        eigenvalue_check=check_eigenvalue_property(op, d_tilde, tolerance),
+        nullspace=check_nullspace_consistency(op, check, tolerance),
+        eigenvalue_check=check,
         tolerance=tolerance,
     )

@@ -8,6 +8,7 @@ import numpy as np
 
 from sbpkit.errors import ParameterError
 from sbpkit.linalg import legendre_basis, max_abs
+from sbpkit.operators import Interval, build_classical_fd, solve_against_norm
 from sbpkit.sat import FlowDirection, SatProblem, solve
 
 
@@ -60,6 +61,27 @@ def loop_pseudospectral_d(nodes) -> np.ndarray:
                 d[i, j] = (beta[j] / beta[i]) / (nodes[i] - nodes[j])
         d[i, i] = -np.sum(d[i])
     return d
+
+
+def planted_kernel_fd(n: int = 16):
+    """Classical FD on [0, 1] with a second kernel vector w planted: ``(op, w)``.
+
+    ``D' = D - H^{-1}(a b^T - b a^T)`` with ``a = H D w`` changes ``H D`` by
+    a skew matrix, so both SBP identities keep holding, and ``D' w = 0``
+    because ``w^T H D w = 0`` for ``w_0 = w_n = 0``.  With ``w`` H-orthogonal
+    to 1 and ``b`` orthogonal to 1 and x, ``D'`` stays exact for 1 and x.
+    Here ``w = e_1 - e_(n-1)`` and ``b = e_1 - 2 e_2 + e_3`` (``b.w = 1``): for
+    n a power of two every entry is dyadic and every identity holds exactly.
+    ``D_tilde w = 0`` with w unobservable, so the operator passes every
+    residual and the Hautus test, yet is not nullspace consistent.
+    """
+    op = build_classical_fd(n, Interval(0.0, 1.0))
+    eye = np.eye(n + 1)
+    w = eye[1] - eye[n - 1]
+    b = eye[1] - 2.0 * eye[2] + eye[3]
+    a = op.h @ (op.d_plus @ w)
+    d = op.d_plus - solve_against_norm(op.h, np.outer(a, b) - np.outer(b, a))
+    return op.with_fields(d_plus=d, d_minus=d, name=f"planted_kernel_fd_{n}"), w
 
 
 def polynomial_exactness_check(op, degree=None, trials=20, seed=1902) -> float:

@@ -298,17 +298,37 @@ def test_help_is_available(capsys):
 
 
 def test_an_option_the_command_does_not_take_exits_2(capsys):
-    code, out, err = _run(capsys, ["converge", "--grids", "8,16,32", "--tolerance", "1e-3"])
-    assert code == 2
-    assert out == ""
-    assert err == "error: ParameterError: converge does not take: --tolerance 1e-3\n"
+    # Generation writes the operator document: it reads neither the
+    # tolerance nor a format, which only certification takes.
+    for argv, refused in (
+        (["converge", "--grids", "8,16,32", "--tolerance", "1e-3"],
+         "converge does not take: --tolerance 1e-3"),
+        (["pseudospectral", "--n", "4", "--tolerance", "1e-3"],
+         "pseudospectral does not take: --tolerance 0.001"),
+        (["pseudospectral", "--n", "4", "--format", "json", "--tolerance", "1e-3"],
+         "pseudospectral does not take: --tolerance 0.001 --format json"),
+    ):
+        code, out, err = _run(capsys, argv)
+        assert code == 2, argv
+        assert out == ""
+        assert err == f"error: ParameterError: {refused}\n"
+
+
+def test_certification_takes_the_tolerance_and_the_format(capsys):
+    argv = ["pseudospectral", "--n", "4", "--certify"]
+    code, default, _ = _run(capsys, argv)
+    assert code == 0 and default == _run(capsys, [*argv, "--format", "json"])[1]
+    code, text, _ = _run(capsys, [*argv, "--tolerance", "1e-3", "--format", "text"])
+    assert code == 0 and text.startswith("certified: True\n")
+    assert json.loads(default)["tau_eig"] == 1e-10
 
 
 @pytest.mark.parametrize("argv", [
     ["--help"],
     ["solve", "--builtin", "two_point", "--f", "one"],
     ["converge", "--grids", "8,16,32"],
-], ids=["help", "solve", "converge"])
+    ["pseudospectral", "--n", "4"],
+], ids=["help", "solve", "converge", "pseudospectral"])
 def test_a_command_without_tolerance_does_not_read_the_environment(capsys, monkeypatch,
                                                                    argv):
     monkeypatch.setenv("SBP_TOLERANCE", "abc")

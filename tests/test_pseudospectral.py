@@ -18,6 +18,7 @@ from sbpkit import (
     verify_all,
 )
 from sbpkit.errors import IndefiniteNormError, InvariantError, ParameterError
+from sbpkit.linalg import svd_rank
 from sbpkit.pseudospectral import (_barycentric_weights, build_modal_h,
                                    chebyshev_gauss_lobatto_nodes)
 from sbpkit.verify import EigenvalueCheck
@@ -334,6 +335,9 @@ def test_every_lobatto_operator_passes_its_own_verify_on_the_hautus_route(
             assert verdicts["C_identity"] and verdicts["D_identity"], (a, n)
             assert report.nullspace_consistent and report.eigenvalue_property, (a, n)
             assert report.eigenvalue_check.basis.shape == (n + 1, 0), (a, n)
+            # nullspace route 1 as the check reads it, and by the SVD of D_tilde
+            assert not report.eigenvalue_check.singular, (a, n)
+            assert svd_rank(build_d_tilde(op))[0] == n + 1, (a, n)
 
 
 def test_lgl_differentiates_on_the_reference_nodes_and_scales():

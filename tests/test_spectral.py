@@ -31,8 +31,9 @@ from sbpkit.errors import (
     RepairImpossibleError,
     ShapeError,
 )
+from sbpkit.linalg import svd_rank
 
-from oracles import eigenspace_basis, h_norm, peak_n2
+from oracles import eigenspace_basis, h_norm, peak_n2, planted_kernel_fd
 
 INV_SQRT5 = 0.4472135954999579
 
@@ -285,8 +286,9 @@ def test_spectrum_of_an_operator_that_is_not_nullspace_consistent(capsys, tmp_pa
 
 def test_orthogonalize_counterexample():
     op = build_counterexample()
-    offending, q = orthogonalize_imaginary(op, build_d_tilde(op))
+    offending, q, singular = orthogonalize_imaginary(op, build_d_tilde(op))
     np.testing.assert_allclose(offending, [-1j * INV_SQRT5, 1j * INV_SQRT5], rtol=1e-12)
+    assert not singular
     assert q.shape == (6, 2)
     assert not np.iscomplexobj(q)
     assert np.max(np.abs(q.T @ op.h @ q - np.eye(2))) <= 1e-14
@@ -303,8 +305,8 @@ def test_orthogonalize_counterexample():
 ], ids=["two_point", "classical_fd_64", "repaired_counterexample"])
 def test_orthogonalize_is_empty_with_the_eigenvalue_property(build):
     op = build()
-    offending, q = orthogonalize_imaginary(op, build_d_tilde(op))
-    assert offending == ()
+    offending, q, singular = orthogonalize_imaginary(op, build_d_tilde(op))
+    assert offending == () and not singular
     assert q.shape == (op.n + 1, 0)
 
 
@@ -443,7 +445,7 @@ def calls(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    for name in ("eig", "eigvals", "eigh", "cholesky"):
+    for name in ("eig", "eigvals", "eigh", "cholesky", "svd"):
         monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
     monkeypatch.setattr(spectral, "build_d_tilde",
                         counted("build_d_tilde", spectral.build_d_tilde))
@@ -611,3 +613,61 @@ def test_each_call_builds_and_decomposes_d_tilde_once(calls, call, counts):
     call(build_counterexample())
     assert (calls["build_d_tilde"], calls["eig"], calls["eigvals"], calls["eigh"],
             calls["cholesky"]) == counts
+
+
+# ---------------------------------------------------------------------------
+# nullspace route 1: the eigenvalue check says whether D_tilde is singular
+
+
+def _d_tilde_has_full_rank(op):
+    # The route the check replaces: the rank of D_tilde by its own SVD.
+    return svd_rank(build_d_tilde(op))[0] == op.n + 1
+
+
+def _counterexample_row_2_zeroed():
+    op = build_counterexample()
+    d = np.array(op.d_plus)
+    d[2] = 0.0
+    return op.with_fields(d_plus=d, d_minus=d)
+
+
+ROUTE_FIXTURES = {
+    **AGREEMENT_FIXTURES,
+    "crippled_counterexample": _crippled_counterexample,
+    "counterexample_row_2_zeroed": _counterexample_row_2_zeroed,
+    "planted_kernel_fd_16": lambda: planted_kernel_fd(16)[0],
+}
+
+
+@pytest.mark.parametrize("build", ROUTE_FIXTURES.values(), ids=ROUTE_FIXTURES.keys())
+def test_the_check_finds_an_eigenvalue_at_0_exactly_where_d_tilde_loses_rank(build):
+    op = build()
+    check = check_eigenvalue_property(op, build_d_tilde(op))
+    assert check.singular is not _d_tilde_has_full_rank(op)
+
+
+def test_the_crippled_operators_take_the_band_and_the_planted_one_the_hautus_route():
+    for build in (_crippled_counterexample, _counterexample_row_2_zeroed):
+        op = build()
+        check = check_eigenvalue_property(op, build_d_tilde(op))
+        assert check.singular and check.basis is None
+    op = planted_kernel_fd(16)[0]
+    check = check_eigenvalue_property(op, build_d_tilde(op))
+    assert check.singular and check.basis is not None
+
+
+@pytest.mark.parametrize("build", [
+    build_two_point,
+    lambda: build_classical_fd(64, Interval(0.0, 1.0)),
+    _lgl_32_far_from_the_origin,
+], ids=["two_point", "classical_fd_64", "lgl_32_100_101"])
+def test_verify_all_runs_one_svd_and_one_eigh(calls, build):
+    # The SVD of D_plus (nullspace route 2) and the Hautus eigh, which also
+    # answers route 1: no SVD of D_tilde.
+    verify_all(build())
+    assert (calls["svd"], calls["eigh"], calls["eig"], calls["eigvals"]) == (1, 1, 0, 0)
+
+
+def test_on_the_band_route_verify_all_runs_one_svd_and_one_eigvals(calls):
+    verify_all(_fd_32_off_the_identity())
+    assert (calls["svd"], calls["eigh"], calls["eig"], calls["eigvals"]) == (1, 0, 0, 1)

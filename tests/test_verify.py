@@ -25,20 +25,23 @@ from sbpkit import (
     spectral_report,
     verify_all,
 )
-from sbpkit.errors import InternalInconsistencyError, InvariantError, ParameterError
+from sbpkit.errors import (InternalInconsistencyError, InvariantError, ParameterError,
+                           RepairImpossibleError)
 from sbpkit.linalg import rank_threshold
+
+from oracles import planted_kernel_fd
 
 
 def _residuals(report):
     return {r.property: r for r in report.residuals}
 
 
-def _nullspace(op):
-    return check_nullspace_consistency(op, build_d_tilde(op))
-
-
 def _eigenvalue_check(op):
     return check_eigenvalue_property(op, build_d_tilde(op))
+
+
+def _nullspace(op):
+    return check_nullspace_consistency(op, _eigenvalue_check(op))
 
 
 def _zero_rows(op, rows):
@@ -198,7 +201,8 @@ def test_nullspace_counterexample():
 def test_nullspace_two_point():
     diag = _nullspace(build_two_point())
     assert diag.consistent
-    assert diag.sigma_min == pytest.approx(np.sqrt(2.0))
+    # sigma_n of D_plus = [[-1, 1], [-1, 1]], whose other singular value is 0
+    assert diag.sigma_min == diag.sigma_max == pytest.approx(2.0)
 
 
 def test_nullspace_engineered_kernel():
@@ -219,6 +223,26 @@ def test_nullspace_routes_disagree_on_non_sbp_input():
         _nullspace(crippled)
 
 
+def test_a_planted_kernel_vector_is_found_on_the_hautus_route():
+    # Every residual passes and the Hautus test applies, yet D_plus w = 0 for
+    # a w that is not constant: the check finds the eigenvalue 0 of D_tilde
+    # on w, and the kernel route finds rank n - 1.
+    op, w = planted_kernel_fd(16)
+    assert not np.any(op.d_plus @ w)
+    report = verify_all(op)
+    assert report.all_passed()
+    check = report.eigenvalue_check
+    assert check.singular and not check.has_property
+    assert len(check.offending) == 1 and abs(check.offending[0]) <= 1e-12
+    assert check.basis.shape == (17, 1)
+    assert np.linalg.matrix_rank(np.column_stack([check.basis, w]), tol=1e-10) == 1
+    assert not report.nullspace_consistent
+    assert report.nullspace.rank == 15
+    assert report.nullspace.sigma_min <= rank_threshold(report.nullspace.sigma_max, 17)
+    with pytest.raises(RepairImpossibleError):
+        repair_operator(op, 1e-3)
+
+
 @pytest.mark.parametrize("build, tolerance", [
     (lambda: build_classical_fd(256, Interval(0.0, 1.0)), 1e-2),
     (build_counterexample, 0.5),
@@ -226,9 +250,10 @@ def test_nullspace_routes_disagree_on_non_sbp_input():
 def test_a_loose_tolerance_does_not_split_the_nullspace_routes(build, tolerance):
     # sigma_min / sigma_max of D_tilde is below the tolerance, so a ratio test
     # at the tolerance would call D_tilde singular while D_plus has rank n.
-    report = verify_all(build(), tolerance)
-    assert report.nullspace.sigma_min < tolerance * report.nullspace.sigma_max
-    assert report.nullspace_consistent
+    op = build()
+    sv = np.linalg.svd(build_d_tilde(op), compute_uv=False)
+    assert sv[-1] < tolerance * sv[0]
+    assert verify_all(op, tolerance).nullspace_consistent
 
 
 # ---------------------------------------------------------------------------
