@@ -24,8 +24,11 @@ RANK_SAFETY = 64.0
 
 
 def check_positive(value: float, name: str = "tolerance") -> float:
-    """``value`` as a float; ``ParameterError`` unless it is finite and
-    positive (nan and inf are not)."""
+    """``value`` as a float; ``ParameterError`` unless it is one finite and
+    positive number (nan and inf are not)."""
+    if np.ndim(value) != 0:
+        raise ParameterError(
+            f"{name} must be a number, got an array of shape {np.shape(value)}")
     if not 0.0 < value < np.inf:
         raise ParameterError(f"{name} must be finite and positive, got {value}")
     return float(value)

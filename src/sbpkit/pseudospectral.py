@@ -105,6 +105,7 @@ class NodeFamily:
             raise InvariantError(
                 f"expected {self.n + 1} nodes, got {nodes.size}"
             )
+        _check_finite_nodes(nodes)
         if np.any(np.diff(nodes) <= 0):
             raise InvariantError("nodes must be strictly increasing")
         a, b = self.interval.a, self.interval.b
@@ -193,12 +194,20 @@ def chebyshev_gauss_lobatto_nodes(n: int) -> np.ndarray:
     return -np.cos(np.pi * np.arange(n + 1) / n)
 
 
+def _check_finite_nodes(nodes: np.ndarray) -> None:
+    """Refuse a nan or an inf node, which every later comparison lets pass."""
+    bad = np.flatnonzero(~np.isfinite(nodes))
+    if bad.size:
+        raise InvariantError(f"nodes must be finite, got nodes[{bad[0]}] = {nodes[bad[0]]}")
+
+
 def _check_nodes(nodes) -> np.ndarray:
     nodes = np.ravel(np.asarray(nodes, dtype=float))
     if nodes.size < 2:
         raise ParameterError(
             f"a differentiation matrix needs at least 2 nodes, got {nodes.size}"
         )
+    _check_finite_nodes(nodes)
     xs = np.sort(nodes)
     if np.any(xs[1:] == xs[:-1]):
         raise InvariantError("nodes must be pairwise distinct")
@@ -417,10 +426,11 @@ def certify_families(
     matrix must have the eigenvalue property (the Hautus test, or the tau
     band where that test does not apply).  The entry's minimum real part
     explains the verdict: the smallest real part of one ``eigvals`` of the
-    penalized matrix, which is built once per family.  The uniqueness
-    mechanism is also probed directly: V^T H must have full ``svd_rank``,
-    i.e. no nonzero vector is H-orthogonal to all grid polynomials; V
-    tabulates the Legendre basis mapped to the interval.
+    penalized matrix, which is built for it once per family (the verdict
+    reads the operator alone, and builds its own D_tilde only on the band
+    route).  The uniqueness mechanism is also probed directly: V^T H must
+    have full ``svd_rank``, i.e. no nonzero vector is H-orthogonal to all
+    grid polynomials; V tabulates the Legendre basis mapped to the interval.
     ``tau_eig`` scales the band ``tau_eig * ||D_tilde||_F`` and the kernel
     residual's bound ``tau_eig * sigma_max(D_plus)``.  An empty sweep raises
     ``ParameterError``.
@@ -433,9 +443,9 @@ def certify_families(
     failures: list[str] = []
     for family in families:
         op = build_pseudospectral_operator(family)
-        d_tilde = spectral.build_d_tilde(op)
-        eig = check_eigenvalue_property(op, d_tilde, tau_eig)
+        eig = check_eigenvalue_property(op, tau_eig)
         nullspace = check_nullspace_consistency(op, eig, tau_eig)
+        d_tilde = spectral.build_d_tilde(op)
         min_real_part = float(np.min(np.linalg.eigvals(d_tilde).real))
 
         v, _ = legendre_basis(op.x, op.interval, op.n)

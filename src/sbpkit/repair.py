@@ -10,8 +10,9 @@ basis of the invariant subspace N of the imaginary eigenvalues, two per
 conjugate pair: the ``basis`` of the verdict
 :func:`sbpkit.verify.check_eigenvalue_property` returns, so the repair acts
 on exactly the values that verdict finds; one eps serves every pair.  The
-repair builds no spectral report and runs no ``eig``; where the Hautus
-test does not apply, the band of one ``eigvals`` decides.  Because N is H-orthogonal to x^j for j = 0..q, S'
+repair builds no spectral report and runs no ``eig``, and it builds no
+D_tilde unless the Hautus test does not apply, where the band of one
+``eigvals`` decides.  Because N is H-orthogonal to x^j for j = 0..q, S'
 annihilates the grid polynomials, so ``D_plus' = D_plus + 1/2 H^{-1} S'``
 and ``D_minus' = D_minus - 1/2 H^{-1} S'`` are an operator pair of the same
 order with S replaced by S + S'.  ``1/2 H^{-1} S' = (eps/2) Q (H Q)^T`` needs no
@@ -31,7 +32,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import spectral
 from .errors import (
     ContractError,
     InternalInconsistencyError,
@@ -141,8 +141,9 @@ def repair_operator(
     """Return an operator with the positive-spectrum property and the plan.
 
     One analysis of D_tilde, by
-    :func:`sbpkit.verify.check_eigenvalue_property`, serves the nullspace
-    verdict and the eigenvalue verdict, which the repair takes as it is.
+    :func:`sbpkit.verify.check_eigenvalue_property` on ``op`` alone, serves
+    the nullspace verdict and the eigenvalue verdict, which the repair takes
+    as it is; D_tilde is built only where the band decides.
     Where the property holds, ``op`` is returned
     unchanged with an empty plan, which makes the repair idempotent.  Where
     it fails on the band route, which has no basis of N, ``ContractError``
@@ -157,7 +158,7 @@ def repair_operator(
         norm_choice = NormChoice(norm_choice)
     except ValueError:
         raise ParameterError(f"unknown norm choice {norm_choice!r}") from None
-    check = check_eigenvalue_property(op, spectral.build_d_tilde(op), tolerance)
+    check = check_eigenvalue_property(op, tolerance)
     diagnostics = check_nullspace_consistency(op, check, tolerance)
     if not diagnostics.consistent:
         raise RepairImpossibleError(

@@ -21,21 +21,28 @@ the one caller of :func:`eigen_decompose`: it builds and decomposes the
 penalized matrix once and classifies the eigenvalues by the band
 ``|Re| <= tau * ||D_tilde||_F``.  The ``spectrum`` and ``demo`` commands
 print that report; a verdict reads eigenvalues only and runs no ``eig``.
+Only eigenvalue solvers build D_tilde: this report, the band route of
+:func:`sbpkit.verify.check_eigenvalue_property` and
+:func:`sbpkit.pseudospectral.certify_families`, for its ``eigvals``.
 
-:func:`orthogonalize_imaginary` finds N without decomposing D_tilde, by the
-Hautus test (Hautus 1969) in H coordinates, for
+:func:`orthogonalize_imaginary` finds N without building or decomposing
+D_tilde, by the Hautus test (Hautus 1969) in H coordinates, for
 :func:`sbpkit.verify.check_eigenvalue_property`, its one caller, whose
 verdict and basis the repair reads and whose word on a zero eigenvalue
 decides whether D_tilde is invertible.
-With ``H = L L^T``, ``A = L^T D_tilde L^{-T}`` and
-``B = L^{-1} [p0, pn, S^(1/2)]`` the SBP identity reads ``A + A^T = B B^T``,
-so the skew part K of A is normal, and N is the sum over the eigenspaces
+With ``H = L L^T`` and ``B = L^{-1} [p0, pn, S^(1/2)]``, whose first column
+is ``b0 = L^{-1} p0``, D_tilde reads
+``A = L^T D_tilde L^{-T} = L^T D_plus L^{-T} + b0 b0^T`` in H coordinates,
+and the SBP identity reads ``A + A^T = B B^T``.  So the skew part K of A,
+which is the skew part of D_plus in H coordinates, is normal, and p0
+enters the test only through B.  N is the sum over the eigenspaces
 V_mu of K of ``V_mu intersected with ker B^T``; on it D_tilde has the
 eigenvalues ``i mu``.  One Hermitian ``eigh`` gives mu and V_mu.  The
 clusters of mu and the rank of each ``B^T V_mu`` follow the package's rank
 rule, not the tolerance.  Where the SBP identity does not hold to rounding
 (``max|A + A^T - B B^T| > rank_threshold(max|A|)``) or H has no Cholesky
-factor, the test does not apply, and the band of one ``eigvals`` decides.
+factor, the test does not apply, and the band of one ``eigvals`` of
+D_tilde, built there, decides.
 """
 
 from __future__ import annotations
@@ -236,11 +243,16 @@ def spectral_report(
 
 
 def _h_coordinates(
-    op: SbpOperatorPair, d_tilde: np.ndarray
+    op: SbpOperatorPair,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
     """``A = L^T D_tilde L^{-T}``, ``B = L^{-1} [p0, pn, S^(1/2)]`` and the
     factor L of ``H = L L^T`` (its diagonal when H is diagonal), or None when
-    H has no Cholesky factor."""
+    H has no Cholesky factor.
+
+    A is formed from D_plus alone: the penalty ``H^{-1} p0 p0^T`` becomes
+    ``b0 b0^T`` in H coordinates, with ``b0 = L^{-1} p0`` the first column
+    of B, so no D_tilde is built.
+    """
     size = op.n + 1
     columns = [op.p0, op.pn]
     if np.any(op.s):
@@ -252,36 +264,42 @@ def _h_coordinates(
         d = np.diagonal(op.h)
         if not np.all(d > 0.0):
             return None
-        root = np.sqrt(d)
-        a = d_tilde * root[:, None]
-        a /= root
-        return a, c / root[:, None], root
-    try:
-        lower = np.linalg.cholesky(op.h)
-    except np.linalg.LinAlgError:
-        return None
-    # One solve gives L^{-1} D_tilde^T, whose product with L is A^T, and B.
-    x = np.linalg.solve(lower, np.column_stack([d_tilde.T, c]))
-    return (x[:, :size] @ lower).T, x[:, size:], lower
+        factor = np.sqrt(d)
+        a = op.d_plus * factor[:, None]
+        a /= factor
+        b = c / factor[:, None]
+    else:
+        try:
+            factor = np.linalg.cholesky(op.h)
+        except np.linalg.LinAlgError:
+            return None
+        # One solve gives L^{-1} D_plus^T, whose product with L is the
+        # transpose of L^T D_plus L^{-T}, and B.
+        x = np.linalg.solve(factor, np.column_stack([op.d_plus.T, c]))
+        a = (x[:, :size] @ factor).T
+        b = x[:, size:]
+    a += np.outer(b[:, 0], b[:, 0])
+    return a, b, factor
 
 
 def orthogonalize_imaginary(
-    op: SbpOperatorPair, d_tilde: np.ndarray
+    op: SbpOperatorPair,
 ) -> tuple[tuple[complex, ...], np.ndarray, bool] | None:
     """The unobservable subspace N of ``(C, D_tilde)`` by the Hautus test.
 
-    Returns ``(offending, q, singular)``: the eigenvalues ``i mu`` of
-    ``d_tilde`` on N, one per direction, sorted by mu, a real H-orthonormal
-    basis of N as the columns of q (none when N = {0}), and whether
-    ``d_tilde`` is singular.  By the energy identity a kernel vector of
-    ``d_tilde`` is unobservable, so it is singular exactly when the mu = 0
-    cluster has a hidden direction: the cluster of the mu of least
-    magnitude, where that mu is zero by the clustering rule.  Returns None
-    when the SBP identity does not hold to rounding or H has no Cholesky
-    factor, where the test does not apply (see the module docstring).
+    Reads ``op`` alone and builds no D_tilde.  Returns
+    ``(offending, q, singular)``: the eigenvalues ``i mu`` of D_tilde on N,
+    one per direction, sorted by mu, a real H-orthonormal basis of N as the
+    columns of q (none when N = {0}), and whether D_tilde is singular.  By
+    the energy identity a kernel vector of D_tilde is unobservable, so it is
+    singular exactly when the mu = 0 cluster has a hidden direction: the
+    cluster of the mu of least magnitude, where that mu is zero by the
+    clustering rule.  Returns None when the SBP identity does not hold to
+    rounding or H has no Cholesky factor, where the test does not apply (see
+    the module docstring).
     """
     size = op.n + 1
-    coords = _h_coordinates(op, d_tilde)
+    coords = _h_coordinates(op)
     if coords is None:
         return None
     a, b, factor = coords

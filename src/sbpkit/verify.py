@@ -17,7 +17,7 @@ nullspace routes follow the package's one rank rule
 (:func:`sbpkit.linalg.rank_threshold`), whatever the tolerance.  A diagonal H (or S) skips the dense products and
 eigenvalue solves with bit-identical residuals.
 
-:func:`verify_all` builds D_tilde once and analyses it once, in
+:func:`verify_all` analyses D_tilde once, in
 :func:`check_eigenvalue_property`; that check also answers the first
 nullspace route.  By the energy identity a kernel vector of D_tilde is
 unobservable, so D_tilde is invertible exactly where the check finds no
@@ -28,9 +28,11 @@ The eigenvalue property is decided without an eigen-decomposition of
 D_tilde: it holds iff the unobservable subspace N of ``(C, D_tilde)``, with
 ``C = [p0^T; pn^T; S]``, is {0}, and
 :func:`sbpkit.spectral.orthogonalize_imaginary` finds N by the Hautus test
-on the skew part of D_tilde in H coordinates.  Where that test does not
-apply (the SBP identity does not hold to rounding, or H has no Cholesky
-factor), the verdict falls back to the band
+on the skew part of D_plus in H coordinates, where p0 enters only through
+the observation matrix.  That test reads the operator alone; no verdict
+takes a D_tilde as input.  Where the test does not apply (the SBP identity
+does not hold to rounding, or H has no Cholesky factor), D_tilde is built
+and the verdict falls back to the band
 ``|Re lambda| <= tolerance * ||D_tilde||_F`` of one ``eigvals``, the
 classification :func:`sbpkit.spectral.spectral_report` uses.
 :func:`check_eigenvalue_property` is the only place that picks the route.
@@ -323,22 +325,24 @@ def check_nullspace_consistency(
 
 
 def check_eigenvalue_property(
-    op: SbpOperatorPair, d_tilde: np.ndarray, tolerance: float = DEFAULT_TOLERANCE
+    op: SbpOperatorPair, tolerance: float = DEFAULT_TOLERANCE
 ) -> EigenvalueCheck:
-    """Decide whether every eigenvalue of the penalized matrix ``d_tilde``
-    has a positive real part.
+    """Decide whether every eigenvalue of the penalized matrix D_tilde of
+    ``op`` has a positive real part.
 
     Decided by the Hautus test of
-    :func:`sbpkit.spectral.orthogonalize_imaginary`, which does not read the
-    tolerance and gives the basis of N.  Where that test is invalid, one
-    ``eigvals`` of ``d_tilde`` decides instead: every eigenvalue must lie
-    right of the band ``tolerance * ||D_tilde||_F``, there is no basis, and
-    D_tilde is singular where an eigenvalue lies within
+    :func:`sbpkit.spectral.orthogonalize_imaginary`, which reads the
+    operator alone, builds no D_tilde, does not read the tolerance and gives
+    the basis of N.  Where that test is invalid, D_tilde is built and one
+    ``eigvals`` of it decides instead: every eigenvalue must lie right of
+    the band ``tolerance * ||D_tilde||_F``, there is no basis, and D_tilde
+    is singular where an eigenvalue lies within
     ``rank_threshold(||D_tilde||_F, n + 1)`` of 0.
     """
     tolerance = check_positive(tolerance)
-    analysis = spectral.orthogonalize_imaginary(op, d_tilde)
+    analysis = spectral.orthogonalize_imaginary(op)
     if analysis is None:
+        d_tilde = spectral.build_d_tilde(op)
         lam = np.sort_complex(np.linalg.eigvals(d_tilde))
         scale = float(np.linalg.norm(d_tilde, "fro"))
         analysis = (tuple(lam[lam.real <= tolerance * scale].tolist()), None,
@@ -355,15 +359,16 @@ def verify_all(
 
     Accuracy is swept one degree past q so the report can distinguish an
     operator that is exactly of its claimed order from a better one.  The
-    penalized matrix is built and analysed once, by the eigenvalue check,
-    whose verdict on its invertibility is the first nullspace route.
+    penalized matrix is analysed once, by the eigenvalue check, whose
+    verdict on its invertibility is the first nullspace route; it is built
+    only where the band decides.
     """
     tolerance = check_positive(tolerance)
     accuracy, observed_order = check_accuracy(op, j_max=op.q + 1, tolerance=tolerance)
     spd = check_spd(op.h, tolerance)
     res_c, res_d = check_sbp_identities(op, tolerance)
     s_sym, s_psd, s_ann = check_s_conditions(op, tolerance)
-    check = check_eigenvalue_property(op, spectral.build_d_tilde(op), tolerance)
+    check = check_eigenvalue_property(op, tolerance)
     return VerificationReport(
         residuals=(*accuracy, spd, res_c, res_d, s_sym, s_psd, s_ann),
         observed_order=observed_order,

@@ -115,6 +115,58 @@ def polynomial_exactness_check(op, degree=None, trials=20, seed=1902) -> float:
     return worst
 
 
+def d_tilde_h_coordinates(op):
+    """``(A, B, L)`` of ``spectral._h_coordinates`` by the formulation that
+    reads an assembled D_tilde: ``A = L^T D_tilde L^{-T}`` with
+    ``D_tilde = build_d_tilde(op)``, by row and column scaling for a
+    diagonal H and by the one solve ``L^{-1} [D_tilde^T, C]`` for a dense
+    one.  The reference for the form that adds ``b0 b0^T`` to the image of
+    D_plus; None where H has no Cholesky factor."""
+    from sbpkit.linalg import rank_threshold
+    from sbpkit.operators import _is_diagonal
+    from sbpkit.spectral import build_d_tilde
+
+    d_tilde = build_d_tilde(op)
+    size = op.n + 1
+    columns = [op.p0, op.pn]
+    if np.any(op.s):
+        lam, vec = np.linalg.eigh(0.5 * (op.s + op.s.T))
+        keep = lam > rank_threshold(np.max(np.abs(lam)), size)
+        columns.append(vec[:, keep] * np.sqrt(lam[keep]))
+    c = np.column_stack(columns)
+    if _is_diagonal(op.h):
+        d = np.diagonal(op.h)
+        if not np.all(d > 0.0):
+            return None
+        root = np.sqrt(d)
+        return d_tilde * root[:, None] / root, c / root[:, None], root
+    try:
+        lower = np.linalg.cholesky(op.h)
+    except np.linalg.LinAlgError:
+        return None
+    x = np.linalg.solve(lower, np.column_stack([d_tilde.T, c]))
+    return (x[:, :size] @ lower).T, x[:, size:], lower
+
+
+def reference_eigenvalue_check(op, tolerance=1e-10):
+    """``check_eigenvalue_property`` with H coordinates taken from an
+    assembled D_tilde (:func:`d_tilde_h_coordinates`)."""
+    from unittest import mock
+
+    from sbpkit import spectral
+    from sbpkit.verify import check_eigenvalue_property
+
+    with mock.patch.object(spectral, "_h_coordinates", d_tilde_h_coordinates):
+        return check_eigenvalue_property(op, tolerance)
+
+
+def verdict_of(check) -> tuple:
+    """What an :class:`EigenvalueCheck` decides: the property, whether
+    D_tilde is singular, the offending count and the route (True on the
+    band route, which has no basis)."""
+    return check.has_property, check.singular, len(check.offending), check.basis is None
+
+
 def h_norm(f, h) -> float:
     """The norm ``sqrt(f* H f)`` of a real or complex grid vector."""
     f = np.asarray(f)

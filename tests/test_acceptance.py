@@ -143,7 +143,7 @@ def test_criterion_3_repair_at_three_budgets():
         # strict positivity is certified by the Hautus test, which has no
         # band (the eps=1e-10 shift is ~7e-11, inside the default
         # 1e-10-scaled band of the spectral report)
-        eig = check_eigenvalue_property(repaired, build_d_tilde(repaired), 1e-12)
+        eig = check_eigenvalue_property(repaired, 1e-12)
         if not eig.has_property:
             failures.append(f"eps={eps}: eigenvalue property still absent")
         delta = float(np.linalg.norm(repaired.d_plus - op.d_plus, "fro"))

@@ -197,6 +197,18 @@ def test_errors_exit_2(capsys, tmp_path, argv):
     assert "error: ParameterError:" in err
 
 
+@pytest.mark.parametrize("nodes, extra", [
+    ("0,nan,1", []), ("0,inf,1", []), ("0,nan,1", ["--certify"]),
+], ids=["nan", "inf", "nan_certify"])
+def test_a_non_finite_node_exits_2(capsys, nodes, extra):
+    code, out, err = _run(capsys, ["pseudospectral", "--family", "explicit", "--n", "2",
+                                   "--nodes", nodes, *extra])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: InvariantError: nodes must be finite, got nodes[1]")
+    assert err.count("\n") == 1
+
+
 def test_an_operator_larger_than_memory_exits_2(capsys):
     # numpy refuses the 71 PiB D_plus at once and allocates nothing.
     code, out, err = _run(capsys, ["verify", "--builtin", "classical_fd_99999999"])

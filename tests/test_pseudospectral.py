@@ -74,6 +74,22 @@ def test_single_node_rejected():
         build_pseudospectral_d([0.5])
 
 
+NON_FINITE = {"nan": np.nan, "inf": np.inf, "minus_inf": -np.inf}
+
+
+@pytest.mark.parametrize("bad", NON_FINITE.values(), ids=NON_FINITE.keys())
+@pytest.mark.parametrize("helper", [
+    build_pseudospectral_d,
+    lambda nodes: build_interpolatory_h(nodes, Interval(0.0, 1.0)),
+    lambda nodes: build_modal_h(nodes, Interval(0.0, 1.0)),
+], ids=["pseudospectral_d", "interpolatory_h", "modal_h"])
+def test_a_non_finite_node_is_refused_before_any_arithmetic(helper, bad):
+    # A nan passes the distinctness comparison, so only an explicit check
+    # keeps it from giving an all-nan D or H.
+    with pytest.raises(InvariantError, match=r"nodes must be finite, got nodes\[1\]"):
+        helper([0.0, bad, 1.0])
+
+
 @pytest.mark.parametrize("n", range(1, 7))
 @pytest.mark.parametrize("maker", [
     lambda n: legendre_gauss_lobatto(n)[0],
@@ -200,6 +216,14 @@ def test_node_family_validation():
         NodeFamily(Family.EXPLICIT, 3, REFERENCE, np.array([-1.0, 0.0, 1.0]))
 
 
+@pytest.mark.parametrize("bad", NON_FINITE.values(), ids=NON_FINITE.keys())
+def test_a_node_family_refuses_a_non_finite_node(bad):
+    # A nan makes both the ordering and the interval comparison false, so
+    # neither of them refuses it.
+    with pytest.raises(InvariantError, match="nodes must be finite"):
+        NodeFamily.explicit([0.0, bad, 1.0], Interval(0.0, 1.0))
+
+
 def test_a_family_given_by_its_value_builds_the_same_operator():
     family = NodeFamily.legendre_gauss_lobatto(4, REFERENCE)
     by_value = NodeFamily(family.tag.value, family.n, family.interval, family.nodes)
@@ -308,7 +332,7 @@ def test_diagonal_norm_only_where_exact_on_shifted_intervals(
         assert report.all_passed(), (n, report.to_document())
         assert report.observed_order == n
         assert report.nullspace_consistent and report.eigenvalue_property, n
-        analysis = orthogonalize_imaginary(loaded, build_d_tilde(loaded))
+        analysis = orthogonalize_imaginary(loaded)
         assert analysis is None or analysis[1].shape == (n + 1, 0), n
 
 

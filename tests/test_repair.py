@@ -23,7 +23,10 @@ from sbpkit.errors import (
     RepairImpossibleError,
     ShapeError,
 )
-from sbpkit.linalg import svd_rank
+from sbpkit.linalg import max_abs, rank_threshold, svd_rank
+from sbpkit.operators import _is_diagonal
+
+from oracles import d_tilde_h_coordinates, reference_eigenvalue_check, verdict_of
 
 
 def _paper_style_eigenvector():
@@ -34,7 +37,7 @@ def _paper_style_eigenvector():
 
 
 def _ortho_vectors(op):
-    return list(orthogonalize_imaginary(op, build_d_tilde(op))[1].T)
+    return list(orthogonalize_imaginary(op)[1].T)
 
 
 def _sorted_eigs(matrix):
@@ -296,7 +299,7 @@ def test_plan_document_fields():
 
 def test_repaired_spectrum_is_clean():
     repaired, plan = repair_operator(build_counterexample(), 1e-6)
-    check = check_eigenvalue_property(repaired, build_d_tilde(repaired))
+    check = check_eigenvalue_property(repaired)
     assert check.has_property
     min_real_part = spectral_report(repaired).eigenvalues[0].real
     assert min_real_part == pytest.approx(0.5 * plan.epsilons[0], rel=1e-6)
@@ -360,7 +363,7 @@ def test_repair_is_the_projector_onto_the_planted_subspace(omegas, congruent):
     op, z = _plant(build_classical_fd(40, Interval(0.0, 1.0)), omegas,
                    np.random.default_rng(40), congruent)
     m = len(omegas)
-    assert orthogonalize_imaginary(op, build_d_tilde(op))[1].shape == (op.n + 1, 2 * m)
+    assert orthogonalize_imaginary(op)[1].shape == (op.n + 1, 2 * m)
 
     repaired, plan = repair_operator(op, 1e-3)
     eps = plan.epsilons[0]
@@ -385,11 +388,10 @@ def test_hautus_and_band_find_the_planted_subspace(omegas, congruent):
     op, _ = _plant(build_classical_fd(40, Interval(0.0, 1.0)), omegas,
                    np.random.default_rng(40), congruent)
     report = spectral_report(op)
-    d_tilde = build_d_tilde(op)
-    offending = check_eigenvalue_property(op, d_tilde).offending
+    offending = check_eigenvalue_property(op).offending
     # exact i mu values come from the Hautus test, not from the band's eig
     assert all(value.real == 0.0 for value in offending)
-    q = orthogonalize_imaginary(op, d_tilde)[1]
+    q = orthogonalize_imaginary(op)[1]
     assert len(offending) == q.shape[1] == 2 * report.m
     assert not np.iscomplexobj(q)
     assert np.max(np.abs(q.T @ op.h @ q - np.eye(q.shape[1]))) <= 1e-12
@@ -405,9 +407,8 @@ def test_hautus_and_band_find_the_planted_subspace(omegas, congruent):
 def test_the_repair_acts_on_the_checks_basis_of_the_planted_subspace(omegas, congruent):
     op, _ = _plant(build_classical_fd(40, Interval(0.0, 1.0)), omegas,
                    np.random.default_rng(40), congruent)
-    d_tilde = build_d_tilde(op)
-    check = check_eigenvalue_property(op, d_tilde)
-    q = orthogonalize_imaginary(op, d_tilde)[1]
+    check = check_eigenvalue_property(op)
+    q = orthogonalize_imaginary(op)[1]
     assert check.basis.shape == q.shape == (op.n + 1, 2 * len(omegas))
     assert check.basis.tobytes() == q.tobytes()
     assert not verify_all(op).eigenvalue_property
@@ -448,18 +449,68 @@ def test_the_repair_moves_d_minus_opposite_to_d_plus():
 
 
 def test_the_repair_makes_no_solve_of_its_own(monkeypatch):
-    # With a dense H, the solves of a repair are those of D_tilde and of the
-    # Hautus test; the update (eps/2) Q (H Q)^T needs none.
+    # With a dense H, the solves of a repair are the Hautus test's two: one
+    # into H coordinates, one mapping N's basis back.  The update
+    # (eps/2) Q (H Q)^T needs none, and no D_tilde is built.
     op, _ = _plant(build_classical_fd(40, Interval(0.0, 1.0)), (9.0, 9.0, 17.0),
                    np.random.default_rng(40), congruent=True)
     solves = []
     solve = np.linalg.solve
     monkeypatch.setattr(np.linalg, "solve", lambda *a: solves.append(1) or solve(*a))
-    check_eigenvalue_property(op, build_d_tilde(op))
+    check_eigenvalue_property(op)
     analysis = len(solves)
     _, plan = repair_operator(op, 1e-3)
     assert plan.m == 3
-    assert len(solves) - analysis == analysis == 3
+    assert len(solves) - analysis == analysis == 2
+
+
+def _planted(omegas, congruent, repaired=False):
+    op, _ = _plant(build_classical_fd(40, Interval(0.0, 1.0)), omegas,
+                   np.random.default_rng(40), congruent)
+    return repair_operator(op, 1e-3)[0] if repaired else op
+
+
+#: Each builder with whether its H is diagonal and whether its S is nonzero.
+H_COORDINATE_FIXTURES = {
+    "counterexample": (build_counterexample, True, False),
+    "repaired_counterexample":
+        (lambda: repair_operator(build_counterexample(), 1e-3)[0], True, True),
+    "repaired_planted_plain": (lambda: _planted((9.0, 9.0, 17.0), False, True), True, True),
+    "planted_congruent": (lambda: _planted((9.0, 9.0, 17.0), True), False, False),
+    "repaired_planted_congruent":
+        (lambda: _planted((9.0, 9.0, 17.0), True, True), False, True),
+}
+
+
+@pytest.mark.parametrize("build, diagonal, dissipative", H_COORDINATE_FIXTURES.values(),
+                         ids=H_COORDINATE_FIXTURES.keys())
+def test_h_coordinates_from_d_plus_are_those_of_the_assembled_d_tilde(
+        build, diagonal, dissipative):
+    # A = L^T D_plus L^-T + b0 b0^T against L^T D_tilde L^-T, with diagonal
+    # and dense H, with S = 0 and with the S' of a repair.
+    op = build()
+    assert bool(_is_diagonal(op.h)) is diagonal
+    assert bool(np.any(op.s)) is dissipative
+    a, b, factor = spectral._h_coordinates(op)
+    ref_a, ref_b, ref_factor = d_tilde_h_coordinates(op)
+    assert factor.ndim == (1 if diagonal else 2)
+    np.testing.assert_array_equal(factor, ref_factor)
+    assert max_abs(a - ref_a) <= rank_threshold(max_abs(ref_a), op.n + 1)
+    assert max_abs(b - ref_b) <= rank_threshold(max_abs(ref_b), op.n + 1)
+
+
+@pytest.mark.parametrize("congruent", [False, True], ids=["plain", "congruent"])
+@pytest.mark.parametrize("omegas", [(3.0,), (9.0, 9.0, 17.0),
+                                    (3.0, 7.0, 9.0, 9.0, 17.0, 25.0)], ids=["1", "3", "6"])
+@pytest.mark.parametrize("repaired", [False, True], ids=["before", "after"])
+def test_the_verdict_is_that_of_the_assembled_d_tilde_on_planted_inputs(
+        omegas, congruent, repaired):
+    op = _planted(omegas, congruent, repaired)
+    check = check_eigenvalue_property(op)
+    reference = reference_eigenvalue_check(op)
+    assert verdict_of(check) == verdict_of(reference)
+    assert verdict_of(check) == (repaired, False, 0 if repaired else 2 * len(omegas), False)
+    np.testing.assert_allclose(check.offending, reference.offending, rtol=0.0, atol=1e-12)
 
 
 def test_a_congruence_keeps_the_eigenvalue_verdict():
@@ -474,7 +525,7 @@ def test_a_congruence_keeps_the_eigenvalue_verdict():
                                  np.random.default_rng(40), congruent=False)[0],
         "repaired_counterexample": repair_operator(build_counterexample(), 1e-3)[0],
     }
-    verdicts = {name: check_eigenvalue_property(op, build_d_tilde(op))
+    verdicts = {name: check_eigenvalue_property(op)
                 for name, op in bases.items()}
     assert [len(v.offending) for v in verdicts.values()] == [2, 0, 6, 0]
 
@@ -484,7 +535,7 @@ def test_a_congruence_keeps_the_eigenvalue_verdict():
     def check(name, seed, rank, size):
         mapped, _ = _congruence(bases[name], np.random.default_rng(seed), rank, size)
         d_tilde = build_d_tilde(mapped)
-        after = check_eigenvalue_property(mapped, d_tilde)
+        after = check_eigenvalue_property(mapped)
         before = verdicts[name]
         assert after.has_property is before.has_property
         assert len(after.offending) == len(before.offending)

@@ -33,7 +33,8 @@ from sbpkit.errors import (
 )
 from sbpkit.linalg import svd_rank
 
-from oracles import eigenspace_basis, h_norm, peak_n2, planted_kernel_fd
+from oracles import (eigenspace_basis, h_norm, peak_n2, planted_kernel_fd,
+                     reference_eigenvalue_check, verdict_of)
 
 INV_SQRT5 = 0.4472135954999579
 
@@ -286,7 +287,7 @@ def test_spectrum_of_an_operator_that_is_not_nullspace_consistent(capsys, tmp_pa
 
 def test_orthogonalize_counterexample():
     op = build_counterexample()
-    offending, q, singular = orthogonalize_imaginary(op, build_d_tilde(op))
+    offending, q, singular = orthogonalize_imaginary(op)
     np.testing.assert_allclose(offending, [-1j * INV_SQRT5, 1j * INV_SQRT5], rtol=1e-12)
     assert not singular
     assert q.shape == (6, 2)
@@ -305,7 +306,7 @@ def test_orthogonalize_counterexample():
 ], ids=["two_point", "classical_fd_64", "repaired_counterexample"])
 def test_orthogonalize_is_empty_with_the_eigenvalue_property(build):
     op = build()
-    offending, q, singular = orthogonalize_imaginary(op, build_d_tilde(op))
+    offending, q, singular = orthogonalize_imaginary(op)
     assert offending == () and not singular
     assert q.shape == (op.n + 1, 0)
 
@@ -457,11 +458,10 @@ def calls(monkeypatch):
 def test_hautus_and_band_find_the_same_unobservable_subspace(calls, build):
     op = build()
     report = spectral_report(op)
-    d_tilde = build_d_tilde(op)
     eigs = calls["eig"]
-    offending = check_eigenvalue_property(op, d_tilde).offending
+    offending = check_eigenvalue_property(op).offending
     assert calls["eig"] == eigs  # no eig: the Hautus test decided
-    q = orthogonalize_imaginary(op, d_tilde)[1]
+    q = orthogonalize_imaginary(op)[1]
     assert len(offending) == q.shape[1] == 2 * report.m
     assert not np.iscomplexobj(q)
     assert np.max(np.abs(q.T @ op.h @ q - np.eye(q.shape[1])), initial=0.0) <= 1e-12
@@ -513,18 +513,16 @@ def _flipped_two_point():
                          ids=AGREEMENT_FIXTURES.keys())
 def test_the_check_carries_the_hautus_basis(build):
     op = build()
-    d_tilde = build_d_tilde(op)
-    basis = check_eigenvalue_property(op, d_tilde).basis
-    q = orthogonalize_imaginary(op, d_tilde)[1]
+    basis = check_eigenvalue_property(op).basis
+    q = orthogonalize_imaginary(op)[1]
     assert basis.shape == q.shape and basis.dtype == q.dtype
     assert basis.tobytes() == q.tobytes()
 
 
 def test_where_the_band_decides_the_check_has_no_basis():
     op = _fd_32_off_the_identity()
-    d_tilde = build_d_tilde(op)
-    assert orthogonalize_imaginary(op, d_tilde) is None
-    check = check_eigenvalue_property(op, d_tilde)
+    assert orthogonalize_imaginary(op) is None
+    check = check_eigenvalue_property(op)
     assert check.has_property and check.basis is None
 
 
@@ -536,9 +534,8 @@ def test_on_the_band_route_the_values_inside_the_band_offend():
     h = np.array(op.h)
     h[1, 2] = h[2, 1] = 5.0
     op = op.with_fields(h=h)
-    d_tilde = build_d_tilde(op)
-    assert orthogonalize_imaginary(op, d_tilde) is None
-    check = check_eigenvalue_property(op, d_tilde)
+    assert orthogonalize_imaginary(op) is None
+    check = check_eigenvalue_property(op)
     report = spectral_report(op)
     inside = report.eigenvalues[report.classifications != EigenvalueClass.POSITIVE_REAL_PART]
     assert not check.has_property and check.basis is None
@@ -549,7 +546,7 @@ def test_on_the_band_route_the_values_inside_the_band_offend():
 
 def test_the_checks_basis_is_read_only():
     op = build_counterexample()
-    basis = check_eigenvalue_property(op, build_d_tilde(op)).basis
+    basis = check_eigenvalue_property(op).basis
     assert basis.shape == (6, 2)
     with pytest.raises(ValueError, match="read-only"):
         basis[0, 0] = 7.0
@@ -599,15 +596,15 @@ def test_where_h_has_no_cholesky_factor_one_eigvals_decides(calls, build):
 
 
 @pytest.mark.parametrize("call, counts", [
-    (lambda op: verify_all(op), (1, 0, 0, 1, 0)),
+    (lambda op: verify_all(op), (0, 0, 0, 1, 0)),
     (lambda op: spectral_report(op), (1, 1, 0, 0, 0)),
-    (lambda op: repair_operator(op, 1e-6), (1, 0, 0, 1, 0)),
+    (lambda op: repair_operator(op, 1e-6), (0, 0, 0, 1, 0)),
     (lambda op: certify_families(LGL_1_TO_4), (4, 0, 4, 4, 0)),
 ], ids=["verify_all", "spectral_report", "repair_operator", "certify_families"])
 def test_each_call_builds_and_decomposes_d_tilde_once(calls, call, counts):
-    # verify_all and the repair decompose the skew part in H coordinates (one
-    # eigh) instead of D_tilde.  Certification builds D_tilde once per family,
-    # hands it to that test and runs one eigvals for the entry's
+    # verify_all and the repair decompose the skew part of D_plus in H
+    # coordinates (one eigh) and build no D_tilde.  Certification builds
+    # D_tilde once per family for the one eigvals of the entry's
     # min_real_part; only the spectrum report runs eig.  The counterexample's
     # H is diagonal: no Cholesky factor.
     call(build_counterexample())
@@ -642,18 +639,48 @@ ROUTE_FIXTURES = {
 @pytest.mark.parametrize("build", ROUTE_FIXTURES.values(), ids=ROUTE_FIXTURES.keys())
 def test_the_check_finds_an_eigenvalue_at_0_exactly_where_d_tilde_loses_rank(build):
     op = build()
-    check = check_eigenvalue_property(op, build_d_tilde(op))
+    check = check_eigenvalue_property(op)
     assert check.singular is not _d_tilde_has_full_rank(op)
 
 
 def test_the_crippled_operators_take_the_band_and_the_planted_one_the_hautus_route():
     for build in (_crippled_counterexample, _counterexample_row_2_zeroed):
         op = build()
-        check = check_eigenvalue_property(op, build_d_tilde(op))
+        check = check_eigenvalue_property(op)
         assert check.singular and check.basis is None
     op = planted_kernel_fd(16)[0]
-    check = check_eigenvalue_property(op, build_d_tilde(op))
+    check = check_eigenvalue_property(op)
     assert check.singular and check.basis is not None
+
+
+LOBATTO_UP_TO_16 = {
+    f"{family.__name__}_{n}_{a:g}": _lobatto(family, n, a, a + (2.0 if a < 0 else 1.0))
+    for family in (NodeFamily.legendre_gauss_lobatto, NodeFamily.chebyshev_gauss_lobatto)
+    for a in (-1.0, 100.0, 1e4)
+    for n in range(1, 17)
+}
+
+
+VERDICT_FIXTURES = {
+    **ROUTE_FIXTURES,
+    "fd_32_off_the_identity": _fd_32_off_the_identity,
+    "flipped_two_point": _flipped_two_point,
+    **LOBATTO_UP_TO_16,
+}
+
+
+@pytest.mark.parametrize("build", VERDICT_FIXTURES.values(), ids=VERDICT_FIXTURES.keys())
+def test_the_verdict_is_that_of_the_assembled_d_tilde(build):
+    # The reference takes H coordinates from D_tilde itself; the check adds
+    # b0 b0^T to the image of D_plus.  Same property, singularity, offending
+    # count and route, on both routes and on [-1, 1], [100, 101] and
+    # [1e4, 1e4 + 1].
+    op = build()
+    check = check_eigenvalue_property(op)
+    reference = reference_eigenvalue_check(op)
+    assert verdict_of(check) == verdict_of(reference)
+    np.testing.assert_allclose(check.offending, reference.offending, rtol=0.0, atol=1e-12)
+
 
 
 @pytest.mark.parametrize("build", [

@@ -37,7 +37,7 @@ def _residuals(report):
 
 
 def _eigenvalue_check(op):
-    return check_eigenvalue_property(op, build_d_tilde(op))
+    return check_eigenvalue_property(op)
 
 
 def _nullspace(op):
@@ -93,6 +93,15 @@ def test_accuracy_rejects_bad_arguments():
         check_accuracy(build_two_point(), j_max=-1)
     with pytest.raises(ParameterError):
         check_accuracy(build_two_point(), j_max=1, tolerance=0.0)
+
+
+def test_a_matrix_given_for_the_tolerance_is_refused():
+    # The eigenvalue check reads the operator alone; a D_tilde passed as
+    # its second argument lands on the tolerance.
+    op = build_counterexample()
+    with pytest.raises(ParameterError, match=r"tolerance must be a number, got an array "
+                                             r"of shape \(6, 6\)"):
+        check_eigenvalue_property(op, build_d_tilde(op))
 
 
 # ---------------------------------------------------------------------------
@@ -560,7 +569,7 @@ def test_counterexample_unobservable_subspace_over_the_rationals():
     paper = sp.Matrix([[0, 1, -3, 3, -1, 0], [0, 1, -1, -1, 1, 0]]).T
     assert sp.Matrix.hstack(plane, paper).rank() == 2
 
-    basis, _ = np.linalg.qr(orthogonalize_imaginary(op, build_d_tilde(op))[1])
+    basis, _ = np.linalg.qr(orthogonalize_imaginary(op)[1])
     exact, _ = np.linalg.qr(np.array(plane, dtype=float))
     sines = np.linalg.svd(exact - basis @ (basis.T @ exact), compute_uv=False)
     assert np.max(sines) <= 1e-13

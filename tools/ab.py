@@ -26,6 +26,7 @@ One line per input gives its size, the median CPU ms of each side and the
 ratio B/A; the last lines give the median of the per-input ratios, how many
 inputs B is faster on, and whether both sides wrote the same bytes for
 every input: the documents and, for ``repair_planted``, the saved operator.
+When they did not, one more line names the slots whose bytes differ.
 ``perfbench/`` is only read.
 """
 
@@ -126,7 +127,7 @@ def main() -> int:
                     output += fh.read()
             return output
 
-        same = all(written(0, slot) == written(1, slot) for slot in range(len(pairs)))
+        differ = [slot for slot in range(len(pairs)) if written(0, slot) != written(1, slot)]
         times = [[[] for _ in pairs] for _ in sides]
         for r in range(rounds):
             for slot in range(len(pairs)):
@@ -140,7 +141,9 @@ def main() -> int:
         print(f"slot {slot} n={pair.size - 1:<4} A {a:8.3f} ms  B {b:8.3f} ms  B/A {b / a:.3f}")
     wins = sum(ratio < 1.0 for ratio in ratios)
     print(f"median B/A {statistics.median(ratios):.3f}; B faster on {wins} of {len(ratios)}")
-    print(f"identical output bytes on every input: {same}")
+    print(f"identical output bytes on every input: {not differ}")
+    if differ:
+        print("output bytes differ on slots " + ", ".join(map(str, differ)))
     return 0
 
 
