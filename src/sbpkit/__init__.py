@@ -38,7 +38,7 @@ from .pseudospectral import (
     certify_families,
     legendre_gauss_lobatto,
 )
-from .repair import NormChoice, PerturbationPlan, build_s_prime, repair_operator
+from .repair import NormChoice, PerturbationPlan, repair_operator
 from .sat import (
     ConvergenceStudy,
     FlowDirection,
@@ -47,15 +47,7 @@ from .sat import (
     convergence_study,
     solve,
 )
-from .spectral import (
-    EigenvalueClass,
-    SpectralReport,
-    build_d_tilde,
-    eigen_decompose,
-    h_inner,
-    orthogonalize_imaginary,
-    spectral_report,
-)
+from .spectral import EigenvalueClass, SpectralReport, build_d_tilde, spectral_report
 from .storage import load_operator, operator_from_document, operator_to_document, save_operator
 from .verify import (
     Property,

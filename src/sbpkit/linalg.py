@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ParameterError
-from .operators import Interval
+from .operators import Interval, _real
 
 __all__ = ["DEFAULT_TOLERANCE", "check_positive", "rank_threshold", "svd_rank",
            "max_abs", "legendre_basis", "relative_residual"]
@@ -25,13 +25,11 @@ RANK_SAFETY = 64.0
 
 def check_positive(value: float, name: str = "tolerance") -> float:
     """``value`` as a float; ``ParameterError`` unless it is one finite and
-    positive number (nan and inf are not)."""
-    if np.ndim(value) != 0:
-        raise ParameterError(
-            f"{name} must be a number, got an array of shape {np.shape(value)}")
+    positive integer or float (nan, inf, a bool, a string or None is not)."""
+    value = _real(value, name, ParameterError)
     if not 0.0 < value < np.inf:
         raise ParameterError(f"{name} must be finite and positive, got {value}")
-    return float(value)
+    return value
 
 
 def rank_threshold(sigma_max: float, size: int) -> float:

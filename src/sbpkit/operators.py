@@ -37,6 +37,16 @@ __all__ = [
 ]
 
 
+def _real(value, name: str, error: type[ValueError]) -> float:
+    """``value`` as a float; ``error`` naming it unless it is one integer or
+    float (a bool, a string or None is not)."""
+    if np.ndim(value) != 0:
+        raise error(f"{name} must be a number, got an array of shape {np.shape(value)}")
+    if np.asarray(value).dtype.kind not in "iuf":
+        raise error(f"{name} must be a real number, got {value!r}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class Interval:
     """A nonempty interval ``[a, b]`` with ``b > a``."""
@@ -45,7 +55,7 @@ class Interval:
     b: float
 
     def __post_init__(self) -> None:
-        a, b = float(self.a), float(self.b)
+        a, b = (_real(v, "interval endpoint", InvariantError) for v in (self.a, self.b))
         if not (np.isfinite(a) and np.isfinite(b)):
             raise InvariantError("interval endpoints must be finite")
         if not b > a:

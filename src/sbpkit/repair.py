@@ -15,14 +15,16 @@ D_tilde unless the Hautus test does not apply, where the band of one
 ``eigvals`` decides.  Because N is H-orthogonal to x^j for j = 0..q, S'
 annihilates the grid polynomials, so ``D_plus' = D_plus + 1/2 H^{-1} S'``
 and ``D_minus' = D_minus - 1/2 H^{-1} S'`` are an operator pair of the same
-order with S replaced by S + S'.  ``1/2 H^{-1} S' = (eps/2) Q (H Q)^T`` needs no
-solve against H; ``Q (H Q)^T`` is the H-orthogonal projector onto N.  N and its
-H-orthogonal complement are both invariant under the penalized matrix, so
-each imaginary eigenvalue moves right by exactly eps/2 while every other
-eigenpair is untouched, and the perturbation size ``||D_plus' - D_plus||``
-is set exactly by linear scaling of eps.  :func:`repair_operator` returns
-the repaired operator and a :class:`PerturbationPlan` holding eps, S' and
-the achieved norm; Q itself is not kept.
+order with S replaced by S + S'.  Both come from one product ``U = H Q``,
+formed by the internal ``build_s_prime``: ``S' = eps U U^T``, and
+``1/2 H^{-1} S' = (eps/2) Q U^T`` needs no solve against H; ``Q U^T`` is the
+H-orthogonal projector onto N.  N and its H-orthogonal complement are both
+invariant under the penalized matrix, so each imaginary eigenvalue moves
+right by exactly eps/2 while every other eigenpair is untouched, and the
+perturbation size ``||D_plus' - D_plus||`` is set exactly by linear scaling
+of eps.  :func:`repair_operator` returns the repaired operator and a
+:class:`PerturbationPlan` holding eps, S' and the achieved norm; Q itself
+is not kept.
 """
 
 from __future__ import annotations
@@ -37,21 +39,16 @@ from .errors import (
     InternalInconsistencyError,
     ParameterError,
     RepairImpossibleError,
-    ShapeError,
 )
-from .linalg import DEFAULT_TOLERANCE, check_positive, max_abs
+from .linalg import DEFAULT_TOLERANCE, check_positive
 from .operators import SbpOperatorPair, _read_only
 from .verify import check_eigenvalue_property, check_nullspace_consistency
 
 __all__ = [
     "NormChoice",
     "PerturbationPlan",
-    "build_s_prime",
     "repair_operator",
 ]
-
-#: Gram-matrix defect above which the input vectors are rejected.
-ORTHONORMALITY_TOLERANCE = 1e-8
 
 
 class NormChoice(enum.Enum):
@@ -101,35 +98,16 @@ class PerturbationPlan:
 
 
 def build_s_prime(
-    h: np.ndarray,
-    vectors: list[np.ndarray] | tuple[np.ndarray, ...],
-    eps: float,
-) -> np.ndarray:
-    """Assemble the dissipation perturbation ``S' = eps H Q Q^T H``.
+    h: np.ndarray, q: np.ndarray, eps: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """The dissipation perturbation ``S' = eps U U^T`` and ``U = H Q``.
 
-    ``vectors`` are the real H-orthonormal columns of Q, such as the columns
-    of the ``basis`` of :func:`sbpkit.verify.check_eigenvalue_property`;
-    none gives ``S' = 0``.
+    The columns of ``q`` are a real H-orthonormal basis, the ``basis`` of
+    :func:`sbpkit.verify.check_eigenvalue_property`; none gives ``S' = 0``.
+    Nothing is checked: the repair is the one caller.
     """
-    h = np.asarray(h, dtype=float)
-    eps = check_positive(eps, "eps")
-    if len(vectors) == 0:
-        return np.zeros_like(h)
-    vectors = [np.ravel(np.asarray(v)) for v in vectors]
-    if any(np.iscomplexobj(v) for v in vectors):
-        raise ContractError("expected real vectors, got complex ones")
-    n = h.shape[0] if h.ndim == 2 else -1
-    if h.shape != (n, n) or any(v.size != n for v in vectors):
-        raise ShapeError(f"vectors do not match the norm matrix of shape {h.shape}")
-
-    q = np.column_stack(vectors).astype(float)
     u = h @ q
-    defect = max_abs(q.T @ u - np.eye(len(vectors)))
-    if defect > ORTHONORMALITY_TOLERANCE:
-        raise ContractError(
-            f"input vectors are not H-orthonormal (Gram defect {defect:.3e})"
-        )
-    return (u * eps) @ u.T
+    return (u * eps) @ u.T, u
 
 
 def repair_operator(
@@ -176,8 +154,8 @@ def repair_operator(
             f"({list(check.offending)}); the operator cannot be repaired"
         )
 
-    unit = build_s_prime(op.h, list(check.basis.T), 1.0)
-    half_unit = 0.5 * check.basis @ (op.h @ check.basis).T
+    unit, u = build_s_prime(op.h, check.basis, 1.0)
+    half_unit = 0.5 * check.basis @ u.T
     delta = _matrix_norm(half_unit, norm_choice)
     if delta <= 0.0:
         raise InternalInconsistencyError("perturbation with unit weights is zero")

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import ParameterError, ShapeError, SingularSystemError
 from .linalg import max_abs
-from .operators import SbpOperatorPair, solve_against_norm
+from .operators import SbpOperatorPair, _real, solve_against_norm
 
 __all__ = [
     "FlowDirection",
@@ -52,8 +52,8 @@ class SatProblem:
 
     The penalty parameter is tied to the direction: sigma = 1 for forward
     flow (datum at a), sigma = -1 for reversed flow (datum at b).  The
-    samples and the datum must be finite, and the direction a
-    :class:`FlowDirection` or its value (else ``ParameterError``).
+    samples and the datum must be finite integers or floats, and the
+    direction a :class:`FlowDirection` or its value (else ``ParameterError``).
     """
 
     f_samples: np.ndarray
@@ -61,8 +61,12 @@ class SatProblem:
     direction: FlowDirection = FlowDirection.FORWARD
 
     def __post_init__(self) -> None:
-        samples = np.array(np.ravel(self.f_samples), dtype=float)
-        u0 = float(self.u0)
+        samples = np.ravel(self.f_samples)
+        if samples.dtype.kind not in "iuf":
+            raise ParameterError(
+                f"f_samples must be real numbers, got an array of dtype {samples.dtype}")
+        samples = samples.astype(float)
+        u0 = _real(self.u0, "u0", ParameterError)
         if not np.isfinite(samples).all():
             raise ParameterError("f_samples must be finite")
         if not np.isfinite(u0):

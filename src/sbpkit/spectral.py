@@ -16,20 +16,24 @@ largest D_tilde-invariant subspace inside ker C; it is H-orthogonal to
 All inner products here are ``<f, g> = f* H g``; Euclidean orthogonality has
 no meaning for these operators and is never asserted.
 
-:func:`spectral_report` is the one eigen-decomposition of an operator, and
-the one caller of :func:`eigen_decompose`: it builds and decomposes the
-penalized matrix once and classifies the eigenvalues by the band
+The public surface is the penalized matrix (:func:`build_d_tilde`) and
+:func:`spectral_report`, the one eigen-decomposition of an operator: it
+builds and decomposes the penalized matrix once, by the internal
+``eigen_decompose``, and classifies the eigenvalues by the band
 ``|Re| <= tau * ||D_tilde||_F``.  The ``spectrum`` and ``demo`` commands
 print that report; a verdict reads eigenvalues only and runs no ``eig``.
 Only eigenvalue solvers build D_tilde: this report, the band route of
 :func:`sbpkit.verify.check_eigenvalue_property` and
 :func:`sbpkit.pseudospectral.certify_families`, for its ``eigvals``.
 
-:func:`orthogonalize_imaginary` finds N without building or decomposing
-D_tilde, by the Hautus test (Hautus 1969) in H coordinates, for
+The internal ``orthogonalize_imaginary`` finds N without building or
+decomposing D_tilde, by the Hautus test (Hautus 1969) in H coordinates, for
 :func:`sbpkit.verify.check_eigenvalue_property`, its one caller, whose
 verdict and basis the repair reads and whose word on a zero eigenvalue
-decides whether D_tilde is invertible.
+decides whether D_tilde is invertible.  ``eigen_decompose`` does not check
+its input, which only this module passes.  ``h_inner`` has no caller in the
+package; the benchmark's span tracer (``perfbench/spans.py``) still wraps
+it by name.
 With ``H = L L^T`` and ``B = L^{-1} [p0, pn, S^(1/2)]``, whose first column
 is ``b0 = L^{-1} p0``, D_tilde reads
 ``A = L^T D_tilde L^{-T} = L^T D_plus L^{-T} + b0 b0^T`` in H coordinates,
@@ -52,7 +56,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, DecompositionError, ShapeError
+from .errors import DecompositionError, ShapeError
 from .linalg import (DEFAULT_TOLERANCE, check_positive, legendre_basis, max_abs,
                      rank_threshold, relative_residual)
 from .operators import SbpOperatorPair, _is_diagonal, solve_against_norm
@@ -61,10 +65,7 @@ __all__ = [
     "EigenvalueClass",
     "SpectralReport",
     "build_d_tilde",
-    "eigen_decompose",
     "spectral_report",
-    "h_inner",
-    "orthogonalize_imaginary",
 ]
 
 
@@ -158,7 +159,9 @@ def h_inner(f: np.ndarray, g: np.ndarray, h: np.ndarray) -> complex:
 def eigen_decompose(
     a: np.ndarray, h: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Full eigendecomposition by one LAPACK ``eig``, sorted by (Re, Im).
+    """Full eigendecomposition by one LAPACK ``eig`` of the real square
+    float array ``a``, sorted by (Re, Im); ``h`` is the norm matrix of its
+    size.
 
     Returns the eigenvalues (complex), the eigenvectors as the C-contiguous
     rows of one array, and their H-norms.  The eigenvectors are LAPACK's own, unit length in the
@@ -166,18 +169,6 @@ def eigen_decompose(
     complex eigenpairs come in exact conjugate pairs.  A repeated eigenvalue
     keeps LAPACK's vectors, which need not be independent.
     """
-    a = np.asarray(a)
-    if np.iscomplexobj(a):
-        raise ContractError("expected a real matrix")
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ShapeError(f"expected a square matrix, got shape {a.shape}")
-    m = a.shape[0]
-    h = np.asarray(h, dtype=float)
-    if h.shape != (m, m):
-        raise ShapeError(
-            f"norm matrix of shape {h.shape} does not match the {m}x{m} matrix"
-        )
     try:
         lam, vec = np.linalg.eig(a)
     except np.linalg.LinAlgError as exc:

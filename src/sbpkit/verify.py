@@ -54,7 +54,6 @@ from .linalg import (DEFAULT_TOLERANCE, check_positive, legendre_basis, max_abs,
 from .operators import SbpOperatorPair, _check_finite_norm, _is_diagonal
 
 __all__ = [
-    "DEFAULT_TOLERANCE",
     "Property",
     "PropertyResidual",
     "NullspaceDiagnostics",

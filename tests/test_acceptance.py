@@ -25,7 +25,6 @@ from sbpkit import (
     check_eigenvalue_property,
     check_s_conditions,
     convergence_study,
-    h_inner,
     legendre_gauss_lobatto,
     load_operator,
     repair_operator,
@@ -36,6 +35,7 @@ from sbpkit import (
 from sbpkit.cli import main
 from sbpkit.errors import IndefiniteNormError
 from sbpkit.pseudospectral import chebyshev_gauss_lobatto_nodes
+from sbpkit.spectral import h_inner
 
 from oracles import eigenspace_basis, polynomial_exactness_check, vandermonde_d
 

@@ -180,6 +180,16 @@ def test_interval_requires_b_greater_than_a():
         Interval(1.0, 1.0)
 
 
+def test_interval_rejects_a_string_endpoint():
+    with pytest.raises(InvariantError, match="endpoint must be a real number, got 'x'"):
+        Interval("x", 1.0)
+
+
+def test_interval_rejects_a_missing_endpoint():
+    with pytest.raises(InvariantError, match="endpoint must be a real number, got None"):
+        Interval(None, 1.0)
+
+
 BUILDERS = {
     "counterexample": build_counterexample,
     "two_point": build_two_point,

@@ -12,7 +12,6 @@ from sbpkit import (
     certify_families,
     legendre_gauss_lobatto,
     load_operator,
-    orthogonalize_imaginary,
     save_operator,
     spectral_report,
     verify_all,
@@ -21,6 +20,7 @@ from sbpkit.errors import IndefiniteNormError, InvariantError, ParameterError
 from sbpkit.linalg import svd_rank
 from sbpkit.pseudospectral import (_barycentric_weights, build_modal_h,
                                    chebyshev_gauss_lobatto_nodes)
+from sbpkit.spectral import orthogonalize_imaginary
 from sbpkit.verify import EigenvalueCheck
 
 from oracles import loop_pseudospectral_d, vandermonde_d

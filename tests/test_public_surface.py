@@ -50,12 +50,11 @@ PACKAGE_NAMES = [
     "SbpError", "SbpOperatorPair", "SchemaError", "ShapeError", "SingularNormError",
     "SingularSystemError", "SpectralReport", "VerificationReport", "assemble",
     "build_classical_fd", "build_counterexample", "build_d_tilde", "build_interpolatory_h",
-    "build_pseudospectral_d", "build_pseudospectral_operator", "build_s_prime",
-    "build_two_point", "certify_families", "check_accuracy", "check_eigenvalue_property",
+    "build_pseudospectral_d", "build_pseudospectral_operator", "build_two_point",
+    "certify_families", "check_accuracy", "check_eigenvalue_property",
     "check_nullspace_consistency", "check_s_conditions", "check_sbp_identities", "check_spd",
-    "convergence_study", "derive_d_minus", "eigen_decompose", "h_inner",
-    "legendre_gauss_lobatto", "load_operator", "operator_from_document",
-    "operator_to_document", "orthogonalize_imaginary", "repair_operator", "save_operator",
+    "convergence_study", "derive_d_minus", "legendre_gauss_lobatto", "load_operator",
+    "operator_from_document", "operator_to_document", "repair_operator", "save_operator",
     "solve", "spectral_report", "verify_all",
 ]
 
@@ -82,20 +81,18 @@ MODULE_ALL = {
         "build_pseudospectral_operator", "certify_families", "chebyshev_gauss_lobatto_nodes",
         "legendre_gauss_lobatto",
     ],
-    "repair": ["NormChoice", "PerturbationPlan", "build_s_prime", "repair_operator"],
+    "repair": ["NormChoice", "PerturbationPlan", "repair_operator"],
     "sat": [
         "ConvergenceStudy", "FlowDirection", "SatProblem", "assemble", "convergence_study",
         "solve",
     ],
     "spectral": [
-        "EigenvalueClass", "SpectralReport", "build_d_tilde", "eigen_decompose", "h_inner",
-        "orthogonalize_imaginary", "spectral_report",
+        "EigenvalueClass", "SpectralReport", "build_d_tilde", "spectral_report",
     ],
     "storage": ["load_operator", "operator_from_document", "operator_to_document",
                 "save_operator"],
     "verify": [
-        "DEFAULT_TOLERANCE", "EigenvalueCheck", "NullspaceDiagnostics",
-        "Property", "PropertyResidual", "VerificationReport", "check_accuracy",
+        "EigenvalueCheck", "NullspaceDiagnostics", "Property", "PropertyResidual", "VerificationReport", "check_accuracy",
         "check_eigenvalue_property", "check_nullspace_consistency", "check_s_conditions",
         "check_sbp_identities", "check_spd", "verify_all",
     ],

@@ -1,3 +1,6 @@
+import importlib
+import pathlib
+
 import numpy as np
 import pytest
 
@@ -8,10 +11,8 @@ from sbpkit import (
     build_classical_fd,
     build_counterexample,
     build_d_tilde,
-    build_s_prime,
     build_two_point,
     check_eigenvalue_property,
-    orthogonalize_imaginary,
     repair_operator,
     spectral,
     spectral_report,
@@ -21,12 +22,15 @@ from sbpkit.errors import (
     ContractError,
     ParameterError,
     RepairImpossibleError,
-    ShapeError,
 )
 from sbpkit.linalg import max_abs, rank_threshold, svd_rank
 from sbpkit.operators import _is_diagonal
+from sbpkit.repair import build_s_prime
+from sbpkit.spectral import orthogonalize_imaginary
 
 from oracles import d_tilde_h_coordinates, reference_eigenvalue_check, verdict_of
+
+PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def _paper_style_eigenvector():
@@ -36,8 +40,8 @@ def _paper_style_eigenvector():
     )
 
 
-def _ortho_vectors(op):
-    return list(orthogonalize_imaginary(op)[1].T)
+def _basis(op):
+    return orthogonalize_imaginary(op)[1]
 
 
 def _sorted_eigs(matrix):
@@ -51,7 +55,7 @@ def _sorted_eigs(matrix):
 
 def test_s_prime_counterexample_structure():
     op = build_counterexample()
-    s_prime = build_s_prime(op.h, _ortho_vectors(op), 1.0)
+    s_prime, _ = build_s_prime(op.h, _basis(op), 1.0)
     rank, _ = svd_rank(s_prime)
     assert rank == 2
     assert np.max(np.abs(s_prime - s_prime.T)) < 1e-15
@@ -62,38 +66,18 @@ def test_s_prime_counterexample_structure():
 
 def test_s_prime_empty_input_is_zero():
     op = build_two_point()
-    np.testing.assert_array_equal(build_s_prime(op.h, [], 1.0), np.zeros((2, 2)))
+    s_prime, u = build_s_prime(op.h, np.empty((2, 0)), 1.0)
+    np.testing.assert_array_equal(s_prime, np.zeros((2, 2)))
+    assert u.shape == (2, 0)
 
 
 def test_s_prime_is_linear_in_eps():
     op = build_counterexample()
-    vectors = _ortho_vectors(op)
-    one = build_s_prime(op.h, vectors, 1.0)
-    two = build_s_prime(op.h, vectors, 2.0)
+    q = _basis(op)
+    one, u_one = build_s_prime(op.h, q, 1.0)
+    two, u_two = build_s_prime(op.h, q, 2.0)
     np.testing.assert_array_equal(two, 2.0 * one)
-
-
-def test_s_prime_rejects_unnormalized_vectors():
-    op = build_counterexample()
-    vectors = [2.0 * v for v in _ortho_vectors(op)]
-    with pytest.raises(ContractError, match="orthonormal"):
-        build_s_prime(op.h, vectors, 1.0)
-
-
-def test_s_prime_rejects_complex_vectors():
-    op = build_counterexample()
-    w = _paper_style_eigenvector() / np.sqrt(40.0)
-    with pytest.raises(ContractError, match="real"):
-        build_s_prime(op.h, [w, np.conj(w)], 1.0)
-    with pytest.raises(ContractError, match="real"):
-        build_s_prime(op.h, [v.astype(complex) for v in _ortho_vectors(op)], 1.0)
-
-
-def test_s_prime_rejects_mismatched_lengths():
-    op = build_counterexample()
-    vectors = [np.append(v, 0.0) for v in _ortho_vectors(op)]
-    with pytest.raises(ShapeError):
-        build_s_prime(op.h, vectors, 1.0)
+    assert u_one.tobytes() == u_two.tobytes() == (op.h @ q).tobytes()
 
 
 def test_s_prime_closed_form_on_counterexample():
@@ -110,26 +94,45 @@ def test_s_prime_on_a_two_dimensional_eigenspace():
     # an explicit H-orthonormal basis Q of span{e_1..e_4}: any such basis
     # has Q Q^T = P = diag(1/2, 1/2, 1/3, 1/3, 0, 0), and S' = H P H
     h = np.diag([2.0, 2.0, 3.0, 3.0, 1.0, 1.0])
-    vectors = [np.eye(6)[k] / np.sqrt(h[k, k]) for k in range(4)]
-    s_prime = build_s_prime(h, vectors, 1.0)
+    q = np.eye(6)[:, :4] / np.sqrt(np.diagonal(h)[:4])
+    s_prime, _ = build_s_prime(h, q, 1.0)
     p = np.diag([0.5, 0.5, 1 / 3, 1 / 3, 0.0, 0.0])
     assert np.max(np.abs(s_prime - h @ p @ h)) <= 1e-14
-
-
-def test_s_prime_rejects_nonpositive_eps():
-    op = build_counterexample()
-    for eps in (-1.0, 0.0, float("nan"), float("inf")):
-        with pytest.raises(ParameterError):
-            build_s_prime(op.h, _ortho_vectors(op), eps)
 
 
 def test_s_prime_of_one_vector_is_rank_one():
     # One eps for any number of H-orthonormal vectors: S' = eps (Hv)(Hv)^T.
     op = build_counterexample()
-    v = _ortho_vectors(op)[0]
-    s_prime = build_s_prime(op.h, [v], 0.5)
+    v = _basis(op)[:, 0]
+    s_prime, _ = build_s_prime(op.h, v[:, None], 0.5)
     assert svd_rank(s_prime)[0] == 1
     np.testing.assert_allclose(s_prime, 0.5 * np.outer(op.h @ v, op.h @ v), rtol=0, atol=1e-15)
+
+
+def _assert_the_checks_basis_is_h_orthonormal(op, pairs):
+    # build_s_prime takes Q as it is, with no Gram check: S' = eps H Q Q^T H
+    # is the dissipation of the paper only for an H-orthonormal Q.
+    q = check_eigenvalue_property(op).basis
+    assert q.shape == (op.n + 1, 2 * pairs)
+    assert max_abs(q.T @ op.h @ q - np.eye(2 * pairs)) <= rank_threshold(1.0, op.n + 1)
+
+
+def test_the_checks_basis_is_h_orthonormal_on_the_counterexample():
+    _assert_the_checks_basis_is_h_orthonormal(build_counterexample(), 1)
+
+
+@pytest.mark.parametrize("slot", range(6))
+@pytest.mark.parametrize("seed", [7, 947])
+def test_the_checks_basis_is_h_orthonormal_on_the_benchmark_inputs(monkeypatch, seed, slot):
+    # The repair_planted inputs: 1, 3 or 6 planted pairs, plain (diagonal H)
+    # in slots 0, 2, 4 and under a congruence (dense H) in slots 1, 3, 5.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    gen = importlib.import_module("gen")
+    worker = importlib.import_module("worker")
+    pair = gen.repair_input(seed, slot)[0]
+    op = worker.to_op(pair)
+    assert _is_diagonal(op.h) == (slot % 2 == 0)
+    _assert_the_checks_basis_is_h_orthonormal(op, gen.REPAIR_SLOTS[slot][1])
 
 
 # ---------------------------------------------------------------------------
@@ -414,7 +417,7 @@ def test_the_repair_acts_on_the_checks_basis_of_the_planted_subspace(omegas, con
     assert not verify_all(op).eigenvalue_property
     repaired, plan = repair_operator(op, 1e-3)
     assert repaired is not op and plan.m == len(omegas)
-    expected = build_s_prime(op.h, list(check.basis.T), plan.epsilons[0])
+    expected, _ = build_s_prime(op.h, check.basis, plan.epsilons[0])
     np.testing.assert_allclose(plan.s_prime, expected, rtol=0.0,
                                atol=1e-12 * np.max(np.abs(expected)))
 

@@ -108,6 +108,16 @@ def test_problem_rejects_non_finite_data(bad):
         SatProblem(f_samples=[0.0, 0.0], u0=bad)
 
 
+def test_problem_rejects_a_datum_that_is_not_a_number():
+    with pytest.raises(ParameterError, match="u0 must be a real number, got None"):
+        SatProblem(f_samples=[0.0, 0.0], u0=None)
+
+
+def test_problem_rejects_samples_that_are_not_numbers():
+    with pytest.raises(ParameterError, match="f_samples must be real numbers"):
+        SatProblem(f_samples=["a", "b"], u0=0.0)
+
+
 @pytest.mark.parametrize("direction", list(FlowDirection), ids=lambda d: d.value)
 def test_a_direction_given_by_its_value_solves_the_same_problem(direction):
     op = build_classical_fd(32, Interval(0.0, 1.0))

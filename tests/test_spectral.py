@@ -15,9 +15,6 @@ from sbpkit import (
     build_two_point,
     certify_families,
     check_eigenvalue_property,
-    eigen_decompose,
-    h_inner,
-    orthogonalize_imaginary,
     repair_operator,
     save_operator,
     spectral,
@@ -32,6 +29,7 @@ from sbpkit.errors import (
     ShapeError,
 )
 from sbpkit.linalg import svd_rank
+from sbpkit.spectral import eigen_decompose, h_inner, orthogonalize_imaginary
 
 from oracles import (eigenspace_basis, h_norm, peak_n2, planted_kernel_fd,
                      reference_eigenvalue_check, verdict_of)
@@ -114,11 +112,6 @@ def test_eigen_decompose_returns_contiguous_rows():
     assert lam.shape == h_norms.shape == (op.n + 1,)
 
 
-def test_eigen_decompose_rejects_complex_input():
-    with pytest.raises(ContractError):
-        eigen_decompose(np.eye(2, dtype=complex) * 1j, np.eye(2))
-
-
 def test_report_classifies_negative_real_parts():
     # D_plus = diag(-1, 2) with p0 = pn = 0: D_tilde = D_plus
     op = build_two_point().with_fields(
@@ -128,11 +121,6 @@ def test_report_classifies_negative_real_parts():
         EigenvalueClass.NEGATIVE_REAL_PART, EigenvalueClass.POSITIVE_REAL_PART]
     assert report.m == 0
     assert report.boundary_residuals.shape == (0, 3)
-
-
-def test_eigen_decompose_rejects_a_norm_of_the_wrong_size():
-    with pytest.raises(ShapeError):
-        eigen_decompose(np.eye(3), h=np.eye(2))
 
 
 @pytest.mark.parametrize("op", [

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from sbpkit import (
     build_d_tilde,
     build_pseudospectral_operator,
     build_two_point,
+    certify_families,
     check_accuracy,
     check_eigenvalue_property,
     check_nullspace_consistency,
@@ -20,7 +23,6 @@ from sbpkit import (
     jsonio,
     load_operator,
     operator_to_document,
-    orthogonalize_imaginary,
     repair_operator,
     spectral_report,
     verify_all,
@@ -28,6 +30,7 @@ from sbpkit import (
 from sbpkit.errors import (InternalInconsistencyError, InvariantError, ParameterError,
                            RepairImpossibleError)
 from sbpkit.linalg import rank_threshold
+from sbpkit.spectral import orthogonalize_imaginary
 
 from oracles import planted_kernel_fd
 
@@ -102,6 +105,27 @@ def test_a_matrix_given_for_the_tolerance_is_refused():
     with pytest.raises(ParameterError, match=r"tolerance must be a number, got an array "
                                              r"of shape \(6, 6\)"):
         check_eigenvalue_property(op, build_d_tilde(op))
+
+
+# Each public entry point that takes a tolerance or a budget, with its name.
+SCALAR_CALLS = {
+    "verify_all": ("tolerance", lambda value: verify_all(build_counterexample(), value)),
+    "spectral_report": ("tolerance", lambda value: spectral_report(build_counterexample(), value)),
+    "repair_operator": ("target_eps",
+                        lambda value: repair_operator(build_counterexample(), target_eps=value)),
+    "certify_families": ("tau_eig", lambda value: certify_families(
+        [NodeFamily.legendre_gauss_lobatto(4, Interval(-1.0, 1.0))], value)),
+}
+
+
+@pytest.mark.parametrize("value", ["1e-3", None, True], ids=["string", "none", "bool"])
+@pytest.mark.parametrize("entry", SCALAR_CALLS)
+def test_a_scalar_that_is_not_a_number_is_refused(entry, value):
+    # A bool is an int to Python, so True would otherwise run at tolerance 1.0.
+    name, call = SCALAR_CALLS[entry]
+    with pytest.raises(ParameterError, match=re.escape(f"{name} must be a real number, "
+                                                       f"got {value!r}")):
+        call(value)
 
 
 # ---------------------------------------------------------------------------
