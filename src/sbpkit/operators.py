@@ -39,10 +39,14 @@ __all__ = [
 
 def _real(value, name: str, error: type[ValueError]) -> float:
     """``value`` as a float; ``error`` naming it unless it is one integer or
-    float (a bool, a string or None is not)."""
-    if np.ndim(value) != 0:
-        raise error(f"{name} must be a number, got an array of shape {np.shape(value)}")
-    if np.asarray(value).dtype.kind not in "iuf":
+    float (a bool, a string, None or a ragged sequence is not)."""
+    try:
+        array = np.asarray(value)
+    except ValueError:  # a ragged sequence has no shape
+        raise error(f"{name} must be a number, got {value!r}") from None
+    if array.ndim != 0:
+        raise error(f"{name} must be a number, got an array of shape {array.shape}")
+    if array.dtype.kind not in "iuf":
         raise error(f"{name} must be a real number, got {value!r}")
     return float(value)
 

@@ -61,7 +61,11 @@ class SatProblem:
     direction: FlowDirection = FlowDirection.FORWARD
 
     def __post_init__(self) -> None:
-        samples = np.ravel(self.f_samples)
+        try:
+            samples = np.ravel(self.f_samples)
+        except ValueError:  # a ragged sequence has no shape
+            raise ParameterError(
+                f"f_samples must be real numbers, got {self.f_samples!r}") from None
         if samples.dtype.kind not in "iuf":
             raise ParameterError(
                 f"f_samples must be real numbers, got an array of dtype {samples.dtype}")

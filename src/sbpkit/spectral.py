@@ -42,8 +42,15 @@ which is the skew part of D_plus in H coordinates, is normal, and p0
 enters the test only through B.  N is the sum over the eigenspaces
 V_mu of K of ``V_mu intersected with ker B^T``; on it D_tilde has the
 eigenvalues ``i mu``.  One Hermitian ``eigh`` gives mu and V_mu.  The
-clusters of mu and the rank of each ``B^T V_mu`` follow the package's rank
-rule, not the tolerance.  Where the SBP identity does not hold to rounding
+clusters of mu split by the package's rank rule, not the tolerance.  The
+rank of each ``B^T V_mu`` is read against a zero threshold per cluster,
+``rank_threshold(||B||_2, n + 1) * (1 + ||K||_2 / apart)`` with ``apart``
+the distance to the nearest other cluster: the rank rule plus the leak of
+``eigh``, which mixes a neighbour ``apart`` away into V_mu by about
+``eps ||K|| / apart`` (Davis-Kahan).  Without that term a hidden direction
+about 1e-3 from an observable one read as observable, by a count that
+changed with the BLAS thread count.  A cluster whose leak bound swamps its
+observability reads hidden.  Where the SBP identity does not hold to rounding
 (``max|A + A^T - B B^T| > rank_threshold(max|A|)``) or H has no Cholesky
 factor, the test does not apply, and the band of one ``eigvals`` of
 D_tilde, built there, decides.
@@ -283,11 +290,13 @@ def orthogonalize_imaginary(
     one per direction, sorted by mu, a real H-orthonormal basis of N as the
     columns of q (none when N = {0}), and whether D_tilde is singular.  By
     the energy identity a kernel vector of D_tilde is unobservable, so it is
-    singular exactly when the mu = 0 cluster has a hidden direction: the
-    cluster of the mu of least magnitude, where that mu is zero by the
-    clustering rule.  Returns None when the SBP identity does not hold to
-    rounding or H has no Cholesky factor, where the test does not apply (see
-    the module docstring).
+    singular exactly when a cluster centred within the cluster gap of 0 has
+    a hidden direction.  Each cluster's zero threshold is the rank rule
+    times ``1 + ||K||_2 / apart``, the leak of ``eigh`` from the nearest
+    other cluster ``apart`` away (see the module docstring), so a cluster
+    whose leak bound swamps its observability reads hidden.  Returns None
+    when the SBP identity does not hold to rounding or H has no Cholesky
+    factor, where the test does not apply (see the module docstring).
     """
     size = op.n + 1
     coords = _h_coordinates(op)
@@ -306,27 +315,30 @@ def orthogonalize_imaginary(
         mu, vec = np.linalg.eigh(herm)
     except np.linalg.LinAlgError as exc:
         raise DecompositionError(f"eigenvalue iteration failed: {exc}") from exc
-    # Clusters of K's spectrum split where the gap clears the rank rule; a
-    # direction of cluster V_mu is unobservable where B^T V_mu loses rank.
+    # One table over the clusters of K's spectrum, which split where the gap
+    # clears the rank rule: start, size, centre, distance apart to the
+    # nearest other cluster, zero threshold and hidden count.  A direction
+    # of V_mu is unobservable where B^T V_mu loses rank; eigh leaks a
+    # neighbour into V_mu by about eps ||K|| / apart (Davis-Kahan), which
+    # the zero threshold allows for.
     bt_v = b.T @ vec
-    zero = rank_threshold(np.linalg.norm(b, 2), size)
     gap = rank_threshold(np.max(np.abs(mu)), size)
     starts = np.flatnonzero(np.diff(mu, prepend=-np.inf) > gap)
     sizes = np.diff(starts, append=size)
-    hidden = np.linalg.norm(bt_v[:, starts], axis=0) <= zero
-    columns = [vec[:, starts[hidden & (sizes == 1)]]]
-    counts = hidden.astype(int)
+    centres = np.add.reduceat(mu, starts) / sizes
+    edges = np.concatenate(([np.inf], mu[starts[1:]] - mu[starts[1:] - 1], [np.inf]))
+    apart = np.minimum(edges[:-1], edges[1:])
+    zero = rank_threshold(np.linalg.norm(b, 2), size) * (1.0 + np.max(np.abs(mu)) / apart)
+    counts = ((sizes == 1) & (np.linalg.norm(bt_v[:, starts], axis=0) <= zero)).astype(int)
+    columns = [vec[:, starts[counts > 0]]]
     for k in np.flatnonzero(sizes > 1):
         part = slice(starts[k], starts[k] + sizes[k])
         _, sv, vh = np.linalg.svd(bt_v[:, part])
-        rank = int(np.count_nonzero(sv > zero))
+        rank = int(np.count_nonzero(sv > zero[k]))
         counts[k] = sizes[k] - rank
         columns.append(vec[:, part] @ vh[rank:].conj().T)
-    centres = np.add.reduceat(mu, starts) / sizes
     offending = tuple(complex(0.0, m) for m in np.repeat(centres, counts).tolist())
-    least = int(np.argmin(np.abs(mu)))
-    singular = bool(abs(mu[least]) <= gap
-                    and counts[np.searchsorted(starts, least, side="right") - 1] > 0)
+    singular = bool(np.any((counts > 0) & (np.abs(centres) <= gap)))
     # N is real: Re and Im of its complex basis span it twice over.  Their
     # leading left singular vectors are an orthonormal basis in H
     # coordinates, and L^{-T} maps it to an H-orthonormal one.

@@ -119,10 +119,11 @@ class EigenvalueCheck:
     Hautus test's real H-orthonormal basis of N, one column per offending
     value and read-only, which the repair reads; None where the band
     decided.  It takes no part in ``==``.  ``singular`` says whether D_tilde
-    has an eigenvalue at 0: on the Hautus route, whether the mu = 0 cluster
-    has a hidden direction; on the band route, whether an eigenvalue lies
-    within ``rank_threshold(||D_tilde||_F, n + 1)`` of 0.  It is the first
-    route of :func:`check_nullspace_consistency`.
+    has an eigenvalue at 0: on the Hautus route, whether a cluster of mu
+    centred within the cluster gap of 0 has a hidden direction; on the band
+    route, whether an eigenvalue lies within
+    ``rank_threshold(||D_tilde||_F, n + 1)`` of 0.  It is the first route of
+    :func:`check_nullspace_consistency`.
     """
 
     has_property: bool

@@ -1,5 +1,6 @@
 import io
 import json
+import re
 
 import numpy as np
 import pytest
@@ -188,6 +189,11 @@ def test_interval_rejects_a_string_endpoint():
 def test_interval_rejects_a_missing_endpoint():
     with pytest.raises(InvariantError, match="endpoint must be a real number, got None"):
         Interval(None, 1.0)
+
+
+def test_interval_rejects_a_ragged_endpoint():
+    with pytest.raises(InvariantError, match=re.escape("endpoint must be a number, got [0, [1]]")):
+        Interval([0, [1]], 2)
 
 
 BUILDERS = {

@@ -1,4 +1,6 @@
 
+import re
+
 import numpy as np
 import pytest
 
@@ -116,6 +118,17 @@ def test_problem_rejects_a_datum_that_is_not_a_number():
 def test_problem_rejects_samples_that_are_not_numbers():
     with pytest.raises(ParameterError, match="f_samples must be real numbers"):
         SatProblem(f_samples=["a", "b"], u0=0.0)
+
+
+def test_problem_rejects_a_ragged_datum():
+    with pytest.raises(ParameterError, match=re.escape("u0 must be a number, got [1, [2]]")):
+        SatProblem(f_samples=[1.0, 2.0], u0=[1, [2]])
+
+
+def test_problem_rejects_ragged_samples():
+    with pytest.raises(ParameterError,
+                       match=re.escape("f_samples must be real numbers, got [1, [2, 3]]")):
+        SatProblem(f_samples=[1, [2, 3]], u0=0.0)
 
 
 @pytest.mark.parametrize("direction", list(FlowDirection), ids=lambda d: d.value)

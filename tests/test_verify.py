@@ -128,6 +128,15 @@ def test_a_scalar_that_is_not_a_number_is_refused(entry, value):
         call(value)
 
 
+@pytest.mark.parametrize("entry", SCALAR_CALLS)
+def test_a_ragged_scalar_is_refused(entry):
+    # numpy gives a ragged sequence no shape; it raised an untyped ValueError.
+    name, call = SCALAR_CALLS[entry]
+    with pytest.raises(ParameterError, match=re.escape(f"{name} must be a number, "
+                                                       "got [0.001, [1]]")):
+        call([1e-3, [1]])
+
+
 # ---------------------------------------------------------------------------
 # SPD check
 
