@@ -10,6 +10,10 @@ basis of the invariant subspace N of the imaginary eigenvalues, two per
 conjugate pair: the ``basis`` of the verdict
 :func:`sbpkit.verify.check_eigenvalue_property` returns, so the repair acts
 on exactly the values that verdict finds; one eps serves every pair.  The
+repair needs that basis and acts on operators that lack the property, so it
+asks the verdict of the complex Hautus route directly, with no certificate
+first.  A basis of odd dimension cannot span whole pairs and raises
+``InternalInconsistencyError``.  The
 repair builds no spectral report and runs no ``eig``, and it builds no
 D_tilde unless the Hautus test does not apply, where the band of one
 ``eigvals`` decides.  Because N is H-orthogonal to x^j for j = 0..q, S'
@@ -119,14 +123,16 @@ def repair_operator(
     """Return an operator with the positive-spectrum property and the plan.
 
     One analysis of D_tilde, by
-    :func:`sbpkit.verify.check_eigenvalue_property` on ``op`` alone, serves
-    the nullspace verdict and the eigenvalue verdict, which the repair takes
-    as it is; D_tilde is built only where the band decides.
+    :func:`sbpkit.verify.check_eigenvalue_property` on ``op`` alone and on
+    the complex Hautus route, with no certificate first, serves the
+    nullspace verdict and the eigenvalue verdict, which the repair takes as
+    it is; D_tilde is built only where the band decides.
     Where the property holds, ``op`` is returned
     unchanged with an empty plan, which makes the repair idempotent.  Where
     it fails on the band route, which has no basis of N, ``ContractError``
-    is raised.  Otherwise S' is built with eps = 1 on the check's basis of N
-    (m = dim N / 2 pairs), then scaled linearly so that
+    is raised, and ``InternalInconsistencyError`` where the basis of N has
+    an odd number of columns.  Otherwise S' is built with eps = 1 on the
+    check's basis of N (m = dim N / 2 pairs), then scaled linearly so that
     ``||D_plus' - D_plus|| == target_eps`` in the chosen norm, a
     :class:`NormChoice` or its value.  ``D_minus' = D_minus - 1/2 H^{-1} S'``,
     so an identity ``op`` misses stays missed by as much.
@@ -136,7 +142,7 @@ def repair_operator(
         norm_choice = NormChoice(norm_choice)
     except ValueError:
         raise ParameterError(f"unknown norm choice {norm_choice!r}") from None
-    check = check_eigenvalue_property(op, tolerance)
+    check = check_eigenvalue_property(op, tolerance, _certify=False)
     diagnostics = check_nullspace_consistency(op, check, tolerance)
     if not diagnostics.consistent:
         raise RepairImpossibleError(
@@ -152,6 +158,11 @@ def repair_operator(
             "the SBP identity does not hold to rounding and the penalized "
             "matrix has eigenvalues with zero or negative real part "
             f"({list(check.offending)}); the operator cannot be repaired"
+        )
+    if check.basis.shape[1] % 2:
+        raise InternalInconsistencyError(
+            f"the basis of N has an odd number of columns ({check.basis.shape[1]}), "
+            "which cannot span whole conjugate pairs"
         )
 
     unit, u = build_s_prime(op.h, check.basis, 1.0)

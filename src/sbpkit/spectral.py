@@ -41,7 +41,11 @@ and the SBP identity reads ``A + A^T = B B^T``.  So the skew part K of A,
 which is the skew part of D_plus in H coordinates, is normal, and p0
 enters the test only through B.  N is the sum over the eigenspaces
 V_mu of K of ``V_mu intersected with ker B^T``; on it D_tilde has the
-eigenvalues ``i mu``.  One Hermitian ``eigh`` gives mu and V_mu.  The
+eigenvalues ``i mu``.  One Hermitian ``eigh`` gives mu and V_mu.  It runs
+only where one real ``eigh`` of ``K^T K``, about half the cost, cannot
+certify N = {0} (``_certified``: the certificate carries its own
+Davis-Kahan bound and decides nothing else), and always for the repair,
+which needs N's basis and calls with ``certify=False``.  The
 clusters of mu split by the package's rank rule, not the tolerance.  The
 rank of each ``B^T V_mu`` is read against a zero threshold per cluster,
 ``rank_threshold(||B||_2, n + 1) * (1 + ||K||_2 / apart)`` with ``apart``
@@ -186,11 +190,15 @@ def eigen_decompose(
     # All H-norms from one real product, re * (re @ h.T) + im * (im @ h.T)
     # formed in place, one eigenvector per row: each sum then runs along the
     # contiguous axis, which numpy adds pairwise (a column sum drifts by a
-    # few ulp from the per-vector w* H w).
+    # few ulp from the per-vector w* H w).  For a diagonal H, scaling by
+    # diag(H) rounds each entry as the dense product does.
     re, im = w.real, w.imag
-    products = re @ h.T
+    if _is_diagonal(h):
+        d = np.diagonal(h)
+        products, part = re * d, im * d
+    else:
+        products, part = re @ h.T, im @ h.T
     products *= re
-    part = im @ h.T
     part *= im
     products += part
     squares = np.sum(products, axis=1)
@@ -280,23 +288,82 @@ def _h_coordinates(
     return a, b, factor
 
 
+def _clusters(
+    values: np.ndarray, gap: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Start and size of each cluster of the ascending ``values``, which
+    split where neighbours lie more than ``gap`` apart, and each cluster's
+    distance to the nearest other one (infinite for a lone cluster)."""
+    starts = np.flatnonzero(np.diff(values, prepend=-np.inf) > gap)
+    sizes = np.diff(starts, append=values.size)
+    edges = np.concatenate(([np.inf], values[starts[1:]] - values[starts[1:] - 1], [np.inf]))
+    return starts, sizes, np.minimum(edges[:-1], edges[1:])
+
+
+def _certified(a: np.ndarray, b: np.ndarray, b_norm: float) -> bool:
+    """Whether one real ``eigh`` of ``G = K^T K`` proves N = {0}, so that
+    the complex route would read every cluster of mu as observable.
+
+    ``a`` and ``b`` are the H coordinates of an operator that passed the
+    identity gate and ``b_norm`` is ``||B||_2``.  Each mu != 0 of K gives a
+    pair ``lambda = mu^2`` of G, whose eigenspace W is the real span of
+    ``V_mu + V_-mu``; B is real, so ``q = ||B^T W||_F / sqrt(2)`` is the
+    ``||B^T v||`` of both ``v`` in ``V_+-mu``, whatever basis of W eigh
+    picks.  The values lambda split into clusters by ``tau``, the rank rule
+    of ``||G||_2``.  The proof needs every cluster to be a pair with
+    lambda > tau, except one lone lambda <= tau at the bottom (the zero of K
+    when n + 1 is odd), and every cluster to clear twice the complex route's
+    zero threshold ``rank_threshold(||B||_2, n + 1) * (1 + ||K||_2 / apart)``
+    after the leak of this eigh, ``sqrt(2) ||B||_2 min(1, tau / gap)`` (Davis-Kahan,
+    with ``gap`` the distance to the nearest other lambda-cluster).  Here
+    ``apart`` is read from ``sigma = sqrt(lambda)`` and counts the mirror
+    ``-mu`` at distance ``2 sigma``.  As ``q <= ||B||_2``, clearing the
+    threshold also puts every cluster more than twice the complex route's
+    cluster gap from its neighbours, so none of them merges there.
+    """
+    size = a.shape[0]
+    k = a - a.T
+    k *= 0.5
+    lam, y = np.linalg.eigh(k.T @ k)
+    tau = rank_threshold(lam[-1], size)
+    starts, sizes, gap = _clusters(lam, tau)
+    lone = int(sizes[0] == 1 and lam[0] <= tau)
+    if np.any(sizes[lone:] != 2) or lam[starts[lone]] <= tau:
+        return False
+    bt_y = b.T @ y
+    q = np.sqrt(np.add.reduceat(np.sum(bt_y * bt_y, axis=0), starts) / sizes)
+    leak = np.sqrt(2.0) * b_norm * np.minimum(1.0, tau / gap)
+    sigma = np.sqrt(np.maximum(np.add.reduceat(lam, starts) / sizes, 0.0))
+    below = np.diff(sigma, prepend=-sigma[0])
+    if lone:
+        below[0] = np.inf
+    apart = np.minimum(below, np.diff(sigma, append=np.inf))
+    zero = rank_threshold(b_norm, size) * (1.0 + sigma[-1] / apart)
+    return bool(np.all(q - leak > 2.0 * zero))
+
+
 def orthogonalize_imaginary(
-    op: SbpOperatorPair,
-) -> tuple[tuple[complex, ...], np.ndarray, bool] | None:
+    op: SbpOperatorPair, certify: bool = True,
+) -> tuple[tuple[complex, ...], np.ndarray, bool, str] | None:
     """The unobservable subspace N of ``(C, D_tilde)`` by the Hautus test.
 
     Reads ``op`` alone and builds no D_tilde.  Returns
-    ``(offending, q, singular)``: the eigenvalues ``i mu`` of D_tilde on N,
-    one per direction, sorted by mu, a real H-orthonormal basis of N as the
-    columns of q (none when N = {0}), and whether D_tilde is singular.  By
-    the energy identity a kernel vector of D_tilde is unobservable, so it is
-    singular exactly when a cluster centred within the cluster gap of 0 has
-    a hidden direction.  Each cluster's zero threshold is the rank rule
-    times ``1 + ||K||_2 / apart``, the leak of ``eigh`` from the nearest
-    other cluster ``apart`` away (see the module docstring), so a cluster
-    whose leak bound swamps its observability reads hidden.  Returns None
-    when the SBP identity does not hold to rounding or H has no Cholesky
-    factor, where the test does not apply (see the module docstring).
+    ``(offending, q, singular, route)``: the eigenvalues ``i mu`` of D_tilde
+    on N, one per direction, sorted by mu, a real H-orthonormal basis of N as
+    the columns of q (none when N = {0}), whether D_tilde is singular, and
+    which route decided, ``"certificate"`` or ``"hautus"``.  With
+    ``certify``, one real ``eigh`` of ``K^T K`` is tried first; where it
+    proves N = {0} (see :func:`_certified`) the result is the complex
+    route's for N = {0}, with no complex ``eigh``.  Otherwise, or without
+    ``certify``, the complex route decides.  By the energy identity a kernel
+    vector of D_tilde is unobservable, so it is singular exactly when a
+    cluster centred within the cluster gap of 0 has a hidden direction.
+    Each cluster's zero threshold is the rank rule times
+    ``1 + ||K||_2 / apart``, the leak of ``eigh`` from the nearest other
+    cluster ``apart`` away (see the module docstring), so a cluster whose
+    leak bound swamps its observability reads hidden.  Returns None when the
+    SBP identity does not hold to rounding or H has no Cholesky factor,
+    where the test does not apply (see the module docstring).
     """
     size = op.n + 1
     coords = _h_coordinates(op)
@@ -307,6 +374,10 @@ def orthogonalize_imaginary(
     defect -= b @ b.T
     if max_abs(defect) > rank_threshold(1.0, size) * max_abs(a):
         return None
+    del defect
+    b_norm = np.linalg.norm(b, 2)
+    if certify and _certified(a, b, b_norm):
+        return (), np.empty((size, 0)), False, "certificate"
     # -iK = i(A^T - A)/2 is Hermitian; -iK v = mu v means K v = i mu v.
     herm = np.zeros((size, size), dtype=complex)
     np.subtract(a.T, a, out=herm.imag)
@@ -323,12 +394,9 @@ def orthogonalize_imaginary(
     # the zero threshold allows for.
     bt_v = b.T @ vec
     gap = rank_threshold(np.max(np.abs(mu)), size)
-    starts = np.flatnonzero(np.diff(mu, prepend=-np.inf) > gap)
-    sizes = np.diff(starts, append=size)
+    starts, sizes, apart = _clusters(mu, gap)
     centres = np.add.reduceat(mu, starts) / sizes
-    edges = np.concatenate(([np.inf], mu[starts[1:]] - mu[starts[1:] - 1], [np.inf]))
-    apart = np.minimum(edges[:-1], edges[1:])
-    zero = rank_threshold(np.linalg.norm(b, 2), size) * (1.0 + np.max(np.abs(mu)) / apart)
+    zero = rank_threshold(b_norm, size) * (1.0 + np.max(np.abs(mu)) / apart)
     counts = ((sizes == 1) & (np.linalg.norm(bt_v[:, starts], axis=0) <= zero)).astype(int)
     columns = [vec[:, starts[counts > 0]]]
     for k in np.flatnonzero(sizes > 1):
@@ -345,8 +413,8 @@ def orthogonalize_imaginary(
     w = np.concatenate(columns, axis=1)
     dim = w.shape[1]
     if dim == 0:
-        return offending, np.empty((size, 0)), singular
+        return offending, np.empty((size, 0)), singular, "hautus"
     u = np.linalg.svd(np.hstack([w.real, w.imag]), full_matrices=False)[0][:, :dim]
     if factor.ndim == 1:
-        return offending, u / factor[:, None], singular
-    return offending, np.linalg.solve(factor.T, u), singular
+        return offending, u / factor[:, None], singular, "hautus"
+    return offending, np.linalg.solve(factor.T, u), singular, "hautus"

@@ -15,7 +15,8 @@ absolute; the eigenvalue band of the fallback below scales with the
 Frobenius norm.  Definiteness of H and of S and the ranks of both
 nullspace routes follow the package's one rank rule
 (:func:`sbpkit.linalg.rank_threshold`), whatever the tolerance.  A diagonal H (or S) skips the dense products and
-eigenvalue solves with bit-identical residuals.
+eigenvalue solves with bit-identical residuals; for a dense H a verified
+Cholesky proves definiteness, and ``eigvalsh`` runs only where it fails.
 
 :func:`verify_all` analyses D_tilde once, in
 :func:`check_eigenvalue_property`; that check also answers the first
@@ -36,8 +37,12 @@ and the verdict falls back to the band
 ``|Re lambda| <= tolerance * ||D_tilde||_F`` of one ``eigvals``, the
 classification :func:`sbpkit.spectral.spectral_report` uses.
 :func:`check_eigenvalue_property` is the only place that picks the route.
-Its :class:`EigenvalueCheck` carries the basis of N the Hautus test found,
-and :func:`sbpkit.repair.repair_operator` acts on that check.
+Its :class:`EigenvalueCheck` names the route that decided: ``"certificate"``
+where one real ``eigh`` of the skew part squared proves N = {0} with no
+complex ``eigh``, ``"hautus"`` where the complex test decided, ``"band"``
+where the band did.  It carries the basis of N the Hautus test found, and
+:func:`sbpkit.repair.repair_operator` acts on that check, which it asks of
+the complex route directly.
 """
 
 from __future__ import annotations
@@ -123,12 +128,16 @@ class EigenvalueCheck:
     centred within the cluster gap of 0 has a hidden direction; on the band
     route, whether an eigenvalue lies within
     ``rank_threshold(||D_tilde||_F, n + 1)`` of 0.  It is the first route of
-    :func:`check_nullspace_consistency`.
+    :func:`check_nullspace_consistency`.  ``route`` names the route that
+    decided: ``"certificate"`` (N = {0} proved without the complex ``eigh``;
+    the basis is empty), ``"hautus"`` or ``"band"``.  It takes no part in
+    ``==``.
     """
 
     has_property: bool
     offending: tuple[complex, ...]
     basis: np.ndarray | None = field(compare=False, repr=False)
+    route: str = field(compare=False)
     singular: bool = False
 
     def __post_init__(self) -> None:
@@ -218,6 +227,26 @@ def check_accuracy(
     return residuals, observed
 
 
+def _proved_definite(sym: np.ndarray) -> bool:
+    """Whether a Cholesky factor of ``sym - c I`` exists in floating point,
+    which proves that the smallest eigenvalue of the symmetric ``sym`` is
+    above ``rank_threshold(lambda_max, n + 1)``.
+
+    ``c`` is that threshold taken of ``||sym||_inf >= lambda_max`` plus
+    ``2 (n + 2) eps trace(sym)``, which bounds the rounding of the
+    factorization (Demmel 1989) and of the shift (Rump 2006, BIT 46).
+    """
+    size = sym.shape[0]
+    eps = np.finfo(float).eps
+    shift = (rank_threshold(np.linalg.norm(sym, np.inf), size)
+             + 2.0 * (size + 1) * eps * np.sum(np.abs(np.diagonal(sym))))
+    try:
+        np.linalg.cholesky(sym - shift * np.eye(size))
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 def check_spd(h: np.ndarray, tolerance: float = DEFAULT_TOLERANCE) -> PropertyResidual:
     """Check H = H^T > 0.
 
@@ -225,7 +254,9 @@ def check_spd(h: np.ndarray, tolerance: float = DEFAULT_TOLERANCE) -> PropertyRe
     smallest eigenvalue of the symmetrized matrix.  The tolerance bounds the
     symmetry defect only; definiteness is decided by the package's one rank
     rule, the smallest eigenvalue clearing ``rank_threshold`` of the largest.
-    An H with a non-finite entry raises ``InvariantError``.
+    For a dense H a verified Cholesky factor proves that, and the residual is
+    the symmetry defect; ``eigvalsh`` runs only where the proof fails.  An H
+    with a non-finite entry raises ``InvariantError``.
     """
     tolerance = check_positive(tolerance)
     h = np.asarray(h, dtype=float)
@@ -234,7 +265,10 @@ def check_spd(h: np.ndarray, tolerance: float = DEFAULT_TOLERANCE) -> PropertyRe
     if _is_diagonal(h):
         lam = np.sort(np.diagonal(h))
     else:
-        lam = np.linalg.eigvalsh(0.5 * (h + h.T))
+        sym = 0.5 * (h + h.T)
+        if _proved_definite(sym):
+            return PropertyResidual(Property.B_SPD, sym_defect, sym_defect <= tolerance)
+        lam = np.linalg.eigvalsh(sym)
     lam_min = float(lam[0])
     residual = max(sym_defect, max(0.0, -lam_min))
     passed = sym_defect <= tolerance and lam_min > rank_threshold(lam[-1], h.shape[0])
@@ -252,11 +286,15 @@ def check_sbp_identities(
         d = np.diagonal(op.h)[:, None]
         hd = d * op.d_plus
         res_c = max_abs(hd + hd.T - boundary - op.s)
-        res_d = max_abs(hd + (d * op.d_minus).T - boundary)
+        hd_minus = hd if op.d_minus is op.d_plus else d * op.d_minus
+        res_d = max_abs(hd + hd_minus.T - boundary)
     else:
         hd = op.h @ op.d_plus
-        res_c = max_abs(hd + op.d_plus.T @ op.h - boundary - op.s)
-        res_d = max_abs(hd + op.d_minus.T @ op.h - boundary)
+        dh = op.d_plus.T @ op.h
+        res_c = max_abs(hd + dh - boundary - op.s)
+        if op.d_minus is not op.d_plus:
+            dh = op.d_minus.T @ op.h
+        res_d = max_abs(hd + dh - boundary)
     return (
         PropertyResidual(Property.C_IDENTITY, res_c, res_c <= tolerance),
         PropertyResidual(Property.D_IDENTITY, res_d, res_d <= tolerance),
@@ -325,7 +363,7 @@ def check_nullspace_consistency(
 
 
 def check_eigenvalue_property(
-    op: SbpOperatorPair, tolerance: float = DEFAULT_TOLERANCE
+    op: SbpOperatorPair, tolerance: float = DEFAULT_TOLERANCE, *, _certify: bool = True
 ) -> EigenvalueCheck:
     """Decide whether every eigenvalue of the penalized matrix D_tilde of
     ``op`` has a positive real part.
@@ -333,23 +371,24 @@ def check_eigenvalue_property(
     Decided by the Hautus test of
     :func:`sbpkit.spectral.orthogonalize_imaginary`, which reads the
     operator alone, builds no D_tilde, does not read the tolerance and gives
-    the basis of N.  Where that test is invalid, D_tilde is built and one
-    ``eigvals`` of it decides instead: every eigenvalue must lie right of
+    the basis of N; its certificate decides first unless ``_certify`` is
+    false, as the repair asks.  Where that test is invalid, D_tilde is built
+    and one ``eigvals`` of it decides instead: every eigenvalue must lie right of
     the band ``tolerance * ||D_tilde||_F``, there is no basis, and D_tilde
     is singular where an eigenvalue lies within
     ``rank_threshold(||D_tilde||_F, n + 1)`` of 0.
     """
     tolerance = check_positive(tolerance)
-    analysis = spectral.orthogonalize_imaginary(op)
+    analysis = spectral.orthogonalize_imaginary(op, _certify)
     if analysis is None:
         d_tilde = spectral.build_d_tilde(op)
         lam = np.sort_complex(np.linalg.eigvals(d_tilde))
         scale = float(np.linalg.norm(d_tilde, "fro"))
         analysis = (tuple(lam[lam.real <= tolerance * scale].tolist()), None,
-                    bool(np.any(np.abs(lam) <= rank_threshold(scale, op.n + 1))))
-    offending, basis, singular = analysis
+                    bool(np.any(np.abs(lam) <= rank_threshold(scale, op.n + 1))), "band")
+    offending, basis, singular, route = analysis
     return EigenvalueCheck(has_property=not offending, offending=offending,
-                           basis=basis, singular=singular)
+                           basis=basis, route=route, singular=singular)
 
 
 def verify_all(

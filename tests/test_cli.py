@@ -489,7 +489,8 @@ def test_pseudospectral_certify_far_from_the_origin(capsys, family):
 def test_pseudospectral_certify_failure_exits_1(capsys, monkeypatch):
     monkeypatch.setattr(
         "sbpkit.pseudospectral.check_eigenvalue_property",
-        lambda *args: EigenvalueCheck(has_property=False, offending=(0.5j,), basis=None))
+        lambda *args: EigenvalueCheck(has_property=False, offending=(0.5j,), basis=None,
+                                      route="band"))
     code, out, _ = _run(
         capsys, ["pseudospectral", "--certify", "--n", "2", "--format", "text"])
     assert code == 1

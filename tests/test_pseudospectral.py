@@ -519,7 +519,8 @@ def test_a_failed_eigenvalue_check_fails_the_certification(monkeypatch):
     offending = (1e-3 + 0.5j, 1e-3 - 0.5j)
     monkeypatch.setattr(
         "sbpkit.pseudospectral.check_eigenvalue_property",
-        lambda *args: EigenvalueCheck(has_property=False, offending=offending, basis=None))
+        lambda *args: EigenvalueCheck(has_property=False, offending=offending, basis=None,
+                                      route="band"))
     report = certify_families([NodeFamily.legendre_gauss_lobatto(2, REFERENCE)])
     assert not report.certified
     assert not report.entries[0].eigenvalue_ok and not report.entries[0].passed

@@ -20,6 +20,7 @@ from sbpkit import (
 )
 from sbpkit.errors import (
     ContractError,
+    InternalInconsistencyError,
     ParameterError,
     RepairImpossibleError,
 )
@@ -255,6 +256,20 @@ def test_repair_requires_nullspace_consistency():
     crippled = op.with_fields(d_plus=d, d_minus=d)
     with pytest.raises(RepairImpossibleError):
         repair_operator(crippled, 1e-3)
+
+
+def test_a_basis_of_n_of_odd_dimension_is_refused(monkeypatch):
+    # One value and one column of the counterexample's N dropped: half of a
+    # conjugate pair, which the repair would otherwise act on as m = 0 pairs.
+    analyse = spectral.orthogonalize_imaginary
+
+    def halved(op, certify=True):
+        offending, q, singular, route = analyse(op, certify)
+        return offending[1:], q[:, 1:], singular, route
+
+    monkeypatch.setattr(spectral, "orthogonalize_imaginary", halved)
+    with pytest.raises(InternalInconsistencyError, match=r"odd number of columns \(1\)"):
+        repair_operator(build_counterexample(), 1e-3)
 
 
 def test_repair_rejects_negative_real_parts():

@@ -35,7 +35,7 @@ from sbpkit.errors import (
     RepairImpossibleError,
     ShapeError,
 )
-from sbpkit.linalg import svd_rank
+from sbpkit.linalg import rank_threshold, svd_rank
 from sbpkit.spectral import eigen_decompose, h_inner, orthogonalize_imaginary
 
 from oracles import (eigenspace_basis, h_norm, peak_n2, planted_kernel_fd,
@@ -282,9 +282,9 @@ def test_spectrum_of_an_operator_that_is_not_nullspace_consistent(capsys, tmp_pa
 
 def test_orthogonalize_counterexample():
     op = build_counterexample()
-    offending, q, singular = orthogonalize_imaginary(op)
+    offending, q, singular, route = orthogonalize_imaginary(op)
     np.testing.assert_allclose(offending, [-1j * INV_SQRT5, 1j * INV_SQRT5], rtol=1e-12)
-    assert not singular
+    assert not singular and route == "hautus"
     assert q.shape == (6, 2)
     assert not np.iscomplexobj(q)
     assert np.max(np.abs(q.T @ op.h @ q - np.eye(2))) <= 1e-14
@@ -301,7 +301,7 @@ def test_orthogonalize_counterexample():
 ], ids=["two_point", "classical_fd_64", "repaired_counterexample"])
 def test_orthogonalize_is_empty_with_the_eigenvalue_property(build):
     op = build()
-    offending, q, singular = orthogonalize_imaginary(op)
+    offending, q, singular, _ = orthogonalize_imaginary(op)
     assert offending == () and not singular
     assert q.shape == (op.n + 1, 0)
 
@@ -586,19 +586,22 @@ def test_where_h_has_no_cholesky_factor_one_eigvals_decides(calls, build):
     report = verify_all(op.with_fields(h=h))
     verdicts = {r.property.value: r.passed for r in report.residuals}
     assert verdicts["B_spd"] is False
-    assert (calls["cholesky"], calls["eig"], calls["eigvals"]) == (1, 0, 1)
+    # One Cholesky fails to prove B_spd, the other to take H coordinates.
+    assert (calls["cholesky"], calls["eig"], calls["eigvals"]) == (2, 0, 1)
     assert report.eigenvalue_check.basis is None
 
 
 @pytest.mark.parametrize("call, counts", [
-    (lambda op: verify_all(op), (0, 0, 0, 1, 0)),
+    (lambda op: verify_all(op), (0, 0, 0, 2, 0)),
     (lambda op: spectral_report(op), (1, 1, 0, 0, 0)),
     (lambda op: repair_operator(op, 1e-6), (0, 0, 0, 1, 0)),
     (lambda op: certify_families(LGL_1_TO_4), (4, 0, 4, 4, 0)),
 ], ids=["verify_all", "spectral_report", "repair_operator", "certify_families"])
 def test_each_call_builds_and_decomposes_d_tilde_once(calls, call, counts):
     # verify_all and the repair decompose the skew part of D_plus in H
-    # coordinates (one eigh) and build no D_tilde.  Certification builds
+    # coordinates and build no D_tilde: the repair by one complex eigh,
+    # verify_all first by the real eigh of its certificate, which cannot
+    # decide the counterexample's four-member cluster.  Certification builds
     # D_tilde once per family for the one eigvals of the entry's
     # min_real_part; only the spectrum report runs eig.  The counterexample's
     # H is diagonal: no Cholesky factor.
@@ -706,18 +709,24 @@ PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
 NEAR_GAP_INPUTS = ((69, 1), (341, 1), (26023, 5), (26312, 1), (26596, 5))
 
 
+def _benchmark_operator(pair):
+    return SbpOperatorPair(d_plus=pair.d, d_minus=pair.d, h=pair.h, s=pair.s, p0=pair.p0,
+                           pn=pair.pn, x=pair.x, q=pair.q, interval=Interval(pair.a, pair.b))
+
+
 def check_near_gap_input(gen, seed, slot):
     pair, budget, norm = gen.repair_input(seed, slot)
-    op = SbpOperatorPair(d_plus=pair.d, d_minus=pair.d, h=pair.h, s=pair.s, p0=pair.p0,
-                         pn=pair.pn, x=pair.x, q=pair.q, interval=Interval(pair.a, pair.b))
+    op = _benchmark_operator(pair)
     m = pair.omegas.size
-    assert len(check_eigenvalue_property(op).offending) == 2 * m
+    check = check_eigenvalue_property(op)
+    assert len(check.offending) == 2 * m and check.route == "hautus"
     repaired, plan = repair_operator(op, budget, NormChoice(norm))
     assert plan.m == m
     least = np.min(np.linalg.eigvals(build_d_tilde(repaired)).real)
     assert least == pytest.approx(0.5 * plan.epsilons[0], rel=1e-3)
     report = verify_all(repaired)
     assert report.all_passed() and report.nullspace_consistent and report.eigenvalue_property
+    assert report.eigenvalue_check.route == "certificate"
 
 
 @pytest.fixture
@@ -761,3 +770,164 @@ def test_the_leak_allowance_reads_no_lobatto_direction_as_hidden(build):
     # the zero threshold grows by 1e4; the Hautus margin is still 1e-2.
     check = check_eigenvalue_property(build())
     assert check.has_property and check.basis is not None
+
+
+# ---------------------------------------------------------------------------
+# the certificate: one real eigh of K^T K proves N = {0}, or the complex
+# route decides
+
+CERTIFIED_FIXTURES = {
+    **{
+        f"{family.__name__}_{n}_{a:g}_{b:g}": _lobatto(family, n, a, b)
+        for family in (NodeFamily.legendre_gauss_lobatto,
+                       NodeFamily.chebyshev_gauss_lobatto)
+        for n in (1, 2, 3, 8, 17, 40, 96)
+        for a, b in ((-1.0, 1.0), (100.0, 101.0), (-1000.0, 1000.0), (0.0, 1e-3),
+                     (1e4, 1e4 + 1.0))
+    },
+    **{f"classical_fd_{n}": (lambda n=n: build_classical_fd(n, Interval(0.0, 1.0)))
+       for n in (8, 99, 197, 512)},
+    **{
+        f"gauss_legendre_{n}_{a:g}": (lambda n=n, a=a: build_pseudospectral_operator(
+            NodeFamily.explicit(a + 0.5 + 0.5 * np.polynomial.legendre.leggauss(n + 1)[0],
+                                Interval(a, a + 1.0))))
+        for n in (4, 12, 40)
+        for a in (-0.5, 0.0)
+    },
+    "two_point": build_two_point,
+}
+
+
+@pytest.mark.filterwarnings("ignore:interpolatory weights:RuntimeWarning")
+@pytest.mark.parametrize("build", CERTIFIED_FIXTURES.values(), ids=CERTIFIED_FIXTURES.keys())
+def test_every_operator_with_the_property_is_certified(build):
+    op = build()
+    check = check_eigenvalue_property(op)
+    assert check.route == "certificate"
+    assert check.has_property and not check.singular and check.basis.shape == (op.n + 1, 0)
+    assert check == check_eigenvalue_property(op, _certify=False)
+
+
+def test_the_benchmark_inputs_with_the_property_are_certified(gen):
+    for slot in range(len(gen.DIAGNOSE_SLOTS)):
+        op = _benchmark_operator(gen.diagnose_input(1, slot))
+        check = check_eigenvalue_property(op)
+        assert check.route == "certificate" and check.has_property, slot
+
+
+def test_planted_inputs_take_the_hautus_route_and_their_repairs_the_certificate(gen):
+    # Every planted input has hidden pairs, which no certificate can prove
+    # away; once repaired, it has the property and is certified.
+    for slot in range(len(gen.REPAIR_SLOTS)):
+        pair, budget, norm = gen.repair_input(7, slot)
+        op = _benchmark_operator(pair)
+        check = check_eigenvalue_property(op)
+        assert check.route == "hautus" and len(check.offending) == 2 * pair.omegas.size
+        repaired, _ = repair_operator(op, budget, NormChoice(norm))
+        assert check_eigenvalue_property(repaired).route == "certificate", slot
+
+
+def test_the_counterexample_and_its_repairs_take_the_hautus_route():
+    # +-1/sqrt(5) is a double |mu| of K, one pair hidden and one observable:
+    # a four-member cluster of K^T K, which the certificate cannot decide.
+    op = build_counterexample()
+    check = check_eigenvalue_property(op)
+    assert check.route == "hautus"
+    np.testing.assert_allclose(check.offending, [-1j * INV_SQRT5, 1j * INV_SQRT5], rtol=1e-12)
+    for eps in (1e-2, 1e-6, 1e-10):
+        check = check_eigenvalue_property(repair_operator(op, eps)[0])
+        assert check.route == "hautus" and check.has_property
+
+
+BAND_FIXTURES = {
+    "fd_32_off_the_identity": _fd_32_off_the_identity,
+    "flipped_two_point": _flipped_two_point,
+    "crippled_counterexample": _crippled_counterexample,
+    "counterexample_row_2_zeroed": _counterexample_row_2_zeroed,
+}
+
+
+@pytest.mark.parametrize("build", BAND_FIXTURES.values(), ids=BAND_FIXTURES.keys())
+def test_where_the_hautus_test_does_not_apply_the_route_is_the_band(build):
+    check = check_eigenvalue_property(build())
+    assert check.route == "band" and check.basis is None
+
+
+@pytest.fixture
+def eigh_dtypes(monkeypatch):
+    """The dtype of every matrix given to np.linalg.eigh."""
+    seen = []
+    eigh = np.linalg.eigh
+
+    def recorded(a, *args, **kwargs):
+        seen.append(np.asarray(a).dtype)
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", recorded)
+    return seen
+
+
+def test_a_certified_operator_runs_one_real_eigh_and_no_complex_one(eigh_dtypes):
+    check = verify_all(build_classical_fd(64, Interval(0.0, 1.0))).eigenvalue_check
+    assert check.route == "certificate"
+    assert eigh_dtypes == [np.dtype(float)]
+
+
+def test_the_repair_goes_straight_to_the_complex_eigh(eigh_dtypes):
+    # The repair needs the basis of N and acts on operators that lack the
+    # property, so it tries no certificate, on either kind of operator.
+    repair_operator(build_counterexample(), 1e-6)
+    repair_operator(build_classical_fd(64, Interval(0.0, 1.0)), 1e-6)
+    assert eigh_dtypes == [np.dtype(complex)] * 2
+
+
+def _skew_operator(k, b):
+    """An operator with H = I whose H coordinates are ``A = K + B B^T / 2``
+    and ``B = [p0, pn]``, so that the SBP identity holds to rounding."""
+    size = k.shape[0]
+    d = k + 0.5 * np.outer(b[:, 1], b[:, 1]) - 0.5 * np.outer(b[:, 0], b[:, 0])
+    return SbpOperatorPair(d_plus=d, d_minus=d, h=np.eye(size), s=np.zeros((size, size)),
+                           p0=b[:, 0], pn=b[:, 1], x=np.linspace(0.0, 1.0, size), q=1,
+                           interval=Interval(0.0, 1.0))
+
+
+def _rotations(mus, size):
+    """Block-diagonal real skew K with one 2 x 2 block of frequency mu each."""
+    k = np.zeros((size, size))
+    for j, mu in enumerate(mus):
+        k[2 * j, 2 * j + 1], k[2 * j + 1, 2 * j] = mu, -mu
+    return k
+
+
+def test_a_pair_is_read_by_its_plane_not_by_the_vectors_eigh_picks():
+    # B sees one of the two vectors of each pair, the first one in every
+    # other pair: each pair is observable (||B^T v|| = ||b|| / sqrt(2) for
+    # v in V_mu), but one vector eigh returns for the plane is not.
+    mus = (0.25, 0.5, 0.75, 1.0)
+    size = 2 * len(mus) + 1
+    b = np.zeros((size, 2))
+    for j in range(len(mus)):
+        b[2 * j + (j % 2 == 0)] = (1.0, 0.5 + j)
+    b[-1] = (0.3, 0.2)
+    op = _skew_operator(_rotations(mus, size), b)
+    check = check_eigenvalue_property(op)
+    assert check.route == "certificate" and check.has_property
+    assert check == check_eigenvalue_property(op, _certify=False)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_a_hidden_pair_that_eigh_of_k_squared_leaks_into_is_left_to_the_hautus_route(seed):
+    # A hidden pair at |mu| = 3e-6 ||K||, a pair of K^T K ten rank rules from
+    # an observable one: eigh of K^T K mixes the two by about
+    # eps ||K||^2 / gap, which the certificate's Davis-Kahan term allows
+    # for; the complex route finds the hidden pair.
+    rng = np.random.default_rng(seed)
+    mus = (3e-6, np.sqrt(9e-12 + 10.0 * rank_threshold(1.0, 12)), 0.2, 0.45, 0.7, 1.0)
+    rotation, _ = np.linalg.qr(rng.standard_normal((12, 12)))
+    b = rng.standard_normal((12, 2))
+    b[:2] = 0.0
+    k = rotation @ _rotations(mus, 12) @ rotation.T
+    op = _skew_operator(0.5 * (k - k.T), rotation @ b)
+    check = check_eigenvalue_property(op)
+    assert check.route == "hautus" and not check.has_property
+    np.testing.assert_allclose(np.imag(check.offending), [-3e-6, 3e-6], rtol=1e-6)

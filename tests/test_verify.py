@@ -7,6 +7,7 @@ from sbpkit import (
     Interval,
     NodeFamily,
     Property,
+    PropertyResidual,
     build_classical_fd,
     build_counterexample,
     build_d_tilde,
@@ -172,6 +173,47 @@ def test_spd_of_a_non_finite_norm_is_refused_before_any_decomposition(h, monkeyp
     monkeypatch.setattr(np.linalg, "eigvalsh", no_eigvalsh)
     with pytest.raises(InvariantError, match="non-finite"):
         check_spd(h)
+
+
+def _dense_norm(eigenvalues, seed=0):
+    rotation, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal(
+        (len(eigenvalues), len(eigenvalues))))
+    h = rotation @ np.diag(eigenvalues) @ rotation.T
+    return 0.5 * (h + h.T)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: build_pseudospectral_operator(
+        NodeFamily.chebyshev_gauss_lobatto(16, Interval(0.0, 10.0))).h,
+    lambda: _dense_norm(np.linspace(0.1, 2.0, 40)),
+    lambda: _dense_norm(np.linspace(0.1, 2.0, 40)) + 1e-12 * np.triu(np.ones((40, 40)), 1),
+], ids=["cgl_16", "dense_40", "asymmetric_dense_40"])
+def test_a_verified_cholesky_decides_a_dense_norm_without_eigvalsh(build, monkeypatch):
+    # The same residual and verdict as eigvalsh and the rank rule give.
+    h = build()
+    sym_defect = float(np.max(np.abs(h - h.T)))
+    lam = np.linalg.eigvalsh(0.5 * (h + h.T))
+    assert lam[0] > rank_threshold(lam[-1], h.shape[0])
+    expected = PropertyResidual(Property.B_SPD, max(sym_defect, max(0.0, -float(lam[0]))),
+                                sym_defect <= 1e-13)
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a) or eigvalsh(a))
+    assert check_spd(h, 1e-13) == expected
+    assert calls == []
+
+
+def test_a_dense_norm_positive_but_under_the_rank_rule_is_not_definite(monkeypatch):
+    # The least eigenvalue is positive, and an unshifted Cholesky factor
+    # exists, but it lies at half the rank rule's threshold: eigvalsh decides.
+    size = 8
+    h = _dense_norm([0.5 * rank_threshold(1.0, size)] + [1.0] * (size - 1))
+    assert np.all(np.diagonal(np.linalg.cholesky(h)) > 0.0)
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a) or eigvalsh(a))
+    result = check_spd(h)
+    assert not result.passed and len(calls) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -18,16 +18,20 @@ norm, and ``verify_all`` of the repaired operator, and prints the input as
   left of eps/2 at the larger budgets), or
 - ``verify_all`` of the repaired operator does not pass: some residual
   fails, or it is not nullspace consistent or lacks the eigenvalue
-  property.
+  property, or
+- the check before the repair was decided by the certificate: every
+  planted input has hidden pairs, which no certificate can prove away.
 
-Each printed line gives what was found; the last line counts the inputs
-scanned and printed.  BLAS runs on one thread unless
+Each printed line gives what was found; the last lines count the inputs
+scanned and printed, and the routes (``EigenvalueCheck.route``) that the
+checks before and after the repair took.  BLAS runs on one thread unless
 ``OPENBLAS_NUM_THREADS`` (or another BLAS thread variable) is set.  The
 inputs come from this checkout's ``perfbench/``, which is only read.
 """
 
 from __future__ import annotations
 
+import collections
 import os
 import sys
 
@@ -37,14 +41,16 @@ PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file_
 SHORTFALL = 1e-3
 
 
-def scan(sbpkit, gen, worker, seed: int, slot: int) -> str | None:
-    """What is wrong with the repair of one planted input, or None."""
+def scan(sbpkit, gen, worker, seed: int, slot: int) -> tuple[str | None, str, str]:
+    """What is wrong with the repair of one planted input, or None, and the
+    routes of the checks before and after the repair."""
     import numpy as np
 
     pair, budget, norm = gen.repair_input(seed, slot)
     op = worker.to_op(pair)
     m = pair.omegas.size
-    found = len(sbpkit.check_eigenvalue_property(op).offending)
+    check = sbpkit.check_eigenvalue_property(op)
+    found = len(check.offending)
     repaired, plan = sbpkit.repair_operator(op, budget, sbpkit.NormChoice(norm))
     half = 0.5 * plan.epsilons[0] if plan.epsilons else 0.0
     lam = np.linalg.eigvals(sbpkit.build_d_tilde(repaired))
@@ -53,11 +59,13 @@ def scan(sbpkit, gen, worker, seed: int, slot: int) -> str | None:
     report = sbpkit.verify_all(repaired)
     passed = (report.all_passed() and report.nullspace_consistent
               and report.eigenvalue_property)
-    if found == 2 * m and plan.m == m and least >= half * (1 - SHORTFALL) and passed:
-        return None
+    routes = (check.route, report.eigenvalue_check.route)
+    if (found == 2 * m and plan.m == m and least >= half * (1 - SHORTFALL) and passed
+            and check.route != "certificate"):
+        return None, *routes
     return (f"offending {found} of {2 * m}, plan.m {plan.m} of {m}, "
             f"planted min Re {least:.3e} against eps/2 {half:.3e}, verify_all "
-            f"{'passes' if passed else 'fails'}")
+            f"{'passes' if passed else 'fails'}, route before {check.route}"), *routes
 
 
 def main() -> int:
@@ -79,13 +87,19 @@ def main() -> int:
         print(f"sbpkit imported from {sbpkit.__file__}, not from {src}", file=sys.stderr)
         return 2
     printed = 0
+    before, after = collections.Counter(), collections.Counter()
     for seed in range(first, last):
         for slot in range(len(gen.REPAIR_SLOTS)):
-            problem = scan(sbpkit, gen, worker, seed, slot)
+            problem, route_before, route_after = scan(sbpkit, gen, worker, seed, slot)
+            before[route_before] += 1
+            after[route_after] += 1
             if problem is not None:
                 printed += 1
                 print(f"{seed}/{slot}: {problem}", flush=True)
     print(f"{(last - first) * len(gen.REPAIR_SLOTS)} inputs scanned, {printed} printed")
+    for label, census in (("before", before), ("after", after)):
+        print(f"routes {label} repair: "
+              + ", ".join(f"{route} {count}" for route, count in sorted(census.items())))
     return 0
 
 
