@@ -79,16 +79,16 @@ def _emit(text: str, output_path: str | None) -> None:
 
 def _check_output(path: str | None) -> None:
     """Refuse an ``--output`` path ``_emit`` could not write, touching nothing:
-    a directory, a file that is not writable, or a missing or unwritable
-    directory for a new file."""
-    if not path:
+    an empty path, a directory, a file that is not writable, or a missing or
+    unwritable directory for a new file."""
+    if path is None:
         return
     directory = os.path.dirname(os.path.abspath(path))
     if os.path.isdir(path):
         reason = errno.EISDIR
     elif os.path.exists(path):
         reason = None if os.access(path, os.W_OK) else errno.EACCES
-    elif not os.path.isdir(directory):
+    elif not path or not os.path.isdir(directory):
         reason = errno.ENOENT
     else:
         reason = None if os.access(directory, os.W_OK) else errno.EACCES

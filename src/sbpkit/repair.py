@@ -1,34 +1,19 @@
 """Dissipation perturbation that restores the positive-spectrum property.
 
 Given a nullspace consistent operator whose penalized matrix has imaginary
-eigenvalues, an arbitrarily small symmetric positive semi-definite matrix
+eigenvalues, the symmetric positive semi-definite matrix
 
     S' = eps H Q Q^T H
 
-is assembled in real arithmetic.  The columns of Q are a real H-orthonormal
-basis of the invariant subspace N of the imaginary eigenvalues, two per
-conjugate pair: the ``basis`` of the verdict
-:func:`sbpkit.verify.check_eigenvalue_property` returns, so the repair acts
-on exactly the values that verdict finds; one eps serves every pair.  The
-repair needs that basis and acts on operators that lack the property, so it
-asks the verdict of the complex Hautus route directly, with no certificate
-first.  A basis of odd dimension cannot span whole pairs and raises
-``InternalInconsistencyError``.  The
-repair builds no spectral report and runs no ``eig``, and it builds no
-D_tilde unless the Hautus test does not apply, where the band of one
-``eigvals`` decides.  Because N is H-orthogonal to x^j for j = 0..q, S'
-annihilates the grid polynomials, so ``D_plus' = D_plus + 1/2 H^{-1} S'``
-and ``D_minus' = D_minus - 1/2 H^{-1} S'`` are an operator pair of the same
-order with S replaced by S + S'.  Both come from one product ``U = H Q``,
-formed by the internal ``build_s_prime``: ``S' = eps U U^T``, and
-``1/2 H^{-1} S' = (eps/2) Q U^T`` needs no solve against H; ``Q U^T`` is the
-H-orthogonal projector onto N.  N and its H-orthogonal complement are both
-invariant under the penalized matrix, so each imaginary eigenvalue moves
-right by exactly eps/2 while every other eigenpair is untouched, and the
-perturbation size ``||D_plus' - D_plus||`` is set exactly by linear scaling
-of eps.  :func:`repair_operator` returns the repaired operator and a
-:class:`PerturbationPlan` holding eps, S' and the achieved norm; Q itself
-is not kept.
+is assembled in real arithmetic.  The columns of Q are the ``basis`` of the
+unobservable subspace N that :func:`sbpkit.verify.check_eigenvalue_property`
+returns, so the repair acts on exactly the values that verdict finds.
+Because N is H-orthogonal to x^j for j = 0..q, S' annihilates the grid
+polynomials, so ``D_plus' = D_plus + 1/2 H^{-1} S'`` and
+``D_minus' = D_minus - 1/2 H^{-1} S'`` are an operator pair of the same
+order with S replaced by S + S'.  N and its H-orthogonal complement are
+both invariant under the penalized matrix, so each imaginary eigenvalue
+moves right by exactly eps/2 while every other eigenpair is untouched.
 """
 
 from __future__ import annotations
@@ -123,16 +108,15 @@ def repair_operator(
     """Return an operator with the positive-spectrum property and the plan.
 
     One analysis of D_tilde, by
-    :func:`sbpkit.verify.check_eigenvalue_property` on ``op`` alone and on
-    the complex Hautus route, with no certificate first, serves the
-    nullspace verdict and the eigenvalue verdict, which the repair takes as
-    it is; D_tilde is built only where the band decides.
-    Where the property holds, ``op`` is returned
-    unchanged with an empty plan, which makes the repair idempotent.  Where
-    it fails on the band route, which has no basis of N, ``ContractError``
-    is raised, and ``InternalInconsistencyError`` where the basis of N has
-    an odd number of columns.  Otherwise S' is built with eps = 1 on the
-    check's basis of N (m = dim N / 2 pairs), then scaled linearly so that
+    :func:`sbpkit.verify.check_eigenvalue_property` on ``op`` alone, serves
+    the nullspace verdict and the eigenvalue verdict, which the repair takes
+    as it is; D_tilde is built only where the band decides.  Where the
+    property holds, ``op`` is returned unchanged with an empty plan, which
+    makes the repair idempotent.  Where it fails on the band route, which
+    has no basis of N, ``ContractError`` is raised, and
+    ``InternalInconsistencyError`` where the basis of N has an odd number of
+    columns.  Otherwise S' is built with eps = 1 on the check's basis of N
+    (m = dim N / 2 pairs), then scaled linearly so that
     ``||D_plus' - D_plus|| == target_eps`` in the chosen norm, a
     :class:`NormChoice` or its value.  ``D_minus' = D_minus - 1/2 H^{-1} S'``,
     so an identity ``op`` misses stays missed by as much.
@@ -142,7 +126,7 @@ def repair_operator(
         norm_choice = NormChoice(norm_choice)
     except ValueError:
         raise ParameterError(f"unknown norm choice {norm_choice!r}") from None
-    check = check_eigenvalue_property(op, tolerance, _certify=False)
+    check = check_eigenvalue_property(op, tolerance)
     diagnostics = check_nullspace_consistency(op, check, tolerance)
     if not diagnostics.consistent:
         raise RepairImpossibleError(

@@ -6,64 +6,28 @@ identities give the energy identity
 
     2 Re(lambda) ||w||_H^2 = |p0.w|^2 + |pn.w|^2 + w* S w
 
-for every eigenpair, so for a conforming operator all eigenvalues have
+for every eigenpair, so all eigenvalues of a conforming operator have
 nonnegative real part, and the ones with zero real part are exactly those
-whose eigenvectors are annihilated by ``C = [p0^T; pn^T; S]``.  Their
-invariant subspace is the unobservable subspace N of ``(C, D_tilde)``, the
-largest D_tilde-invariant subspace inside ker C; it is H-orthogonal to
-``x^j`` for j = 0..q and to every other eigenvector.
+whose eigenvectors ``C = [p0^T; pn^T; S]`` annihilates.  Their invariant
+subspace is the unobservable subspace N of ``(C, D_tilde)``.  All inner
+products here are ``<f, g> = f* H g``.
 
-All inner products here are ``<f, g> = f* H g``; Euclidean orthogonality has
-no meaning for these operators and is never asserted.
-
-The public surface is the penalized matrix (:func:`build_d_tilde`) and
-:func:`spectral_report`, the one eigen-decomposition of an operator: it
-builds and decomposes the penalized matrix once, by the internal
-``eigen_decompose``, and classifies the eigenvalues by the band
-``|Re| <= tau * ||D_tilde||_F``.  The ``spectrum`` and ``demo`` commands
-print that report; a verdict reads eigenvalues only and runs no ``eig``.
-Only eigenvalue solvers build D_tilde: this report, the band route of
-:func:`sbpkit.verify.check_eigenvalue_property` and
-:func:`sbpkit.pseudospectral.certify_families`, for its ``eigvals``.
-
-The internal ``orthogonalize_imaginary`` finds N without building or
-decomposing D_tilde, by the Hautus test (Hautus 1969) in H coordinates, for
-:func:`sbpkit.verify.check_eigenvalue_property`, its one caller, whose
-verdict and basis the repair reads and whose word on a zero eigenvalue
-decides whether D_tilde is invertible.  ``eigen_decompose`` does not check
-its input, which only this module passes.  ``h_inner`` has no caller in the
-package; the benchmark's span tracer (``perfbench/spans.py``) still wraps
-it by name.
-With ``H = L L^T`` and ``B = L^{-1} [p0, pn, S^(1/2)]``, whose first column
-is ``b0 = L^{-1} p0``, D_tilde reads
-``A = L^T D_tilde L^{-T} = L^T D_plus L^{-T} + b0 b0^T`` in H coordinates,
-and the SBP identity reads ``A + A^T = B B^T``.  So the skew part K of A,
-which is the skew part of D_plus in H coordinates, is normal, and p0
-enters the test only through B.  N is the sum over the eigenspaces
-V_mu of K of ``V_mu intersected with ker B^T``; on it D_tilde has the
-eigenvalues ``i mu``.  One Hermitian ``eigh`` gives mu and V_mu.  It runs
-only where one real ``eigh`` of ``K^T K``, about half the cost, cannot
-certify N = {0} (``_certified``: the certificate carries its own
-Davis-Kahan bound and decides nothing else), and always for the repair,
-which needs N's basis and calls with ``certify=False``.  The
-clusters of mu split by the package's rank rule, not the tolerance.  The
-rank of each ``B^T V_mu`` is read against a zero threshold per cluster,
-``rank_threshold(||B||_2, n + 1) * (1 + ||K||_2 / apart)`` with ``apart``
-the distance to the nearest other cluster: the rank rule plus the leak of
-``eigh``, which mixes a neighbour ``apart`` away into V_mu by about
-``eps ||K|| / apart`` (Davis-Kahan).  Without that term a hidden direction
-about 1e-3 from an observable one read as observable, by a count that
-changed with the BLAS thread count.  A cluster whose leak bound swamps its
-observability reads hidden.  Where the SBP identity does not hold to rounding
-(``max|A + A^T - B B^T| > rank_threshold(max|A|)``) or H has no Cholesky
-factor, the test does not apply, and the band of one ``eigvals`` of
-D_tilde, built there, decides.
+:func:`spectral_report` is the one eigen-decomposition of an operator: it
+builds D_tilde once and decomposes it once, by the internal
+``eigen_decompose``.  The internal ``orthogonalize_imaginary`` finds N
+without building D_tilde, by the Hautus test in H coordinates (derived in
+the README), for :func:`sbpkit.verify.check_eigenvalue_property`, its one
+caller.  With ``H = L L^T``, D_tilde reads ``A = L^T D_tilde L^{-T}`` and
+ker C reads ker ``B^T`` with ``B = L^{-1} [p0, pn, S^(1/2)]``; the SBP
+identity ``A + A^T = B B^T`` puts N in the eigenspaces of the skew part K
+of A, where ``B^T`` loses rank.  ``h_inner`` has no caller in the package;
+the benchmark's span tracer (``perfbench/spans.py``) still wraps it by name.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -146,6 +110,36 @@ class SpectralReport:
             "boundary_residuals": self.boundary_residuals,
             "moment_residuals": self.moment_residuals,
         }
+
+
+@dataclass(frozen=True)
+class EigenvalueCheck:
+    """Eigenvalue-property verdict for the penalized matrix.
+
+    ``offending`` holds the eigenvalues of D_tilde with real part zero, one
+    per unobservable direction, sorted by (Re, Im); on the band route, every
+    eigenvalue that is not right of the band.  The property holds exactly
+    where none is offending.  ``basis`` is a real H-orthonormal basis of N,
+    one column per offending value and read-only, which the repair reads;
+    None where the band decided.  ``route`` names the route that decided:
+    ``"certificate"`` (N = {0} proved without the complex ``eigh``; the
+    basis is empty), ``"hautus"`` or ``"band"``.  Neither takes part in
+    ``==``.  ``singular`` says whether D_tilde has an eigenvalue at 0, the
+    first route of :func:`sbpkit.verify.check_nullspace_consistency`.
+    """
+
+    offending: tuple[complex, ...]
+    basis: np.ndarray | None = field(compare=False, repr=False)
+    route: str = field(compare=False)
+    singular: bool = False
+
+    def __post_init__(self) -> None:
+        if self.basis is not None:
+            self.basis.flags.writeable = False
+
+    @property
+    def has_property(self) -> bool:
+        return not self.offending
 
 
 def build_d_tilde(op: SbpOperatorPair) -> np.ndarray:
@@ -342,28 +336,22 @@ def _certified(a: np.ndarray, b: np.ndarray, b_norm: float) -> bool:
     return bool(np.all(q - leak > 2.0 * zero))
 
 
-def orthogonalize_imaginary(
-    op: SbpOperatorPair, certify: bool = True,
-) -> tuple[tuple[complex, ...], np.ndarray, bool, str] | None:
+def orthogonalize_imaginary(op: SbpOperatorPair) -> EigenvalueCheck | None:
     """The unobservable subspace N of ``(C, D_tilde)`` by the Hautus test.
 
-    Reads ``op`` alone and builds no D_tilde.  Returns
-    ``(offending, q, singular, route)``: the eigenvalues ``i mu`` of D_tilde
-    on N, one per direction, sorted by mu, a real H-orthonormal basis of N as
-    the columns of q (none when N = {0}), whether D_tilde is singular, and
-    which route decided, ``"certificate"`` or ``"hautus"``.  With
-    ``certify``, one real ``eigh`` of ``K^T K`` is tried first; where it
-    proves N = {0} (see :func:`_certified`) the result is the complex
-    route's for N = {0}, with no complex ``eigh``.  Otherwise, or without
-    ``certify``, the complex route decides.  By the energy identity a kernel
-    vector of D_tilde is unobservable, so it is singular exactly when a
-    cluster centred within the cluster gap of 0 has a hidden direction.
-    Each cluster's zero threshold is the rank rule times
+    Reads ``op`` alone and builds no D_tilde.  The check's ``offending``
+    values are the eigenvalues ``i mu`` of D_tilde on N, one per direction,
+    sorted by mu, and ``singular`` says whether a cluster of mu centred
+    within the cluster gap of 0 has a hidden direction (a kernel vector of
+    D_tilde is unobservable).  One real ``eigh`` of ``K^T K`` is tried
+    first; where it proves N = {0} (:func:`_certified`) the route is
+    ``"certificate"`` and no complex ``eigh`` runs.  Otherwise the complex
+    route decides, and each cluster's zero threshold is the rank rule times
     ``1 + ||K||_2 / apart``, the leak of ``eigh`` from the nearest other
-    cluster ``apart`` away (see the module docstring), so a cluster whose
-    leak bound swamps its observability reads hidden.  Returns None when the
-    SBP identity does not hold to rounding or H has no Cholesky factor,
-    where the test does not apply (see the module docstring).
+    cluster ``apart`` away, so a cluster whose leak bound swamps its
+    observability reads hidden.  Returns None where the SBP identity does
+    not hold to rounding or H has no Cholesky factor: there the test does
+    not apply.
     """
     size = op.n + 1
     coords = _h_coordinates(op)
@@ -376,8 +364,8 @@ def orthogonalize_imaginary(
         return None
     del defect
     b_norm = np.linalg.norm(b, 2)
-    if certify and _certified(a, b, b_norm):
-        return (), np.empty((size, 0)), False, "certificate"
+    if _certified(a, b, b_norm):
+        return EigenvalueCheck(offending=(), basis=np.empty((size, 0)), route="certificate")
     # -iK = i(A^T - A)/2 is Hermitian; -iK v = mu v means K v = i mu v.
     herm = np.zeros((size, size), dtype=complex)
     np.subtract(a.T, a, out=herm.imag)
@@ -412,9 +400,8 @@ def orthogonalize_imaginary(
     # coordinates, and L^{-T} maps it to an H-orthonormal one.
     w = np.concatenate(columns, axis=1)
     dim = w.shape[1]
-    if dim == 0:
-        return offending, np.empty((size, 0)), singular, "hautus"
-    u = np.linalg.svd(np.hstack([w.real, w.imag]), full_matrices=False)[0][:, :dim]
-    if factor.ndim == 1:
-        return offending, u / factor[:, None], singular, "hautus"
-    return offending, np.linalg.solve(factor.T, u), singular, "hautus"
+    basis = np.empty((size, 0))
+    if dim:
+        u = np.linalg.svd(np.hstack([w.real, w.imag]), full_matrices=False)[0][:, :dim]
+        basis = u / factor[:, None] if factor.ndim == 1 else np.linalg.solve(factor.T, u)
+    return EigenvalueCheck(offending=offending, basis=basis, route="hautus", singular=singular)

@@ -1,54 +1,28 @@
 """Algebraic verification of SBP operator pairs.
 
 Every defining condition is evaluated as a residual in the max norm and
-compared against a tolerance: the accuracy conditions for j = 0..q, symmetric
-positive definiteness of H, the two summation-by-parts identities and the
-three conditions on the dissipation matrix S.  Two spectral verdicts follow:
-nullspace consistency of D_plus and the eigenvalue property of the penalized
-matrix ``D_tilde = D_plus + H^{-1} p0 p0^T``.
+compared against a tolerance (default 1e-10): the accuracy conditions for
+j = 0..q, symmetric positive definiteness of H, the two summation-by-parts
+identities and the three conditions on the dissipation matrix S.
+Polynomial conditions (accuracy, S x^j = 0) are tested on the Legendre
+polynomials mapped to the interval, as relative residuals
+``|A V - T| / (|A||V| + |T|)`` (0/0 = 0); identity and symmetry residuals
+are absolute.  Definiteness of H and of S and every rank follow the
+package's one rank rule (:func:`sbpkit.linalg.rank_threshold`), whatever
+the tolerance.
 
-Default tolerance is 1e-10.  Polynomial conditions (accuracy, S x^j = 0)
-are tested on the Legendre polynomials P_j mapped to the interval, as
-relative residuals ``|A V - T| / (|A||V| + |T|)`` (0/0 = 0), so they do not
-depend on where the interval sits; identity and symmetry residuals are
-absolute; the eigenvalue band of the fallback below scales with the
-Frobenius norm.  Definiteness of H and of S and the ranks of both
-nullspace routes follow the package's one rank rule
-(:func:`sbpkit.linalg.rank_threshold`), whatever the tolerance.  A diagonal H (or S) skips the dense products and
-eigenvalue solves with bit-identical residuals; for a dense H a verified
-Cholesky proves definiteness, and ``eigvalsh`` runs only where it fails.
-
-:func:`verify_all` analyses D_tilde once, in
-:func:`check_eigenvalue_property`; that check also answers the first
-nullspace route.  By the energy identity a kernel vector of D_tilde is
-unobservable, so D_tilde is invertible exactly where the check finds no
-eigenvalue at 0 (:attr:`EigenvalueCheck.singular`).  The second route, rank
-n of D_plus with the constants in its kernel, takes the one SVD, of D_plus;
-nothing takes an SVD of D_tilde.
-The eigenvalue property is decided without an eigen-decomposition of
-D_tilde: it holds iff the unobservable subspace N of ``(C, D_tilde)``, with
-``C = [p0^T; pn^T; S]``, is {0}, and
-:func:`sbpkit.spectral.orthogonalize_imaginary` finds N by the Hautus test
-on the skew part of D_plus in H coordinates, where p0 enters only through
-the observation matrix.  That test reads the operator alone; no verdict
-takes a D_tilde as input.  Where the test does not apply (the SBP identity
-does not hold to rounding, or H has no Cholesky factor), D_tilde is built
-and the verdict falls back to the band
-``|Re lambda| <= tolerance * ||D_tilde||_F`` of one ``eigvals``, the
-classification :func:`sbpkit.spectral.spectral_report` uses.
-:func:`check_eigenvalue_property` is the only place that picks the route.
-Its :class:`EigenvalueCheck` names the route that decided: ``"certificate"``
-where one real ``eigh`` of the skew part squared proves N = {0} with no
-complex ``eigh``, ``"hautus"`` where the complex test decided, ``"band"``
-where the band did.  It carries the basis of N the Hautus test found, and
-:func:`sbpkit.repair.repair_operator` acts on that check, which it asks of
-the complex route directly.
+Two spectral verdicts follow from one check of the penalized matrix
+``D_tilde = D_plus + H^{-1} p0 p0^T``, :func:`check_eigenvalue_property`,
+the one place that picks its route: the eigenvalue property, and the first
+route of nullspace consistency, since D_tilde is invertible exactly where
+that check finds no eigenvalue at 0.  The second route takes the one SVD,
+of D_plus.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,6 +31,7 @@ from .errors import InternalInconsistencyError, ParameterError
 from .linalg import (DEFAULT_TOLERANCE, check_positive, legendre_basis, max_abs,
                      rank_threshold, relative_residual, svd_rank)
 from .operators import SbpOperatorPair, _check_finite_norm, _is_diagonal
+from .spectral import EigenvalueCheck
 
 __all__ = [
     "Property",
@@ -112,37 +87,6 @@ class NullspaceDiagnostics:
     sigma_max: float
     kernel_residual: float
     rank: int
-
-
-@dataclass(frozen=True)
-class EigenvalueCheck:
-    """Eigenvalue-property verdict for the penalized matrix.
-
-    ``offending`` holds the eigenvalues of D_tilde with real part zero, one
-    per unobservable direction, sorted by (Re, Im); on the fallback route,
-    every eigenvalue that is not right of the band.  ``basis`` is the
-    Hautus test's real H-orthonormal basis of N, one column per offending
-    value and read-only, which the repair reads; None where the band
-    decided.  It takes no part in ``==``.  ``singular`` says whether D_tilde
-    has an eigenvalue at 0: on the Hautus route, whether a cluster of mu
-    centred within the cluster gap of 0 has a hidden direction; on the band
-    route, whether an eigenvalue lies within
-    ``rank_threshold(||D_tilde||_F, n + 1)`` of 0.  It is the first route of
-    :func:`check_nullspace_consistency`.  ``route`` names the route that
-    decided: ``"certificate"`` (N = {0} proved without the complex ``eigh``;
-    the basis is empty), ``"hautus"`` or ``"band"``.  It takes no part in
-    ``==``.
-    """
-
-    has_property: bool
-    offending: tuple[complex, ...]
-    basis: np.ndarray | None = field(compare=False, repr=False)
-    route: str = field(compare=False)
-    singular: bool = False
-
-    def __post_init__(self) -> None:
-        if self.basis is not None:
-            self.basis.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -363,7 +307,7 @@ def check_nullspace_consistency(
 
 
 def check_eigenvalue_property(
-    op: SbpOperatorPair, tolerance: float = DEFAULT_TOLERANCE, *, _certify: bool = True
+    op: SbpOperatorPair, tolerance: float = DEFAULT_TOLERANCE
 ) -> EigenvalueCheck:
     """Decide whether every eigenvalue of the penalized matrix D_tilde of
     ``op`` has a positive real part.
@@ -371,24 +315,22 @@ def check_eigenvalue_property(
     Decided by the Hautus test of
     :func:`sbpkit.spectral.orthogonalize_imaginary`, which reads the
     operator alone, builds no D_tilde, does not read the tolerance and gives
-    the basis of N; its certificate decides first unless ``_certify`` is
-    false, as the repair asks.  Where that test is invalid, D_tilde is built
-    and one ``eigvals`` of it decides instead: every eigenvalue must lie right of
-    the band ``tolerance * ||D_tilde||_F``, there is no basis, and D_tilde
-    is singular where an eigenvalue lies within
+    the basis of N.  Where that test does not apply, D_tilde is built and
+    one ``eigvals`` of it decides instead: every eigenvalue must lie right
+    of the band ``tolerance * ||D_tilde||_F``, there is no basis, and
+    D_tilde is singular where an eigenvalue lies within
     ``rank_threshold(||D_tilde||_F, n + 1)`` of 0.
     """
     tolerance = check_positive(tolerance)
-    analysis = spectral.orthogonalize_imaginary(op, _certify)
-    if analysis is None:
-        d_tilde = spectral.build_d_tilde(op)
-        lam = np.sort_complex(np.linalg.eigvals(d_tilde))
-        scale = float(np.linalg.norm(d_tilde, "fro"))
-        analysis = (tuple(lam[lam.real <= tolerance * scale].tolist()), None,
-                    bool(np.any(np.abs(lam) <= rank_threshold(scale, op.n + 1))), "band")
-    offending, basis, singular, route = analysis
-    return EigenvalueCheck(has_property=not offending, offending=offending,
-                           basis=basis, route=route, singular=singular)
+    check = spectral.orthogonalize_imaginary(op)
+    if check is not None:
+        return check
+    d_tilde = spectral.build_d_tilde(op)
+    lam = np.sort_complex(np.linalg.eigvals(d_tilde))
+    scale = float(np.linalg.norm(d_tilde, "fro"))
+    return EigenvalueCheck(
+        offending=tuple(lam[lam.real <= tolerance * scale].tolist()), basis=None, route="band",
+        singular=bool(np.any(np.abs(lam) <= rank_threshold(scale, op.n + 1))))
 
 
 def verify_all(

@@ -182,6 +182,7 @@ def test_verify_classical_fd_builtin(capsys):
         ["verify", "--input", "."],
         ["verify", "--builtin", "two_point", "--output", "/nonexistent/x.json"],
         ["verify", "--builtin", "two_point", "--output", "."],
+        ["verify", "--builtin", "two_point", "--output", ""],
         # a certification needs at least one family
         ["pseudospectral", "--family", "legendre_gauss_lobatto", "--certify", "--n", "0"],
         ["pseudospectral", "--family", "legendre_gauss_lobatto", "--certify", "--n", "-3"],
@@ -489,8 +490,7 @@ def test_pseudospectral_certify_far_from_the_origin(capsys, family):
 def test_pseudospectral_certify_failure_exits_1(capsys, monkeypatch):
     monkeypatch.setattr(
         "sbpkit.pseudospectral.check_eigenvalue_property",
-        lambda *args: EigenvalueCheck(has_property=False, offending=(0.5j,), basis=None,
-                                      route="band"))
+        lambda *args: EigenvalueCheck(offending=(0.5j,), basis=None, route="band"))
     code, out, _ = _run(
         capsys, ["pseudospectral", "--certify", "--n", "2", "--format", "text"])
     assert code == 1

@@ -333,7 +333,7 @@ def test_diagonal_norm_only_where_exact_on_shifted_intervals(
         assert report.observed_order == n
         assert report.nullspace_consistent and report.eigenvalue_property, n
         analysis = orthogonalize_imaginary(loaded)
-        assert analysis is None or analysis[1].shape == (n + 1, 0), n
+        assert analysis is None or analysis.basis.shape == (n + 1, 0), n
 
 
 @pytest.mark.parametrize("make", [NodeFamily.legendre_gauss_lobatto,
@@ -519,8 +519,7 @@ def test_a_failed_eigenvalue_check_fails_the_certification(monkeypatch):
     offending = (1e-3 + 0.5j, 1e-3 - 0.5j)
     monkeypatch.setattr(
         "sbpkit.pseudospectral.check_eigenvalue_property",
-        lambda *args: EigenvalueCheck(has_property=False, offending=offending, basis=None,
-                                      route="band"))
+        lambda *args: EigenvalueCheck(offending=offending, basis=None, route="band"))
     report = certify_families([NodeFamily.legendre_gauss_lobatto(2, REFERENCE)])
     assert not report.certified
     assert not report.entries[0].eigenvalue_ok and not report.entries[0].passed

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import pathlib
 
@@ -42,7 +43,7 @@ def _paper_style_eigenvector():
 
 
 def _basis(op):
-    return orthogonalize_imaginary(op)[1]
+    return orthogonalize_imaginary(op).basis
 
 
 def _sorted_eigs(matrix):
@@ -263,9 +264,9 @@ def test_a_basis_of_n_of_odd_dimension_is_refused(monkeypatch):
     # conjugate pair, which the repair would otherwise act on as m = 0 pairs.
     analyse = spectral.orthogonalize_imaginary
 
-    def halved(op, certify=True):
-        offending, q, singular, route = analyse(op, certify)
-        return offending[1:], q[:, 1:], singular, route
+    def halved(op):
+        check = analyse(op)
+        return dataclasses.replace(check, offending=check.offending[1:], basis=check.basis[:, 1:])
 
     monkeypatch.setattr(spectral, "orthogonalize_imaginary", halved)
     with pytest.raises(InternalInconsistencyError, match=r"odd number of columns \(1\)"):
@@ -381,7 +382,7 @@ def test_repair_is_the_projector_onto_the_planted_subspace(omegas, congruent):
     op, z = _plant(build_classical_fd(40, Interval(0.0, 1.0)), omegas,
                    np.random.default_rng(40), congruent)
     m = len(omegas)
-    assert orthogonalize_imaginary(op)[1].shape == (op.n + 1, 2 * m)
+    assert orthogonalize_imaginary(op).basis.shape == (op.n + 1, 2 * m)
 
     repaired, plan = repair_operator(op, 1e-3)
     eps = plan.epsilons[0]
@@ -409,7 +410,7 @@ def test_hautus_and_band_find_the_planted_subspace(omegas, congruent):
     offending = check_eigenvalue_property(op).offending
     # exact i mu values come from the Hautus test, not from the band's eig
     assert all(value.real == 0.0 for value in offending)
-    q = orthogonalize_imaginary(op)[1]
+    q = orthogonalize_imaginary(op).basis
     assert len(offending) == q.shape[1] == 2 * report.m
     assert not np.iscomplexobj(q)
     assert np.max(np.abs(q.T @ op.h @ q - np.eye(q.shape[1]))) <= 1e-12
@@ -426,7 +427,7 @@ def test_the_repair_acts_on_the_checks_basis_of_the_planted_subspace(omegas, con
     op, _ = _plant(build_classical_fd(40, Interval(0.0, 1.0)), omegas,
                    np.random.default_rng(40), congruent)
     check = check_eigenvalue_property(op)
-    q = orthogonalize_imaginary(op)[1]
+    q = orthogonalize_imaginary(op).basis
     assert check.basis.shape == q.shape == (op.n + 1, 2 * len(omegas))
     assert check.basis.tobytes() == q.tobytes()
     assert not verify_all(op).eigenvalue_property

@@ -282,9 +282,10 @@ def test_spectrum_of_an_operator_that_is_not_nullspace_consistent(capsys, tmp_pa
 
 def test_orthogonalize_counterexample():
     op = build_counterexample()
-    offending, q, singular, route = orthogonalize_imaginary(op)
-    np.testing.assert_allclose(offending, [-1j * INV_SQRT5, 1j * INV_SQRT5], rtol=1e-12)
-    assert not singular and route == "hautus"
+    check = orthogonalize_imaginary(op)
+    np.testing.assert_allclose(check.offending, [-1j * INV_SQRT5, 1j * INV_SQRT5], rtol=1e-12)
+    assert not check.singular and check.route == "hautus"
+    q = check.basis
     assert q.shape == (6, 2)
     assert not np.iscomplexobj(q)
     assert np.max(np.abs(q.T @ op.h @ q - np.eye(2))) <= 1e-14
@@ -301,9 +302,9 @@ def test_orthogonalize_counterexample():
 ], ids=["two_point", "classical_fd_64", "repaired_counterexample"])
 def test_orthogonalize_is_empty_with_the_eigenvalue_property(build):
     op = build()
-    offending, q, singular, _ = orthogonalize_imaginary(op)
-    assert offending == () and not singular
-    assert q.shape == (op.n + 1, 0)
+    check = orthogonalize_imaginary(op)
+    assert check.offending == () and not check.singular
+    assert check.basis.shape == (op.n + 1, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -456,7 +457,7 @@ def test_hautus_and_band_find_the_same_unobservable_subspace(calls, build):
     eigs = calls["eig"]
     offending = check_eigenvalue_property(op).offending
     assert calls["eig"] == eigs  # no eig: the Hautus test decided
-    q = orthogonalize_imaginary(op)[1]
+    q = orthogonalize_imaginary(op).basis
     assert len(offending) == q.shape[1] == 2 * report.m
     assert not np.iscomplexobj(q)
     assert np.max(np.abs(q.T @ op.h @ q - np.eye(q.shape[1])), initial=0.0) <= 1e-12
@@ -509,7 +510,7 @@ def _flipped_two_point():
 def test_the_check_carries_the_hautus_basis(build):
     op = build()
     basis = check_eigenvalue_property(op).basis
-    q = orthogonalize_imaginary(op)[1]
+    q = orthogonalize_imaginary(op).basis
     assert basis.shape == q.shape and basis.dtype == q.dtype
     assert basis.tobytes() == q.tobytes()
 
@@ -594,17 +595,16 @@ def test_where_h_has_no_cholesky_factor_one_eigvals_decides(calls, build):
 @pytest.mark.parametrize("call, counts", [
     (lambda op: verify_all(op), (0, 0, 0, 2, 0)),
     (lambda op: spectral_report(op), (1, 1, 0, 0, 0)),
-    (lambda op: repair_operator(op, 1e-6), (0, 0, 0, 1, 0)),
+    (lambda op: repair_operator(op, 1e-6), (0, 0, 0, 2, 0)),
     (lambda op: certify_families(LGL_1_TO_4), (4, 0, 4, 4, 0)),
 ], ids=["verify_all", "spectral_report", "repair_operator", "certify_families"])
 def test_each_call_builds_and_decomposes_d_tilde_once(calls, call, counts):
     # verify_all and the repair decompose the skew part of D_plus in H
-    # coordinates and build no D_tilde: the repair by one complex eigh,
-    # verify_all first by the real eigh of its certificate, which cannot
-    # decide the counterexample's four-member cluster.  Certification builds
-    # D_tilde once per family for the one eigvals of the entry's
-    # min_real_part; only the spectrum report runs eig.  The counterexample's
-    # H is diagonal: no Cholesky factor.
+    # coordinates and build no D_tilde: by the real eigh of the certificate,
+    # which cannot decide the counterexample's four-member cluster, and then
+    # one complex eigh.  Certification builds D_tilde once per family for the
+    # one eigvals of the entry's min_real_part; only the spectrum report runs
+    # eig.  The counterexample's H is diagonal: no Cholesky factor.
     call(build_counterexample())
     assert (calls["build_d_tilde"], calls["eig"], calls["eigvals"], calls["eigh"],
             calls["cholesky"]) == counts
@@ -798,14 +798,24 @@ CERTIFIED_FIXTURES = {
 }
 
 
+def _complex_route_check(monkeypatch, op):
+    """The check of ``op`` with the certificate failing, so that the complex
+    route decides: the reference a certified check must equal."""
+    with monkeypatch.context() as patch:
+        patch.setattr(spectral, "_certified", lambda *args: False)
+        check = check_eigenvalue_property(op)
+    assert check.route == "hautus"
+    return check
+
+
 @pytest.mark.filterwarnings("ignore:interpolatory weights:RuntimeWarning")
 @pytest.mark.parametrize("build", CERTIFIED_FIXTURES.values(), ids=CERTIFIED_FIXTURES.keys())
-def test_every_operator_with_the_property_is_certified(build):
+def test_every_operator_with_the_property_is_certified(monkeypatch, build):
     op = build()
     check = check_eigenvalue_property(op)
     assert check.route == "certificate"
     assert check.has_property and not check.singular and check.basis.shape == (op.n + 1, 0)
-    assert check == check_eigenvalue_property(op, _certify=False)
+    assert check == _complex_route_check(monkeypatch, op)
 
 
 def test_the_benchmark_inputs_with_the_property_are_certified(gen):
@@ -873,12 +883,12 @@ def test_a_certified_operator_runs_one_real_eigh_and_no_complex_one(eigh_dtypes)
     assert eigh_dtypes == [np.dtype(float)]
 
 
-def test_the_repair_goes_straight_to_the_complex_eigh(eigh_dtypes):
-    # The repair needs the basis of N and acts on operators that lack the
-    # property, so it tries no certificate, on either kind of operator.
-    repair_operator(build_counterexample(), 1e-6)
-    repair_operator(build_classical_fd(64, Interval(0.0, 1.0)), 1e-6)
-    assert eigh_dtypes == [np.dtype(complex)] * 2
+def test_a_repair_of_a_certified_operator_runs_one_real_eigh_and_no_complex_one(eigh_dtypes):
+    # The repair takes the check verify_all takes, certificate first.
+    op = build_classical_fd(64, Interval(0.0, 1.0))
+    repaired, plan = repair_operator(op, 1e-6)
+    assert repaired is op and plan.m == 0
+    assert eigh_dtypes == [np.dtype(float)]
 
 
 def _skew_operator(k, b):
@@ -899,7 +909,7 @@ def _rotations(mus, size):
     return k
 
 
-def test_a_pair_is_read_by_its_plane_not_by_the_vectors_eigh_picks():
+def test_a_pair_is_read_by_its_plane_not_by_the_vectors_eigh_picks(monkeypatch):
     # B sees one of the two vectors of each pair, the first one in every
     # other pair: each pair is observable (||B^T v|| = ||b|| / sqrt(2) for
     # v in V_mu), but one vector eigh returns for the plane is not.
@@ -912,7 +922,29 @@ def test_a_pair_is_read_by_its_plane_not_by_the_vectors_eigh_picks():
     op = _skew_operator(_rotations(mus, size), b)
     check = check_eigenvalue_property(op)
     assert check.route == "certificate" and check.has_property
-    assert check == check_eigenvalue_property(op, _certify=False)
+    assert check == _complex_route_check(monkeypatch, op)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_the_leak_allowance_is_read_from_the_nearer_neighbour(seed):
+    # A pair at mu = 0.5 with ||B^T v|| = 1e-10, 1e-4 from an observable
+    # pair and 0.25 from the other: eigh may leak the nearer one into it by
+    # eps ||K|| / 1e-4, which swamps its observability, so it reads hidden,
+    # though it clears the zero threshold the farther neighbour would set.
+    rng = np.random.default_rng(seed)
+    mus = (0.25, 0.5, 0.5 + 1e-4, 1.0)
+    size = 2 * len(mus) + 1
+    b = np.zeros((size, 2))
+    b[[1, 4, 7], :] = [(1.0, 0.5), (1.0, 2.5), (1.0, 3.5)]
+    b[2, 0] = np.sqrt(2.0) * 1e-10  # ||B^T v|| = 1e-10 for v in V_+-0.5
+    b[-1] = (0.3, 0.2)
+    unit = rank_threshold(np.linalg.norm(b, 2), size)
+    assert unit * (1.0 + 1.0 / 0.25) < 1e-10 < unit * (1.0 + 1.0 / 1e-4)
+    rotation, _ = np.linalg.qr(rng.standard_normal((size, size)))
+    k = rotation @ _rotations(mus, size) @ rotation.T
+    check = check_eigenvalue_property(_skew_operator(0.5 * (k - k.T), rotation @ b))
+    assert check.route == "hautus" and not check.singular
+    np.testing.assert_allclose(np.imag(check.offending), [-0.5, 0.5], rtol=1e-12)
 
 
 @pytest.mark.parametrize("seed", range(5))

@@ -644,7 +644,7 @@ def test_counterexample_unobservable_subspace_over_the_rationals():
     paper = sp.Matrix([[0, 1, -3, 3, -1, 0], [0, 1, -1, -1, 1, 0]]).T
     assert sp.Matrix.hstack(plane, paper).rank() == 2
 
-    basis, _ = np.linalg.qr(orthogonalize_imaginary(op)[1])
+    basis, _ = np.linalg.qr(orthogonalize_imaginary(op).basis)
     exact, _ = np.linalg.qr(np.array(plane, dtype=float))
     sines = np.linalg.svd(exact - basis @ (basis.T @ exact), compute_uv=False)
     assert np.max(sines) <= 1e-13
