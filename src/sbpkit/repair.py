@@ -45,12 +45,6 @@ class NormChoice(enum.Enum):
     SPECTRAL = "spectral"
 
 
-def _matrix_norm(a: np.ndarray, choice: NormChoice) -> float:
-    if choice is NormChoice.FROBENIUS:
-        return float(np.linalg.norm(a, "fro"))
-    return float(np.linalg.norm(a, 2))
-
-
 @dataclass(frozen=True)
 class PerturbationPlan:
     """Everything needed to reproduce one repair.
@@ -118,8 +112,12 @@ def repair_operator(
     columns.  Otherwise S' is built with eps = 1 on the check's basis of N
     (m = dim N / 2 pairs), then scaled linearly so that
     ``||D_plus' - D_plus|| == target_eps`` in the chosen norm, a
-    :class:`NormChoice` or its value.  ``D_minus' = D_minus - 1/2 H^{-1} S'``,
-    so an identity ``op`` misses stays missed by as much.
+    :class:`NormChoice` or its value; the spectral norm is read from the
+    2m x 2m core of the update.  A ``target_eps`` whose achieved norm is not
+    finite and positive in floating point (inf or 0 from the Frobenius
+    norm's squares) raises ``ParameterError``.
+    ``D_minus' = D_minus - 1/2 H^{-1} S'``, so an identity ``op`` misses
+    stays missed by as much.
     """
     check_positive(target_eps, "target_eps")
     try:
@@ -151,13 +149,27 @@ def repair_operator(
 
     unit, u = build_s_prime(op.h, check.basis, 1.0)
     half_unit = 0.5 * check.basis @ u.T
-    delta = _matrix_norm(half_unit, norm_choice)
+    if norm_choice is NormChoice.FROBENIUS:
+        delta = float(np.linalg.norm(half_unit, "fro"))
+    else:
+        # Q (H Q)^T = Q1 (R1 R2^T) Q2^T from thin QRs of Q and H Q, so its
+        # spectral norm is that of the 2m x 2m core R1 R2^T.
+        core = np.linalg.qr(check.basis, "r") @ np.linalg.qr(u, "r").T
+        delta = 0.5 * float(np.linalg.norm(core, 2))
     if delta <= 0.0:
         raise InternalInconsistencyError("perturbation with unit weights is zero")
-    eps_k = float(target_eps) / delta
-    s_prime = eps_k * unit
-
-    half_update = eps_k * half_unit
+    with np.errstate(all="ignore"):
+        eps_k = float(target_eps) / delta
+        s_prime = eps_k * unit
+        half_update = eps_k * half_unit
+        if norm_choice is NormChoice.FROBENIUS:
+            norm_bound = float(np.linalg.norm(half_update, "fro"))
+        else:
+            norm_bound = eps_k * delta
+    if not 0.0 < norm_bound < np.inf:
+        raise ParameterError(
+            f"target_eps {target_eps!r} gives ||D_plus' - D_plus|| = {norm_bound} in the "
+            f"{norm_choice.value} norm, which is not finite and positive")
     repaired = op.with_fields(
         d_plus=_read_only(op.d_plus + half_update),
         d_minus=_read_only(op.d_minus - half_update),
@@ -167,7 +179,7 @@ def repair_operator(
     plan = PerturbationPlan(
         epsilons=(eps_k,) * (check.basis.shape[1] // 2),
         s_prime=s_prime,
-        norm_bound=_matrix_norm(half_update, norm_choice),
+        norm_bound=norm_bound,
         norm_choice=norm_choice,
     )
     return repaired, plan

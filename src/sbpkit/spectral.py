@@ -122,10 +122,11 @@ class EigenvalueCheck:
     where none is offending.  ``basis`` is a real H-orthonormal basis of N,
     one column per offending value and read-only, which the repair reads;
     None where the band decided.  ``route`` names the route that decided:
-    ``"certificate"`` (N = {0} proved without the complex ``eigh``; the
-    basis is empty), ``"hautus"`` or ``"band"``.  Neither takes part in
-    ``==``.  ``singular`` says whether D_tilde has an eigenvalue at 0, the
-    first route of :func:`sbpkit.verify.check_nullspace_consistency`.
+    ``"certificate"`` (every cluster proved observable or hidden by one real
+    ``eigh``, without the complex one), ``"hautus"`` or ``"band"``.  Neither
+    takes part in ``==``.  ``singular`` says whether D_tilde has an
+    eigenvalue at 0, the first route of
+    :func:`sbpkit.verify.check_nullspace_consistency`.
     """
 
     offending: tuple[complex, ...]
@@ -169,10 +170,11 @@ def eigen_decompose(
     size.
 
     Returns the eigenvalues (complex), the eigenvectors as the C-contiguous
-    rows of one array, and their H-norms.  The eigenvectors are LAPACK's own, unit length in the
-    Euclidean norm and real when every eigenvalue is; for a real matrix
-    complex eigenpairs come in exact conjugate pairs.  A repeated eigenvalue
-    keeps LAPACK's vectors, which need not be independent.
+    rows of one array, and their H-norms.  The eigenvectors are LAPACK's
+    own, unit length in the Euclidean norm and real when every eigenvalue
+    is; for a real matrix complex eigenpairs come in exact conjugate pairs.
+    A repeated eigenvalue keeps LAPACK's vectors, which need not be
+    independent.
     """
     try:
         lam, vec = np.linalg.eig(a)
@@ -294,9 +296,14 @@ def _clusters(
     return starts, sizes, np.minimum(edges[:-1], edges[1:])
 
 
-def _certified(a: np.ndarray, b: np.ndarray, b_norm: float) -> bool:
-    """Whether one real ``eigh`` of ``G = K^T K`` proves N = {0}, so that
-    the complex route would read every cluster of mu as observable.
+def _certified(
+    a: np.ndarray, b: np.ndarray, b_norm: float
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """What one real ``eigh`` of ``G = K^T K`` proves of every cluster of
+    mu: the frequencies mu > 0 of the hidden pairs and an orthonormal basis
+    of N in H coordinates, two columns per pair (none where N = {0}), or
+    None where some cluster is left undecided and the complex route must
+    decide.
 
     ``a`` and ``b`` are the H coordinates of an operator that passed the
     identity gate and ``b_norm`` is ``||B||_2``.  Each mu != 0 of K gives a
@@ -304,16 +311,24 @@ def _certified(a: np.ndarray, b: np.ndarray, b_norm: float) -> bool:
     ``V_mu + V_-mu``; B is real, so ``q = ||B^T W||_F / sqrt(2)`` is the
     ``||B^T v||`` of both ``v`` in ``V_+-mu``, whatever basis of W eigh
     picks.  The values lambda split into clusters by ``tau``, the rank rule
-    of ``||G||_2``.  The proof needs every cluster to be a pair with
-    lambda > tau, except one lone lambda <= tau at the bottom (the zero of K
-    when n + 1 is odd), and every cluster to clear twice the complex route's
-    zero threshold ``rank_threshold(||B||_2, n + 1) * (1 + ||K||_2 / apart)``
-    after the leak of this eigh, ``sqrt(2) ||B||_2 min(1, tau / gap)`` (Davis-Kahan,
-    with ``gap`` the distance to the nearest other lambda-cluster).  Here
-    ``apart`` is read from ``sigma = sqrt(lambda)`` and counts the mirror
-    ``-mu`` at distance ``2 sigma``.  As ``q <= ||B||_2``, clearing the
-    threshold also puts every cluster more than twice the complex route's
-    cluster gap from its neighbours, so none of them merges there.
+    of ``||G||_2``.  Every cluster must be a pair with lambda > tau, except
+    one lone lambda <= tau at the bottom (the zero of K when n + 1 is odd),
+    and each must be proved one of two things against the complex route's
+    zero threshold ``z = rank_threshold(||B||_2, n + 1) * (1 + ||K||_2 /
+    apart)``, with ``apart`` read from ``sigma = sqrt(lambda)`` and counting
+    the mirror ``-mu`` at distance ``2 sigma``:
+
+    - observable: ``q`` clears ``2 z`` after the a-priori leak of this eigh,
+      ``sqrt(2) ||B||_2 min(1, tau / gap)`` (Davis-Kahan, with ``gap`` the
+      distance to the nearest other lambda-cluster).  As ``q <= ||B||_2``,
+      that also puts the cluster more than twice the complex route's
+      cluster gap from its neighbours, so none of them merges there;
+    - hidden: a pair with ``q`` below ``z / 2`` after the a-posteriori leak
+      ``sqrt(2) ||B||_2 r / apart``, where ``r = ||K W - W (W^T K W)||_F``
+      is the residual of its plane (the residual form of the sin theta
+      theorem, Davis & Kahan 1970), more than twice the complex route's
+      cluster gap from its neighbours.  Its frequency is read from the
+      2 x 2 core ``W^T K W``.
     """
     size = a.shape[0]
     k = a - a.T
@@ -323,7 +338,7 @@ def _certified(a: np.ndarray, b: np.ndarray, b_norm: float) -> bool:
     starts, sizes, gap = _clusters(lam, tau)
     lone = int(sizes[0] == 1 and lam[0] <= tau)
     if np.any(sizes[lone:] != 2) or lam[starts[lone]] <= tau:
-        return False
+        return None
     bt_y = b.T @ y
     q = np.sqrt(np.add.reduceat(np.sum(bt_y * bt_y, axis=0), starts) / sizes)
     leak = np.sqrt(2.0) * b_norm * np.minimum(1.0, tau / gap)
@@ -333,7 +348,30 @@ def _certified(a: np.ndarray, b: np.ndarray, b_norm: float) -> bool:
         below[0] = np.inf
     apart = np.minimum(below, np.diff(sigma, append=np.inf))
     zero = rank_threshold(b_norm, size) * (1.0 + sigma[-1] / apart)
-    return bool(np.all(q - leak > 2.0 * zero))
+    hidden = np.flatnonzero(q - leak <= 2.0 * zero)
+    if np.any(hidden < lone):
+        return None
+    # The plane of each hidden pair, its 2 x 2 core W^T K W and its residual.
+    w = y[:, (starts[hidden, None] + np.arange(2)).ravel()]
+    planes = w.reshape(size, -1, 2)
+    residual = (k @ w).reshape(size, -1, 2)
+    core = np.einsum("nia,nib->iab", planes, residual)
+    residual -= np.einsum("nia,iab->nib", planes, core)
+    r = np.sqrt(np.sum(residual * residual, axis=(0, 2)))
+    apart, zero = apart[hidden], zero[hidden]
+    proved = ((q[hidden] + np.sqrt(2.0) * b_norm * r / apart < 0.5 * zero)
+              & (apart > 2.0 * rank_threshold(sigma[-1], size)))
+    if not np.all(proved):
+        return None
+    return 0.5 * np.abs(core[:, 1, 0] - core[:, 0, 1]), w
+
+
+def _from_h_coordinates(u: np.ndarray, factor: np.ndarray) -> np.ndarray:
+    """``L^{-T} u``, which maps an orthonormal basis in H coordinates to an
+    H-orthonormal one; ``factor`` is L, or its diagonal."""
+    if not u.shape[1]:
+        return np.empty(u.shape)
+    return u / factor[:, None] if factor.ndim == 1 else np.linalg.solve(factor.T, u)
 
 
 def orthogonalize_imaginary(op: SbpOperatorPair) -> EigenvalueCheck | None:
@@ -344,14 +382,15 @@ def orthogonalize_imaginary(op: SbpOperatorPair) -> EigenvalueCheck | None:
     sorted by mu, and ``singular`` says whether a cluster of mu centred
     within the cluster gap of 0 has a hidden direction (a kernel vector of
     D_tilde is unobservable).  One real ``eigh`` of ``K^T K`` is tried
-    first; where it proves N = {0} (:func:`_certified`) the route is
-    ``"certificate"`` and no complex ``eigh`` runs.  Otherwise the complex
-    route decides, and each cluster's zero threshold is the rank rule times
-    ``1 + ||K||_2 / apart``, the leak of ``eigh`` from the nearest other
-    cluster ``apart`` away, so a cluster whose leak bound swamps its
-    observability reads hidden.  Returns None where the SBP identity does
-    not hold to rounding or H has no Cholesky factor: there the test does
-    not apply.
+    first; where it decides every cluster (:func:`_certified`) the route is
+    ``"certificate"``, the offending values are ``+-i mu`` of the hidden
+    pairs, N's basis is mapped from their planes and no complex ``eigh`` or
+    SVD runs.  Otherwise the complex route decides, and each cluster's zero
+    threshold is the rank rule times ``1 + ||K||_2 / apart``, the leak of
+    ``eigh`` from the nearest other cluster ``apart`` away, so a cluster
+    whose leak bound swamps its observability reads hidden.  Returns None
+    where the SBP identity does not hold to rounding or H has no Cholesky
+    factor: there the test does not apply.
     """
     size = op.n + 1
     coords = _h_coordinates(op)
@@ -364,8 +403,12 @@ def orthogonalize_imaginary(op: SbpOperatorPair) -> EigenvalueCheck | None:
         return None
     del defect
     b_norm = np.linalg.norm(b, 2)
-    if _certified(a, b, b_norm):
-        return EigenvalueCheck(offending=(), basis=np.empty((size, 0)), route="certificate")
+    certified = _certified(a, b, b_norm)
+    if certified is not None:
+        mu, w = certified
+        offending = np.sort(np.concatenate((-mu, mu)))
+        return EigenvalueCheck(offending=tuple(complex(0.0, m) for m in offending.tolist()),
+                               basis=_from_h_coordinates(w, factor), route="certificate")
     # -iK = i(A^T - A)/2 is Hermitian; -iK v = mu v means K v = i mu v.
     herm = np.zeros((size, size), dtype=complex)
     np.subtract(a.T, a, out=herm.imag)
@@ -400,8 +443,8 @@ def orthogonalize_imaginary(op: SbpOperatorPair) -> EigenvalueCheck | None:
     # coordinates, and L^{-T} maps it to an H-orthonormal one.
     w = np.concatenate(columns, axis=1)
     dim = w.shape[1]
-    basis = np.empty((size, 0))
+    u = np.empty((size, 0))
     if dim:
         u = np.linalg.svd(np.hstack([w.real, w.imag]), full_matrices=False)[0][:, :dim]
-        basis = u / factor[:, None] if factor.ndim == 1 else np.linalg.solve(factor.T, u)
-    return EigenvalueCheck(offending=offending, basis=basis, route="hautus", singular=singular)
+    return EigenvalueCheck(offending=offending, basis=_from_h_coordinates(u, factor),
+                           route="hautus", singular=singular)

@@ -15,8 +15,9 @@ Two spectral verdicts follow from one check of the penalized matrix
 ``D_tilde = D_plus + H^{-1} p0 p0^T``, :func:`check_eigenvalue_property`,
 the one place that picks its route: the eigenvalue property, and the first
 route of nullspace consistency, since D_tilde is invertible exactly where
-that check finds no eigenvalue at 0.  The second route takes the one SVD,
-of D_plus.
+that check finds no eigenvalue at 0.  The second route proves the rank of
+D_plus by a verified Cholesky factor, and takes an SVD of it only where
+that proof fails.
 """
 
 from __future__ import annotations
@@ -76,15 +77,12 @@ class PropertyResidual:
 class NullspaceDiagnostics:
     """Outcome of the two independent nullspace-consistency routes.
 
-    ``rank`` and ``kernel_residual`` (``max|D_plus 1|``) are what the kernel
-    route decides from; ``sigma_min`` and ``sigma_max`` are sigma_n and
-    sigma_1 of D_plus, so ``sigma_min / sigma_max`` is the gap the rank n
-    clears.  The other route reads the eigenvalue check and adds no number.
+    ``rank`` (of D_plus) and ``kernel_residual`` (``max|D_plus 1|``) are what
+    the kernel route decides from.  The other route reads the eigenvalue
+    check and adds no number.
     """
 
     consistent: bool
-    sigma_min: float
-    sigma_max: float
     kernel_residual: float
     rank: int
 
@@ -269,6 +267,45 @@ def check_s_conditions(
     )
 
 
+def _proved_rank_n(d: np.ndarray, d_ones: np.ndarray) -> tuple[float, float] | None:
+    """Bounds ``(lo, hi)`` on sigma_1 of the square ``d`` where a verified
+    Cholesky factor proves that the rank rule gives it rank n = size - 1;
+    None where the proof fails.  ``d_ones`` is ``d @ 1``.
+
+    One Householder vector reflects the constants onto e_0, so the other
+    columns of the reflector span ``1^perp`` and ``Z`` below is ``d`` on
+    that subspace.  A Cholesky factor of ``G - c I`` with ``G = Z^T Z``
+    proves sigma_n(d) >= sigma_min(Z) above ``rank_threshold(hi, size)``:
+    ``c`` is that threshold squared plus ``3 (size + 6) eps`` times
+    ``trace(G) + t^2``, which bounds the rounding of forming Z and G and of
+    factoring (Demmel 1989; Rump 2006, BIT 46).  ``t = ||d 1|| / sqrt(size)``
+    bounds sigma_{n+1}, which must not clear ``rank_threshold(lo, size)``.
+    """
+    size = d.shape[0]
+    eps = np.finfo(float).eps
+    # d P for the reflector P = I - 2 v v^T / v^T v, v = 1 + sqrt(size) e_0,
+    # which maps the constants onto -sqrt(size) e_0; v^T v = 2 (size +
+    # sqrt(size)), and v is 1 in the columns that span 1^perp.
+    root = np.sqrt(size)
+    z = d[:, 1:] - ((d_ones + root * d[:, 0]) / (size + root))[:, None]
+    g = z.T @ z
+    tail = float(np.linalg.norm(d_ones)) / np.sqrt(size)
+    # sigma_1 is at least each column norm of Z and ||d 1|| / sqrt(size), and
+    # at most ||Z||_2 + that, with ||Z||_2^2 <= ||G||_inf.
+    lo = float(np.sqrt(max(np.max(np.diagonal(g), initial=0.0), tail * tail)))
+    hi = float(np.sqrt(np.linalg.norm(g, np.inf))) + tail
+    if not tail <= rank_threshold(lo, size):
+        return None
+    shift = (rank_threshold(hi, size) ** 2
+             + 3.0 * (size + 6) * eps * (np.trace(g) + tail * tail))
+    g[np.diag_indices_from(g)] -= shift
+    try:
+        np.linalg.cholesky(g)
+    except np.linalg.LinAlgError:
+        return None
+    return lo, hi
+
+
 def check_nullspace_consistency(
     op: SbpOperatorPair, check: EigenvalueCheck, tolerance: float = DEFAULT_TOLERANCE
 ) -> NullspaceDiagnostics:
@@ -277,33 +314,35 @@ def check_nullspace_consistency(
     Two independent routes must agree.  The first is invertibility of the
     penalized matrix, read from ``check``, the :class:`EigenvalueCheck` of
     ``op``: D_tilde is invertible where the check found no eigenvalue at 0.
-    The second is a direct kernel test on D_plus: the constants annihilated
-    and rank n by ``svd_rank``, the package's one rank rule, whatever the
-    tolerance.  Disagreement raises ``InternalInconsistencyError``,
-    signalling a borderline operator.
+    The second is a direct kernel test on D_plus: rank n by the package's
+    one rank rule, whatever the tolerance, and ``max|D_plus 1| <= tolerance
+    * sigma_1``.  A verified Cholesky factor proves rank n with bounds on
+    sigma_1 (:func:`_proved_rank_n`); ``svd_rank`` decides wherever that
+    proof fails or the bounds straddle the kernel comparison.  Disagreement
+    raises ``InternalInconsistencyError``, signalling a borderline operator.
     """
     tolerance = check_positive(tolerance)
     via_penalized = not check.singular
 
-    rank, sv = svd_rank(op.d_plus)
-    sigma_min, sigma_max = float(sv[op.n - 1]), float(sv[0])
-    kernel_residual = max_abs(op.d_plus @ np.ones(op.n + 1))
-    via_kernel = rank == op.n and kernel_residual <= tolerance * sigma_max
+    d_ones = op.d_plus @ np.ones(op.n + 1)
+    kernel_residual = max_abs(d_ones)
+    bounds = _proved_rank_n(op.d_plus, d_ones)
+    if bounds is not None and (kernel_residual <= tolerance * bounds[0]
+                               or kernel_residual > tolerance * bounds[1]):
+        rank, via_kernel = op.n, kernel_residual <= tolerance * bounds[0]
+    else:
+        rank, sv = svd_rank(op.d_plus)
+        via_kernel = rank == op.n and kernel_residual <= tolerance * sv[0]
 
     if via_penalized != via_kernel:
         raise InternalInconsistencyError(
             "nullspace routes disagree: penalized-matrix test says "
             f"{via_penalized} (eigenvalue 0 of D_tilde: {check.singular}) but "
             f"kernel test says {via_kernel} (rank={rank}, expected {op.n}, "
-            f"sigma_n={sigma_min:.3e}, ||D_plus 1||={kernel_residual:.3e})"
+            f"||D_plus 1||={kernel_residual:.3e})"
         )
     return NullspaceDiagnostics(
-        consistent=via_penalized,
-        sigma_min=sigma_min,
-        sigma_max=sigma_max,
-        kernel_residual=kernel_residual,
-        rank=rank,
-    )
+        consistent=via_penalized, kernel_residual=kernel_residual, rank=rank)
 
 
 def check_eigenvalue_property(

@@ -198,6 +198,16 @@ def test_errors_exit_2(capsys, tmp_path, argv):
     assert "error: ParameterError:" in err
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("budget", ["1e200", "1e-200"])
+def test_a_repair_budget_whose_norm_is_not_finite_and_positive_exits_2(capsys, budget, fmt):
+    code, out, err = _run(capsys, ["repair", "--builtin", "counterexample",
+                                   "--target-eps", budget, "--format", fmt])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ParameterError: target_eps ") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("nodes, extra", [
     ("0,nan,1", []), ("0,inf,1", []), ("0,nan,1", ["--certify"]),
 ], ids=["nan", "inf", "nan_certify"])
@@ -585,6 +595,14 @@ def test_converge_json(capsys):
     doc = json.loads(out)
     assert doc["fitted_order"] >= 1.9
     assert len(doc["errors_h"]) == 3
+
+
+def test_converge_with_an_exact_solution_that_overflows_exits_2(capsys):
+    code, out, err = _run(capsys, ["converge", "--grids", "8,16,32", "--function", "exp",
+                                   "--interval", "0", "1000"])
+    assert code == 2
+    assert out == ""
+    assert err == "error: ParameterError: the exact solution is not finite at the nodes of n = 8\n"
 
 
 def test_converge_csv(capsys):

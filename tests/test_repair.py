@@ -293,6 +293,36 @@ def test_repair_rejects_an_infinite_target():
         repair_operator(build_counterexample(), float("inf"))
 
 
+@pytest.mark.parametrize("target", [1e200, 1e-200])
+def test_a_budget_whose_frobenius_norm_is_not_finite_and_positive_is_refused(target):
+    # 1e200 scales the update's squares past the largest double and 1e-200
+    # below the smallest, so its Frobenius norm reads inf or 0: the plan
+    # cannot report what it achieved.  No numpy warning escapes (the suite
+    # turns warnings into errors).
+    with pytest.raises(ParameterError, match=r"^target_eps .* frobenius norm"):
+        repair_operator(build_counterexample(), target)
+
+
+@pytest.mark.parametrize("target", [1e200, 1e-200])
+def test_the_spectral_norm_of_an_extreme_budget_is_read_from_the_core(target):
+    repaired, plan = repair_operator(build_counterexample(), target, NormChoice.SPECTRAL)
+    assert plan.norm_bound == pytest.approx(target, rel=1e-13)
+    assert np.all(np.isfinite(repaired.d_plus)) and np.all(np.isfinite(plan.s_prime))
+
+
+@pytest.mark.parametrize("slot", range(6))
+def test_the_spectral_norm_from_the_core_is_the_norm_of_the_update(monkeypatch, slot):
+    # The 2m x 2m core R1 R2^T of Q (H Q)^T has its spectral norm.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    gen = importlib.import_module("gen")
+    worker = importlib.import_module("worker")
+    op = worker.to_op(gen.repair_input(7, slot)[0])
+    repaired, plan = repair_operator(op, 1e-3, NormChoice.SPECTRAL)
+    achieved = np.linalg.norm(repaired.d_plus - op.d_plus, 2)
+    assert achieved == pytest.approx(1e-3, rel=1e-11)
+    assert plan.norm_bound == pytest.approx(1e-3, rel=1e-14)
+
+
 def test_repair_updates_dissipation_and_flavor_inputs():
     op = build_counterexample()
     repaired, plan = repair_operator(op, 1e-3)
@@ -564,6 +594,61 @@ def test_a_congruence_keeps_the_eigenvalue_verdict():
                                    atol=1e-10 * scale)
 
     check()
+
+
+def test_the_certificate_agrees_with_the_complex_route_on_planted_operators(monkeypatch):
+    # Random planted operators, m = 1-4 pairs in n = 16-64, plain and
+    # congruent.  Where the certificate decides, the complex route (the same
+    # check with the certificate deciding nothing) must give the same number
+    # of offending values, the same values to 1e-12 ||K||_2, the same
+    # `singular` and the same N: the largest principal angle is at most
+    # sqrt(2) ||(r_k + rank_threshold(||K||_2)) / apart_k||_2 over the pairs
+    # (the residual form of the sin theta theorem for the certificate's
+    # planes, whose residuals are r_k, and for the complex eigh's vectors).
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    decided = []
+
+    @hypothesis.settings(max_examples=60, deadline=None)
+    @hypothesis.given(st.integers(1, 4), st.integers(16, 64), st.booleans(),
+                      st.integers(0, 2**32 - 1))
+    def check(m, n, congruent, seed):
+        rng = np.random.default_rng(seed)
+        omegas = 1.0 + 4.0 * np.arange(m) + rng.uniform(0.0, 3.5, m)
+        op, _ = _plant(build_classical_fd(n, Interval(0.0, 1.0)), omegas, rng, congruent)
+        found = check_eigenvalue_property(op)
+        with monkeypatch.context() as patch:
+            patch.setattr(spectral, "_certified", lambda *args: None)
+            reference = check_eigenvalue_property(op)
+        assert reference.route == "hautus" and len(reference.offending) == 2 * m
+        if found.route != "certificate":
+            assert found == reference
+            return
+        decided.append((m, n, congruent))
+        a, b, factor = spectral._h_coordinates(op)
+        k = 0.5 * (a - a.T)
+        mu = np.linalg.eigvalsh(-1j * k)
+        k_norm = np.max(np.abs(mu))
+        assert len(found.offending) == len(reference.offending)
+        assert found.singular == reference.singular
+        np.testing.assert_allclose(found.offending, reference.offending, rtol=0.0,
+                                   atol=1e-12 * k_norm)
+        # The certificate's planes in H coordinates, their residuals and the
+        # distance of each pair's frequency to the rest of K's spectrum.
+        nu, w = spectral._certified(a, b, np.linalg.norm(b, 2))
+        planes = w.reshape(op.n + 1, -1, 2).transpose(1, 0, 2)
+        r = np.array([np.linalg.norm(k @ p - p @ (p.T @ k @ p)) for p in planes])
+        others = np.abs(np.abs(mu)[None, :] - nu[:, None])
+        others[others <= 1e-9 * k_norm] = np.inf
+        apart = np.minimum(np.min(others, axis=1), 2.0 * nu)
+        bound = np.sqrt(2.0) * np.linalg.norm(
+            (r + rank_threshold(k_norm, op.n + 1)) / apart)
+        rest = reference.basis - found.basis @ (found.basis.T @ op.h @ reference.basis)
+        sine = np.sqrt(max(np.linalg.eigvalsh(rest.T @ op.h @ rest)[-1], 0.0))
+        assert sine <= bound
+
+    check()
+    assert len(decided) >= 30, decided
 
 
 def test_boundary_residuals_do_not_depend_on_the_eigenvector_layout(monkeypatch):

@@ -304,6 +304,28 @@ def test_convergence_needs_at_least_three_grids():
         )
 
 
+def test_an_exact_solution_that_overflows_at_the_nodes_is_refused():
+    # exp(1000) overflows: a ParameterError, and no numpy warning escapes
+    # (the suite turns warnings into errors).
+    with pytest.raises(ParameterError, match="exact solution is not finite"):
+        convergence_study(
+            build=lambda n: build_classical_fd(n, Interval(0.0, 1000.0)),
+            f=np.exp,
+            exact_u=np.exp,
+            ns=[8, 16, 32],
+        )
+
+
+def test_a_right_hand_side_that_overflows_at_the_nodes_is_refused():
+    with pytest.raises(ParameterError, match="f_samples must be finite"):
+        convergence_study(
+            build=lambda n: build_classical_fd(n, Interval(0.0, 1000.0)),
+            f=lambda x: np.exp(x) * x,
+            exact_u=lambda x: np.exp(-x),
+            ns=[8, 16, 32],
+        )
+
+
 def test_constant_data_saturates():
     study = convergence_study(
         build=lambda n: build_classical_fd(n, Interval(0.0, 1.0)),

@@ -587,16 +587,17 @@ def test_where_h_has_no_cholesky_factor_one_eigvals_decides(calls, build):
     report = verify_all(op.with_fields(h=h))
     verdicts = {r.property.value: r.passed for r in report.residuals}
     assert verdicts["B_spd"] is False
-    # One Cholesky fails to prove B_spd, the other to take H coordinates.
-    assert (calls["cholesky"], calls["eig"], calls["eigvals"]) == (2, 0, 1)
+    # One Cholesky fails to prove B_spd, one to take H coordinates, and one
+    # proves the rank of D_plus.
+    assert (calls["cholesky"], calls["eig"], calls["eigvals"]) == (3, 0, 1)
     assert report.eigenvalue_check.basis is None
 
 
 @pytest.mark.parametrize("call, counts", [
-    (lambda op: verify_all(op), (0, 0, 0, 2, 0)),
+    (lambda op: verify_all(op), (0, 0, 0, 2, 1)),
     (lambda op: spectral_report(op), (1, 1, 0, 0, 0)),
-    (lambda op: repair_operator(op, 1e-6), (0, 0, 0, 2, 0)),
-    (lambda op: certify_families(LGL_1_TO_4), (4, 0, 4, 4, 0)),
+    (lambda op: repair_operator(op, 1e-6), (0, 0, 0, 2, 1)),
+    (lambda op: certify_families(LGL_1_TO_4), (4, 0, 4, 4, 4)),
 ], ids=["verify_all", "spectral_report", "repair_operator", "certify_families"])
 def test_each_call_builds_and_decomposes_d_tilde_once(calls, call, counts):
     # verify_all and the repair decompose the skew part of D_plus in H
@@ -604,7 +605,8 @@ def test_each_call_builds_and_decomposes_d_tilde_once(calls, call, counts):
     # which cannot decide the counterexample's four-member cluster, and then
     # one complex eigh.  Certification builds D_tilde once per family for the
     # one eigvals of the entry's min_real_part; only the spectrum report runs
-    # eig.  The counterexample's H is diagonal: no Cholesky factor.
+    # eig.  The counterexample's H is diagonal, so the one Cholesky factor
+    # per nullspace check proves the rank of D_plus.
     call(build_counterexample())
     assert (calls["build_d_tilde"], calls["eig"], calls["eigvals"], calls["eigh"],
             calls["cholesky"]) == counts
@@ -686,16 +688,17 @@ def test_the_verdict_is_that_of_the_assembled_d_tilde(build):
     lambda: build_classical_fd(64, Interval(0.0, 1.0)),
     _lgl_32_far_from_the_origin,
 ], ids=["two_point", "classical_fd_64", "lgl_32_100_101"])
-def test_verify_all_runs_one_svd_and_one_eigh(calls, build):
-    # The SVD of D_plus (nullspace route 2) and the Hautus eigh, which also
-    # answers route 1: no SVD of D_tilde.
+def test_verify_all_runs_one_eigh_and_no_svd(calls, build):
+    # The certificate's eigh, which also answers nullspace route 1, and a
+    # verified Cholesky factor that proves the rank of D_plus (route 2): no
+    # SVD of D_plus or of D_tilde.
     verify_all(build())
-    assert (calls["svd"], calls["eigh"], calls["eig"], calls["eigvals"]) == (1, 1, 0, 0)
+    assert (calls["svd"], calls["eigh"], calls["eig"], calls["eigvals"]) == (0, 1, 0, 0)
 
 
-def test_on_the_band_route_verify_all_runs_one_svd_and_one_eigvals(calls):
+def test_on_the_band_route_verify_all_runs_one_eigvals_and_no_svd(calls):
     verify_all(_fd_32_off_the_identity())
-    assert (calls["svd"], calls["eigh"], calls["eig"], calls["eigvals"]) == (1, 0, 0, 1)
+    assert (calls["svd"], calls["eigh"], calls["eig"], calls["eigvals"]) == (0, 0, 0, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -799,10 +802,10 @@ CERTIFIED_FIXTURES = {
 
 
 def _complex_route_check(monkeypatch, op):
-    """The check of ``op`` with the certificate failing, so that the complex
-    route decides: the reference a certified check must equal."""
+    """The check of ``op`` with the certificate deciding nothing, so that the
+    complex route decides: the reference a certified check must equal."""
     with monkeypatch.context() as patch:
-        patch.setattr(spectral, "_certified", lambda *args: False)
+        patch.setattr(spectral, "_certified", lambda *args: None)
         check = check_eigenvalue_property(op)
     assert check.route == "hautus"
     return check
@@ -825,16 +828,28 @@ def test_the_benchmark_inputs_with_the_property_are_certified(gen):
         assert check.route == "certificate" and check.has_property, slot
 
 
-def test_planted_inputs_take_the_hautus_route_and_their_repairs_the_certificate(gen):
-    # Every planted input has hidden pairs, which no certificate can prove
-    # away; once repaired, it has the property and is certified.
+def test_planted_inputs_and_their_repairs_take_the_certificate_route(gen):
+    # The certificate proves each planted pair hidden and every other
+    # cluster observable; once repaired, the input has the property.
     for slot in range(len(gen.REPAIR_SLOTS)):
         pair, budget, norm = gen.repair_input(7, slot)
         op = _benchmark_operator(pair)
         check = check_eigenvalue_property(op)
-        assert check.route == "hautus" and len(check.offending) == 2 * pair.omegas.size
+        assert check.route == "certificate" and len(check.offending) == 2 * pair.omegas.size
         repaired, _ = repair_operator(op, budget, NormChoice(norm))
         assert check_eigenvalue_property(repaired).route == "certificate", slot
+
+
+@pytest.mark.parametrize("call", [verify_all, lambda op: repair_operator(op, 1e-3)],
+                         ids=["verify_all", "repair_operator"])
+def test_a_planted_input_runs_one_real_eigh_and_no_complex_one_and_no_svd(
+        gen, calls, eigh_dtypes, call):
+    op = _benchmark_operator(gen.repair_input(7, 4)[0])  # m = 6, plain
+    calls.clear()
+    eigh_dtypes.clear()
+    call(op)
+    assert eigh_dtypes == [np.dtype(float)]
+    assert (calls["svd"], calls["eig"], calls["eigvals"], calls["cholesky"]) == (0, 0, 0, 1)
 
 
 def test_the_counterexample_and_its_repairs_take_the_hautus_route():
@@ -944,6 +959,28 @@ def test_the_leak_allowance_is_read_from_the_nearer_neighbour(seed):
     k = rotation @ _rotations(mus, size) @ rotation.T
     check = check_eigenvalue_property(_skew_operator(0.5 * (k - k.T), rotation @ b))
     assert check.route == "hautus" and not check.singular
+    np.testing.assert_allclose(np.imag(check.offending), [-0.5, 0.5], rtol=1e-12)
+
+
+@pytest.mark.parametrize("fraction, route", [(0.25, "certificate"), (0.75, "hautus")])
+@pytest.mark.parametrize("seed", range(3))
+def test_a_hidden_pair_is_proved_only_below_half_the_zero_threshold(seed, fraction, route):
+    # A pair at mu = 0.5, 0.25 from its neighbours, with ||B^T v|| a fraction
+    # of the complex route's zero threshold z, which reads it hidden either
+    # way.  The certificate proves it hidden only below z / 2, which leaves
+    # the complex route's own rounding a factor of two.
+    rng = np.random.default_rng(seed)
+    mus = (0.25, 0.5, 0.75, 1.0)
+    size = 2 * len(mus) + 1
+    b = np.zeros((size, 2))
+    b[[1, 4, 7], :] = [(1.0, 0.5), (1.0, 2.5), (1.0, 3.5)]
+    b[-1] = (0.3, 0.2)
+    zero = rank_threshold(np.linalg.norm(b, 2), size) * (1.0 + 1.0 / 0.25)
+    b[2, 0] = np.sqrt(2.0) * fraction * zero  # ||B^T v|| for v in V_+-0.5
+    rotation, _ = np.linalg.qr(rng.standard_normal((size, size)))
+    k = rotation @ _rotations(mus, size) @ rotation.T
+    check = check_eigenvalue_property(_skew_operator(0.5 * (k - k.T), rotation @ b))
+    assert check.route == route and not check.singular
     np.testing.assert_allclose(np.imag(check.offending), [-0.5, 0.5], rtol=1e-12)
 
 

@@ -1,8 +1,9 @@
 """The A/B tool (``tools/ab.py``) times its own copies of the benchmark's
 operations: it measures the benchmark's op only while each copy writes the
 bytes the benchmark worker (``perfbench/worker.py``) writes for the same
-input."""
+input, and counts the decompositions one operation calls."""
 
+import collections
 import importlib
 import importlib.util
 import pathlib
@@ -48,3 +49,22 @@ def test_ab_repairs_as_the_benchmark_does(ab, tmp_path):
     case = (ab._to_op(sbpkit, pair), budget, sbpkit.NormChoice(norm), str(ab_path))
     assert ab._repair(sbpkit, case) == text
     assert ab_path.read_bytes() == pathlib.Path(path).read_bytes()
+
+
+def test_ab_counts_the_decompositions_of_one_operation(ab, tmp_path):
+    # Slot 0 has a diagonal H and hidden pairs that the certificate decides:
+    # one real eigh per eigenvalue check (verify, repair, verify) and one of
+    # the repaired S, one Cholesky factor per rank proof of D_plus, one eig
+    # per spectrum, and no complex eigh or SVD.
+    import numpy as np
+
+    worker = importlib.import_module("worker")
+    workload = worker.RepairPlanted(SEED, str(tmp_path))
+    _, pair, _, budget, norm, _ = _first_item(workload)
+    case = (ab._to_op(sbpkit, pair), budget, sbpkit.NormChoice(norm), str(tmp_path / "ab.json"))
+    eigh = np.linalg.eigh
+    with ab._counting(collections.Counter()) as tally:
+        ab._repair(sbpkit, case)
+    assert np.linalg.eigh is eigh
+    assert ab._format_counts(tally) == (
+        "eigh 4 (complex 0), cholesky 3, svd 0, eig 2, eigvals 0")

@@ -30,7 +30,8 @@ from sbpkit import (
 )
 from sbpkit.errors import (InternalInconsistencyError, InvariantError, ParameterError,
                            RepairImpossibleError)
-from sbpkit.linalg import rank_threshold
+from sbpkit import verify
+from sbpkit.linalg import rank_threshold, svd_rank
 from sbpkit.spectral import orthogonalize_imaginary
 
 from oracles import planted_kernel_fd
@@ -285,8 +286,8 @@ def test_nullspace_counterexample():
 def test_nullspace_two_point():
     diag = _nullspace(build_two_point())
     assert diag.consistent
-    # sigma_n of D_plus = [[-1, 1], [-1, 1]], whose other singular value is 0
-    assert diag.sigma_min == diag.sigma_max == pytest.approx(2.0)
+    # D_plus = [[-1, 1], [-1, 1]] has rank 1 and annihilates the constants
+    assert diag.rank == 1 and diag.kernel_residual == 0.0
 
 
 def test_nullspace_engineered_kernel():
@@ -322,9 +323,41 @@ def test_a_planted_kernel_vector_is_found_on_the_hautus_route():
     assert np.linalg.matrix_rank(np.column_stack([check.basis, w]), tol=1e-10) == 1
     assert not report.nullspace_consistent
     assert report.nullspace.rank == 15
-    assert report.nullspace.sigma_min <= rank_threshold(report.nullspace.sigma_max, 17)
+    sv = np.linalg.svd(op.d_plus, compute_uv=False)
+    assert sv[15] <= rank_threshold(sv[0], 17)
     with pytest.raises(RepairImpossibleError):
         repair_operator(op, 1e-3)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: build_classical_fd(256, Interval(0.0, 1.0)),
+    lambda: build_pseudospectral_operator(
+        NodeFamily.chebyshev_gauss_lobatto(256, Interval(-1.0, 1.0))),
+    lambda: build_pseudospectral_operator(
+        NodeFamily.chebyshev_gauss_lobatto(16, Interval(0.0, 10.0))),  # dense H
+    build_counterexample,
+    build_two_point,
+], ids=["classical_fd_256", "cgl_256", "cgl_16_dense_h", "counterexample", "two_point"])
+def test_a_verified_cholesky_proves_the_rank_of_d_plus_and_bounds_sigma_1(build):
+    # CGL n = 256 has sigma_n / sigma_1 = 3.2e-5, which the proof still clears.
+    op = build()
+    d_ones = op.d_plus @ np.ones(op.n + 1)
+    lo, hi = verify._proved_rank_n(op.d_plus, d_ones)
+    rank, sv = svd_rank(op.d_plus)
+    assert rank == op.n
+    assert lo <= sv[0] <= hi
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_a_verified_cholesky_never_proves_rank_n_of_a_matrix_of_lower_rank(seed):
+    # Rank n - 1 with the constants in the kernel: sigma_n is rounding, which
+    # a Cholesky factor of the unshifted Gram matrix often survives.
+    rng = np.random.default_rng(seed)
+    right = rng.standard_normal((22, 24))
+    right -= right.mean(axis=1, keepdims=True)
+    d = rng.standard_normal((24, 22)) @ right
+    assert svd_rank(d)[0] == 22
+    assert verify._proved_rank_n(d, d @ np.ones(24)) is None
 
 
 @pytest.mark.parametrize("build, tolerance", [

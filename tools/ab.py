@@ -28,17 +28,24 @@ same inputs and the same warm caches, and drift between runs cancels out.
 BLAS runs on one thread, as in the benchmark.
 
 One line per input gives its slot and size, or the command, the median CPU
-ms of each side and the ratio B/A; the last lines give the median of the
-per-input ratios, how many inputs B is faster on, and whether both sides
-wrote the same bytes for every input: the documents and, for
-``repair_planted``, the saved operator; for ``cli_small`` the exit status,
-stdout and any file written by ``--output``.  When they did not, one more
-line names the slots or commands whose bytes differ.  ``perfbench/`` is
-only read.
+ms of each side and the ratio B/A.  For the in-process workloads it also
+gives, per side, the ``numpy.linalg`` decompositions that one operation
+calls (``eigh``, of which ``complex`` on a complex matrix, ``cholesky``,
+``svd``, ``eig`` and ``eigvals``), counted in the untimed round; the
+benchmark's tracer counts neither ``eigh`` nor ``cholesky``, and neither
+count sees what numpy calls internally (``norm(A, 2)`` runs an SVD).  The
+last lines give the median of the per-input ratios, how many inputs B is
+faster on, and whether both sides wrote the same bytes for every input: the
+documents and, for ``repair_planted``, the saved operator; for ``cli_small``
+the exit status, stdout and any file written by ``--output``.  When they did
+not, one more line names the slots or commands whose bytes differ.
+``perfbench/`` is only read.
 """
 
 from __future__ import annotations
 
+import collections
+import contextlib
 import importlib.util
 import os
 import statistics
@@ -49,6 +56,8 @@ import time
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
 WORKLOADS = ("diagnose_fd", "repair_planted", "cli_small")
+#: numpy.linalg entry points counted per operation.
+COUNTED = ("eigh", "cholesky", "svd", "eig", "eigvals")
 
 
 def _load(src: str, name: str):
@@ -95,8 +104,40 @@ def _repair(sbpkit, case) -> str:
     return text
 
 
+@contextlib.contextmanager
+def _counting(tally: collections.Counter):
+    """Count the calls of each ``COUNTED`` entry point of numpy.linalg into
+    ``tally`` while the block runs; ``eigh`` of a complex matrix also counts
+    as ``complex``."""
+    import numpy as np
+
+    saved = {name: getattr(np.linalg, name) for name in COUNTED}
+
+    def counted(name, fn):
+        def wrapper(a, *args, **kwargs):
+            tally[name] += 1
+            if name == "eigh" and np.iscomplexobj(a):
+                tally["complex"] += 1
+            return fn(a, *args, **kwargs)
+        return wrapper
+
+    for name, fn in saved.items():
+        setattr(np.linalg, name, counted(name, fn))
+    try:
+        yield tally
+    finally:
+        for name, fn in saved.items():
+            setattr(np.linalg, name, fn)
+
+
+def _format_counts(tally: collections.Counter) -> str:
+    return (f"eigh {tally['eigh']} (complex {tally['complex']}), "
+            + ", ".join(f"{name} {tally[name]}" for name in COUNTED[1:]))
+
+
 def _in_process(srcs: list[str], workload: str, seed: int, rounds: int, work: str):
-    """Labels, CPU times per side and input, and the inputs whose bytes differ."""
+    """Labels, CPU times per side and input, the inputs whose bytes differ
+    and the decompositions per side and input."""
     import gen
 
     sides = [_load(srcs[0], "sbpkit_a"), _load(srcs[1], "sbpkit_b")]
@@ -118,8 +159,11 @@ def _in_process(srcs: list[str], workload: str, seed: int, rounds: int, work: st
         output = operation(sides[side], cases[side][slot])
         return time.process_time() - start, output
 
+    counts = [[collections.Counter() for _ in pairs] for _ in sides]
+
     def written(side: int, slot: int) -> str:
-        output = run_op(side, slot)[1]
+        with _counting(counts[side][slot]):
+            output = run_op(side, slot)[1]
         if workload == "repair_planted":
             with open(cases[side][slot][-1]) as fh:
                 output += fh.read()
@@ -132,7 +176,7 @@ def _in_process(srcs: list[str], workload: str, seed: int, rounds: int, work: st
             for side in (r % 2, 1 - r % 2):
                 times[side][slot].append(run_op(side, slot)[0])
     labels = [f"slot {slot} n={pair.size - 1:<4}" for slot, pair in enumerate(pairs)]
-    return labels, times, differ
+    return labels, times, differ, counts
 
 
 def _cli_small(srcs: list[str], seed: int, rounds: int, work: str):
@@ -173,7 +217,7 @@ def _cli_small(srcs: list[str], seed: int, rounds: int, work: str):
             if outputs[0] != outputs[1]:
                 differ.add(k)
     labels = [f"{k:2d} {' '.join(argv)}" for k, argv in enumerate(commands)]
-    return labels, times, sorted(differ)
+    return labels, times, sorted(differ), None
 
 
 def main() -> int:
@@ -189,15 +233,19 @@ def main() -> int:
     os.environ.update(run.BLAS_PINS)  # before numpy starts its BLAS
     with tempfile.TemporaryDirectory() as work:
         if workload == "cli_small":
-            labels, times, differ = _cli_small(sys.argv[1:3], seed, rounds, work)
+            labels, times, differ, counts = _cli_small(sys.argv[1:3], seed, rounds, work)
         else:
-            labels, times, differ = _in_process(sys.argv[1:3], workload, seed, rounds, work)
+            labels, times, differ, counts = _in_process(sys.argv[1:3], workload, seed, rounds,
+                                                        work)
 
     ratios = []
     for slot, label in enumerate(labels):
         a, b = (statistics.median(times[side][slot]) * 1e3 for side in (0, 1))
         ratios.append(b / a)
         print(f"{label} A {a:8.3f} ms  B {b:8.3f} ms  B/A {b / a:.3f}")
+        if counts is not None:
+            for side in (0, 1):
+                print(f"    {'AB'[side]} per op: {_format_counts(counts[side][slot])}")
     wins = sum(ratio < 1.0 for ratio in ratios)
     print(f"median B/A {statistics.median(ratios):.3f}; B faster on {wins} of {len(ratios)}")
     print(f"identical output bytes on every input: {not differ}")

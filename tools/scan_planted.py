@@ -19,14 +19,20 @@ norm, and ``verify_all`` of the repaired operator, and prints the input as
 - ``verify_all`` of the repaired operator does not pass: some residual
   fails, or it is not nullspace consistent or lacks the eigenvalue
   property, or
-- the check before the repair was decided by the certificate: every
-  planted input has hidden pairs, which no certificate can prove away.
+- the check before the repair was decided by the certificate, which
+  proves the hidden pairs in real arithmetic, and the complex route (the
+  same check with the certificate deciding nothing) differs from it in the
+  number of offending values or ``singular``, in an offending value by more
+  than ``1e-12 max|offending|``, or in N by a principal angle above
+  ``ANGLE``.
 
 Each printed line gives what was found; the last lines count the inputs
-scanned and printed, and the routes (``EigenvalueCheck.route``) that the
-checks before and after the repair took.  BLAS runs on one thread unless
-``OPENBLAS_NUM_THREADS`` (or another BLAS thread variable) is set.  The
-inputs come from this checkout's ``perfbench/``, which is only read.
+scanned and printed, the routes (``EigenvalueCheck.route``) that the checks
+before and after the repair took, and the largest principal angle (in the H
+inner product) between the certificate's N and the complex route's.  BLAS
+runs on one thread unless ``OPENBLAS_NUM_THREADS`` (or another BLAS thread
+variable) is set.  The inputs come from this checkout's ``perfbench/``,
+which is only read.
 """
 
 from __future__ import annotations
@@ -39,11 +45,41 @@ PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file_
 #: The relative shortfall of the repaired operator's least real part below
 #: eps/2 that counts as a missed direction.
 SHORTFALL = 1e-3
+#: The largest principal angle between the two routes' N that is not a fault.
+ANGLE = 1e-6
 
 
-def scan(sbpkit, gen, worker, seed: int, slot: int) -> tuple[str | None, str, str]:
-    """What is wrong with the repair of one planted input, or None, and the
-    routes of the checks before and after the repair."""
+def principal_angle(h, q1, q2) -> float:
+    """The largest principal angle between the spans of the H-orthonormal
+    ``q1`` and ``q2`` in the H inner product, from its sine: the H-norm of
+    the part of ``q2`` that is H-orthogonal to ``q1`` (a cosine near 1 would
+    lose half the digits)."""
+    import numpy as np
+
+    if q1.shape != q2.shape:
+        return np.pi / 2
+    if not q1.shape[1]:
+        return 0.0
+    rest = q2 - q1 @ (q1.T @ h @ q2)
+    sine = np.sqrt(max(np.linalg.eigvalsh(rest.T @ h @ rest)[-1], 0.0))
+    return float(np.arcsin(min(1.0, sine)))
+
+
+def complex_route(sbpkit, op):
+    """The check of ``op`` with the certificate deciding nothing."""
+    certified = sbpkit.spectral._certified
+    sbpkit.spectral._certified = lambda *args: None
+    try:
+        return sbpkit.check_eigenvalue_property(op)
+    finally:
+        sbpkit.spectral._certified = certified
+
+
+def scan(sbpkit, gen, worker, seed: int, slot: int) -> tuple[str | None, str, str, float]:
+    """What is wrong with the repair of one planted input, or None, the
+    routes of the checks before and after the repair, and the principal
+    angle between the certificate's N and the complex route's (0 where the
+    certificate did not decide)."""
     import numpy as np
 
     pair, budget, norm = gen.repair_input(seed, slot)
@@ -60,12 +96,22 @@ def scan(sbpkit, gen, worker, seed: int, slot: int) -> tuple[str | None, str, st
     passed = (report.all_passed() and report.nullspace_consistent
               and report.eigenvalue_property)
     routes = (check.route, report.eigenvalue_check.route)
-    if (found == 2 * m and plan.m == m and least >= half * (1 - SHORTFALL) and passed
-            and check.route != "certificate"):
-        return None, *routes
+    angle, agree = 0.0, True
+    if check.route == "certificate":
+        reference = complex_route(sbpkit, op)
+        angle = principal_angle(op.h, check.basis, reference.basis)
+        values, expected = np.array(check.offending), np.array(reference.offending)
+        agree = (values.shape == expected.shape and check.singular == reference.singular
+                 and angle <= ANGLE
+                 and np.all(np.abs(values - expected)
+                            <= 1e-12 * np.max(np.abs(expected), initial=0.0)))
+    if found == 2 * m and plan.m == m and least >= half * (1 - SHORTFALL) and passed and agree:
+        return None, *routes, angle
     return (f"offending {found} of {2 * m}, plan.m {plan.m} of {m}, "
             f"planted min Re {least:.3e} against eps/2 {half:.3e}, verify_all "
-            f"{'passes' if passed else 'fails'}, route before {check.route}"), *routes
+            f"{'passes' if passed else 'fails'}, route before {check.route}, "
+            f"{'agrees' if agree else 'differs'} with the complex route "
+            f"(angle {angle:.3e})"), *routes, angle
 
 
 def main() -> int:
@@ -86,11 +132,12 @@ def main() -> int:
     if not os.path.abspath(sbpkit.__file__).startswith(src + os.sep):
         print(f"sbpkit imported from {sbpkit.__file__}, not from {src}", file=sys.stderr)
         return 2
-    printed = 0
+    printed, widest = 0, 0.0
     before, after = collections.Counter(), collections.Counter()
     for seed in range(first, last):
         for slot in range(len(gen.REPAIR_SLOTS)):
-            problem, route_before, route_after = scan(sbpkit, gen, worker, seed, slot)
+            problem, route_before, route_after, angle = scan(sbpkit, gen, worker, seed, slot)
+            widest = max(widest, angle)
             before[route_before] += 1
             after[route_after] += 1
             if problem is not None:
@@ -100,6 +147,8 @@ def main() -> int:
     for label, census in (("before", before), ("after", after)):
         print(f"routes {label} repair: "
               + ", ".join(f"{route} {count}" for route, count in sorted(census.items())))
+    print("largest principal angle between the certificate's N and the complex route's: "
+          f"{widest:.3e}")
     return 0
 
 
